@@ -13,6 +13,7 @@
 // against an analytic model built from the single-rank step time, the
 // measured halo traffic, and the host core/bandwidth budget. The MP rank
 // processes re-exec THIS binary (--worker mode) under the launcher.
+#include <omp.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -92,6 +93,7 @@ double run_weak_workload(int rr, SimComm::Stats* stats) {
                        CartTopology(rr, 1, 1), params, make_env_transport(rr));
   for (int r : cs.local_ranks())
     mpcf::bench::init_cloud_state(cs.rank_sim(r).grid(), 4, 42 + r);
+  cs.step();  // untimed warm-up: first-touch, workspaces, the step graph
   Timer timer;
   for (int s = 0; s < kWeakSteps; ++s) cs.step();
   const double seconds = timer.seconds();
@@ -129,7 +131,9 @@ double run_weak_multiprocess(const std::string& self, int rr) {
 int write_scaling_json(const char* path, const std::string& self) {
   // One OpenMP thread everywhere: the sweep isolates transport and
   // contention effects, not the node-layer thread scaling (fig9 covers that).
-  ::setenv("OMP_NUM_THREADS", "1", 1);
+  // The in-process leg needs the runtime call — libgomp has already read
+  // OMP_NUM_THREADS — and the mpcf-run children get it in their environment.
+  omp_set_num_threads(1);
   const int cores = std::max(1u, std::thread::hardware_concurrency());
   const double bw = perf::host_machine().mem_bw_gbs * 1e9;
   constexpr double kMsgLatency = 2e-6;  ///< shm per-message overhead (frame+futex)

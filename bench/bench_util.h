@@ -25,7 +25,7 @@ inline void init_cloud_state(Grid& grid, int bubbles = 8, std::uint64_t seed = 4
   set_cloud_ic(grid, cloud, TwoPhaseIC{});
 }
 
-/// Median-of-3 wall-clock of a callable.
+/// Best (minimum) wall-clock of `repeats` runs of a callable.
 template <typename F>
 double time_best_of(F&& f, int repeats = 3) {
   double best = 1e300;

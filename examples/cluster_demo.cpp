@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
                 "(this process)\n",
                 static_cast<unsigned long long>(stats.messages), stats.bytes / 1e6,
                 static_cast<unsigned long long>(stats.collectives));
-    std::printf("# comm: %.3f s exposed stall, %.3f s work (overlapped schedule "
-                "hides it inside the task region) vs compute %.3f s\n",
+    std::printf("# comm: %.3f s exposed stall, %.3f s work (pack/drain tasks "
+                "inside the step graph hide it) vs compute %.3f s\n",
                 cs.comm_time(), cs.comm_work_time(), cs.profile().total());
   }
 

@@ -258,7 +258,7 @@ bool ClusterSimulation::fetch_remote(int rank, int gx, int gy, int gz, Cell& out
   return true;
 }
 
-void ClusterSimulation::pack_rank_sends(int r) {
+void ClusterSimulation::pack_rank_sends(int r, long epoch) {
   perf::TraceSpan span(tracer_, perf::TracePhase::kExchange, r);
   const bool periodic[3] = {global_bc_.face[0][0] == BCType::kPeriodic,
                             global_bc_.face[1][0] == BCType::kPeriodic,
@@ -284,14 +284,9 @@ void ClusterSimulation::pack_rank_sends(int r) {
             for (int q = 0; q < kNumQuantities; ++q) msg[o++] = cell.q(q);
           }
       // The receiver sees this data on its side (1-s) of axis a, in the
-      // current stage's epoch.
-      comm_.send(r, nr, halo_tag(a, 1 - s, epoch_), std::move(msg));
+      // stage's epoch.
+      comm_.send(r, nr, halo_tag(a, 1 - s, epoch), std::move(msg));
     }
-}
-
-void ClusterSimulation::post_halo_sends() {
-  // All local sends, in rank order (non-blocking in the paper; enqueued here).
-  for (const int r : local_) pack_rank_sends(r);
 }
 
 void ClusterSimulation::unpack_halo_slab(int r, int axis, int side,
@@ -308,7 +303,7 @@ void ClusterSimulation::unpack_halo_slab(int r, int axis, int side,
     for (int q = 0; q < kNumQuantities; ++q) cell.q(q) = msg[o++];
 }
 
-void ClusterSimulation::drain_halos(int r) {
+void ClusterSimulation::drain_halos(int r, long epoch) {
   struct Face {
     int axis, side, nr;
   };
@@ -332,7 +327,7 @@ void ClusterSimulation::drain_halos(int r) {
     bool progressed = false;
     for (std::size_t i = 0; i < pending.size();) {
       const Face f = pending[i];
-      if (comm_.try_recv(f.nr, r, halo_tag(f.axis, f.side, epoch_), msg)) {
+      if (comm_.try_recv(f.nr, r, halo_tag(f.axis, f.side, epoch), msg)) {
         unpack_halo_slab(r, f.axis, f.side, msg);
         pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
         progressed = true;
@@ -344,7 +339,7 @@ void ClusterSimulation::drain_halos(int r) {
       const Face f = pending.front();
       perf::TraceSpan span(tracer_, perf::TracePhase::kWait, r);
       unpack_halo_slab(r, f.axis, f.side,
-                       comm_.recv(f.nr, r, halo_tag(f.axis, f.side, epoch_)));
+                       comm_.recv(f.nr, r, halo_tag(f.axis, f.side, epoch)));
       pending.erase(pending.begin());
     }
   }
@@ -353,113 +348,17 @@ void ClusterSimulation::drain_halos(int r) {
 void ClusterSimulation::exchange_halos() {
   Timer timer;
   ++epoch_;
-  post_halo_sends();
+  // All local sends first, in rank order (non-blocking in the paper;
+  // enqueued here), then every drain.
+  for (const int r : local_) pack_rank_sends(r, epoch_);
   for (const int r : local_) {
     perf::TraceSpan span(tracer_, perf::TracePhase::kExchange, r);
-    drain_halos(r);
+    drain_halos(r, epoch_);
   }
   const double sec = timer.seconds();
   comm_time_ += sec;
   comm_work_time_ += sec;
   comm_.add_stall_time(sec);
-}
-
-void ClusterSimulation::advance_stage_overlapped(double a_coeff) {
-  // One task region holds the whole stage pipeline: per-rank pack tasks
-  // (the paper's Isend phase), one task per interior block, and one drain
-  // task per rank — gated by `depend` clauses on its neighbours' packs —
-  // that spawns the rank's halo-block tasks once its slabs are in place.
-  // The step loop never blocks on communication: packs, drains and RHS
-  // tasks of all ranks share the thread pool, so interior compute of one
-  // rank hides the communication of another. This is race-free and
-  // bitwise-deterministic: packs only read cell data, RHS tasks only write
-  // their own block's accumulator, drains only write their own rank's
-  // slabs, and cells/slabs stay stable until the post-region update phase.
-  ++epoch_;
-  const int nranks = topo_.size();
-  const bool periodic[3] = {global_bc_.face[0][0] == BCType::kPeriodic,
-                            global_bc_.face[1][0] == BCType::kPeriodic,
-                            global_bc_.face[2][0] == BCType::kPeriodic};
-  std::vector<double> rank_rhs(nranks, 0.0);
-  double comm_secs = 0;
-  std::vector<char> packed(nranks, 0);
-  char* const pk = packed.data();
-  (void)pk;  // referenced only inside `depend` clauses; silence -Wunused
-  // The task region drives evaluate_rhs_block directly, bypassing
-  // evaluate_rhs and its lazy workspace growth — grow here, serially.
-  for (const int r : local_) sims_[r]->ensure_thread_workspaces();
-  Timer region;
-#pragma omp parallel
-#pragma omp single
-  {
-    for (const int r : local_) {
-      for (const int bi : interior_[r]) {
-#pragma omp task firstprivate(r, bi) shared(rank_rhs)
-        {
-          perf::TraceSpan span(tracer_, perf::TracePhase::kInterior, r);
-          const double sec = sims_[r]->evaluate_rhs_block(a_coeff, bi);
-#pragma omp atomic
-          rank_rhs[r] += sec;
-        }
-      }
-#pragma omp task firstprivate(r) shared(comm_secs) depend(out : pk[r])
-      {
-        Timer timer;
-        pack_rank_sends(r);
-        const double sec = timer.seconds();
-#pragma omp atomic
-        comm_secs += sec;
-      }
-    }
-    for (const int r : local_) {
-      // A drain needs its six LOCAL neighbours' sends posted; remote and
-      // missing neighbours alias the rank's own pack slot — which also
-      // guarantees the drain of a multi-process rank starts only after its
-      // own sends are posted, so two single-thread processes can never sit
-      // in each other's blocking recv with their packs still queued.
-      int nb[6];
-      for (int a = 0; a < 3; ++a)
-        for (int s = 0; s < 2; ++s) {
-          const int n = topo_.neighbor(r, a, s, periodic[a]);
-          nb[a * 2 + s] = n >= 0 && comm_.is_local(n) ? n : r;
-        }
-#pragma omp task firstprivate(r) shared(rank_rhs, comm_secs) \
-    depend(in : pk[nb[0]], pk[nb[1]], pk[nb[2]], pk[nb[3]], pk[nb[4]], pk[nb[5]])
-      {
-        {
-          perf::TraceSpan span(tracer_, perf::TracePhase::kHalo, r);
-          Timer timer;
-          drain_halos(r);
-          const double sec = timer.seconds();
-#pragma omp atomic
-          comm_secs += sec;
-        }
-        for (const int bi : halo_[r]) {
-#pragma omp task firstprivate(r, bi) shared(rank_rhs)
-          {
-            perf::TraceSpan span(tracer_, perf::TracePhase::kHalo, r);
-            const double sec = sims_[r]->evaluate_rhs_block(a_coeff, bi);
-#pragma omp atomic
-            rank_rhs[r] += sec;
-          }
-        }
-      }
-    }
-  }  // implicit barrier: all tasks, including halo children, are complete
-
-  // No exposed stall on this path: the step loop never blocked on comm
-  // (comm_time_ untouched). The communication work still happened — inside
-  // the region — so account its thread-seconds to comm_work_time_, and
-  // attribute the region's elapsed time to the rank profiles in proportion
-  // to per-rank RHS task seconds, so profile().rhs keeps its sequential
-  // meaning: rank contributions summing to the step loop's RHS wall clock.
-  const double wall = region.seconds();
-  comm_work_time_ += comm_secs;
-  double total = comm_secs;
-  for (const double sec : rank_rhs) total += sec;
-  if (total > 0)
-    for (const int r : local_)
-      sims_[r]->profile().rhs += wall * rank_rhs[r] / total;
 }
 
 double ClusterSimulation::compute_dt() {
@@ -474,81 +373,73 @@ double ClusterSimulation::compute_dt() {
   return front_sim().params().cfl * front_sim().grid().h() / gmax;
 }
 
-void ClusterSimulation::ensure_fused_graph(bool with_comm) {
-  if (fused_sched_ && fused_with_comm_ == with_comm) return;
-  plan_ranks_ = local_;
-  plan_is_halo_.clear();
-  std::vector<StepScheduler::ClusterPlan> plans;
+void ClusterSimulation::ensure_step_graph() {
+  if (sched_) return;
+  std::vector<StepScheduler::Plan> plans;
   plans.reserve(local_.size());
   for (const int r : local_) {
     std::vector<char> is_halo(sims_[r]->grid().block_count(), 0);
     for (const int b : halo_[r]) is_halo[b] = 1;
     plan_is_halo_.push_back(std::move(is_halo));
-    StepScheduler::ClusterPlan p;
-    p.topo = &sims_[r]->step_topology();
-    p.halo_blocks = halo_[r];
     // The sent face slabs are kGhosts cell layers deep, so (bs >= kGhosts,
-    // checked by the fused gate in advance) the packs read exactly the
-    // halo blocks' cells.
-    p.pack_reads = halo_[r];
-    plans.push_back(std::move(p));
+    // checked by the fused gate in advance) the packs read exactly the halo
+    // blocks' cells — the same blocks whose labs read the drained slabs.
+    plans.push_back(StepScheduler::Plan{&sims_[r]->step_topology(), halo_[r]});
   }
-  if (!fused_sched_) fused_sched_ = std::make_unique<StepScheduler>();
-  fused_sched_->build_cluster_graph(plans, with_comm);
-  fused_with_comm_ = with_comm;
+  sched_ = std::make_unique<StepScheduler>();
+  sched_->build(plans, LsRk3::kStages);
 }
 
-void ClusterSimulation::advance_stage_fused(int stage, double dt, bool fold_sos) {
-  const double a = LsRk3::a[stage];
-  const double b_dt = LsRk3::b[stage] * dt;
-  if (overlap_) {
-    ++epoch_;  // pack/drain tasks run inside the graph under this epoch
-  } else {
-    exchange_halos();  // stall-bench fallback: comm up front, graph comm-free
-  }
+void ClusterSimulation::advance_fused(double dt) {
+  const bool guard = front_sim().params().rho_floor > 0 || front_sim().params().p_floor > 0;
+  for (const int r : local_) sims_[r]->ensure_thread_workspaces();
+  ensure_step_graph();
+  // Stage s exchanges under tag epoch epoch_ + 1 + s, the epochs three
+  // staged exchange_halos() calls would use.
+  const long epoch0 = epoch_ + 1;
+  epoch_ += LsRk3::kStages;
 
   StepScheduler::Hooks hooks;
   hooks.lab = [this](int, int plan, int block, int tid) {
-    const int r = plan_ranks_[static_cast<std::size_t>(plan)];
+    const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kLab, r);
     sims_[r]->assemble_lab(block, tid);
   };
-  hooks.rhs = [this, a](int, int plan, int block, int tid) {
-    const int r = plan_ranks_[static_cast<std::size_t>(plan)];
-    // Two same-interval spans: the staged taxonomy (interior vs halo block,
-    // what bench_overlap and the Cluster tracer tests aggregate) plus the
-    // fused-pipeline kRhs phase, whose total is the stage's pure RHS time.
+  hooks.rhs = [this](int stage, int plan, int block, int tid) {
+    const int r = local_[static_cast<std::size_t>(plan)];
+    // Two same-interval spans: the interior/halo block membership (what the
+    // Cluster tracer tests aggregate) plus the fused-pipeline kRhs phase,
+    // whose total is the pure RHS time.
     const bool halo = plan_is_halo_[static_cast<std::size_t>(plan)][block] != 0;
     perf::TraceSpan membership(
         tracer_, halo ? perf::TracePhase::kHalo : perf::TracePhase::kInterior, r);
     perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
-    sims_[r]->rhs_from_lab(a, block, tid);
+    sims_[r]->rhs_from_lab(LsRk3::a[stage], block, tid);
   };
-  hooks.update = [this, b_dt](int, int plan, int block, int) {
-    const int r = plan_ranks_[static_cast<std::size_t>(plan)];
+  hooks.update = [this, dt](int stage, int plan, int block, int) {
+    const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
-    sims_[r]->update_one(b_dt, block);
+    sims_[r]->update_one(LsRk3::b[stage] * dt, block);
   };
   hooks.sos = [this](int plan, int block, double& acc) {
-    sims_[plan_ranks_[static_cast<std::size_t>(plan)]]->accumulate_block_speed(block, acc);
+    sims_[local_[static_cast<std::size_t>(plan)]]->accumulate_block_speed(block, acc);
   };
-  hooks.pack = [this](int plan) {
-    pack_rank_sends(plan_ranks_[static_cast<std::size_t>(plan)]);  // traced kExchange
+  hooks.pack = [this, epoch0](int stage, int plan) {
+    pack_rank_sends(local_[static_cast<std::size_t>(plan)], epoch0 + stage);
   };
-  hooks.drain = [this](int plan) {
-    const int r = plan_ranks_[static_cast<std::size_t>(plan)];
+  hooks.drain = [this, epoch0](int stage, int plan) {
+    const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kHalo, r);
-    drain_halos(r);
+    drain_halos(r, epoch0 + stage);
   };
 
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  fused_sched_->run(hooks, omp_get_max_threads(), fold_sos, &vmax, &times);
+  sched_->run(hooks, omp_get_max_threads(), !guard, &vmax, &times);
   const double wall = region.seconds();
 
-  // Same attribution contract as the staged overlap schedule: the step loop
-  // never blocked on comm (comm_time_ untouched on the overlap path), the
+  // The step loop never blocked on comm (comm_time_ untouched): the
   // in-region pack/drain thread-seconds go to comm_work_time_, and the
   // region wall clock is split across the rank profiles in proportion to
   // their in-region thread-seconds so profile totals keep their meaning.
@@ -558,32 +449,24 @@ void ClusterSimulation::advance_stage_fused(int stage, double dt, bool fold_sos)
     total += t.lab + t.rhs + t.up + t.sos + t.pack + t.drain;
   }
   comm_work_time_ += comm_secs;
-  for (std::size_t p = 0; p < plan_ranks_.size(); ++p) {
+  for (std::size_t p = 0; p < local_.size(); ++p) {
     const StepScheduler::PlanTimes& t = times[p];
-    StepProfile& prof = sims_[plan_ranks_[p]]->profile();
+    Simulation& sim = *sims_[local_[p]];
+    StepProfile& prof = sim.profile();
     prof.lab += t.lab;
     if (total > 0) {
       prof.rhs += wall * (t.lab + t.rhs) / total;
       prof.up += wall * t.up / total;
       prof.dt += wall * t.sos / total;
     }
-  }
-  if (fold_sos)
-    for (std::size_t p = 0; p < plan_ranks_.size(); ++p)
-      sims_[plan_ranks_[p]]->cache_step_vmax(vmax[p]);
-}
-
-void ClusterSimulation::advance_fused(double dt) {
-  const bool guard = front_sim().params().rho_floor > 0 || front_sim().params().p_floor > 0;
-  for (const int r : local_) sims_[r]->ensure_thread_workspaces();
-  ensure_fused_graph(overlap_);
-  for (int s = 0; s < LsRk3::kStages; ++s)
-    advance_stage_fused(s, dt, !guard && s == LsRk3::kStages - 1);
-  if (guard) {
-    for (const int r : local_) {
+    // With positivity floors the guard mutates the state compute_dt reads,
+    // so the SOS reduction folds into the guard sweep instead.
+    if (guard) {
       double v = 0;
-      sims_[r]->apply_positivity_guard_folded(&v);
-      sims_[r]->cache_step_vmax(v);
+      sim.apply_positivity_guard_folded(&v);
+      sim.cache_step_vmax(v);
+    } else {
+      sim.cache_step_vmax(vmax[p]);
     }
   }
   time_ += dt;
@@ -595,21 +478,13 @@ void ClusterSimulation::advance(double dt) {
     advance_fused(dt);
     return;
   }
+  // The staged oracle: per RK stage a sequential exchange, then each rank's
+  // staged sweeps over all of its blocks.
   for (int s = 0; s < LsRk3::kStages; ++s) {
-    if (overlap_) {
-      advance_stage_overlapped(LsRk3::a[s]);
-    } else {
-      exchange_halos();
-      // Interior blocks run "while halo messages are in flight" (here the
-      // exchange already completed: the sequential fallback schedule).
-      for (const int r : local_) {
-        perf::TraceSpan span(tracer_, perf::TracePhase::kInterior, r);
-        sims_[r]->evaluate_rhs(LsRk3::a[s], &interior_[r]);
-      }
-      for (const int r : local_) {
-        perf::TraceSpan span(tracer_, perf::TracePhase::kHalo, r);
-        sims_[r]->evaluate_rhs(LsRk3::a[s], &halo_[r]);
-      }
+    exchange_halos();
+    for (const int r : local_) {
+      perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
+      sims_[r]->evaluate_rhs(LsRk3::a[s]);
     }
     for (const int r : local_) {
       perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);

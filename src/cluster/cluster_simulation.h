@@ -2,11 +2,13 @@
 // into cartesian subdomains, one per rank. Each rank runs a node-layer
 // Simulation on its subgrid; ghost information crosses rank boundaries as
 // six face-slab messages of three cell layers per Runge-Kutta stage. Blocks
-// are split into halo and interior sets, and the step loop runs the paper's
-// overlap pipeline: post halo sends, evaluate interior blocks while messages
-// are "in flight", drain the halos, then evaluate the halo blocks —
-// scheduled as OpenMP tasks so interior compute and halo processing
-// interleave across ranks. Every phase emits tracing spans (perf::Tracer)
+// are split into halo and interior sets, and a step runs as ONE dependency
+// graph on the shared StepScheduler (DESIGN.md §14) across the local ranks
+// and all RK stages: a stage's halo sends post as soon as the boundary
+// blocks' previous-stage updates land, interior blocks compute while the
+// messages are "in flight", and each rank's drain gates its halo-block labs
+// — the paper's overlap pipeline as a property of the graph, with no
+// barrier inside the step. Every phase emits tracing spans (perf::Tracer)
 // for per-rank aggregates and chrome://tracing export.
 //
 // Rank locality: the simulation drives exactly the ranks its transport
@@ -56,17 +58,11 @@ class ClusterSimulation {
   [[nodiscard]] SimComm& comm() noexcept { return comm_; }
   [[nodiscard]] double time() const noexcept { return time_; }
 
-  /// Halo tag epoch: bumped once per RK stage exchange so a fast rank's
-  /// sends can never alias a neighbour's undrained previous stage. Advances
-  /// in lockstep on all ranks; deliberately NOT part of a checkpoint (a
-  /// restart must not regress it).
+  /// Halo tag epoch: one per RK stage exchange (kStages per step) so a fast
+  /// rank's sends can never alias a neighbour's undrained previous stage.
+  /// Advances in lockstep on all ranks; deliberately NOT part of a
+  /// checkpoint (a restart must not regress it).
   [[nodiscard]] long halo_epoch() const noexcept { return epoch_; }
-
-  /// Toggles the overlapped (task-based) step schedule. Both schedules are
-  /// bitwise-identical in their results; overlap off exists for the stall
-  /// benches and as a debugging fallback.
-  void set_overlap(bool on) noexcept { overlap_ = on; }
-  [[nodiscard]] bool overlap() const noexcept { return overlap_; }
 
   /// Phase tracer: disabled by default; enable to collect per-phase spans
   /// and export chrome://tracing JSON.
@@ -139,15 +135,15 @@ class ClusterSimulation {
   /// Aggregated kernel times across this process's local ranks.
   [[nodiscard]] StepProfile profile() const;
   /// Exposed communication stall: wall-clock the step loop blocks on halo
-  /// exchange with no compute runnable. Sequential schedule: the full
-  /// pack/send/recv/unpack of every RK stage. Overlapped schedule: zero by
-  /// construction — packs and drains run as tasks inside the stage region,
-  /// always coexisting with runnable RHS tasks (see comm_work_time() for
-  /// where the communication work went).
+  /// exchange with no compute runnable. Staged oracle (fused_step = false):
+  /// the full pack/send/recv/unpack of every RK stage. Fused step: zero by
+  /// construction — packs and drains run as tasks inside the step graph,
+  /// coexisting with runnable block tasks (see comm_work_time() for where
+  /// the communication work went).
   [[nodiscard]] double comm_time() const noexcept { return comm_time_; }
   /// Thread-seconds spent doing communication work (pack/send/recv/unpack)
-  /// regardless of schedule: equals comm_time() on the sequential path,
-  /// and the in-region pack+drain task seconds on the overlapped path.
+  /// regardless of schedule: equals comm_time() on the staged oracle, and
+  /// the in-graph pack+drain task seconds on the fused step.
   [[nodiscard]] double comm_work_time() const noexcept { return comm_work_time_; }
 
   [[nodiscard]] const std::vector<int>& interior_blocks(int r) const {
@@ -156,9 +152,9 @@ class ClusterSimulation {
   [[nodiscard]] const std::vector<int>& halo_blocks(int r) const { return halo_[r]; }
 
   /// One full sequential halo exchange (pack+send+drain for the local ranks;
-  /// normally driven by advance — exposed for tests and the communication
-  /// benches). Collective: every process must call it the same number of
-  /// times (each call is one epoch).
+  /// the staged oracle's per-stage exchange — exposed for tests and the
+  /// communication benches). Collective: every process must call it the
+  /// same number of times (each call is one epoch).
   void exchange_halos();
 
   /// The ghost resolution path of a LOCAL `rank` for a global cell
@@ -173,28 +169,21 @@ class ClusterSimulation {
   };
 
   /// Packs and sends one local rank's six face slabs (the paper's Isend
-  /// phase) under the current epoch's tags.
-  void pack_rank_sends(int r);
-  /// Packs and sends every local rank's six face slabs, in rank order.
-  void post_halo_sends();
-  /// Receives and unpacks the six face slabs of one local rank. Drains via
-  /// atomic try_recv in whatever order messages arrive (no fixed-face
-  /// blocking order), falling back to a blocking recv — traced as a kWait
-  /// span — only when nothing is deliverable.
-  void drain_halos(int r);
+  /// phase) under halo tag epoch `epoch`.
+  void pack_rank_sends(int r, long epoch);
+  /// Receives and unpacks the six face slabs of one local rank for `epoch`.
+  /// Drains via atomic try_recv in whatever order messages arrive (no
+  /// fixed-face blocking order), falling back to a blocking recv — traced as
+  /// a kWait span — only when nothing is deliverable.
+  void drain_halos(int r, long epoch);
   void unpack_halo_slab(int r, int axis, int side, const std::vector<float>& msg);
-  /// One RK stage of the overlap pipeline: per-rank pack tasks, interior
-  /// RHS tasks, and dependency-gated drain + halo RHS tasks, interleaved.
-  void advance_stage_overlapped(double a_coeff);
-  /// Fused step (DESIGN.md §14): per stage, one dependency-counted graph of
-  /// lab->RHS and update tasks across all local ranks, with pack/drain
-  /// tasks feeding the same counters when overlap is on. Bitwise-identical
-  /// to the staged schedules; the SOS reduction folds into the final stage
-  /// (or the positivity guard), so the next compute_dt skips its sweep.
+  /// Fused step (DESIGN.md §14): one StepScheduler::run over the whole-step
+  /// graph of all local ranks, pack/drain tasks included. Bitwise-identical
+  /// to the staged oracle; the SOS reduction folds into the final stage (or
+  /// the positivity guard), so the next compute_dt skips its sweep.
   void advance_fused(double dt);
-  void advance_stage_fused(int stage, double dt, bool fold_sos);
-  /// (Re)builds the cluster stage graph when the overlap mode changed.
-  void ensure_fused_graph(bool with_comm);
+  /// Lazily builds the whole-step graph over the local ranks.
+  void ensure_step_graph();
   [[nodiscard]] const Simulation& front_sim() const { return *sims_[local_.front()]; }
 
   CartTopology topo_;
@@ -202,18 +191,15 @@ class ClusterSimulation {
   int bs_;
   int gbx_, gby_, gbz_;
   BoundaryConditions global_bc_;
-  std::vector<int> local_;  ///< comm_.local_ranks(), cached
+  std::vector<int> local_;  ///< comm_.local_ranks(); step-graph plan p is rank local_[p]
   std::vector<std::unique_ptr<Simulation>> sims_;  ///< null for remote ranks
   std::vector<RankBox> boxes_;
   std::vector<std::vector<int>> interior_, halo_;  ///< filled for local ranks
   // halo_slabs_[rank][axis*2+side]: 3-layer cell slab outside the rank box.
   std::vector<std::array<std::vector<Cell>, 6>> halo_slabs_;
   perf::Tracer tracer_;
-  std::unique_ptr<StepScheduler> fused_sched_;  ///< cluster stage graph
-  std::vector<int> plan_ranks_;                 ///< scheduler plan -> rank id
+  std::unique_ptr<StepScheduler> sched_;        ///< whole-step graph
   std::vector<std::vector<char>> plan_is_halo_;  ///< per plan: block -> halo?
-  bool fused_with_comm_ = false;  ///< mode the cached graph was built for
-  bool overlap_ = true;
   double time_ = 0;
   double comm_time_ = 0;
   double comm_work_time_ = 0;

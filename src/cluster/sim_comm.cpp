@@ -21,22 +21,19 @@ bool SimComm::is_local(int rank) const noexcept {
 }
 
 #if MPCF_CHECKED
-void SimComm::check_epoch_locked(int src, int dst, int tag, const char* who) const {
+void SimComm::check_epoch_locked(EpochMap& last, int src, int dst, int tag,
+                                 const char* who) const {
   if (!is_halo_tag(tag)) return;
   const long epoch = halo_tag_epoch(tag);
-  const auto key = std::make_tuple(src, dst, halo_tag_face(tag));
-  const auto it = last_epoch_.find(key);
-  if (it != last_epoch_.end()) {
-    MPCF_CHECK(epoch >= it->second,
-               std::string(who) + ": halo epoch regressed from " +
-                   std::to_string(it->second) + " to " + std::to_string(epoch) +
-                   " on flow (src " + std::to_string(src) + ", dst " +
-                   std::to_string(dst) + ", face " +
-                   std::to_string(halo_tag_face(tag)) + ")");
-    it->second = std::max(it->second, epoch);
-  } else {
-    last_epoch_[key] = epoch;
-  }
+  const auto [it, fresh] =
+      last.try_emplace(std::make_tuple(src, dst, halo_tag_face(tag)), epoch);
+  if (fresh) return;
+  MPCF_CHECK(epoch >= it->second,
+             std::string(who) + ": halo epoch regressed from " +
+                 std::to_string(it->second) + " to " + std::to_string(epoch) +
+                 " on flow (src " + std::to_string(src) + ", dst " + std::to_string(dst) +
+                 ", face " + std::to_string(halo_tag_face(tag)) + ")");
+  it->second = epoch;
 }
 #endif
 
@@ -48,7 +45,7 @@ void SimComm::send(int src, int dst, int tag, std::vector<float> data) {
     stats_.messages++;
     stats_.bytes += data.size() * sizeof(float);
 #if MPCF_CHECKED
-    check_epoch_locked(src, dst, tag, "SimComm::send");
+    check_epoch_locked(sent_epoch_, src, dst, tag, "SimComm::send");
 #endif
   }
   transport_->send(src, dst, tag, std::move(data));
@@ -62,7 +59,7 @@ std::vector<float> SimComm::recv(int src, int dst, int tag) {
   std::vector<float> data = transport_->recv(src, dst, tag);
   const LockGuard lock(mu_);
 #if MPCF_CHECKED
-  check_epoch_locked(src, dst, tag, "SimComm::recv");
+  check_epoch_locked(recv_epoch_, src, dst, tag, "SimComm::recv");
 #endif
   stats_.recv_seconds += timer.seconds();
   return data;
@@ -77,7 +74,7 @@ bool SimComm::try_recv(int src, int dst, int tag, std::vector<float>& out) {
   if (got) {
     const LockGuard lock(mu_);
 #if MPCF_CHECKED
-    check_epoch_locked(src, dst, tag, "SimComm::try_recv");
+    check_epoch_locked(recv_epoch_, src, dst, tag, "SimComm::try_recv");
 #endif
     stats_.recv_seconds += timer.seconds();
   }

@@ -5,8 +5,8 @@
 // backend is the in-memory mailbox (all ranks in-process, the test oracle);
 // tools/mpcf-run swaps in the POSIX shared-memory backend via
 // make_env_transport so N ranks run as N processes. All operations are
-// thread-safe: the overlapped step schedule drains messages from concurrent
-// OpenMP tasks.
+// thread-safe: the fused step graph packs and drains from concurrent
+// scheduler tasks.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +77,12 @@ class SimComm {
     std::uint64_t bytes = 0;
     std::uint64_t collectives = 0;
     /// Wall-clock spent inside recv calls (match + dequeue + blocking wait).
-    /// Under the overlapped schedule this is drain time hidden behind
-    /// compute.
+    /// On the fused step this is drain time hidden behind compute.
     double recv_seconds = 0;
     /// Wall-clock the step loop stalls on communication with no RHS work
-    /// running (filled by the cluster layer: the full exchange on the
-    /// sequential path, only the pack+send phase when overlap is on).
+    /// running (filled by the cluster layer: every exchange_halos() call,
+    /// which is the full exchange on the staged oracle; zero on the fused
+    /// step).
     double stall_seconds = 0;
   };
   [[nodiscard]] Stats stats() const {
@@ -105,13 +105,18 @@ class SimComm {
   /// stage epoch (transport.h tag schema), and within one (src,dst,face)
   /// flow the epoch must never step backwards — a regression here means a
   /// stale slab from a previous stage would alias into the current one.
-  void check_epoch_locked(int src, int dst, int tag, const char* who) const
-      MPCF_REQUIRES(mu_);
-  mutable std::map<std::tuple<int, int, int>, long> last_epoch_ MPCF_GUARDED_BY(mu_);
+  /// Sends and receives are tracked in separate maps, each monotone: the
+  /// whole-step graph lets a rank send stage s+1 before its neighbour has
+  /// received stage s, so the send side may lead the receive side.
+  using EpochMap = std::map<std::tuple<int, int, int>, long>;
+  void check_epoch_locked(EpochMap& last, int src, int dst, int tag,
+                          const char* who) const MPCF_REQUIRES(mu_);
+  EpochMap sent_epoch_ MPCF_GUARDED_BY(mu_);
+  EpochMap recv_epoch_ MPCF_GUARDED_BY(mu_);
 #endif
 
   std::shared_ptr<Transport> transport_;
-  mutable Mutex mu_;  ///< guards stats_ (and last_epoch_ when checked)
+  mutable Mutex mu_;  ///< guards stats_ (and the epoch maps when checked)
   mutable Stats stats_ MPCF_GUARDED_BY(mu_);
 };
 

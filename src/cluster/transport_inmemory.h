@@ -58,7 +58,7 @@ class InMemoryTransport final : public Transport {
   std::vector<int> local_;
   double timeout_ = default_timeout_seconds();
   Mutex mu_;
-  // Mailboxes are FIFO queues: the overlapped schedule lets fast ranks run a
+  // Mailboxes are FIFO queues: the fused step graph lets fast ranks run a
   // full RK stage ahead, so queues get deeper and pops must stay O(1).
   std::map<Key, std::deque<std::vector<float>>> mailboxes_ MPCF_GUARDED_BY(mu_);
   std::condition_variable cv_;

@@ -64,20 +64,24 @@ double Simulation::compute_dt() {
   return params_.cfl * grid_.h() / vmax;
 }
 
-void Simulation::evaluate_rhs(double a_coeff, const std::vector<int>* block_subset) {
+void Simulation::evaluate_rhs(double a_coeff) {
   Timer timer;
-  const int count =
-      block_subset == nullptr ? grid_.block_count() : static_cast<int>(block_subset->size());
-  if (count == 0) return;
   ensure_thread_workspaces();
 
   // Dynamic scheduling with a parallel granularity of one block (Section 6,
   // "Enhancing TLP"); each thread reuses its dedicated lab + workspace.
 #pragma omp parallel
   {
+    const int tid = omp_get_thread_num();
 #pragma omp for schedule(dynamic, 1)
-    for (int i = 0; i < count; ++i)
-      rhs_one_block(a_coeff, block_subset == nullptr ? i : (*block_subset)[i]);
+    for (int i = 0; i < grid_.block_count(); ++i) {
+      Timer lab_timer;
+      assemble_lab(i, tid);
+      const double lab_s = lab_timer.seconds();
+#pragma omp atomic
+      profile_.lab += lab_s;
+      rhs_from_lab(a_coeff, i, tid);
+    }
   }
   profile_.rhs += timer.seconds();
 }
@@ -113,22 +117,6 @@ void Simulation::rhs_from_lab(double a_coeff, int block_id, int tid) {
                      params_.impl, params_.weno_order, params_.width);
 }
 
-void Simulation::rhs_one_block(double a_coeff, int block_id) {
-  const int tid = omp_get_thread_num();
-  Timer lab_timer;
-  assemble_lab(block_id, tid);
-  const double lab_s = lab_timer.seconds();
-#pragma omp atomic
-  profile_.lab += lab_s;
-  rhs_from_lab(a_coeff, block_id, tid);
-}
-
-double Simulation::evaluate_rhs_block(double a_coeff, int block_id) {
-  Timer timer;
-  rhs_one_block(a_coeff, block_id);
-  return timer.seconds();
-}
-
 void Simulation::update_one(double b_dt, int block_id) {
   if (params_.impl != kernels::KernelImpl::kScalar)
     kernels::update_block_simd(grid_.block(block_id), static_cast<Real>(b_dt),
@@ -160,11 +148,12 @@ const BlockTopology& Simulation::step_topology() {
 void Simulation::ensure_step_graph() {
   if (sched_) return;
   sched_ = std::make_unique<StepScheduler>();
-  sched_->build_node_graph(step_topology(), LsRk3::kStages);
+  // The node step is one plan with no halo blocks: no pack/drain tasks.
+  sched_->build({StepScheduler::Plan{&step_topology(), {}}}, LsRk3::kStages);
 }
 
 void Simulation::advance(double dt) {
-  // The cluster layer drives rank sims through its own fused stage graphs;
+  // The cluster layer drives rank sims through its own step graph;
   // a ghost override here means this sim is such a rank, so its standalone
   // advance keeps the staged sweeps (halo coordination lives upstairs).
   if (params_.fused_step && !ghost_override_ && grid_.block_size() >= kGhosts) {

@@ -87,34 +87,22 @@ class Simulation {
   using GhostOverride = std::function<bool(int, int, int, Cell&)>;
   void set_ghost_override(GhostOverride f) { ghost_override_ = std::move(f); }
 
-  /// Evaluates the RHS of all blocks (subset == nullptr) or exactly the
-  /// listed blocks (the cluster layer's halo/interior split; an empty list
-  /// evaluates nothing).
-  void evaluate_rhs(double a_coeff, const std::vector<int>* block_subset = nullptr);
-
-  /// Evaluates the RHS of one block using the calling thread's lab and
-  /// workspace. Meant for the cluster layer's overlapped schedule, where
-  /// blocks of many ranks run as OpenMP tasks inside one parallel region;
-  /// must be called from at most omp_get_max_threads() distinct threads and
-  /// not accounted in profile() (the caller owns the timing). Callers that
-  /// bypass evaluate_rhs must call ensure_thread_workspaces() from serial
-  /// context first if the thread count may have grown. Returns the
-  /// wall-clock seconds spent on the block.
-  double evaluate_rhs_block(double a_coeff, int block_id);
+  /// Evaluates the RHS of every block (one staged sweep).
+  void evaluate_rhs(double a_coeff);
 
   /// Grows the per-thread lab/workspace arrays to omp_get_max_threads().
   /// Called automatically at every evaluate_rhs entry (serial context), so
   /// raising the OpenMP thread count after construction is safe; exposed for
-  /// callers that drive evaluate_rhs_block directly from their own parallel
+  /// callers that drive the per-block hooks below from their own parallel
   /// regions. Must not be called concurrently with block evaluations.
   void ensure_thread_workspaces();
   void update(double b_dt);
   void apply_positivity_guard();
 
   // --- Fused-step building blocks (StepScheduler hooks; also driven by the
-  // --- cluster layer's fused stage graphs). Same caller contract as
-  // --- evaluate_rhs_block: at most omp_get_max_threads() distinct threads,
-  // --- ensure_thread_workspaces() from serial context first.
+  // --- cluster layer's step graph). Callers use at most
+  // --- omp_get_max_threads() distinct threads, not accounted in profile(),
+  // --- and call ensure_thread_workspaces() from serial context first.
 
   /// Assembles the ghost lab of `block_id` into thread `tid`'s lab buffer.
   void assemble_lab(int block_id, int tid);
@@ -145,7 +133,7 @@ class Simulation {
   void invalidate_speed_cache() noexcept { folded_vmax_valid_ = false; }
 
   /// Block readset/consumer tables of this grid under its BCs, built lazily
-  /// (shared by the node fused graph and the cluster layer's stage graphs).
+  /// (shared by the node step graph and the cluster layer's step graph).
   [[nodiscard]] const BlockTopology& step_topology();
 
 #if MPCF_CHECKED
@@ -171,9 +159,6 @@ class Simulation {
   [[nodiscard]] double flops_per_step() const;
 
  private:
-  /// Loads + evaluates one block on the calling thread's lab/workspace.
-  void rhs_one_block(double a_coeff, int block_id);
-
   /// One dependency-scheduled fused step (all RK stages, no grid barrier).
   void advance_fused(double dt);
   /// Lazily builds the node-layer fused step graph.

@@ -12,127 +12,109 @@
 
 namespace mpcf {
 
-void StepScheduler::build_node_graph(const BlockTopology& topo, int stages) {
+void StepScheduler::build(const std::vector<Plan>& plans, int stages) {
   require(stages >= 1 && stages <= 255, "StepScheduler: invalid stage count");
-  const int nb = topo.count;
-  require(nb > 0, "StepScheduler: empty block topology");
-
-  plan_count_ = 1;
-  sos_stage_ = stages - 1;
-  const int n = 2 * stages * nb;
-  tasks_.assign(n, Task{});
-  // Task ids: per stage s, labs at (2s)*nb + b, updates at (2s+1)*nb + b.
-  const auto lid = [nb](int s, int b) { return 2 * s * nb + b; };
-  const auto uid = [nb](int s, int b) { return (2 * s + 1) * nb + b; };
-
-  std::vector<std::vector<int>> mid(n), succ(n);
-  for (int s = 0; s < stages; ++s) {
-    for (int b = 0; b < nb; ++b) {
-      // L(b,s): runnable at stage 0; later stages wait for the
-      // previous-stage update of every block the lab assembly reads.
-      Task& l = tasks_[lid(s, b)];
-      l.kind = Task::Kind::kLabRhs;
-      l.stage = static_cast<std::uint8_t>(s);
-      l.block = b;
-      l.init_pending = s == 0 ? 0 : static_cast<int>(topo.readset(b).size());
-      l.owner_frac = (static_cast<float>(b) + 0.5f) / static_cast<float>(nb);
-      // Once the lab holds its private copy, the source blocks may update —
-      // fired mid-task, before the RHS runs (the RHS reads only the lab).
-      for (const int m : topo.readset(b)) mid[lid(s, b)].push_back(uid(s, m));
-      succ[lid(s, b)].push_back(uid(s, b));
-
-      // U(b,s): one release per consumer lab + one for the block's own RHS
-      // (the update consumes the accumulator that RHS wrote).
-      Task& u = tasks_[uid(s, b)];
-      u.kind = Task::Kind::kUpdate;
-      u.stage = static_cast<std::uint8_t>(s);
-      u.block = b;
-      u.init_pending = static_cast<int>(topo.consumers(b).size()) + 1;
-      u.owner_frac = l.owner_frac;
-      if (s + 1 < stages)
-        for (const int c : topo.consumers(b)) succ[uid(s, b)].push_back(lid(s + 1, c));
-    }
-  }
-  finalize(mid, succ);
-}
-
-void StepScheduler::build_cluster_graph(const std::vector<ClusterPlan>& plans,
-                                        bool with_comm) {
   const int np = static_cast<int>(plans.size());
   require(np >= 1 && np <= 65535, "StepScheduler: invalid plan count");
 
   plan_count_ = np;
-  sos_stage_ = 0;  // single-stage graph; the caller folds on the final RK stage
-  std::vector<int> base(np);
-  int cursor = 0, total_blocks = 0;
+  sos_stage_ = stages - 1;
+  // Task ids, per stage s: every plan's labs then updates (plan p's block b
+  // at s*2*nblocks + base[p] + b, its update nb_p further), then after all
+  // block tasks the comm tasks, per stage: the packs then the drains of the
+  // plans with halo blocks (`comm`). One plan is the node graph's layout.
+  std::vector<int> base(np), comm;
+  int nblocks = 0;
   for (int p = 0; p < np; ++p) {
     require(plans[p].topo != nullptr && plans[p].topo->count > 0,
-            "StepScheduler: cluster plan without topology");
-    base[p] = cursor;
-    cursor += 2 * plans[p].topo->count;
-    total_blocks += plans[p].topo->count;
+            "StepScheduler: plan without block topology");
+    base[p] = 2 * nblocks;
+    nblocks += plans[p].topo->count;
+    if (!plans[p].halo_blocks.empty()) comm.push_back(p);
   }
-  const int pack_base = cursor;
-  const int n = cursor + (with_comm ? 2 * np : 0);
+  const int nc = static_cast<int>(comm.size());
+  const int comm_base = 2 * stages * nblocks;
+  const int n = comm_base + 2 * stages * nc;
   tasks_.assign(n, Task{});
-  const auto lid = [&](int p, int b) { return base[p] + b; };
-  const auto uid = [&](int p, int b) { return base[p] + plans[p].topo->count + b; };
+  const auto lid = [&](int s, int p, int b) { return 2 * s * nblocks + base[p] + b; };
+  const auto uid = [&](int s, int p, int b) {
+    return 2 * s * nblocks + base[p] + plans[p].topo->count + b;
+  };
+  std::vector<int> comm_slot(np, -1);
+  for (int k = 0; k < nc; ++k) comm_slot[comm[k]] = k;
+  const auto pid = [&](int s, int p) { return comm_base + 2 * s * nc + comm_slot[p]; };
+  const auto did = [&](int s, int p) { return pid(s, p) + nc; };
 
+  // Stable owner positions: blocks spread over [0,1) in plan order, a
+  // plan's comm tasks at the middle of its range.
+  const float total = static_cast<float>(nblocks);
   std::vector<std::vector<int>> mid(n), succ(n);
   int bpos = 0;
   for (int p = 0; p < np; ++p) {
     const BlockTopology& topo = *plans[p].topo;
     const int nb = topo.count;
-    std::vector<char> is_halo(nb, 0), is_pack_read(nb, 0);
-    for (const int b : plans[p].halo_blocks) is_halo[b] = 1;
-    for (const int b : plans[p].pack_reads) is_pack_read[b] = 1;
+    const auto& halo = plans[p].halo_blocks;
+    std::vector<char> is_halo(nb, 0);
+    for (const int b : halo) is_halo[b] = 1;
 
-    for (int b = 0; b < nb; ++b) {
-      const float frac =
-          (static_cast<float>(bpos + b) + 0.5f) / static_cast<float>(total_blocks);
-      // L(b): halo-block labs read the drained slabs, so they gate on the
-      // plan's drain; interior labs are stage seeds.
-      Task& l = tasks_[lid(p, b)];
-      l.kind = Task::Kind::kLabRhs;
-      l.plan = static_cast<std::uint16_t>(p);
-      l.block = b;
-      l.init_pending = with_comm && is_halo[b] ? 1 : 0;
-      l.owner_frac = frac;
-      for (const int m : topo.readset(b)) mid[lid(p, b)].push_back(uid(p, m));
-      succ[lid(p, b)].push_back(uid(p, b));
+    for (int s = 0; s < stages; ++s) {
+      for (int b = 0; b < nb; ++b) {
+        // L(b,s): stage 0 seeds; later stages wait for the previous-stage
+        // update of every block the lab assembly reads. Halo-block labs read
+        // the drained slabs, so they also wait on drain(p,s).
+        Task& l = tasks_[lid(s, p, b)];
+        l.kind = Task::Kind::kLabRhs;
+        l.stage = static_cast<std::uint8_t>(s);
+        l.plan = static_cast<std::uint16_t>(p);
+        l.block = b;
+        l.init_pending = (s == 0 ? 0 : static_cast<int>(topo.readset(b).size())) +
+                         (is_halo[b] ? 1 : 0);
+        l.owner_frac = (static_cast<float>(bpos + b) + 0.5f) / total;
+        // Once the lab holds its private copy, the source blocks may update
+        // and the next drain may overwrite the slabs — fired mid-task,
+        // before the RHS runs (the RHS reads only the lab).
+        for (const int m : topo.readset(b)) mid[lid(s, p, b)].push_back(uid(s, p, m));
+        if (is_halo[b] && s + 1 < stages) mid[lid(s, p, b)].push_back(did(s + 1, p));
+        succ[lid(s, p, b)].push_back(uid(s, p, b));
 
-      // U(b): consumer labs + own RHS, plus the pack when it sends this
-      // block's boundary cells (the pack reads the pre-update state).
-      Task& u = tasks_[uid(p, b)];
-      u.kind = Task::Kind::kUpdate;
-      u.plan = l.plan;
-      u.block = b;
-      u.init_pending = static_cast<int>(topo.consumers(b).size()) + 1 +
-                       (with_comm && is_pack_read[b] ? 1 : 0);
-      u.owner_frac = frac;
-    }
+        // U(b,s): one release per consumer lab + one for the block's own RHS
+        // (the update consumes the accumulator that RHS wrote), plus the
+        // pack for halo blocks (the pack reads the pre-update state).
+        Task& u = tasks_[uid(s, p, b)];
+        u.kind = Task::Kind::kUpdate;
+        u.stage = l.stage;
+        u.plan = l.plan;
+        u.block = b;
+        u.init_pending = static_cast<int>(topo.consumers(b).size()) + 1 + (is_halo[b] ? 1 : 0);
+        u.owner_frac = l.owner_frac;
+        if (s + 1 < stages) {
+          for (const int c : topo.consumers(b)) succ[uid(s, p, b)].push_back(lid(s + 1, p, c));
+          if (is_halo[b]) succ[uid(s, p, b)].push_back(pid(s + 1, p));
+        }
+      }
+      if (halo.empty()) continue;
 
-    if (with_comm) {
-      const float mid_frac = (static_cast<float>(bpos) + 0.5f * static_cast<float>(nb)) /
-                             static_cast<float>(total_blocks);
-      Task& pk = tasks_[pack_base + p];
+      const int hn = static_cast<int>(halo.size());
+      Task& pk = tasks_[pid(s, p)];
       pk.kind = Task::Kind::kPack;
+      pk.stage = static_cast<std::uint8_t>(s);
       pk.plan = static_cast<std::uint16_t>(p);
-      pk.init_pending = 0;
-      pk.owner_frac = mid_frac;
-      for (const int b : plans[p].pack_reads) succ[pack_base + p].push_back(uid(p, b));
-      // Every drain waits on every local pack: all sends of this process are
-      // posted before any blocking receive, so two single-thread processes
-      // can never sit in each other's recv with their packs still queued.
-      for (int q = 0; q < np; ++q) succ[pack_base + p].push_back(pack_base + np + q);
+      pk.init_pending = s == 0 ? 0 : hn;
+      pk.owner_frac = (static_cast<float>(bpos) + 0.5f * static_cast<float>(nb)) / total;
+      for (const int b : halo) succ[pid(s, p)].push_back(uid(s, p, b));
+      // Every drain waits on every local pack: all stage-s sends of this
+      // process are posted before any stage-s blocking receive, so two
+      // single-thread processes can never sit in each other's recv with
+      // their packs still queued (DESIGN.md §14 has the full argument).
+      for (const int q : comm) succ[pid(s, p)].push_back(did(s, q));
 
-      Task& dr = tasks_[pack_base + np + p];
+      Task& dr = tasks_[did(s, p)];
       dr.kind = Task::Kind::kDrain;
+      dr.stage = pk.stage;
       dr.plan = pk.plan;
-      dr.init_pending = np;
-      dr.owner_frac = mid_frac;
-      for (const int b : plans[p].halo_blocks)
-        succ[pack_base + np + p].push_back(lid(p, b));
+      dr.init_pending = nc + (s == 0 ? 0 : hn);
+      dr.owner_frac = pk.owner_frac;
+      for (const int b : halo) succ[did(s, p)].push_back(lid(s, p, b));
     }
     bpos += nb;
   }
@@ -236,11 +218,11 @@ void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
         }
         break;
       case Task::Kind::kPack:
-        hooks.pack(task.plan);
+        hooks.pack(task.stage, task.plan);
         pt.pack += tm.seconds();
         break;
       case Task::Kind::kDrain:
-        hooks.drain(task.plan);
+        hooks.drain(task.stage, task.plan);
         pt.drain += tm.seconds();
         break;
     }

@@ -18,10 +18,12 @@
 // next step's SOS max-speed reduction (order-independent max), deleting the
 // standalone seventh grid sweep from the steady-state step.
 //
-// Two graph shapes share the executor: the node-layer graph spans all RK
-// stages of one step; the cluster-layer graph covers one stage across all
-// local ranks and adds halo pack/drain tasks feeding the same counters
-// (pack before any boundary-block update, halo-block labs after the drain).
+// One graph shape serves both layers: a whole step (all RK stages) over a
+// list of plans, one per local rank. A plan with halo blocks also gets a
+// halo pack and drain task per stage, feeding the same counters: the pack
+// runs after the previous stage's boundary-block updates and before this
+// stage's, and halo-block labs run after the drain. The node step is one
+// plan without halo blocks; the cluster step is one plan per local rank.
 #pragma once
 
 #include <atomic>
@@ -46,8 +48,8 @@ class StepScheduler {
     /// Folds `block`'s max characteristic speed into `acc` (called after the
     /// final-stage update of each block when run(fold_sos) is set).
     std::function<void(int plan, int block, double& acc)> sos;
-    std::function<void(int plan)> pack;   ///< cluster graphs only
-    std::function<void(int plan)> drain;  ///< cluster graphs only
+    std::function<void(int stage, int plan)> pack;   ///< plans with halo blocks only
+    std::function<void(int stage, int plan)> drain;  ///< plans with halo blocks only
   };
 
   /// Thread-seconds per hook category, accumulated per plan. The sum over
@@ -57,25 +59,24 @@ class StepScheduler {
     double lab = 0, rhs = 0, up = 0, sos = 0, pack = 0, drain = 0;
   };
 
-  /// One local rank's slice of a cluster stage graph.
-  struct ClusterPlan {
+  /// One local rank's slice of the step graph.
+  struct Plan {
     const BlockTopology* topo = nullptr;  ///< rank-local block topology
-    std::vector<int> halo_blocks;  ///< labs gated on this plan's drain
-    std::vector<int> pack_reads;   ///< blocks whose cells the pack sends
+    /// Blocks whose labs read the drained halo slabs; their cells are also
+    /// exactly what the pack sends. Empty: no pack/drain tasks.
+    std::vector<int> halo_blocks;
   };
 
-  /// Node-layer graph: `stages` RK stages over one topology, cross-stage
-  /// dependencies seeded as described above. run() executes one full step.
-  void build_node_graph(const BlockTopology& topo, int stages);
-
-  /// Cluster-layer graph: one RK stage over the given plans. With
-  /// `with_comm`, per-plan pack/drain tasks carry the halo exchange inside
-  /// the graph (packs seed first and gate the updates of the blocks they
-  /// read; every drain waits on every local pack — all sends posted before
-  /// any blocking receive, the deadlock-avoidance of the staged overlap
-  /// schedule — and gates the plan's halo-block labs). Without it the caller
-  /// exchanges halos before each run() and no comm tasks exist.
-  void build_cluster_graph(const std::vector<ClusterPlan>& plans, bool with_comm);
+  /// Builds the whole-step graph over `plans` x `stages` RK stages; run()
+  /// executes one full step. For a plan p with halo blocks, at stage s:
+  /// pack(p,s) waits on the stage s-1 updates of p's halo blocks and gates
+  /// their stage s updates (the pack reads the pre-update state); every
+  /// drain(.,s) waits on every pack(.,s), so all of this process's stage s
+  /// sends are posted before any stage s blocking receive; drain(p,s) also
+  /// waits on p's stage s-1 halo labs, which read the slabs it overwrites;
+  /// p's halo-block labs at s wait on drain(p,s). Stage-0 packs are seeds,
+  /// last in id order, so their owners pop them first.
+  void build(const std::vector<Plan>& plans, int stages);
 
   [[nodiscard]] int task_count() const noexcept { return static_cast<int>(tasks_.size()); }
   [[nodiscard]] int plan_count() const noexcept { return plan_count_; }

@@ -2,8 +2,8 @@
 // phase (exchange/interior/halo/update/reduce/dump), a rank, and the worker
 // thread that executed them. Spans aggregate into per-rank/per-phase wall
 // clock totals and export as chrome://tracing JSON (one "pid" per rank, one
-// "tid" per worker thread), so the halo/interior overlap schedule can be
-// inspected visually. Recording is thread-safe; a disabled tracer costs one
+// "tid" per worker thread), so the halo/interior overlap of the step graph
+// can be inspected visually. Recording is thread-safe; a disabled tracer costs one
 // relaxed atomic load per span.
 #pragma once
 
@@ -17,7 +17,7 @@
 namespace mpcf::perf {
 
 enum class TracePhase : int {
-  kExchange = 0,  ///< halo pack + send (and recv/unpack on the sequential path)
+  kExchange = 0,  ///< halo pack + send (and recv/unpack on the staged oracle)
   kInterior,      ///< RHS of interior blocks (runs while halos are in flight)
   kHalo,          ///< halo drain (recv + unpack) and RHS of halo blocks
   kUpdate,        ///< low-storage RK update
@@ -30,8 +30,9 @@ enum class TracePhase : int {
                   ///< staged) — on the shm backend this is real cross-process
                   ///< wait time, visible as gaps in the overlap pipeline
   kLab,           ///< ghost-lab assembly of one block (fused step tasks; the
-                  ///< staged schedule folds lab time into interior/halo)
-  kRhs,           ///< RHS evaluation of one assembled lab (fused step tasks)
+                  ///< staged oracle folds lab time into kRhs)
+  kRhs,           ///< RHS evaluation of one assembled lab (fused step tasks;
+                  ///< the staged oracle's lab + RHS sweep of one rank)
 };
 constexpr int kNumTracePhases = 10;
 

@@ -6,7 +6,11 @@
 // asserts the two checkpoints are bitwise identical.
 //
 //   mpcf_rank_worker --topo RX,RY,RZ --blocks GX,GY,GZ [--bs B] [--steps S]
-//                    [--out FILE] [--die RANK] [--overlap 0|1]
+//                    [--out FILE] [--die RANK] [--staged]
+//
+// --staged runs the staged oracle (fused_step = false: a sequential halo
+// exchange per RK stage, blocking recv included) instead of the fused step
+// graph.
 //
 // --die RANK makes the process owning RANK _exit(3) after the first step:
 // the peers must then fail with a diagnosed TransportError (exit 4), never
@@ -34,7 +38,7 @@ bool parse_triple(const char* s, int out[3]) {
 int usage() {
   std::fprintf(stderr,
                "usage: mpcf_rank_worker --topo RX,RY,RZ --blocks GX,GY,GZ "
-               "[--bs B] [--steps S] [--out FILE] [--die RANK] [--overlap 0|1]\n");
+               "[--bs B] [--steps S] [--out FILE] [--die RANK] [--staged]\n");
   return 2;
 }
 
@@ -45,7 +49,8 @@ int main(int argc, char** argv) {
   using namespace mpcf::cluster;
 
   int topo[3] = {0, 0, 0}, blocks[3] = {0, 0, 0};
-  int bs = 8, steps = 3, die_rank = -1, overlap = 1;
+  int bs = 8, steps = 3, die_rank = -1;
+  bool staged = false;
   std::string out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -62,8 +67,8 @@ int main(int argc, char** argv) {
       out = argv[++i];
     } else if (arg == "--die" && val) {
       die_rank = std::atoi(argv[++i]);
-    } else if (arg == "--overlap" && val) {
-      overlap = std::atoi(argv[++i]);
+    } else if (arg == "--staged") {
+      staged = true;
     } else {
       return usage();
     }
@@ -75,10 +80,10 @@ int main(int argc, char** argv) {
   try {
     Simulation::Params params;
     params.extent = 1e-3;
+    params.fused_step = !staged;
     ClusterSimulation cs(blocks[0], blocks[1], blocks[2], bs,
                          CartTopology(topo[0], topo[1], topo[2]), params,
                          make_env_transport(nranks));
-    cs.set_overlap(overlap != 0);
 
     // Deterministic two-bubble IC, staged on the root process and scattered.
     Grid staging(blocks[0], blocks[1], blocks[2], bs, params.extent);

@@ -216,6 +216,20 @@ TEST(CheckedMode, SimCommHaloEpochRegressionTraps) {
   EXPECT_NO_THROW(comm.send(0, 1, cluster::halo_tag(0, 0, 2), {3.0f}));
   EXPECT_NO_THROW(comm.send(0, 1, cluster::halo_tag(0, 0, 3), {4.0f}));
   EXPECT_NO_THROW(comm.send(0, 1, cluster::halo_tag(1, 0, 1), {5.0f}));
+
+  // Sends and receives are tracked separately: the whole-step graph lets a
+  // rank post stage e+1 before its neighbour has received stage e, so
+  // send e, send e+1, recv e is legal...
+  comm.send(0, 1, cluster::halo_tag(1, 1, 5), {6.0f});
+  comm.send(0, 1, cluster::halo_tag(1, 1, 6), {7.0f});
+  EXPECT_NO_THROW((void)comm.recv(0, 1, cluster::halo_tag(1, 1, 5)));
+  EXPECT_NO_THROW((void)comm.recv(0, 1, cluster::halo_tag(1, 1, 6)));
+  // ...but a regression on the receive side still traps, with monotone
+  // sends.
+  comm.send(0, 1, cluster::halo_tag(2, 0, 5), {8.0f});
+  comm.send(0, 1, cluster::halo_tag(2, 0, 6), {9.0f});
+  EXPECT_NO_THROW((void)comm.recv(0, 1, cluster::halo_tag(2, 0, 6)));
+  EXPECT_THROW((void)comm.recv(0, 1, cluster::halo_tag(2, 0, 5)), CheckError);
 }
 
 #else  // !MPCF_CHECKED — the guards must cost nothing

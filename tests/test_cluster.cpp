@@ -1,6 +1,7 @@
 // Tests of the cluster layer: topology, transport, and — the critical
 // property — multi-rank runs reproducing the single-rank solution exactly.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <chrono>
 #include <cmath>
@@ -93,7 +94,7 @@ TEST(SimComm, TryRecvIsAtomicUnderConcurrentDrains) {
   // probe()+recv() is a check-then-act race: two drains can both see the
   // same message and the loser dies on an empty mailbox. try_recv pops
   // atomically — N messages split across two concurrent drains must arrive
-  // exactly once each (regression for the overlap drain loop).
+  // exactly once each (regression for the halo drain loop).
   SimComm comm(2);
   const int kMessages = 2000;
   for (int i = 0; i < kMessages; ++i) comm.send(0, 1, 9, {static_cast<float>(i)});
@@ -137,7 +138,7 @@ TEST(Transport, HaloTagSchemaEncodesEpochAndFace) {
 }
 
 TEST(SimComm, ManyMessagesStayFifoPerKey) {
-  // The overlapped schedule lets fast ranks run ahead, deepening mailbox
+  // The fused step graph lets fast ranks run ahead, deepening mailbox
   // queues; order must stay FIFO per (src,dst,tag) and pops must not lose
   // messages. Interleave sends across several keys to stress the matching.
   SimComm comm(3);
@@ -249,39 +250,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4, 1, 1, BCType::kPeriodic},
                       std::tuple{2, 2, 1, BCType::kWall}));
 
-TEST(Cluster, OverlappedScheduleMatchesSequentialBitwise) {
-  // The task-based overlap pipeline must reproduce the sequential schedule
-  // exactly: same sends, same drains, same block evaluations — only the
-  // interleaving differs, and no RHS result may depend on it.
-  Simulation::Params params = cloud_params(BCType::kPeriodic);
-  Simulation seed(4, 4, 4, 8, params);
-  init_cloud(seed.grid());
-
-  ClusterSimulation sequential(4, 4, 4, 8, CartTopology(2, 2, 2), params);
-  sequential.set_overlap(false);
-  copy_into_cluster(seed.grid(), sequential);
-
-  ClusterSimulation overlapped(4, 4, 4, 8, CartTopology(2, 2, 2), params);
-  ASSERT_TRUE(overlapped.overlap());  // tasks are the default schedule
-  copy_into_cluster(seed.grid(), overlapped);
-
-  for (int s = 0; s < 4; ++s) {
-    const double dt1 = sequential.step();
-    const double dt2 = overlapped.step();
-    ASSERT_DOUBLE_EQ(dt1, dt2) << "step " << s;
-  }
-
-  Grid a(4, 4, 4, 8, params.extent), b(4, 4, 4, 8, params.extent);
-  sequential.gather(a);
-  overlapped.gather(b);
-  for (int iz = 0; iz < a.cells_z(); ++iz)
-    for (int iy = 0; iy < a.cells_y(); ++iy)
-      for (int ix = 0; ix < a.cells_x(); ++ix)
-        for (int q = 0; q < kNumQuantities; ++q)
-          ASSERT_EQ(a.cell(ix, iy, iz).q(q), b.cell(ix, iy, iz).q(q))
-              << "mismatch at " << ix << "," << iy << "," << iz << " q=" << q;
-}
-
 TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {
   Simulation::Params params = cloud_params(BCType::kAbsorbing);
   ClusterSimulation cs(4, 4, 4, 8, CartTopology(2, 1, 1), params);
@@ -347,22 +315,28 @@ TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {
 TEST(Cluster, StallAccountingSurfacesInCommStats) {
   Simulation::Params params = cloud_params(BCType::kPeriodic);
 
-  // Sequential schedule: the step loop blocks on the full exchange, and the
-  // stall surfaces identically through SimComm stats and comm_time().
-  ClusterSimulation seq(4, 4, 4, 8, CartTopology(2, 1, 1), params);
-  seq.set_overlap(false);
+  // Staged oracle: the step loop blocks on the full exchange, and the stall
+  // surfaces identically through SimComm stats and comm_time(). One thread:
+  // the accounting does not depend on it, and the oracle's omp-for sweeps
+  // (libgomp barriers TSan cannot see) are the slowest path under TSan.
+  Simulation::Params staged_params = params;
+  staged_params.fused_step = false;
+  ClusterSimulation seq(4, 4, 4, 8, CartTopology(2, 1, 1), staged_params);
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
   for (int r = 0; r < seq.rank_count(); ++r) init_cloud(seq.rank_sim(r).grid());
   seq.step();
+  omp_set_num_threads(saved_threads);
   const auto seq_stats = seq.comm().stats();
   EXPECT_GT(seq_stats.stall_seconds, 0.0);
   EXPECT_GT(seq_stats.recv_seconds, 0.0);
   EXPECT_DOUBLE_EQ(seq_stats.stall_seconds, seq.comm_time());
   EXPECT_DOUBLE_EQ(seq.comm_work_time(), seq.comm_time());
 
-  // Overlapped schedule: packs and drains run as tasks inside the stage
-  // region, so the step loop never blocks on comm — zero exposed stall —
-  // while the communication work itself shows up in comm_work_time() and
-  // the drain time in recv_seconds.
+  // Fused step: packs and drains run as tasks inside the step graph, so the
+  // step loop never blocks on comm — zero exposed stall — while the
+  // communication work itself shows up in comm_work_time() and the drain
+  // time in recv_seconds.
   ClusterSimulation ovl(4, 4, 4, 8, CartTopology(2, 1, 1), params);
   for (int r = 0; r < ovl.rank_count(); ++r) init_cloud(ovl.rank_sim(r).grid());
   ovl.step();
@@ -372,6 +346,7 @@ TEST(Cluster, StallAccountingSurfacesInCommStats) {
   EXPECT_GT(ovl.comm_work_time(), 0.0);
   EXPECT_GT(ovl_stats.recv_seconds, 0.0);
   EXPECT_EQ(ovl_stats.messages, seq_stats.messages);
+  EXPECT_EQ(ovl.halo_epoch(), seq.halo_epoch());
 }
 
 TEST(Cluster, MessageAccountingMatchesTopology) {
@@ -384,8 +359,8 @@ TEST(Cluster, MessageAccountingMatchesTopology) {
   EXPECT_EQ(cs.comm().stats().messages, 72u);
   // Each message: 3-layer slab of 16x16 cells x 7 floats.
   EXPECT_EQ(cs.comm().stats().bytes, 72u * 3 * 16 * 16 * 7 * sizeof(float));
-  // Default overlapped schedule: no exposed stall, but the communication
-  // work itself is accounted.
+  // Default fused step: no exposed stall, but the communication work
+  // itself is accounted.
   EXPECT_DOUBLE_EQ(cs.comm_time(), 0.0);
   EXPECT_GT(cs.comm_work_time(), 0.0);
   // One epoch per RK stage: three stages stepped once.

@@ -1,11 +1,11 @@
 // Tests of the fused per-block step pipeline (DESIGN.md §14): the block
 // dependency topology the scheduler seeds its counters from, bitwise
-// identity of the fused schedule against the staged sweeps across SIMD
-// widths / thread counts / cluster schedules, the folded SOS reduction
-// (steady state runs no standalone sweep; the folded dt is bit-equal to the
-// staged sweep's), and the streaming UPDATE store variant. Built under
-// MPCF_CHECKED these runs additionally exercise the scheduler's counter
-// invariants and the lab readset cross-validation.
+// identity of the fused schedule against the staged oracle across SIMD
+// widths / thread counts at the node and cluster layers, the folded SOS
+// reduction (steady state runs no standalone sweep; the folded dt is
+// bit-equal to the staged sweep's), and the streaming UPDATE store
+// variant. Built under MPCF_CHECKED these runs additionally exercise the
+// scheduler's counter invariants and the lab readset cross-validation.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -244,30 +244,42 @@ TEST(FusedStep, FoldedVmaxCacheIsOneShotAndInvalidated) {
 
 // --- Fused vs staged: cluster layer ---------------------------------------
 
-TEST(ClusterFused, BitwiseAcrossOverlapAndFusedModes) {
-  // All four schedules — {overlap on/off} x {fused on/off} — must produce
-  // bit-identical states and dt sequences.
-  struct Mode {
-    bool overlap, fused;
+TEST(ClusterFused, BitwiseMatchesStagedOracle) {
+  // The whole-step graph (one run per step, pack/drain tasks inside) against
+  // the staged oracle (exchange_halos, then each rank's staged sweeps):
+  // bit-identical states and dt sequences on a periodic 2x2x2 topology.
+  // Floors on folds the SOS reduction into the guard sweep; floors off folds
+  // it into the final-stage updates (the pulse IC never needs clamping).
+  ThreadCountGuard tg;
+  const auto run = [](bool fused, bool floors, std::vector<double>& dts) {
+    Simulation::Params params = cloud_params(BCType::kPeriodic, fused);
+    if (!floors) params.rho_floor = params.p_floor = -1.0;
+    Grid global(4, 4, 4, 8, params.extent);
+    if (floors)
+      init_cloud(global);
+    else
+      init_pulse(global);
+    ClusterSimulation cs(4, 4, 4, 8, CartTopology(2, 2, 2), params);
+    cs.scatter(global);
+    for (int s = 0; s < 3; ++s) dts.push_back(cs.step());
+    EXPECT_EQ(cs.halo_epoch(), 3 * LsRk3::kStages);
+    cs.gather(global);
+    return global;
   };
-  const Mode modes[] = {{false, false}, {true, false}, {false, true}, {true, true}};
-  std::vector<Grid> results;
-  std::vector<std::vector<double>> dts;
-  for (const Mode& m : modes) {
-    Simulation::Params params = cloud_params(BCType::kPeriodic, m.fused);
-    ClusterSimulation cs(4, 4, 4, 8, CartTopology(2, 1, 1), params);
-    cs.set_overlap(m.overlap);
-    for (int r = 0; r < cs.rank_count(); ++r) init_cloud(cs.rank_sim(r).grid());
-    std::vector<double> seq;
-    for (int s = 0; s < 2; ++s) seq.push_back(cs.step());
-    Grid g(4, 4, 4, 8, params.extent);
-    cs.gather(g);
-    results.push_back(std::move(g));
-    dts.push_back(std::move(seq));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(dts[i], dts[0]) << "dt sequence of mode " << i;
-    expect_grids_bitwise_equal(results[i], results[0], "cluster mode");
+  for (const bool floors : {true, false}) {
+    // The oracle's result does not depend on the thread count; one thread
+    // keeps its omp-for sweeps (libgomp barriers TSan cannot see, so every
+    // cross-region read goes through suppression matching) fast under TSan.
+    omp_set_num_threads(1);
+    std::vector<double> staged_dts;
+    const Grid staged = run(false, floors, staged_dts);
+    for (const int nt : {1, 2, 8}) {
+      omp_set_num_threads(nt);
+      std::vector<double> fused_dts;
+      const Grid fused = run(true, floors, fused_dts);
+      ASSERT_EQ(fused_dts, staged_dts) << "dt sequence, floors=" << floors << " threads=" << nt;
+      expect_grids_bitwise_equal(fused, staged, "fused-vs-staged cluster");
+    }
   }
 }
 
