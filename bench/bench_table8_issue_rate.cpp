@@ -20,7 +20,7 @@ int main() {
 
   std::puts("\npaper Table 8:  CONV 1% 1.10x4 55% | WENO 83% 1.56x4 78% |");
   std::puts("               HLLE 13% 1.30x4 65% | SUM 2% 1.22x4 61% | ALL 1.51x4 76%");
-  std::puts("\nShape check: WENO dominates the work and has the highest density;");
-  std::puts("no stage can exceed ~80% of peak, bounding the whole RHS kernel.");
+  std::puts("\nShape check: WENO dominates the work and sets the bound of the whole");
+  std::puts("RHS kernel; no stage can exceed ~80% of peak.");
   return 0;
 }

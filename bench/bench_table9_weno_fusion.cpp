@@ -38,9 +38,10 @@ int main() {
 
   const double peak = perf::host_machine().peak_gflops;
   // Memory the fused kernel avoids round-tripping: 14 face arrays of
-  // (bs+1)*bs^2 floats per direction, written by WENO and re-read by HLLE.
+  // (bs+2)*bs^2 floats per direction (both face values of every line cell),
+  // written by WENO and re-read by HLLE.
   const double avoided_mb =
-      3.0 * 2.0 * 14.0 * (bs + 1.0) * bs * bs * sizeof(Real) / 1e6;
+      3.0 * 2.0 * 14.0 * (bs + 2.0) * bs * bs * sizeof(Real) / 1e6;
 
   std::puts("=== Table 9 analogue: micro-fused vs staged WENO+HLLE ===");
   std::printf("%-24s %12s %12s\n", "", "Baseline", "Fused");
@@ -55,8 +56,8 @@ int main() {
   std::puts("\npaper Table 9: 7.9 -> 9.2 GFLOP/s (1.2X), 1.3X in cycles: fusion");
   std::puts("keeps the face states in registers instead of round-tripping the");
   std::puts("cache hierarchy. On the BQC (32 MB L2 shared by 64 threads, ridge");
-  std::puts("7.3 F/B) that traffic costs 20-30%; on a large-L3 x86 host the");
-  std::puts("staged round-trip is absorbed and the two variants time the same —");
+  std::puts("7.3 F/B) that traffic costs 20-30%; on an x86 host with 2 MB of L2");
+  std::puts("per core and a large L3 most of the staged round trip is absorbed —");
   std::puts("the deviation and its cause are recorded in EXPERIMENTS.md.");
   return 0;
 }

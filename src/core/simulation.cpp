@@ -13,6 +13,7 @@
 #include "io/safe_file.h"
 #include "kernels/sos.h"
 #include "kernels/update.h"
+#include "simd/fp_mode.h"
 
 namespace mpcf {
 
@@ -49,13 +50,17 @@ double Simulation::compute_dt() {
     vmax = folded_vmax_;
     folded_vmax_valid_ = false;
   } else {
-    const bool simd = params_.impl != kernels::KernelImpl::kScalar;
-#pragma omp parallel for schedule(static) reduction(max : vmax)
-    for (int i = 0; i < grid_.block_count(); ++i) {
-      const Block& b = grid_.block(i);
-      const double v = simd ? kernels::block_max_speed_simd(b, params_.width)
-                            : kernels::block_max_speed(b);
-      vmax = std::max(vmax, v);
+    const bool use_simd = params_.impl != kernels::KernelImpl::kScalar;
+#pragma omp parallel reduction(max : vmax)
+    {
+      const simd::FlushSubnormals ftz;
+#pragma omp for schedule(static)
+      for (int i = 0; i < grid_.block_count(); ++i) {
+        const Block& b = grid_.block(i);
+        const double v = use_simd ? kernels::block_max_speed_simd(b, params_.width)
+                                  : kernels::block_max_speed(b);
+        vmax = std::max(vmax, v);
+      }
     }
     ++profile_.sos_sweeps;
   }
@@ -72,6 +77,7 @@ void Simulation::evaluate_rhs(double a_coeff) {
   // "Enhancing TLP"); each thread reuses its dedicated lab + workspace.
 #pragma omp parallel
   {
+    const simd::FlushSubnormals ftz;
     const int tid = omp_get_thread_num();
 #pragma omp for schedule(dynamic, 1)
     for (int i = 0; i < grid_.block_count(); ++i) {
@@ -87,6 +93,7 @@ void Simulation::evaluate_rhs(double a_coeff) {
 }
 
 void Simulation::assemble_lab(int block_id, int tid) {
+  const simd::FlushSubnormals ftz;
   require(tid >= 0 && tid < static_cast<int>(labs_.size()),
           "Simulation: more threads than per-thread labs");
   BlockLab& lab = labs_[tid];
@@ -112,12 +119,14 @@ void Simulation::assemble_lab(int block_id, int tid) {
 }
 
 void Simulation::rhs_from_lab(double a_coeff, int block_id, int tid) {
+  const simd::FlushSubnormals ftz;
   kernels::rhs_block(labs_[tid], static_cast<Real>(grid_.h()),
                      static_cast<Real>(a_coeff), grid_.block(block_id), ws_[tid],
                      params_.impl, params_.weno_order, params_.width);
 }
 
 void Simulation::update_one(double b_dt, int block_id) {
+  const simd::FlushSubnormals ftz;
   if (params_.impl != kernels::KernelImpl::kScalar)
     kernels::update_block_simd(grid_.block(block_id), static_cast<Real>(b_dt),
                                params_.width);
@@ -127,12 +136,17 @@ void Simulation::update_one(double b_dt, int block_id) {
 
 void Simulation::update(double b_dt) {
   Timer timer;
-#pragma omp parallel for schedule(static)
-  for (int i = 0; i < grid_.block_count(); ++i) update_one(b_dt, i);
+#pragma omp parallel
+  {
+    const simd::FlushSubnormals ftz;
+#pragma omp for schedule(static)
+    for (int i = 0; i < grid_.block_count(); ++i) update_one(b_dt, i);
+  }
   profile_.up += timer.seconds();
 }
 
 void Simulation::accumulate_block_speed(int block_id, double& acc) const {
+  const simd::FlushSubnormals ftz;
   kernels::block_max_speed_accumulate(grid_.block(block_id),
                                       params_.impl != kernels::KernelImpl::kScalar,
                                       params_.width, acc);
@@ -269,23 +283,31 @@ long Simulation::clamp_block(Block& b) const {
 
 void Simulation::apply_positivity_guard() {
   long clamped = 0;
-#pragma omp parallel for schedule(static) reduction(+ : clamped)
-  for (int i = 0; i < grid_.block_count(); ++i) clamped += clamp_block(grid_.block(i));
+#pragma omp parallel reduction(+ : clamped)
+  {
+    const simd::FlushSubnormals ftz;
+#pragma omp for schedule(static)
+    for (int i = 0; i < grid_.block_count(); ++i) clamped += clamp_block(grid_.block(i));
+  }
   params_.clamped_cells += clamped;
   // The clamp may have changed the state a folded vmax was computed from.
   invalidate_speed_cache();
 }
 
 void Simulation::apply_positivity_guard_folded(double* vmax) {
-  const bool simd = params_.impl != kernels::KernelImpl::kScalar;
+  const bool use_simd = params_.impl != kernels::KernelImpl::kScalar;
   long clamped = 0;
   double v = 0;
   // Per block: clamp first, then fold its max speed — the folded maximum is
   // exactly what a post-guard compute_dt sweep would reduce.
-#pragma omp parallel for schedule(static) reduction(+ : clamped) reduction(max : v)
-  for (int i = 0; i < grid_.block_count(); ++i) {
-    clamped += clamp_block(grid_.block(i));
-    kernels::block_max_speed_accumulate(grid_.block(i), simd, params_.width, v);
+#pragma omp parallel reduction(+ : clamped) reduction(max : v)
+  {
+    const simd::FlushSubnormals ftz;
+#pragma omp for schedule(static)
+    for (int i = 0; i < grid_.block_count(); ++i) {
+      clamped += clamp_block(grid_.block(i));
+      kernels::block_max_speed_accumulate(grid_.block(i), use_simd, params_.width, v);
+    }
   }
   params_.clamped_cells += clamped;
   *vmax = v;

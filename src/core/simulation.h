@@ -102,7 +102,9 @@ class Simulation {
   // --- Fused-step building blocks (StepScheduler hooks; also driven by the
   // --- cluster layer's step graph). Callers use at most
   // --- omp_get_max_threads() distinct threads, not accounted in profile(),
-  // --- and call ensure_thread_workspaces() from serial context first.
+  // --- and call ensure_thread_workspaces() from serial context first. Each
+  // --- runs under simd::FlushSubnormals, so a caller on its own threads
+  // --- computes in the mode of the step graph and the staged sweeps.
 
   /// Assembles the ghost lab of `block_id` into thread `tid`'s lab buffer.
   void assemble_lab(int block_id, int tid);

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "common/thread_safety.h"
 #include "core/profile.h"
+#include "simd/fp_mode.h"
 
 namespace mpcf {
 
@@ -233,6 +234,8 @@ void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
   for (const int s : seeds_) enqueue(s);
 
   const auto worker = [&](int tid) {
+    // Every task runs in the kernels' floating-point mode (simd/fp_mode.h).
+    const simd::FlushSubnormals ftz;
     // Exceptions must not escape the parallel region: the first one aborts
     // the run and is rethrown below (CheckError provenance survives).
     try {

@@ -44,6 +44,8 @@ class BlockLab {
     per_q_ = per_q;
     // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() reuses these tables per block
     for (auto& t : fold_) t.resize(n_);
+    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() rebuilds it per block
+    xcols_.resize(2 * static_cast<std::size_t>(g_));
   }
 
   [[nodiscard]] int block_size() const noexcept { return bs_; }
@@ -191,6 +193,16 @@ class BlockLab {
     bool operator()(int, int, int, Cell&) const noexcept { return false; }
   };
 
+  /// One x-ghost column of fill_x_edges, resolved once per load.
+  struct XCol {
+    const Cell* cells;    ///< source block data (same by/bz as the lab's block)
+    int cell;             ///< folded source x-cell
+    int gx;               ///< unfolded global x (override coordinate)
+    std::size_t doff;     ///< lab-row-relative destination offset
+    Real sign;            ///< x-momentum sign
+    bool routed;          ///< offer to the override first
+  };
+
   /// Fold table entry for one lab coordinate along one axis.
   struct Fold {
     int block;      ///< source block index along the axis
@@ -294,20 +306,12 @@ class BlockLab {
   template <typename Override>
   void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz,
                     const Override* override_fn) {
-    struct Col {
-      const Cell* cells;    ///< source block data (same by/bz as the lab's block)
-      int cell;             ///< folded source x-cell
-      int gx;               ///< unfolded global x (override coordinate)
-      std::size_t doff;     ///< lab-row-relative destination offset
-      Real sign;            ///< x-momentum sign
-      bool routed;          ///< offer to the override first
-    };
     const int ncols = 2 * g_;
-    std::vector<Col> cols(ncols);
+    std::vector<XCol>& cols = xcols_;
     for (int j = 0; j < ncols; ++j) {
       const int ix = j < g_ ? j - g_ : bs_ + j - g_;
       const Fold& fx = fold_[0][ix + g_];
-      cols[j] = Col{grid.block(fx.block, by, bz).data(), fx.cell, origin[0] + ix,
+      cols[j] = XCol{grid.block(fx.block, by, bz).data(), fx.cell, origin[0] + ix,
                     static_cast<std::size_t>(j < g_ ? j : bs_ + j), fx.sign,
                     override_fn != nullptr && fx.outside};
     }
@@ -319,7 +323,7 @@ class BlockLab {
       std::size_t s_row = bs * bs * iz;
       for (int iy = 0; iy < bs_; ++iy, o_row += n_, s_row += bs) {
         for (int j = 0; j < ncols; ++j) {
-          const Col& cl = cols[j];
+          const XCol& cl = cols[j];
           const std::size_t o = o_row + cl.doff;
           if (cl.routed) {
             Cell c;
@@ -377,6 +381,7 @@ class BlockLab {
   std::size_t per_q_ = 0;
   AlignedBuffer<Real> storage_;
   std::vector<Fold> fold_[3];  ///< per-axis fold tables, rebuilt per load
+  std::vector<XCol> xcols_;    ///< fill_x_edges columns, rebuilt per load
 };
 
 }  // namespace mpcf

@@ -19,19 +19,22 @@ struct StageOps {
 
 std::vector<StageIssueModel> issue_rate_model(int bs) {
   const double n = bs + 2.0 * kGhosts;
-  const double faces = 3.0 * (bs + 1.0) * bs * static_cast<double>(bs);
+  const double lines = 3.0 * bs * static_cast<double>(bs);
   const double cells = static_cast<double>(bs) * bs * bs;
 
-  // FMA counts read off the kernel expression trees: WENO fuses the
-  // smoothness indicators and the weighted sum (~30 of 96 flops paired);
-  // HLLE fuses the kinetic-energy and flux blends (~6); CONV fuses the
-  // velocity-norm chain (3); SUM is pure add/sub; BACK fuses a*tmp + rhs.
+  // Units and counts follow kernels::rhs_flops: WENO is one cell-centred
+  // evaluation of the 7 primitives per line cell (bs+2 per line), its FMA
+  // count read off weno5_cell (kWenoFmas); HLLE runs per face (bs+1 per
+  // line) and fuses the kinetic-energy and flux blends (~6); CONV fuses the
+  // velocity-norm chain (3); SUM is pure add/sub over 8 accumulators (a
+  // subtraction in x, an add and a subtraction in y and in z); BACK fuses
+  // a*tmp + rhs.
   const StageOps stages[] = {
       {"CONV", 14.0, 3.0, n * n * n},
-      {"WENO", 2.0 * kNumQuantities * kernels::kWenoFlops, 2.0 * kNumQuantities * 30.0,
-       faces},
-      {"HLLE", static_cast<double>(kernels::kHlleFlops), 6.0, faces},
-      {"SUM", 16.0, 0.0, faces},
+      {"WENO", 1.0 * kNumQuantities * kernels::kWenoFlops,
+       1.0 * kNumQuantities * kernels::kWenoFmas, lines * (bs + 2.0)},
+      {"HLLE", static_cast<double>(kernels::kHlleFlops), 6.0, lines * (bs + 1.0)},
+      {"SUM", 40.0, 0.0, cells},
       {"BACK", 25.0, 7.0, cells},
   };
 

@@ -9,8 +9,23 @@
 
 namespace mpcf::simd {
 
-inline float fmadd(float a, float b, float c) { return a * b + c; }
-inline float fnmadd(float a, float b, float c) { return c - a * b; }
+/// a*b + c, a hardware FMA where the target has one (as in the vector
+/// backends): an explicit fused op leaves the compiler no contraction
+/// choice, so every instantiation of an expression rounds the same way.
+inline float fmadd(float a, float b, float c) {
+#if defined(__FMA__)
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+inline float fnmadd(float a, float b, float c) {
+#if defined(__FMA__)
+  return __builtin_fmaf(-a, b, c);
+#else
+  return c - a * b;
+#endif
+}
 inline float min(float a, float b) { return std::min(a, b); }
 inline float max(float a, float b) { return std::max(a, b); }
 inline float sqrt(float a) { return std::sqrt(a); }

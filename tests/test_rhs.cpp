@@ -8,7 +8,9 @@
 #include "eos/stiffened_gas.h"
 #include "grid/grid.h"
 #include "grid/lab.h"
+#include "kernels/hlle.h"
 #include "kernels/rhs.h"
+#include "kernels/weno.h"
 
 namespace mpcf::kernels {
 namespace {
@@ -93,6 +95,26 @@ TEST_P(FreeStreamTest, UniformPressureVelocityAcrossInterface) {
         EXPECT_LT(std::fabs(b.tmp(ix, iy, iz).rv), tol_mom);
         EXPECT_LT(std::fabs(b.tmp(ix, iy, iz).rw), tol_mom);
       }
+}
+
+TEST_P(FreeStreamTest, UniformStateAtRestHasExactlyZeroRhs) {
+  // Every face of a uniform field sees identical states on both sides (the
+  // reconstruction is mirror-symmetric bitwise) and every face of a sweep
+  // runs the same code, so a fluid at rest stays exactly at rest.
+  Grid grid(1, 1, 1, kBs, 1.0);
+  for (int iz = 0; iz < kBs; ++iz)
+    for (int iy = 0; iy < kBs; ++iy)
+      for (int ix = 0; ix < kBs; ++ix)
+        grid.cell(ix, iy, iz) = cell_from_primitive(
+            1000.0, 0, 0, 0, 100e5, materials::kLiquid.Gamma(), materials::kLiquid.Pi());
+  eval(grid, BoundaryConditions::all(BCType::kPeriodic), GetParam());
+  const Block& b = grid.block(0);
+  for (int iz = 0; iz < kBs; ++iz)
+    for (int iy = 0; iy < kBs; ++iy)
+      for (int ix = 0; ix < kBs; ++ix)
+        for (int q = 0; q < kNumQuantities; ++q)
+          ASSERT_EQ(b.tmp(ix, iy, iz).q(q), 0.0f)
+              << "q=" << q << " at " << ix << "," << iy << "," << iz;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImpls, FreeStreamTest,
@@ -262,6 +284,21 @@ TEST(RhsFlops, ModelIsPositiveAndScalesCubically) {
   EXPECT_GT(rhs_flops(8), 0.0);
   // Doubling the block edge multiplies work by ~8.
   EXPECT_NEAR(rhs_flops(32) / rhs_flops(16), 8.0, 1.0);
+  // Per face of a sweep line: one cell reconstruction of the 7 primitives
+  // (both face values; the cell beyond the line's last face adds one more
+  // per line) and one HLLE flux. Per interior cell: CONV of its lab cell
+  // (ghosts add the rest), 40 SUM flops over the 8 accumulators and 25
+  // BACK flops.
+  EXPECT_EQ(kWenoFlops, 92);
+  EXPECT_EQ(kNumQuantities * kWenoFlops + kHlleFlops, 723);
+  for (const int bs : {8, 16, 32}) {
+    const double lines = 3.0 * bs * bs, cells = double(bs) * bs * bs;
+    const double n = bs + 2.0 * kGhosts;
+    const double per_face = 723.0 * lines * (bs + 1.0);
+    const double line_ends = 644.0 * lines;
+    EXPECT_DOUBLE_EQ(rhs_flops(bs), per_face + line_ends + 14.0 * n * n * n + 65.0 * cells)
+        << "bs=" << bs;
+  }
 }
 
 }  // namespace

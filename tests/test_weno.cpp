@@ -1,10 +1,15 @@
 // Unit/property tests for the WENO5 reconstruction.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/weno.h"
+#include "simd/vec8.h"
 
 namespace mpcf::kernels {
 namespace {
@@ -39,6 +44,130 @@ TEST(Weno5, ExactOnQuadraticAverages) {
     q[i] = static_cast<float>(cell_avg_poly(i - 2.0, c0, c1, c2));
   const double face = c0 + c1 * 0.5 + c2 * 0.25;
   EXPECT_NEAR(weno5_minus(q[0], q[1], q[2], q[3], q[4]), face, 2e-5);
+}
+
+// Both faces of the cell routine on polynomial averages: the left face sits
+// at -1/2 and the right face at +1/2 of the centre cell.
+TEST(Weno5Cell, BothFacesExactOnConstantLinearQuadraticAverages) {
+  const double coeffs[3][3] = {{3.0, 0.0, 0.0}, {0.7, -1.3, 0.0}, {0.2, 0.9, 0.4}};
+  for (const auto& c : coeffs) {
+    float q[5];
+    for (int i = 0; i < 5; ++i) q[i] = static_cast<float>(cell_avg_poly(i - 2.0, c[0], c[1], c[2]));
+    const CellFaces<float> f = weno5_cell(q[0], q[1], q[2], q[3], q[4]);
+    const auto point = [&](double x) { return c[0] + c[1] * x + c[2] * x * x; };
+    EXPECT_NEAR(f.left, point(-0.5), 2e-5) << c[0] << " " << c[1] << " " << c[2];
+    EXPECT_NEAR(f.right, point(0.5), 2e-5) << c[0] << " " << c[1] << " " << c[2];
+  }
+}
+
+/// Stencils spanning the magnitudes the solver reconstructs: velocities near
+/// rest, densities, pressures and stiffness constants, smooth and with a
+/// jump inside the stencil.
+std::vector<std::array<float, 5>> stencils(std::vector<float> scales) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::vector<std::array<float, 5>> out;
+  for (const float s : scales)
+    for (int k = 0; k < 64; ++k) {
+      std::array<float, 5> q;
+      const float base = k % 2 ? 2.0f * s : 0.0f;
+      const float slope = unit(rng), curv = 0.2f * unit(rng);
+      for (int i = 0; i < 5; ++i)
+        q[i] = base + s * (slope * (i - 2) + curv * (i - 2) * (i - 2) + 0.05f * unit(rng));
+      if (k % 8 == 3) q[3] = q[4] = base + 3.0f * s;
+      out.push_back(q);
+    }
+  return out;
+}
+
+std::vector<std::array<float, 5>> wide_stencils() {
+  return stencils({1e-30f, 1e-3f, 1.0f, 1e3f, 1e7f, 1e8f});
+}
+
+template <typename T>
+T splat_lanes(const std::array<float, 5>& q, int i, int lanes) {
+  // Lane l holds stencil value i of the l-th rotation of q, so every lane
+  // reconstructs a different stencil.
+  float v[8];
+  for (int l = 0; l < lanes; ++l) v[l] = q[(i + l) % 5];
+  if constexpr (std::is_same_v<T, simd::vec4>)
+    return simd::vec4::loadu(v);
+  else
+    return simd::vec8::loadu(v);
+}
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Weno5Cell, MirrorSymmetryIsBitwise) {
+  // The right face of (a,b,c,d,e) and the left face of (e,d,c,b,a) must be
+  // the same bits: it is what reconstructs identical states on both sides of
+  // a face in a quiescent field.
+  for (const auto& q : wide_stencils()) {
+    const CellFaces<float> f = weno5_cell(q[0], q[1], q[2], q[3], q[4]);
+    const CellFaces<float> m = weno5_cell(q[4], q[3], q[2], q[1], q[0]);
+    EXPECT_TRUE(same_bits(f.right, m.left)) << f.right << " vs " << m.left;
+    EXPECT_TRUE(same_bits(f.left, m.right)) << f.left << " vs " << m.right;
+    const CellFaces<float> g = weno3_cell(q[1], q[2], q[3]);
+    const CellFaces<float> n = weno3_cell(q[3], q[2], q[1]);
+    EXPECT_TRUE(same_bits(g.right, n.left));
+    EXPECT_TRUE(same_bits(g.left, n.right));
+  }
+}
+
+TEST(Weno5Cell, FaceFormsAreViewsOfTheCell) {
+  for (const auto& q : wide_stencils()) {
+    const CellFaces<float> f = weno5_cell(q[0], q[1], q[2], q[3], q[4]);
+    EXPECT_TRUE(same_bits(weno5_minus(q[0], q[1], q[2], q[3], q[4]), f.right));
+    EXPECT_TRUE(same_bits(weno5_plus(q[0], q[1], q[2], q[3], q[4]), f.left));
+  }
+}
+
+template <typename V, int L>
+void expect_lanes_match_scalar() {
+  // O(1) data: the bound is relative to 1 + |value|.
+  for (const auto& q : stencils({1.0f})) {
+    const CellFaces<V> v =
+        weno5_cell(splat_lanes<V>(q, 0, L), splat_lanes<V>(q, 1, L), splat_lanes<V>(q, 2, L),
+                   splat_lanes<V>(q, 3, L), splat_lanes<V>(q, 4, L));
+    for (int l = 0; l < L; ++l) {
+      const auto r = [&](int i) { return q[(i + l) % 5]; };
+      const CellFaces<float> s = weno5_cell(r(0), r(1), r(2), r(3), r(4));
+      EXPECT_NEAR(v.left[l], s.left, 1e-6f * (1.0f + std::fabs(s.left))) << "lane " << l;
+      EXPECT_NEAR(v.right[l], s.right, 1e-6f * (1.0f + std::fabs(s.right))) << "lane " << l;
+    }
+  }
+}
+
+TEST(Weno5Cell, Vec4LanesMatchScalar) { expect_lanes_match_scalar<simd::vec4, 4>(); }
+TEST(Weno5Cell, Vec8LanesMatchScalar) { expect_lanes_match_scalar<simd::vec8, 8>(); }
+
+/// Scalar that counts the arithmetic it executes (an FMA as 2), to pin the
+/// FLOP constants of the perf models to the expressions that run.
+struct Counted {
+  float v = 0;
+  Counted() = default;
+  explicit Counted(float x) : v(x) {}
+};
+int g_flops = 0, g_fmas = 0;
+Counted operator+(Counted a, Counted b) { return ++g_flops, Counted(a.v + b.v); }
+Counted operator-(Counted a, Counted b) { return ++g_flops, Counted(a.v - b.v); }
+Counted operator*(Counted a, Counted b) { return ++g_flops, Counted(a.v * b.v); }
+Counted operator/(Counted a, Counted b) { return ++g_flops, Counted(a.v / b.v); }
+Counted fmadd(Counted a, Counted b, Counted c) {
+  g_flops += 2;
+  ++g_fmas;
+  return Counted(a.v * b.v + c.v);
+}
+
+TEST(WenoFlops, ConstantsCountTheExecutedExpressions) {
+  const Counted a(1.0f), b(1.5f), c(0.5f), d(2.0f), e(1.0f);
+  g_flops = g_fmas = 0;
+  (void)weno5_cell(a, b, c, d, e);
+  EXPECT_EQ(g_flops, kWenoFlops);
+  EXPECT_EQ(g_fmas, kWenoFmas);
+  g_flops = 0;
+  (void)weno3_cell(a, b, c);
+  EXPECT_EQ(g_flops, kWeno3Flops);
 }
 
 TEST(Weno5, MirrorSymmetry) {
