@@ -3,14 +3,16 @@
 // adjacent blocks into one per-thread stream compresses better than encoding
 // each block independently ("the detail coefficients of adjacent blocks are
 // expected to assume similar ranges"); (b) the zlib effort level trades
-// encode time against rate.
+// encode time against rate. A third table compares the production entropy
+// stage (sparse significance coder, then zlib) with the paper's plain zlib
+// on the same concatenated stream.
 #include <zlib.h>
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "compression/compressor.h"
+#include "compression/sparse_coder.h"
 #include "wavelet/interp_wavelet.h"
 
 using namespace mpcf;
@@ -70,29 +72,25 @@ int main() {
     std::printf("%-8d %12zu %11.1f:1 %12.2f\n", level, sz, double(raw) / sz,
                 t.seconds() * 1e3);
   }
-  std::puts("\n=== Ablation: coder backend (zlib vs sparse+zlib) ===");
+  std::puts("\n=== Ablation: coder backend (concatenated stream, zlib level 6) ===");
   {
-    using namespace mpcf::compression;
-    CompressionParams pz;
-    pz.eps = eps;
-    pz.quantity = Q_G;
-    CompressionParams ps = pz;
-    ps.coder = Coder::kSparseZlib;
     Timer tz;
-    const auto cq_z = compress_quantity(grid, pz);
+    const std::size_t z = zlib_size(concat.data(), concat.size(), 6);
     const double t_z = tz.seconds();
     Timer ts;
-    const auto cq_s = compress_quantity(grid, ps);
+    // mpcf-lint: allow(reinterpret-cast): byte->float view; concat holds packed float cubes by construction
+    const auto* coeffs = reinterpret_cast<const float*>(concat.data());
+    const auto sparse = compression::sparse_encode(coeffs, concat.size() / sizeof(float));
+    const std::size_t sz = zlib_size(sparse.data(), sparse.size(), 6);
     const double t_s = ts.seconds();
-    std::printf("%-22s %10.1f:1 %10.2f ms\n", "zlib (paper)", cq_z.compression_rate(),
-                t_z * 1e3);
-    std::printf("%-22s %10.1f:1 %10.2f ms\n", "sparse+zlib", cq_s.compression_rate(),
+    std::printf("%-22s %10.1f:1 %10.2f ms\n", "zlib (paper)", double(raw) / z, t_z * 1e3);
+    std::printf("%-22s %10.1f:1 %10.2f ms\n", "sparse+zlib (dumps)", double(raw) / sz,
                 t_s * 1e3);
   }
 
   std::puts("\npaper design check: stream concatenation buys a measurably better");
   std::puts("rate for free — the basis for the per-thread buffer design (Fig. 3);");
-  std::puts("the sparse significance coder (the zerotree/SPIHT-style alternative)");
-  std::puts("trades coder complexity against zlib's general-purpose modeling.");
+  std::puts("stripping the zero runs first (the zerotree/SPIHT-style significance");
+  std::puts("coder every dump uses) leaves zlib less to model: better rate, less time.");
   return 0;
 }

@@ -230,20 +230,6 @@ int write_json(const char* path) {
   entries.push_back({"update", "simd", 1, up_gf(simd::Width::kScalar)});
   entries.push_back({"update", "simd", 4, up_gf(simd::Width::kW4)});
   if (w8) entries.push_back({"update", "simd", 8, up_gf(simd::Width::kW8)});
-  // Store-variant split of the memory-bound update (the kAuto calibrator
-  // picks between these per block size).
-  auto up_variant_gf = [&](simd::Width w, UpdateVariant v) {
-    const double sec = time_reps(64, [&] {
-      update_block_variant(f.grid.block(0), 1e-12f, w, v);
-    });
-    return update_flops(kBs) / sec / 1e9;
-  };
-  entries.push_back({"update", "regular", 4, up_variant_gf(simd::Width::kW4, UpdateVariant::kRegular)});
-  entries.push_back({"update", "stream", 4, up_variant_gf(simd::Width::kW4, UpdateVariant::kStream)});
-  if (w8) {
-    entries.push_back({"update", "regular", 8, up_variant_gf(simd::Width::kW8, UpdateVariant::kRegular)});
-    entries.push_back({"update", "stream", 8, up_variant_gf(simd::Width::kW8, UpdateVariant::kStream)});
-  }
   const UpdateChoice auto_choice = update_auto_choice(kBs, simd::Width::kAuto);
 
   const double lab_cell_s = time_reps(16, [&] {
@@ -267,8 +253,7 @@ int write_json(const char* path) {
   // about the multi-threaded step schedules, so consumers must check this.
   std::fprintf(out, "  \"cores\": %d,\n", omp_get_num_procs());
   std::fprintf(out, "  \"single_core\": %s,\n", omp_get_num_procs() == 1 ? "true" : "false");
-  std::fprintf(out, "  \"update_auto\": {\"width\": %d, \"variant\": \"%s\"},\n",
-               simd::lanes(auto_choice.width), update_variant_name(auto_choice.variant));
+  std::fprintf(out, "  \"update_auto\": {\"width\": %d},\n", simd::lanes(auto_choice.width));
   std::fprintf(out, "  \"kernels\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i)
     std::fprintf(out,

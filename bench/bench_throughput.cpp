@@ -5,11 +5,13 @@
 // and a dump overhead of 4-5% when dumping every 100 steps.
 //
 // --json [path] switches to the I/O pipeline sweep: end-to-end dump
-// throughput (GB/s of solver data retired to disk) versus pipeline worker
-// count, for every registered codec, written as one JSON document
-// (BENCH_io.json by default). Worker counts beyond the machine's cores are
-// still measured but flagged — on an undersubscribed box the scaling curve
-// flattens for honest hardware reasons, not pipeline ones.
+// throughput (GB/s of solver data retired to disk) and compression ratio
+// versus pipeline worker count {1, 2, 4}, for both dumped quantities (p and
+// Gamma, at Simulation::dump's thresholds) through the one entropy stage,
+// written as one JSON document (BENCH_io.json by default). Worker counts
+// beyond the machine's cores are still measured but flagged — on an
+// undersubscribed box the scaling curve flattens for honest hardware
+// reasons, not pipeline ones.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "compression/codec.h"
 #include "compression/pipeline.h"
 #include "io/compressed_file.h"
 #include "perf/machine.h"
@@ -34,11 +35,13 @@ struct SweepPoint {
   std::uint64_t file_bytes = 0;
 };
 
-SweepPoint measure_dump(const Grid& grid, compression::Coder coder, int workers) {
-  compression::CompressionParams p;
-  p.quantity = Q_G;
-  p.eps = 2.3e-3f;
-  p.coder = coder;
+/// One dumped quantity: Simulation::dump's parameters for it.
+struct Quantity {
+  const char* name;
+  compression::CompressionParams params;
+};
+
+SweepPoint measure_dump(const Grid& grid, compression::CompressionParams p, int workers) {
   p.workers = workers;
   const std::string path = "/tmp/mpcf_bench_io.cq";
 
@@ -64,27 +67,25 @@ int write_json(const char* out_path) {
   sim.step();  // develop the field so the encode cost is production-like
 
   const unsigned cores = std::thread::hardware_concurrency();
-  constexpr compression::Coder kCoders[] = {
-      compression::Coder::kZlib, compression::Coder::kSparseZlib,
-      compression::Coder::kLz4, compression::Coder::kSparseLz4};
+  compression::CompressionParams pg;
+  pg.quantity = Q_G;
+  pg.eps = 2.3e-3f;
+  compression::CompressionParams pp;
+  pp.derive_pressure = true;
+  pp.eps = 1e5f;
+  const Quantity quantities[] = {{"p", pp}, {"G", pg}};
   constexpr int kWorkers[] = {1, 2, 4};
 
-  struct CodecSweep {
-    const char* name;
-    std::vector<SweepPoint> points;
-  };
-  std::vector<CodecSweep> sweeps;
-  for (const auto coder : kCoders) {
-    CodecSweep sweep{compression::codec_for(coder).name(), {}};
+  std::vector<std::vector<SweepPoint>> sweeps;  // one per quantity
+  for (const Quantity& q : quantities) {
+    auto& points = sweeps.emplace_back();
     for (const int w : kWorkers) {
-      sweep.points.push_back(measure_dump(sim.grid(), coder, w));
-      const auto& pt = sweep.points.back();
-      std::printf("%-12s workers=%d  %7.3f ms  %6.3f GB/s  ratio %6.1f:1%s\n",
-                  sweep.name, pt.workers, pt.seconds * 1e3, pt.gbs, pt.ratio,
+      const SweepPoint& pt = points.emplace_back(measure_dump(sim.grid(), q.params, w));
+      std::printf("%-2s workers=%d  %7.3f ms  %6.3f GB/s  ratio %6.1f:1%s\n", q.name,
+                  pt.workers, pt.seconds * 1e3, pt.gbs, pt.ratio,
                   static_cast<unsigned>(pt.workers) > cores ? "  (oversubscribed)"
                                                             : "");
     }
-    sweeps.push_back(std::move(sweep));
   }
 
   // mpcf-lint: allow(raw-io): bench JSON report; SafeFile atomicity is pointless for a rewritable artifact
@@ -98,19 +99,20 @@ int write_json(const char* out_path) {
   std::fprintf(out, "  \"cores\": %u,\n", cores);
   std::fprintf(out, "  \"cells\": %lld,\n",
                static_cast<long long>(sim.grid().cell_count()));
-  std::fprintf(out, "  \"quantity\": \"G\",\n");
-  std::fprintf(out, "  \"codecs\": [\n");
+  std::fprintf(out, "  \"entropy_stage\": \"sparse+zlib\",\n");
+  std::fprintf(out, "  \"quantities\": [\n");
   for (std::size_t c = 0; c < sweeps.size(); ++c) {
-    std::fprintf(out, "    {\"codec\": \"%s\", \"sweep\": [\n", sweeps[c].name);
-    for (std::size_t i = 0; i < sweeps[c].points.size(); ++i) {
-      const auto& pt = sweeps[c].points[i];
+    std::fprintf(out, "    {\"quantity\": \"%s\", \"eps\": %g, \"sweep\": [\n",
+                 quantities[c].name, quantities[c].params.eps);
+    for (std::size_t i = 0; i < sweeps[c].size(); ++i) {
+      const auto& pt = sweeps[c][i];
       std::fprintf(out,
                    "      {\"workers\": %d, \"seconds\": %.6f, \"gbs\": %.3f, "
                    "\"ratio\": %.1f, \"file_bytes\": %llu, \"oversubscribed\": %s}%s\n",
                    pt.workers, pt.seconds, pt.gbs, pt.ratio,
                    static_cast<unsigned long long>(pt.file_bytes),
                    static_cast<unsigned>(pt.workers) > cores ? "true" : "false",
-                   i + 1 < sweeps[c].points.size() ? "," : "");
+                   i + 1 < sweeps[c].size() ? "," : "");
     }
     std::fprintf(out, "    ]}%s\n", c + 1 < sweeps.size() ? "," : "");
   }

@@ -702,9 +702,6 @@ compression::CompressedQuantity ClusterSimulation::compress_collective(
   global.eps = params.eps;
   global.derived_pressure = params.derive_pressure;
   global.quantity = params.quantity;
-  // The header must name the entropy stage the streams were actually
-  // encoded with — leaving the default here mislabels any non-zlib dump.
-  global.coder = params.coder;
 
   const BlockIndexer gindex(gbx_, gby_, gbz_);
   std::vector<compression::RankStreams> parts;

@@ -1,28 +1,63 @@
 #include "compression/compressor.h"
 
 #include <omp.h>
+#include <zlib.h>
 
 #include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
-#include "compression/codec.h"
+#include "compression/sparse_coder.h"
 
 namespace mpcf::compression {
 
-void validate_compression_params(const CompressionParams& params, int block_size) {
-  require(params.zlib_level == -1 || (params.zlib_level >= 0 && params.zlib_level <= 9),
-          "CompressionParams: zlib_level " + std::to_string(params.zlib_level) +
-              " outside the valid range {-1, 0..9}");
-  require(params.levels <= wavelet::max_levels(block_size),
-          "CompressionParams: " + std::to_string(params.levels) +
-              " wavelet levels exceed the maximum for block size " +
-              std::to_string(block_size));
-  require(codec_known(static_cast<std::uint8_t>(params.coder)),
-          "CompressionParams: unknown coder id " +
-              std::to_string(static_cast<unsigned>(params.coder)));
-  require(params.workers >= 0, "CompressionParams: negative worker count " +
-                                   std::to_string(params.workers));
+namespace {
+
+/// zlib effort of the entropy stage (the level the paper's dumps used).
+constexpr int kZlibLevel = 6;
+
+// Worst case of the significance coder: every float its own value run, so
+// per float one zero-run varint, one value-run varint and the 4 payload
+// bytes, plus the leading length varint. Anything beyond this bound in a
+// stream directory is corruption, not data.
+std::size_t sparse_bound(std::size_t nfloats) {
+  return 16 + nfloats * (2 + sizeof(float));
+}
+
+/// Exact inverse of encode_stream into `out[0, nfloats)`. Every size is
+/// validated against the expected coefficient count before it is trusted:
+/// a truncated or corrupt stream throws PreconditionError naming its index,
+/// it never yields zero-filled cubes or writes outside `out`.
+void decode_stream(const CompressedQuantity::Stream& stream, float* out,
+                   std::size_t nfloats, std::size_t stream_index) {
+  const std::string ctx = "stream " + std::to_string(stream_index);
+  if (stream.raw_bytes > sparse_bound(nfloats))
+    throw PreconditionError("decode_stream (" + ctx + "): directory raw size " +
+                            std::to_string(stream.raw_bytes) +
+                            " exceeds the sparse bound for " + std::to_string(nfloats) +
+                            " coefficients");
+  std::vector<std::uint8_t> sparse(static_cast<std::size_t>(stream.raw_bytes));
+  uLongf len = static_cast<uLongf>(sparse.size());
+  const int rc = uncompress(sparse.data(), &len, stream.data.data(),
+                            static_cast<uLong>(stream.data.size()));
+  if (rc != Z_OK || len != sparse.size())
+    throw PreconditionError("decode_stream (" + ctx + "): uncompress failed (rc " +
+                            std::to_string(rc) + ", got " + std::to_string(len) + " of " +
+                            std::to_string(sparse.size()) + " bytes)");
+  sparse_decode(sparse.data(), sparse.size(), out, nfloats, stream_index);
+}
+
+}  // namespace
+
+void encode_stream(const float* coeffs, std::size_t n, CompressedQuantity::Stream& stream) {
+  const std::vector<std::uint8_t> sparse = sparse_encode(coeffs, n);
+  uLongf len = compressBound(static_cast<uLong>(sparse.size()));
+  stream.data.resize(len);
+  const int rc = compress2(stream.data.data(), &len, sparse.data(),
+                           static_cast<uLong>(sparse.size()), kZlibLevel);
+  require(rc == Z_OK, "encode_stream: compress2 failed (rc " + std::to_string(rc) + ")");
+  stream.data.resize(len);
+  stream.raw_bytes = sparse.size();
 }
 
 void gather_block_quantity(const Block& block, int bs, const CompressionParams& params,
@@ -66,9 +101,7 @@ double CompressedQuantity::compression_rate() const {
 CompressedQuantity compress_quantity(const Grid& grid, const CompressionParams& params,
                                      std::vector<WorkerTimes>* times) {
   const int bs = grid.block_size();
-  validate_compression_params(params, bs);
-  const int levels = params.levels < 0 ? wavelet::max_levels(bs) : params.levels;
-  const Codec& codec = codec_for(params.coder);
+  const int levels = wavelet::max_levels(bs);
 
   CompressedQuantity cq;
   cq.bx = grid.blocks_x();
@@ -79,7 +112,6 @@ CompressedQuantity compress_quantity(const Grid& grid, const CompressionParams& 
   cq.eps = params.eps;
   cq.derived_pressure = params.derive_pressure;
   cq.quantity = params.quantity;
-  cq.coder = params.coder;
 
   // Streams are sized for the maximum team; the runtime may grant fewer
   // threads, and threads past the block count contribute nothing — both
@@ -121,16 +153,12 @@ CompressedQuantity compress_quantity(const Grid& grid, const CompressionParams& 
 
     // Encode the concatenated stream in one shot: detail coefficients of
     // adjacent blocks assume similar ranges, so a single stream compresses
-    // better than per-block encoding (paper Section 5). The entropy stage is
-    // the pluggable codec selected per quantity (codec.h).
+    // better than per-block encoding (paper Section 5).
     t.restart();
     if (!buffer.empty()) {
       // mpcf-lint: allow(reinterpret-cast): byte->float view; buffer holds packed float cubes by construction
       const auto* floats = reinterpret_cast<const float*>(buffer.data());
-      EncodedStream es =
-          codec.encode(floats, buffer.size() / sizeof(float), params.zlib_level);
-      stream.raw_bytes = es.raw_bytes;
-      stream.data = std::move(es.data);
+      encode_stream(floats, buffer.size() / sizeof(float), stream);
     }
     if (times) (*times)[tid].enc = t.seconds();
   }
@@ -151,19 +179,13 @@ Field3D<float> decompress_to_field(const CompressedQuantity& cq) {
   const BlockIndexer indexer(cq.bx, cq.by, cq.bz);
   const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
   const std::size_t cube_bytes = cube_floats * sizeof(float);
-  const Codec& codec = codec_for(cq.coder);
 
-  // Every stream decodes through the codec plug, which validates the blob
-  // against the expected coefficient count *before* handing anything back —
-  // a truncated or corrupt stream fails here naming its index, it does not
-  // silently yield zero-filled cubes.
   for (std::size_t si = 0; si < cq.streams.size(); ++si) {
     const auto& stream = cq.streams[si];
     if (stream.block_ids.empty()) continue;
     const std::size_t nfloats = stream.block_ids.size() * cube_floats;
     std::vector<float> coeffs(nfloats);
-    codec.decode(stream.data.data(), stream.data.size(), stream.raw_bytes,
-                 coeffs.data(), nfloats, si);
+    decode_stream(stream, coeffs.data(), nfloats, si);
     Field3D<float> cube(bs, bs, bs);
     for (std::size_t b = 0; b < stream.block_ids.size(); ++b) {
       std::memcpy(cube.data(), coeffs.data() + b * cube_floats, cube_bytes);

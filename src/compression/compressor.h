@@ -3,8 +3,8 @@
 //   per block:   in-place forward wavelet transform  (FWT)
 //                lossy decimation of small details   (DEC)
 //   per thread:  concatenation of the surviving coefficient cubes into a
-//                dedicated buffer, lossless encoding of the whole stream
-//                with zlib                           (ENC)
+//                dedicated buffer, lossless encoding of the whole stream:
+//                sparse significance coder, then zlib (ENC)
 //   per rank:    one global buffer of encoded streams, written collectively
 //                (see cluster::write_compressed_collective)
 //
@@ -16,48 +16,38 @@
 #include <cstdint>
 #include <vector>
 
-#include "compression/codec.h"
 #include "core/profile.h"
 #include "grid/grid.h"
 #include "wavelet/interp_wavelet.h"
 
 namespace mpcf::compression {
 
+/// The wavelet transform always runs to the coarsest level the block size
+/// allows, and the entropy stage is fixed (encode_stream), so the only
+/// choices are what to dump, how hard to decimate and how many workers.
 struct CompressionParams {
   float eps = 1e-2f;  ///< decimation threshold
   wavelet::ThresholdMode mode = wavelet::ThresholdMode::kUniform;
-  int levels = -1;     ///< wavelet levels; -1 = maximum for the block size
-  int zlib_level = 6;  ///< zlib effort (-1 default, 0 store, 1 fast .. 9 best)
-  Coder coder = Coder::kZlib;  ///< entropy stage (see codec.h), per quantity
   /// Dumped quantities are either raw conserved components or derived
   /// pressure; the paper dumps p and Gamma.
   bool derive_pressure = false;  ///< if true, `quantity` is ignored: dump p
   int quantity = Q_G;
   /// Pipelined dump path only: transform/encode worker threads (0 = one per
-  /// available core; AsyncDumper caps this default so background dumps never
-  /// oversubscribe the stepping solver — see async_dumper.h). The
-  /// synchronous compress_quantity keeps using the ambient OpenMP team.
+  /// available core; negative counts are rejected). The synchronous
+  /// compress_quantity keeps using the ambient OpenMP team.
   int workers = 0;
 };
-
-/// Validates params at ingestion, before any deferred/background work: the
-/// zlib level must be in {-1, 0..9} (an out-of-range level would otherwise
-/// surface deep inside compress2 as an unexplained failure), the level count
-/// must fit the block size, the coder must be registered, and the worker
-/// count must be non-negative. Throws PreconditionError naming the offending
-/// value.
-void validate_compression_params(const CompressionParams& params, int block_size);
 
 /// Per-worker wall-clock split of one dump (paper Table 4 / Fig. 7-right).
 struct WorkerTimes {
   double dec = 0;  ///< FWT + decimation
-  double enc = 0;  ///< zlib encoding
+  double enc = 0;  ///< entropy stage (encode_stream)
   double io = 0;   ///< file write (filled by the I/O layer)
 };
 
-/// One quantity, compressed: a set of per-worker streams, each a zlib blob
-/// of concatenated decimated coefficient cubes plus the ids of the blocks it
-/// contains (in stream order).
+/// One quantity, compressed: a set of per-worker streams, each an encoded
+/// blob of concatenated decimated coefficient cubes plus the ids of the
+/// blocks it contains (in stream order).
 struct CompressedQuantity {
   int bx = 0, by = 0, bz = 0;  ///< grid shape in blocks
   int block_size = 0;
@@ -65,12 +55,11 @@ struct CompressedQuantity {
   float eps = 0;
   bool derived_pressure = false;
   int quantity = 0;
-  Coder coder = Coder::kZlib;
 
   struct Stream {
     std::vector<std::uint32_t> block_ids;
-    std::vector<std::uint8_t> data;  ///< entropy-encoded coefficients
-    std::uint64_t raw_bytes = 0;     ///< size before the entropy stage
+    std::vector<std::uint8_t> data;  ///< encode_stream output
+    std::uint64_t raw_bytes = 0;     ///< significance-coded size, before zlib
   };
   std::vector<Stream> streams;
 
@@ -82,10 +71,17 @@ struct CompressedQuantity {
 
 /// Extracts one block's scalar quantity (or derived pressure) into a dense
 /// bs^3 cube in x-fastest order. Shared by the synchronous compressor and
-/// the async dumper's snapshot stage; the derived-pressure path guards the
-/// kinetic-energy division against near-vacuum densities.
+/// the pipelined dump; the derived-pressure path guards the kinetic-energy
+/// division against near-vacuum densities.
 void gather_block_quantity(const Block& block, int bs, const CompressionParams& params,
                            float* cube);
+
+/// The entropy stage (ENC) of every dump: the sparse significance coder
+/// (sparse_coder.h), then zlib at level 6. Encodes `n` decimated
+/// coefficients into `stream.data` and sets `stream.raw_bytes` to the
+/// significance-coded size. Bit-exact: decoding returns the same bits,
+/// signed zeros included; the lossy step is the decimation alone.
+void encode_stream(const float* coeffs, std::size_t n, CompressedQuantity::Stream& stream);
 
 /// Compresses one scalar quantity of the whole grid. If `times` is given it
 /// is resized to the worker count and filled with per-worker DEC/ENC times.

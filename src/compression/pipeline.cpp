@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/error.h"
-#include "compression/codec.h"
 #include "io/compressed_file.h"
 
 namespace mpcf::compression {
@@ -32,25 +31,24 @@ int pipeline_chunk_count(int block_count, int workers) {
   return std::min(block_count, workers * 4);
 }
 
-CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx, int by,
-                                               int bz, int block_size,
+CompressedQuantity compress_quantity_pipelined(const Grid& grid,
                                                const CompressionParams& params,
                                                PipelineStats* stats) {
-  validate_compression_params(params, block_size);
-  const int bs = block_size;
-  const int levels = params.levels < 0 ? wavelet::max_levels(bs) : params.levels;
-  const int blocks = source.block_count();
+  require(params.workers >= 0, "CompressionParams: negative worker count " +
+                                   std::to_string(params.workers));
+  const int bs = grid.block_size();
+  const int levels = wavelet::max_levels(bs);
+  const int blocks = grid.block_count();
 
   CompressedQuantity cq;
-  cq.bx = bx;
-  cq.by = by;
-  cq.bz = bz;
+  cq.bx = grid.blocks_x();
+  cq.by = grid.blocks_y();
+  cq.bz = grid.blocks_z();
   cq.block_size = bs;
   cq.levels = levels;
   cq.eps = params.eps;
   cq.derived_pressure = params.derive_pressure;
   cq.quantity = params.quantity;
-  cq.coder = params.coder;
 
   const int requested = resolve_workers(params);
   const int nchunks = pipeline_chunk_count(blocks, requested);
@@ -63,7 +61,6 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
   }
   if (nchunks == 0) return cq;
 
-  const Codec& codec = codec_for(params.coder);
   const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
 
   // The stage graph: workers steal chunk *indices* off the shared counter
@@ -91,7 +88,7 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
         t.restart();
         for (int b = begin; b < end; ++b) {
           float* cube = coeffs.data() + static_cast<std::size_t>(b - begin) * cube_floats;
-          source.fill(b, cube);
+          gather_block_quantity(grid.block(b), bs, params, cube);
           FieldView3D<float> view(cube, bs, bs, bs);
           wavelet::forward_3d_simd(view, levels);
           wavelet::decimate(view, levels, params.eps, params.mode);
@@ -99,10 +96,8 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
         clocks[w].dec += t.seconds();
 
         t.restart();
-        EncodedStream es = codec.encode(coeffs.data(), coeffs.size(), params.zlib_level);
         auto& stream = cq.streams[c];
-        stream.raw_bytes = es.raw_bytes;
-        stream.data = std::move(es.data);
+        encode_stream(coeffs.data(), coeffs.size(), stream);
         stream.block_ids.resize(static_cast<std::size_t>(end - begin));
         std::iota(stream.block_ids.begin(), stream.block_ids.end(),
                   static_cast<std::uint32_t>(begin));
@@ -132,19 +127,9 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
   return cq;
 }
 
-CompressedQuantity compress_quantity_pipelined(const Grid& grid,
-                                               const CompressionParams& params,
-                                               PipelineStats* stats) {
-  const GridCubeSource source(grid, params);
-  return compress_quantity_pipelined(source, grid.blocks_x(), grid.blocks_y(),
-                                     grid.blocks_z(), grid.block_size(), params, stats);
-}
-
-double dump_quantity_pipelined(const CubeSource& source, int bx, int by, int bz,
-                               int block_size, const CompressionParams& params,
+double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
                                const std::string& path, PipelineStats* stats) {
-  const CompressedQuantity cq =
-      compress_quantity_pipelined(source, bx, by, bz, block_size, params, stats);
+  const CompressedQuantity cq = compress_quantity_pipelined(grid, params, stats);
   Timer t;
   const std::uint64_t bytes = io::write_compressed(path, cq);
   if (stats) {
@@ -152,14 +137,6 @@ double dump_quantity_pipelined(const CubeSource& source, int bx, int by, int bz,
     stats->bytes_written = bytes;
   }
   return cq.compression_rate();
-}
-
-double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
-                               const std::string& path, PipelineStats* stats) {
-  const GridCubeSource source(grid, params);
-  return dump_quantity_pipelined(source, grid.blocks_x(), grid.blocks_y(),
-                                 grid.blocks_z(), grid.block_size(), params, path,
-                                 stats);
 }
 
 }  // namespace mpcf::compression

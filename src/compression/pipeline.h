@@ -10,15 +10,12 @@
 // Determinism: the chunk → block-range map is a pure function of
 // (block_count, worker count), streams are emitted in chunk (= block-id)
 // order, and workers steal *which chunk to process next* dynamically but
-// never *where its output lands* — so for a fixed worker count and codec the
-// emitted file is bitwise-stable run-to-run regardless of scheduling.
+// never *where its output lands* — so for a fixed worker count the emitted
+// file is bitwise-stable run-to-run regardless of scheduling.
 //
-// The pipeline is front-end agnostic: a CubeSource hands it block cubes by
-// id, so the same stage graph serves the live Grid (synchronous dumps) and
-// the AsyncDumper's staging snapshot (background dumps). Workers are plain
-// std::threads, not an OpenMP team — the graph must run unchanged inside the
-// dumper's background thread, where a nested OpenMP region would silently
-// collapse to one lane.
+// Workers are plain std::threads, not an OpenMP team: the pool's width is
+// the dump's own CompressionParams::workers, set independently of the
+// solver's OpenMP team (bench_throughput sweeps it at a fixed team size).
 #pragma once
 
 #include <string>
@@ -27,32 +24,6 @@
 #include "compression/compressor.h"
 
 namespace mpcf::compression {
-
-/// Front-end of the pipeline: hands out one quantity's block cubes by id.
-/// `fill` is called concurrently from the worker pool and must be safe for
-/// read-only access to the underlying state.
-class CubeSource {
- public:
-  virtual ~CubeSource() = default;
-  [[nodiscard]] virtual int block_count() const = 0;
-  /// Fills `cube` with the block's bs^3 floats in x-fastest order.
-  virtual void fill(int block_id, float* cube) const = 0;
-};
-
-/// Adapts a live Grid to the pipeline (synchronous front-end).
-class GridCubeSource final : public CubeSource {
- public:
-  GridCubeSource(const Grid& grid, const CompressionParams& params)
-      : grid_(grid), params_(params) {}
-  [[nodiscard]] int block_count() const override { return grid_.block_count(); }
-  void fill(int block_id, float* cube) const override {
-    gather_block_quantity(grid_.block(block_id), grid_.block_size(), params_, cube);
-  }
-
- private:
-  const Grid& grid_;
-  const CompressionParams& params_;
-};
 
 /// Instrumentation of one pipelined dump (Table 4 / Fig. 7-right analogue).
 struct PipelineStats {
@@ -72,24 +43,16 @@ struct PipelineStats {
 /// content-dependent encode cost, capped at the block count.
 [[nodiscard]] int pipeline_chunk_count(int block_count, int workers);
 
-/// Compresses one quantity through the stage graph. Decoded output is
-/// identical to the synchronous compress_quantity (same per-block transform,
-/// same codec); the stream partition differs (fixed chunks vs per-thread
-/// accumulation). Worker count comes from params.workers (0 = one per core).
-[[nodiscard]] CompressedQuantity compress_quantity_pipelined(
-    const CubeSource& source, int bx, int by, int bz, int block_size,
-    const CompressionParams& params, PipelineStats* stats = nullptr);
-
-/// Grid convenience front-end.
+/// Compresses one quantity of the grid through the stage graph. Decoded
+/// output is identical to the synchronous compress_quantity (same per-block
+/// transform, same entropy stage); the stream partition differs (fixed
+/// chunks vs per-thread accumulation). Worker count comes from
+/// params.workers (0 = one per core).
 [[nodiscard]] CompressedQuantity compress_quantity_pipelined(
     const Grid& grid, const CompressionParams& params, PipelineStats* stats = nullptr);
 
 /// Full pipelined dump: stage graph, then the two-phase aggregating writer.
 /// Returns the compression rate; fills write/byte accounting into `stats`.
-double dump_quantity_pipelined(const CubeSource& source, int bx, int by, int bz,
-                               int block_size, const CompressionParams& params,
-                               const std::string& path, PipelineStats* stats = nullptr);
-
 double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
                                const std::string& path, PipelineStats* stats = nullptr);
 

@@ -1,5 +1,6 @@
 #include "compression/sparse_coder.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/error.h"
@@ -38,16 +39,20 @@ std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
+/// True only for +0.0f: the decoder's zero runs write +0.0f, so -0.0f (which
+/// compares equal to it) must travel as a value to keep the coder bit-exact.
+bool is_positive_zero(float v) { return std::bit_cast<std::uint32_t>(v) == 0; }
+
 /// Walks the alternating zero/non-zero run structure of the data.
 template <typename OnRuns, typename OnValue>
 void scan_runs(const float* data, std::size_t n, OnRuns&& on_runs, OnValue&& on_value) {
   std::size_t i = 0;
   while (i < n) {
     std::size_t zstart = i;
-    while (i < n && data[i] == 0.0f) ++i;
+    while (i < n && is_positive_zero(data[i])) ++i;
     const std::size_t zeros = i - zstart;
     std::size_t vstart = i;
-    while (i < n && data[i] != 0.0f) ++i;
+    while (i < n && !is_positive_zero(data[i])) ++i;
     const std::size_t values = i - vstart;
     on_runs(zeros, values);
     for (std::size_t k = vstart; k < vstart + values; ++k) on_value(data[k]);

@@ -1,11 +1,13 @@
-// Sparse significance coder — an alternative encoding backend in the spirit
-// of the zerotree/SPIHT coders the paper names as alternatives to zlib
-// (Section 5): after decimation most detail coefficients are exactly zero,
-// so the stream is encoded as a run-length significance map plus the packed
-// non-zero values. The output is further zlib-compressible; decoding is
-// exact (the lossy step is the decimation, never the encoding).
+// Sparse significance coder — the first half of the dump pipeline's entropy
+// stage (compression::encode_stream; zlib runs over its output), in the
+// spirit of the zerotree/SPIHT coders the paper names as alternatives to
+// plain zlib (Section 5): after decimation most detail coefficients are
+// exactly zero, so the stream is encoded as a run-length significance map
+// plus the packed remaining values. Decoding is bit-exact for any input
+// (the lossy step is the decimation, never the encoding): only the all-zero
+// bit pattern counts as zero, so -0.0f is kept as a value.
 //
-// Format: u64 value_count | varint zero-run/value-run lengths alternating
+// Format: varint value_count | varint zero-run/value-run lengths alternating
 //         (starting with a zero run, possibly of length 0) | packed floats.
 //
 // Decoding is hardened against corrupt streams: every run length is bounds-

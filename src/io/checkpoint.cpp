@@ -14,8 +14,8 @@ namespace mpcf::io {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'M', 'P', 'C', 'F', 'C', 'K', 'P', '1'};
-constexpr char kMagicV2[8] = {'M', 'P', 'C', 'F', 'C', 'K', 'P', '2'};
+/// "MPCFCKP" + a version digit; earlier writers produced version 1.
+constexpr char kMagic[8] = {'M', 'P', 'C', 'F', 'C', 'K', 'P', '2'};
 
 /// Relative extent comparison that is exact for identical values, symmetric,
 /// and not vacuously false when the reference extent is zero or the stored
@@ -23,43 +23,6 @@ constexpr char kMagicV2[8] = {'M', 'P', 'C', 'F', 'C', 'K', 'P', '2'};
 bool extent_matches(double stored, double expected) {
   const double scale = std::max(std::fabs(stored), std::fabs(expected));
   return std::fabs(stored - expected) <= 1e-12 * scale;
-}
-
-/// Shared tail of both format versions: validate sizes against the grid and
-/// the actual file, inflate, scatter into the blocks.
-CheckpointClock finish_load(Cursor& cur, Grid& g, std::int32_t dims[4], double time,
-                            double extent, std::int64_t steps, std::uint64_t raw_bytes,
-                            std::uint64_t comp_bytes, const std::uint32_t* payload_crc) {
-  require(dims[0] == g.blocks_x() && dims[1] == g.blocks_y() &&
-              dims[2] == g.blocks_z() && dims[3] == g.block_size(),
-          "load_checkpoint: grid shape mismatch");
-  require(extent_matches(extent, g.h() * g.cells_x()),
-          "load_checkpoint: domain extent mismatch");
-  // Both sizes are untrusted: validate against ground truth (the grid shape
-  // and the bytes actually present) BEFORE allocating anything.
-  require(raw_bytes == g.cell_count() * sizeof(Cell),
-          "load_checkpoint: payload size mismatch");
-  require(comp_bytes == cur.remaining(),
-          "load_checkpoint: truncated or oversized payload");
-  const std::uint8_t* blob = cur.window(cur.offset(), comp_bytes);
-  if (payload_crc != nullptr)
-    require(crc32_bytes(blob, comp_bytes) == *payload_crc,
-            "load_checkpoint: payload CRC mismatch");
-
-  std::vector<std::uint8_t> raw(raw_bytes);
-  uLongf raw_len = static_cast<uLongf>(raw.size());
-  require(uncompress(raw.data(), &raw_len, blob, static_cast<uLong>(comp_bytes)) ==
-                  Z_OK &&
-              raw_len == raw_bytes,
-          "load_checkpoint: zlib failure");
-
-  std::size_t off = 0;
-  for (int b = 0; b < g.block_count(); ++b) {
-    const std::size_t n = g.block(b).cells() * sizeof(Cell);
-    std::memcpy(g.block(b).data(), raw.data() + off, n);
-    off += n;
-  }
-  return CheckpointClock{time, static_cast<long>(steps)};
 }
 
 }  // namespace
@@ -94,7 +57,7 @@ std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g,
   put_bytes(header, crc32_bytes(comp.data(), comp.size()));
 
   SafeFile f(path);
-  f.write(kMagicV2, 8);
+  f.write(kMagic, 8);
   const std::uint32_t header_crc = crc32_bytes(header.data(), header.size());
   f.put(header_crc);
   f.write(header.data(), header.size());
@@ -111,7 +74,7 @@ std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g,
              "checkpoint readback: " + path + " landed with " +
                  std::to_string(back.size()) + " bytes, wrote " +
                  std::to_string(12 + header.size() + comp.size()));
-  MPCF_CHECK(std::memcmp(back.data(), kMagicV2, 8) == 0,
+  MPCF_CHECK(std::memcmp(back.data(), kMagic, 8) == 0,
              "checkpoint readback: bad magic in " + path);
   MPCF_CHECK(crc32_bytes(back.data() + 12, header.size()) == header_crc,
              "checkpoint readback: header CRC mismatch in " + path);
@@ -127,25 +90,17 @@ CheckpointClock load_grid_checkpoint(const std::string& path, Grid& g) {
   Cursor cur(bytes);
   char magic[8];
   cur.read(magic, 8);
-
-  if (std::memcmp(magic, kMagicV2, 8) == 0) {
-    const auto header_crc = cur.get<std::uint32_t>();
-    require(bytes.size() >= 72, "load_checkpoint: truncated header");
-    require(crc32_bytes(bytes.data() + 12, 60) == header_crc,
-            "load_checkpoint: header CRC mismatch");
-    std::int32_t dims[4];
-    cur.read(dims, sizeof(dims));
-    const auto time = cur.get<double>();
-    const auto extent = cur.get<double>();
-    const auto steps = cur.get<std::int64_t>();
-    const auto raw_bytes = cur.get<std::uint64_t>();
-    const auto comp_bytes = cur.get<std::uint64_t>();
-    const auto payload_crc = cur.get<std::uint32_t>();
-    return finish_load(cur, g, dims, time, extent, steps, raw_bytes, comp_bytes,
-                       &payload_crc);
+  if (std::memcmp(magic, kMagic, 8) != 0) {
+    require(std::memcmp(magic, kMagic, 7) != 0,
+            "load_checkpoint: unsupported checkpoint version '" + std::string(magic, 8) +
+                "'; only version 2 ('MPCFCKP2') is read");
+    throw PreconditionError("load_checkpoint: bad magic");
   }
 
-  require(std::memcmp(magic, kMagicV1, 8) == 0, "load_checkpoint: bad magic");
+  const auto header_crc = cur.get<std::uint32_t>();
+  require(bytes.size() >= 72, "load_checkpoint: truncated header");
+  require(crc32_bytes(bytes.data() + 12, 60) == header_crc,
+          "load_checkpoint: header CRC mismatch");
   std::int32_t dims[4];
   cur.read(dims, sizeof(dims));
   const auto time = cur.get<double>();
@@ -153,8 +108,37 @@ CheckpointClock load_grid_checkpoint(const std::string& path, Grid& g) {
   const auto steps = cur.get<std::int64_t>();
   const auto raw_bytes = cur.get<std::uint64_t>();
   const auto comp_bytes = cur.get<std::uint64_t>();
-  return finish_load(cur, g, dims, time, extent, steps, raw_bytes, comp_bytes,
-                     nullptr);
+  const auto payload_crc = cur.get<std::uint32_t>();
+
+  require(dims[0] == g.blocks_x() && dims[1] == g.blocks_y() &&
+              dims[2] == g.blocks_z() && dims[3] == g.block_size(),
+          "load_checkpoint: grid shape mismatch");
+  require(extent_matches(extent, g.h() * g.cells_x()),
+          "load_checkpoint: domain extent mismatch");
+  // Both sizes are untrusted: validate against ground truth (the grid shape
+  // and the bytes actually present) BEFORE allocating anything.
+  require(raw_bytes == g.cell_count() * sizeof(Cell),
+          "load_checkpoint: payload size mismatch");
+  require(comp_bytes == cur.remaining(),
+          "load_checkpoint: truncated or oversized payload");
+  const std::uint8_t* blob = cur.window(cur.offset(), comp_bytes);
+  require(crc32_bytes(blob, comp_bytes) == payload_crc,
+          "load_checkpoint: payload CRC mismatch");
+
+  std::vector<std::uint8_t> raw(raw_bytes);
+  uLongf raw_len = static_cast<uLongf>(raw.size());
+  require(uncompress(raw.data(), &raw_len, blob, static_cast<uLong>(comp_bytes)) ==
+                  Z_OK &&
+              raw_len == raw_bytes,
+          "load_checkpoint: zlib failure");
+
+  std::size_t off = 0;
+  for (int b = 0; b < g.block_count(); ++b) {
+    const std::size_t n = g.block(b).cells() * sizeof(Cell);
+    std::memcpy(g.block(b).data(), raw.data() + off, n);
+    off += n;
+  }
+  return CheckpointClock{time, static_cast<long>(steps)};
 }
 
 std::uint64_t save_checkpoint(const std::string& path, const Simulation& sim) {

@@ -20,9 +20,9 @@
 //   off 68  u32 payload_crc     CRC32 of the zlib blob         4
 //   off 72  zlib blob of all cells, SFC order                  comp_bytes
 //
-// v1 ("MPCFCKP1": no CRCs, header is v2 minus the two CRC fields) is still
-// read for backward compatibility, with every header field bounds-checked
-// against the actual file and grid before any allocation.
+// Every header field is bounds-checked against the actual file and grid
+// before any allocation. v2 is the only version read: a v1 file
+// ("MPCFCKP1", no CRCs) is rejected with an error naming its version.
 #pragma once
 
 #include <string>

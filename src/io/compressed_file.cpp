@@ -1,29 +1,46 @@
 #include "io/compressed_file.h"
 
+#include <cctype>
 #include <cstring>
 #include <vector>
 
 #include "common/error.h"
-#include "compression/codec.h"
 #include "io/safe_file.h"
 
 namespace mpcf::io {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'M', 'P', 'C', 'F', 'C', 'Q', '0', '1'};
-constexpr char kMagicV2[8] = {'M', 'P', 'C', 'F', 'C', 'Q', '0', '2'};
-constexpr char kMagicV3[8] = {'M', 'P', 'C', 'F', 'C', 'Q', '0', '3'};
+/// "MPCFCQ" + two version digits; earlier writers produced "01" and "02".
+constexpr char kMagic[8] = {'M', 'P', 'C', 'F', 'C', 'Q', '0', '3'};
 
-// No registered codec shrinks data below ~1032:1 (deflate's hard bound; the
-// LZ4-class format saturates near 255:1), so a directory whose raw size
-// claims more than that over the blob actually present is corrupt; checking
-// it caps attacker-controlled allocations at ~1000x the real file size.
-constexpr std::uint64_t kMaxCodecRatio = 1032;
+/// The entropy stage every blob carries (compression::encode_stream): the
+/// sparse significance coder, then zlib. Earlier writers also stored coder
+/// ids 0, 2 and 3 ("ZLIB", "LZ4B", "SPL4"); those files are refused.
+constexpr std::uint8_t kCodecId = 1;
+constexpr std::uint32_t kCodecFourcc = std::uint32_t{'S'} | std::uint32_t{'P'} << 8 |
+                                           std::uint32_t{'Z'} << 16 |
+                                           std::uint32_t{'L'} << 24;
+
+// zlib cannot shrink data below ~1032:1 (deflate's hard bound), so a
+// directory whose raw size claims more than that over the blob actually
+// present is corrupt; checking it caps attacker-controlled allocations at
+// ~1000x the real file size.
+constexpr std::uint64_t kMaxZlibRatio = 1032;
 
 /// Blob region alignment: the directory is padded so phase-two writes start
 /// on this boundary.
 constexpr std::uint64_t kBlobAlign = 4096;
+
+/// The fourcc as text for error messages; non-printable bytes as '?'.
+std::string fourcc_text(std::uint32_t fourcc) {
+  std::string text(4, '?');
+  for (int k = 0; k < 4; ++k) {
+    const char c = static_cast<char>(fourcc >> (8 * k) & 0xff);
+    if (std::isprint(static_cast<unsigned char>(c))) text[k] = c;
+  }
+  return text;
+}
 
 /// Phase two of the aggregating writer: blobs stream through a fixed slab
 /// and reach the file as large aligned writes instead of one syscall per
@@ -83,9 +100,6 @@ class BlobCoalescer {
 
 std::uint64_t write_compressed(const std::string& path,
                                const compression::CompressedQuantity& cq) {
-  require(compression::codec_known(static_cast<std::uint8_t>(cq.coder)),
-          "write_compressed: unknown coder id " +
-              std::to_string(static_cast<unsigned>(cq.coder)));
   // Phase one: header + directory (so offsets are known), blob offsets by an
   // exclusive prefix sum over encoded sizes, starting at the aligned
   // boundary the pad below establishes.
@@ -94,10 +108,10 @@ std::uint64_t write_compressed(const std::string& path,
     put_bytes(header, v);
   put_bytes(header, cq.eps);
   put_bytes(header, static_cast<std::uint8_t>(cq.derived_pressure));
-  put_bytes(header, static_cast<std::uint8_t>(cq.coder));
+  put_bytes(header, kCodecId);
   const std::uint8_t pad[2] = {0, 0};
   header.insert(header.end(), pad, pad + 2);
-  put_bytes(header, compression::codec_for(cq.coder).fourcc());
+  put_bytes(header, kCodecFourcc);
   put_bytes(header, static_cast<std::uint32_t>(cq.streams.size()));
 
   // Directory size is data-independent given the id counts, so compute it,
@@ -124,7 +138,7 @@ std::uint64_t write_compressed(const std::string& path,
   header.insert(header.end(), static_cast<std::size_t>(pad_bytes), 0);
 
   SafeFile f(path);
-  f.write(kMagicV3, 8);
+  f.write(kMagic, 8);
   f.put(crc32_bytes(header.data(), header.size()));
   f.write(header.data(), header.size());
   // Phase two: coalesced aligned blob writes.
@@ -141,16 +155,13 @@ compression::CompressedQuantity read_compressed(const std::string& path) {
   Cursor cur(bytes);
   char magic[8];
   cur.read(magic, 8);
-  int version;
-  if (std::memcmp(magic, kMagicV3, 8) == 0) {
-    version = 3;
-  } else if (std::memcmp(magic, kMagicV2, 8) == 0) {
-    version = 2;
-  } else {
-    require(std::memcmp(magic, kMagicV1, 8) == 0, "read_compressed: bad magic");
-    version = 1;
+  if (std::memcmp(magic, kMagic, 8) != 0) {
+    require(std::memcmp(magic, kMagic, 6) != 0,
+            "read_compressed: unsupported .cq version '" + std::string(magic, 8) +
+                "'; only version 3 ('MPCFCQ03') is read");
+    throw PreconditionError("read_compressed: bad magic");
   }
-  const std::uint32_t header_crc = version >= 2 ? cur.get<std::uint32_t>() : 0;
+  const auto header_crc = cur.get<std::uint32_t>();
   const std::size_t crc_begin = cur.offset();
 
   compression::CompressedQuantity cq;
@@ -162,34 +173,15 @@ compression::CompressedQuantity read_compressed(const std::string& path) {
   cq.quantity = cur.get<std::int32_t>();
   cq.eps = cur.get<float>();
   cq.derived_pressure = cur.get<std::uint8_t>() != 0;
-  const std::uint8_t coder_id = cur.get<std::uint8_t>();
+  const auto coder_id = cur.get<std::uint8_t>();
   cur.skip(2);  // pad
-  if (version >= 3) {
-    // The codec registry decides what the coder byte may name; the stored
-    // fourcc must agree, so a rotten or unknown id cannot route a blob to
-    // the wrong decoder.
-    require(compression::codec_known(coder_id),
-            "read_compressed: unknown coder id " + std::to_string(coder_id));
-    cq.coder = static_cast<compression::Coder>(coder_id);
-    const auto fourcc = cur.get<std::uint32_t>();
-    require(fourcc == compression::codec_for(cq.coder).fourcc(),
-            "read_compressed: codec tag mismatch for coder id " +
-                std::to_string(coder_id));
-  } else {
-    // v1/v2 predate the codec registry: only the two original zlib-backed
-    // coders can legitimately appear.
-    require(coder_id <= 1, "read_compressed: coder id " + std::to_string(coder_id) +
-                               " impossible in a v" + std::to_string(version) +
-                               " file");
-    cq.coder = static_cast<compression::Coder>(coder_id);
-  }
+  const auto fourcc = cur.get<std::uint32_t>();
   const auto nstreams = cur.get<std::uint32_t>();
   // Every stream costs at least one fixed-size directory entry; anything
   // larger than the remaining bytes allow is corrupt (checked before the
   // resize so hostile counts cannot drive multi-GB allocations).
-  const std::size_t entry_bytes = version >= 2 ? 32 : 28;
-  require(nstreams <= cur.remaining() / entry_bytes,
-          "read_compressed: corrupt stream count");
+  constexpr std::size_t kEntryBytes = 32;
+  require(nstreams <= cur.remaining() / kEntryBytes, "read_compressed: corrupt stream count");
   cq.streams.resize(nstreams);
 
   struct BlobRef {
@@ -203,36 +195,39 @@ compression::CompressedQuantity read_compressed(const std::string& path) {
     s.raw_bytes = cur.get<std::uint64_t>();
     blobs[i].size = cur.get<std::uint64_t>();
     blobs[i].offset = cur.get<std::uint64_t>();
-    blobs[i].crc = version >= 2 ? cur.get<std::uint32_t>() : 0;
+    blobs[i].crc = cur.get<std::uint32_t>();
     require(nids <= cur.remaining() / 4, "read_compressed: corrupt id count");
     // Overflow-safe window check (`offset + size <= total` would wrap).
     require(blobs[i].size <= bytes.size() &&
                 blobs[i].offset <= bytes.size() - blobs[i].size,
             "read_compressed: bad offsets");
-    require(s.raw_bytes <= kMaxCodecRatio * blobs[i].size + 4096,
+    require(s.raw_bytes <= kMaxZlibRatio * blobs[i].size + 4096,
             "read_compressed: implausible raw size");
     s.block_ids.resize(nids);
     for (auto& id : s.block_ids) id = cur.get<std::uint32_t>();
   }
 
-  if (version >= 3) {
-    // Skip (and CRC-cover) the alignment pad between directory and blobs.
-    const std::size_t pad =
-        static_cast<std::size_t>((kBlobAlign - cur.offset() % kBlobAlign) % kBlobAlign);
-    require(pad <= cur.remaining(), "read_compressed: truncated alignment pad");
-    cur.skip(pad);
-  }
-  if (version >= 2)
-    require(crc32_bytes(bytes.data() + crc_begin, cur.offset() - crc_begin) ==
-                header_crc,
-            "read_compressed: header CRC mismatch");
+  // Skip (and CRC-cover) the alignment pad between directory and blobs.
+  const std::size_t pad =
+      static_cast<std::size_t>((kBlobAlign - cur.offset() % kBlobAlign) % kBlobAlign);
+  require(pad <= cur.remaining(), "read_compressed: truncated alignment pad");
+  cur.skip(pad);
+  require(crc32_bytes(bytes.data() + crc_begin, cur.offset() - crc_begin) == header_crc,
+          "read_compressed: header CRC mismatch");
+  // Checked only once the header is known intact, so rot in these bytes is
+  // reported as rot; an intact header naming another codec is a file from a
+  // writer with a different entropy stage.
+  if (coder_id != kCodecId || fourcc != kCodecFourcc)
+    throw PreconditionError("read_compressed: unsupported codec '" + fourcc_text(fourcc) +
+                            "' (coder id " + std::to_string(coder_id) + "); only '" +
+                            fourcc_text(kCodecFourcc) + "' (coder id " +
+                            std::to_string(kCodecId) + ", sparse+zlib) is read");
 
   // Copy the blobs only once the whole directory is validated.
   for (std::size_t i = 0; i < nstreams; ++i) {
     const std::uint8_t* blob = cur.window(blobs[i].offset, blobs[i].size);
-    if (version >= 2)
-      require(crc32_bytes(blob, blobs[i].size) == blobs[i].crc,
-              "read_compressed: stream CRC mismatch");
+    require(crc32_bytes(blob, blobs[i].size) == blobs[i].crc,
+            "read_compressed: stream CRC mismatch");
     cq.streams[i].data.assign(blob, blob + blobs[i].size);
   }
   return cq;

@@ -17,14 +17,14 @@
 // per stream blob, so truncation, torn tails, and single-bit rot all fail
 // loudly at read time. The reader parses through a bounds-checked cursor —
 // corrupt directory fields (stream counts, id counts, blob offsets/sizes,
-// raw sizes, codec ids) are rejected before any allocation or copy.
+// raw sizes) are rejected before any allocation or copy.
 //
-// v3 layout ("MPCFCQ03", written by write_compressed; little endian):
+// v3 layout ("MPCFCQ03", the only version written or read; little endian):
 //   magic "MPCFCQ03"                                    8 bytes
 //   u32 header_crc   CRC32 of header+directory+pad      4
 //   i32 bx, by, bz, block_size, levels, quantity        24
 //   f32 eps, u8 derived_pressure, u8 coder, u8 pad[2]   8
-//   u32 codec_fourcc  tag of the registered codec       4
+//   u32 codec_fourcc                                    4
 //   u32 stream_count                                    4
 //   per stream: u32 id_count, u64 raw_bytes, u64 size,  32 + 4*id_count
 //               u64 offset (from file start),
@@ -32,14 +32,12 @@
 //   zero pad to the next 4 KiB boundary (CRC-covered)
 //   stream blobs at their offsets
 //
-// The codec fourcc must match the registered codec for the stored coder id —
-// an unknown or rotten codec byte fails loudly instead of feeding a blob to
-// the wrong decoder.
-//
-// v2 ("MPCFCQ02": no codec fourcc, no alignment pad) and v1 ("MPCFCQ01": no
-// CRC fields, 28-byte directory entries) are still read for backward
-// compatibility, with full bounds checking; both predate the codec registry,
-// so their coder byte may only name the two original zlib-backed coders.
+// The coder byte and fourcc name the entropy stage of the blobs. Every dump
+// carries the one stage compression::encode_stream implements (sparse
+// significance coder, then zlib: coder 1, "SPZL"); any other pair — the
+// other codecs of earlier writers — and the pre-v3 magics ("MPCFCQ01",
+// "MPCFCQ02") are rejected with an error naming the unsupported codec or
+// version.
 #pragma once
 
 #include <string>
@@ -52,7 +50,8 @@ namespace mpcf::io {
 std::uint64_t write_compressed(const std::string& path,
                                const compression::CompressedQuantity& cq);
 
-/// Reads a dump written by write_compressed (v3 or legacy v2/v1).
+/// Reads a dump written by write_compressed; throws PreconditionError on
+/// corruption, truncation or an unsupported version or codec.
 [[nodiscard]] compression::CompressedQuantity read_compressed(const std::string& path);
 
 }  // namespace mpcf::io

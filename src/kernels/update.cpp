@@ -1,24 +1,16 @@
 #include "kernels/update.h"
 
-#include <cstdint>
-#include <cstdlib>
-#include <vector>
-
-#include "common/thread_safety.h"
-#include "core/profile.h"
 #include "simd/memory_ops.h"
+#include "simd/scalar_ops.h"
 
 namespace mpcf::kernels {
 
 namespace {
 
 /// Streaming axpy over the block storage, one vector (or scalar) per step.
-/// NT: non-temporal destination stores. The arithmetic is identical in both
-/// flavours, so results are bitwise-equal; NT only changes how the result
-/// travels to memory. The vector-loop destinations data+i are L*4-byte
-/// aligned (block storage is kSimdAlignment-aligned, i is a multiple of L),
-/// which the NT store requires.
-template <typename T, bool NT>
+/// Vector body and scalar tail both round through one fmadd per element,
+/// so every width produces the same bits.
+template <typename T>
 void update_impl(Block& block, Real bdt) {
   constexpr int L = simd::Lanes<T>::value;
   const std::size_t total = block.cells() * kNumQuantities;
@@ -27,144 +19,33 @@ void update_impl(Block& block, Real bdt) {
   std::size_t i = 0;
   if constexpr (L > 1) {
     const T b(bdt);
-    if constexpr (NT) {
-      for (; i + L <= total; i += L)
-        simd::stream_elems(data + i,
-                           simd::fmadd(b, simd::load_elems<T>(tmp + i),
-                                       simd::load_elems<T>(data + i)));
-      // NT stores are weakly ordered: drain the write-combining buffers
-      // before the caller's release operation publishes this block to
-      // dependent tasks (the fused scheduler's counters).
-      simd::stream_fence();
-    } else {
-      for (; i + L <= total; i += L)
-        simd::store_elems(data + i,
-                          simd::fmadd(b, simd::load_elems<T>(tmp + i),
-                                      simd::load_elems<T>(data + i)));
-    }
+    for (; i + L <= total; i += L)
+      simd::store_elems(data + i, simd::fmadd(b, simd::load_elems<T>(tmp + i),
+                                              simd::load_elems<T>(data + i)));
   }
-  for (; i < total; ++i) data[i] += bdt * tmp[i];
-}
-
-/// One-time-per-block-size measured choice of the kAuto update path.
-///
-/// The candidates compute bitwise-identical results (see update_impl), so
-/// the winner — even under timing noise — can never change simulation
-/// output, only its speed. Calibration runs each candidate a few times on a
-/// scratch block and keeps the best wall time.
-class UpdateCalibrator {
- public:
-  UpdateChoice choice(int bs, simd::Width requested) {
-    const LockGuard lock(mu_);
-    const bool pinned = requested != simd::Width::kAuto ||
-                        std::getenv("MPCF_SIMD_WIDTH") != nullptr;
-    const simd::Width resolved = simd::resolve_width(requested);
-    for (const Entry& e : cache_)
-      if (e.bs == bs && e.pinned_width == (pinned ? resolved : simd::Width::kAuto))
-        return e.choice;
-    const UpdateChoice c = calibrate(bs, pinned, resolved);
-    cache_.push_back(Entry{bs, pinned ? resolved : simd::Width::kAuto, c});
-    return c;
-  }
-
- private:
-  struct Entry {
-    int bs;
-    simd::Width pinned_width;  ///< kAuto = free choice
-    UpdateChoice choice;
-  };
-
-  static UpdateChoice calibrate(int bs, bool pinned, simd::Width resolved) {
-    // Candidate widths: the pinned width only, or every backend this build
-    // carries and this host executes. Variants: regular always; streaming
-    // only for vector widths (scalar has no NT form).
-    UpdateChoice cands[6];
-    int ncands = 0;
-    const simd::Width all[] = {simd::Width::kScalar, simd::Width::kW4, simd::Width::kW8};
-    for (const simd::Width w : all) {
-      if (pinned && w != resolved) continue;
-      if (!simd::width_compiled(w) || !simd::host_executes(w)) continue;
-      cands[ncands++] = UpdateChoice{w, UpdateVariant::kRegular};
-      if (w != simd::Width::kScalar) cands[ncands++] = UpdateChoice{w, UpdateVariant::kStream};
-    }
-
-    Block scratch(bs);
-    Cell fill;
-    fill.rho = 1.0f;
-    fill.ru = fill.rv = fill.rw = 0.1f;
-    fill.E = 2.0f;
-    fill.G = 1.0f;
-    fill.P = 0.5f;
-    for (std::size_t k = 0; k < scratch.cells(); ++k) {
-      scratch.data()[k] = fill;
-      scratch.tmp_data()[k] = fill;
-    }
-
-    UpdateChoice best = cands[0];
-    double best_s = -1.0;
-    constexpr int kReps = 5;
-    for (int c = 0; c < ncands; ++c) {
-      double s = -1.0;
-      for (int r = 0; r < kReps; ++r) {
-        Timer t;
-        update_block_variant(scratch, Real(1e-6f), cands[c].width, cands[c].variant);
-        const double e = t.seconds();
-        if (s < 0 || e < s) s = e;
-      }
-      if (best_s < 0 || s < best_s) {
-        best_s = s;
-        best = cands[c];
-      }
-    }
-    return best;
-  }
-
-  Mutex mu_;
-  std::vector<Entry> cache_ MPCF_GUARDED_BY(mu_);  ///< a handful of block sizes per process
-};
-
-UpdateCalibrator& calibrator() {
-  static UpdateCalibrator c;
-  return c;
+  for (; i < total; ++i) data[i] = simd::fmadd(bdt, tmp[i], data[i]);
 }
 
 }  // namespace
 
-const char* update_variant_name(UpdateVariant v) noexcept {
-  return v == UpdateVariant::kStream ? "stream" : "regular";
-}
+void update_block(Block& block, Real bdt) { update_impl<float>(block, bdt); }
 
-void update_block(Block& block, Real bdt) { update_impl<float, false>(block, bdt); }
-
-void update_block_variant(Block& block, Real bdt, simd::Width width,
-                          UpdateVariant variant) {
-  const bool nt = variant == UpdateVariant::kStream;
-  switch (width) {
-    case simd::Width::kScalar:
-      update_impl<float, false>(block, bdt);  // scalar stream == regular
-      return;
-    case simd::Width::kW8:
-      if (nt)
-        update_impl<simd::vec8, true>(block, bdt);
-      else
-        update_impl<simd::vec8, false>(block, bdt);
-      return;
-    default:
-      if (nt)
-        update_impl<simd::vec4, true>(block, bdt);
-      else
-        update_impl<simd::vec4, false>(block, bdt);
-      return;
-  }
-}
-
-UpdateChoice update_auto_choice(int bs, simd::Width requested) {
-  return calibrator().choice(bs, requested);
+UpdateChoice update_auto_choice(int /*bs*/, simd::Width requested) {
+  return UpdateChoice{simd::resolve_width(requested), UpdateVariant::kRegular};
 }
 
 void update_block_simd(Block& block, Real bdt, simd::Width width) {
-  const UpdateChoice c = update_auto_choice(block.size(), width);
-  update_block_variant(block, bdt, c.width, c.variant);
+  switch (simd::resolve_width(width)) {
+    case simd::Width::kScalar:
+      update_impl<float>(block, bdt);
+      return;
+    case simd::Width::kW8:
+      update_impl<simd::vec8>(block, bdt);
+      return;
+    default:
+      update_impl<simd::vec4>(block, bdt);
+      return;
+  }
 }
 
 double update_flops(int bs) {

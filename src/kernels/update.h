@@ -3,14 +3,12 @@
 // paper's lowest operational-intensity kernel (0.2 FLOP/B, Table 3), which
 // is why it stays at ~2% of peak regardless of vectorization (Table 7).
 //
-// Being memory-bound, the kernel's knob is store traffic, not arithmetic:
-// the regular store variant pays a read-for-ownership on every destination
-// line, the streaming variant (non-temporal stores) writes past the cache.
-// Which one wins depends on block size vs cache capacity, so kAuto picks the
-// measured-fastest (width, variant) pair per block size instead of blindly
-// the widest backend. Every variant computes bitwise-identical results (the
-// arithmetic is elementwise and width-invariant for an axpy; only the store
-// instruction differs), so the choice never affects simulation output.
+// Every width computes each element as one explicit fused multiply-add,
+// simd::fmadd(b*dt, du, u), in the vector body and the scalar tail alike, so
+// the result is bitwise-identical across widths and optimization levels
+// (no contraction choice is left to the compiler). Stores are regular,
+// cache-allocating stores: non-temporal stores measured slower on a
+// 1.41 GB out-of-cache grid at 4 threads (DESIGN.md §9).
 #pragma once
 
 #include "grid/block.h"
@@ -18,31 +16,21 @@
 
 namespace mpcf::kernels {
 
-/// Store flavour of the update axpy.
+/// Store flavour of the update axpy, as reported in UpdateChoice.
 enum class UpdateVariant {
   kRegular = 0,  ///< plain (cache-allocating) stores
-  kStream = 1,   ///< non-temporal stores + fence (vector widths only)
 };
-
-[[nodiscard]] const char* update_variant_name(UpdateVariant v) noexcept;
 
 /// Scalar reference: data += bdt * tmp, all quantities, all cells.
 void update_block(Block& block, Real bdt);
 
-/// Vectorized implementation; `width` pins the backend. kAuto resolves to
-/// the measured-fastest (width, store-variant) pair for this block size —
-/// calibrated once per process per block size on a scratch block; a pinned
-/// width (argument or MPCF_SIMD_WIDTH) restricts the choice to the store
-/// variants of that width.
+/// Vectorized implementation; `width` pins the backend, kAuto resolves to
+/// the widest backend the host executes (or the MPCF_SIMD_WIDTH pin).
 void update_block_simd(Block& block, Real bdt, simd::Width width = simd::Width::kAuto);
 
-/// Explicit (width, variant) entry for benches and calibration; `width` must
-/// be concrete (not kAuto).
-void update_block_variant(Block& block, Real bdt, simd::Width width, UpdateVariant variant);
-
-/// The calibrated choice for blocks of edge `bs` under the given width
-/// request (kAuto = free choice across compiled+executable widths). Exposed
-/// so benches can report what kAuto runs as.
+/// What update_block_simd runs as under the given width request. Exposed
+/// so benches can report it; the choice depends on the width request and
+/// the host only — never on timing, nor on the block edge `bs`.
 struct UpdateChoice {
   simd::Width width;
   UpdateVariant variant;

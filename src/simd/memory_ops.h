@@ -46,22 +46,6 @@ inline void store_elems(float* p, float v) { *p = v; }
 inline void store_elems(float* p, vec4 v) { v.storeu(p); }
 inline void store_elems(float* p, vec8 v) { v.storeu(p); }
 
-/// Non-temporal stores (vector-width-aligned destinations only; the scalar
-/// form is a plain store). Weakly ordered: issue stream_fence() after the
-/// last streamed store before any flag/counter release that publishes the
-/// data to another thread.
-inline void stream_elems(float* p, float v) { *p = v; }
-inline void stream_elems(float* p, vec4 v) { v.stream(p); }
-inline void stream_elems(float* p, vec8 v) { v.stream(p); }
-
-/// Orders preceding non-temporal stores before subsequent stores (sfence on
-/// x86; a no-op on the scalar fallbacks, where stream == store).
-inline void stream_fence() {
-#if MPCF_SIMD_SSE
-  _mm_sfence();
-#endif
-}
-
 inline void add_store(float* p, float v) { *p += v; }
 inline void add_store(float* p, vec4 v) { (vec4::loadu(p) + v).storeu(p); }
 inline void add_store(float* p, vec8 v) { (vec8::loadu(p) + v).storeu(p); }

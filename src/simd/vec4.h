@@ -37,11 +37,6 @@ struct vec4 {
   static vec4 loadu(const float* p) { return vec4(_mm_loadu_ps(p)); }
   void store(float* p) const { _mm_store_ps(p, v); }
   void storeu(float* p) const { _mm_storeu_ps(p, v); }
-  /// Non-temporal (streaming) store: bypasses the cache on its way to DRAM —
-  /// for write-once data the regular store's read-for-ownership of the
-  /// destination line is pure wasted bandwidth. Requires 16-byte alignment;
-  /// weakly ordered, so callers must stream_fence() before publishing.
-  void stream(float* p) const { _mm_stream_ps(p, v); }
 
   float operator[](int i) const {
     alignas(16) float tmp[4];
@@ -128,8 +123,6 @@ struct vec4 {
   static vec4 loadu(const float* p) { return load(p); }
   void store(float* p) const { std::memcpy(p, v, sizeof(v)); }
   void storeu(float* p) const { store(p); }
-  /// Scalar backend: a plain store (no non-temporal hint to express).
-  void stream(float* p) const { store(p); }
 
   float operator[](int i) const { return v[i]; }
 };

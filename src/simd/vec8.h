@@ -39,10 +39,6 @@ struct vec8 {
   static vec8 loadu(const float* p) { return vec8(_mm256_loadu_ps(p)); }
   void store(float* p) const { _mm256_store_ps(p, v); }
   void storeu(float* p) const { _mm256_storeu_ps(p, v); }
-  /// Non-temporal (streaming) store: cache-bypassing write combining for
-  /// write-once destinations. Requires 32-byte alignment; weakly ordered, so
-  /// callers must stream_fence() before publishing.
-  void stream(float* p) const { _mm256_stream_ps(p, v); }
 
   float operator[](int i) const {
     alignas(32) float tmp[8];
@@ -126,8 +122,6 @@ struct vec8 {
   static vec8 loadu(const float* p) { return load(p); }
   void store(float* p) const { std::memcpy(p, v, sizeof(v)); }
   void storeu(float* p) const { store(p); }
-  /// Scalar backend: a plain store (no non-temporal hint to express).
-  void stream(float* p) const { store(p); }
 
   float operator[](int i) const { return v[i]; }
 };

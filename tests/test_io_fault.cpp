@@ -1,9 +1,10 @@
 // Crash-safety and integrity tests of the hardened I/O substrate: the
 // corruption matrix (truncate at every field boundary, single-bit flips in
 // header/directory/payload, injected ENOSPC and torn writes at every write
-// call) for both on-disk formats, v1 backward compatibility, and rotating
-// retention with auto-recovery (crash-then-restart resumes bitwise equal to
-// an uninterrupted run).
+// call) for both on-disk formats, the directory bounds checks on
+// hand-built files with intact CRCs, rejection of unsupported versions and
+// codecs, and rotating retention with auto-recovery (crash-then-restart
+// resumes bitwise equal to an uninterrupted run).
 #include <gtest/gtest.h>
 #include <zlib.h>
 
@@ -17,7 +18,6 @@
 
 #include "cluster/cluster_simulation.h"
 #include "common/check.h"
-#include "compression/async_dumper.h"
 #include "compression/compressor.h"
 #include "io/checkpoint.h"
 #include "io/compressed_file.h"
@@ -299,8 +299,10 @@ TEST_F(CheckpointCorruption, EnvKnobArmsTheShim) {
 #endif
 }
 
-// --- Checkpoint v1 backward compatibility --------------------------------
+// --- Checkpoint versions -------------------------------------------------
 
+/// A version-1 checkpoint as earlier writers produced it: the v2 header
+/// without its two CRC fields.
 void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
   const Grid& g = sim.grid();
   std::vector<std::uint8_t> raw(g.cell_count() * sizeof(Cell));
@@ -317,53 +319,36 @@ void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
             Z_OK);
   comp.resize(comp_len);
 
-  // mpcf-lint: allow(raw-io): hand-builds a v1-format file (pre-SafeFile era) to test backward compatibility
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite("MPCFCKP1", 1, 8, f);
-  const std::int32_t dims[4] = {g.blocks_x(), g.blocks_y(), g.blocks_z(),
-                                g.block_size()};
-  std::fwrite(dims, 1, sizeof(dims), f);
-  const double time = sim.time();
-  const double extent = g.h() * g.cells_x();
-  const std::int64_t steps = sim.step_count();
-  std::fwrite(&time, 1, 8, f);
-  std::fwrite(&extent, 1, 8, f);
-  std::fwrite(&steps, 1, 8, f);
-  const std::uint64_t sizes[2] = {raw.size(), comp.size()};
-  std::fwrite(sizes, 1, sizeof(sizes), f);
-  std::fwrite(comp.data(), 1, comp.size(), f);
-  std::fclose(f);
+  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '1'};
+  for (std::int32_t v : {g.blocks_x(), g.blocks_y(), g.blocks_z(), g.block_size()})
+    io::put_bytes(out, v);
+  io::put_bytes(out, sim.time());
+  io::put_bytes(out, g.h() * g.cells_x());
+  io::put_bytes(out, static_cast<std::int64_t>(sim.step_count()));
+  io::put_bytes(out, static_cast<std::uint64_t>(raw.size()));
+  io::put_bytes(out, static_cast<std::uint64_t>(comp.size()));
+  out.insert(out.end(), comp.begin(), comp.end());
+  spit(path, out);
 }
 
-TEST(CheckpointV1Compat, LegacyFilesStillLoadBitwise) {
+TEST(CheckpointVersions, V1FilesAreRejectedNamingTheVersion) {
   Simulation a = make_sim();
-  for (int s = 0; s < 4; ++s) a.step();
+  a.step();
   const std::string path = ::testing::TempDir() + "/mpcf_v1.ckp";
   write_v1_checkpoint(path, a);
-
   Simulation b = make_sim();
-  io::load_checkpoint(path, b);
-  EXPECT_DOUBLE_EQ(b.time(), a.time());
-  EXPECT_EQ(b.step_count(), a.step_count());
-  expect_grids_equal(b.grid(), a.grid());
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointV1Compat, TruncatedLegacyFilesAreRejectedCleanly) {
-  Simulation a = make_sim();
-  const std::string path = ::testing::TempDir() + "/mpcf_v1_trunc.ckp";
-  write_v1_checkpoint(path, a);
+  try {
+    io::load_checkpoint(path, b);
+    FAIL() << "v1 checkpoint accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("MPCFCKP1"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  }
+  // Truncated anywhere, the file is still refused cleanly.
   const auto bytes = io::read_file(path);
   for (std::size_t cut = 0; cut < 64; cut += 4) {
-    // mpcf-lint: allow(raw-io): truncation sweep rewrites the file at every cut length, bypassing atomicity on purpose
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(bytes.data(), 1, cut, f);
-    std::fclose(f);
-    Simulation victim = make_sim();
-    EXPECT_THROW(io::load_checkpoint(path, victim), PreconditionError)
-        << "v1 truncated at " << cut;
+    spit(path, {bytes.begin(), bytes.begin() + cut});
+    EXPECT_THROW(io::load_checkpoint(path, b), PreconditionError) << "cut at " << cut;
   }
   std::remove(path.c_str());
 }
@@ -409,6 +394,10 @@ TEST_F(CompressedCorruption, RoundTripSurvives) {
     EXPECT_EQ(rt.streams[s].raw_bytes, cq_.streams[s].raw_bytes);
     EXPECT_EQ(rt.streams[s].data, cq_.streams[s].data);
   }
+  const auto f_rt = compression::decompress_to_field(rt);
+  const auto f_cq = compression::decompress_to_field(cq_);
+  ASSERT_EQ(f_rt.size(), f_cq.size());
+  EXPECT_EQ(std::memcmp(f_rt.data(), f_cq.data(), f_cq.size() * sizeof(float)), 0);
 }
 
 TEST_F(CompressedCorruption, TruncationAtEveryBoundaryIsRejected) {
@@ -485,56 +474,7 @@ TEST_F(CompressedCorruption, PersistentEnospcSurfacesAsCatchableError) {
   std::remove(out.c_str());
 }
 
-TEST_F(CompressedCorruption, EveryRegisteredCodecSurvivesTheMatrix) {
-  // The corruption matrix holds for every codec the registry knows: v3
-  // files CRC-cover header, directory, pad and blobs, so truncation and bit
-  // rot fail at read time regardless of the entropy stage.
-  for (std::uint8_t id = 0; id < compression::kCoderCount; ++id) {
-    Grid g(1, 1, 1, 8, 1e-3);
-    std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
-    set_cloud_ic(g, one, TwoPhaseIC{});
-    compression::CompressionParams p;
-    p.eps = 1e-3f;
-    p.quantity = Q_G;
-    p.coder = static_cast<compression::Coder>(id);
-    const auto cq = compression::compress_quantity(g, p);
-    const std::string path =
-        ::testing::TempDir() + "/mpcf_fault_codec_" + std::to_string(id) + ".cq";
-    io::write_compressed(path, cq);
-    const auto bytes = slurp(path);
-
-    const auto rt = io::read_compressed(path);
-    EXPECT_EQ(rt.coder, p.coder);
-    EXPECT_NO_THROW((void)compression::decompress_to_field(rt));
-
-    for (std::size_t cut = 0; cut < bytes.size(); cut += 97) {
-      spit(path, {bytes.begin(), bytes.begin() + cut});
-      EXPECT_THROW((void)io::read_compressed(path), PreconditionError)
-          << "codec " << int(id) << " truncated at byte " << cut;
-    }
-    for (std::size_t byte = 0; byte < bytes.size(); byte += 101) {
-      auto corrupt = bytes;
-      corrupt[byte] ^= 1u << (byte % 8);
-      spit(path, corrupt);
-      EXPECT_THROW((void)io::read_compressed(path), PreconditionError)
-          << "codec " << int(id) << " bit flip at byte " << byte;
-    }
-    std::remove(path.c_str());
-  }
-}
-
 // --- Sparse-stream corruption (decoder-level, below the file CRCs) --------
-
-compression::CompressedQuantity make_sparse_cq() {
-  Grid g(1, 1, 1, 8, 1e-3);
-  std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
-  set_cloud_ic(g, one, TwoPhaseIC{});
-  compression::CompressionParams p;
-  p.eps = 1e-3f;
-  p.quantity = Q_G;
-  p.coder = compression::Coder::kSparseZlib;
-  return compression::compress_quantity(g, p);
-}
 
 /// Re-encodes a sparse payload into the stream so the zlib layer and the
 /// directory stay self-consistent: only the sparse decoder can notice.
@@ -561,7 +501,7 @@ TEST(SparseCorruption, TruncatedSparseStreamIsRefusedWithStreamIndex) {
   // Regression for the vacuous post-decode size check: a sparse stream cut
   // mid-payload must be refused by the decoder itself, naming the stream,
   // instead of yielding silently wrong cubes.
-  auto cq = make_sparse_cq();
+  auto cq = make_cq();
   ASSERT_FALSE(cq.streams.empty());
   // Recover the stream's sparse bytes, chop the tail, re-encode consistently.
   std::vector<std::uint8_t> sparse(cq.streams[0].raw_bytes);
@@ -586,7 +526,7 @@ TEST(SparseCorruption, WrappingRunLengthsAreRejectedBeforeAnyWrite) {
   // exactly the expected total used to pass the old `seen == total` check
   // and drive a multi-exabyte zero-fill through the output buffer. The
   // hardened decoder bounds every run against the remaining budget first.
-  auto cq = make_sparse_cq();
+  auto cq = make_cq();
   ASSERT_FALSE(cq.streams.empty());
   const std::uint64_t total =
       static_cast<std::uint64_t>(cq.streams[0].block_ids.size()) * 8 * 8 * 8;
@@ -607,7 +547,7 @@ TEST(SparseCorruption, LengthMismatchNamesTheExpectedCount) {
   // A sparse header claiming a different coefficient count than the block
   // directory implies must fail up front (this is what the old vacuous
   // `require` was meant to catch).
-  auto cq = make_sparse_cq();
+  auto cq = make_cq();
   ASSERT_FALSE(cq.streams.empty());
   std::vector<std::uint8_t> sparse;
   put_varint(sparse, 7);  // bogus total
@@ -617,151 +557,115 @@ TEST(SparseCorruption, LengthMismatchNamesTheExpectedCount) {
   EXPECT_THROW((void)compression::decompress_to_field(cq), PreconditionError);
 }
 
-// --- Compressed-quantity v1 backward compatibility -----------------------
+// --- Compressed-quantity directory bounds, versions and codecs ----------
+//
+// Hand-built v3 images with an intact header CRC: the CRC cannot be what
+// rejects them, so each test proves the reader's own check fires.
 
-void write_v1_cq(const std::string& path, const compression::CompressedQuantity& cq) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), {'M', 'P', 'C', 'F', 'C', 'Q', '0', '1'});
-  for (std::int32_t v : {cq.bx, cq.by, cq.bz, cq.block_size, cq.levels, cq.quantity})
-    io::put_bytes(out, v);
-  io::put_bytes(out, cq.eps);
-  io::put_bytes(out, static_cast<std::uint8_t>(cq.derived_pressure));
-  io::put_bytes(out, static_cast<std::uint8_t>(cq.coder));
-  out.push_back(0);
-  out.push_back(0);
-  io::put_bytes(out, static_cast<std::uint32_t>(cq.streams.size()));
-  std::uint64_t dir_bytes = 0;
-  for (const auto& s : cq.streams) dir_bytes += 28 + 4ull * s.block_ids.size();
-  std::uint64_t offset = out.size() + dir_bytes;
-  for (const auto& s : cq.streams) {
-    io::put_bytes(out, static_cast<std::uint32_t>(s.block_ids.size()));
-    io::put_bytes(out, s.raw_bytes);
-    io::put_bytes(out, static_cast<std::uint64_t>(s.data.size()));
-    io::put_bytes(out, offset);
-    for (std::uint32_t id : s.block_ids) io::put_bytes(out, id);
-    offset += s.data.size();
-  }
-  for (const auto& s : cq.streams) out.insert(out.end(), s.data.begin(), s.data.end());
-  // mpcf-lint: allow(raw-io): hand-builds an offset-wrapping directory to attack the bounds checks
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(out.data(), 1, out.size(), f), out.size());
-  std::fclose(f);
+/// Byte offsets of the v3 header fields patched below.
+constexpr std::size_t kCodecIdByte = 41;  // after magic, crc, 6 dims, eps, flag
+constexpr std::size_t kFourccByte = 44;   // after the coder byte and 2 pad bytes
+constexpr std::size_t kFirstEntry = 52;   // after fourcc and stream count
+constexpr std::size_t kEntryRaw = kFirstEntry + 4;
+constexpr std::size_t kEntrySize = kFirstEntry + 12;
+constexpr std::size_t kEntryOffset = kFirstEntry + 20;
+
+/// A real single-stream v3 dump of make_cq() as bytes.
+std::vector<std::uint8_t> v3_image(const compression::CompressedQuantity& cq,
+                                   const std::string& path) {
+  io::write_compressed(path, cq);
+  return slurp(path);
 }
 
-TEST(CompressedV1Compat, LegacyFilesStillRead) {
-  const auto cq = make_cq();
-  const std::string path = ::testing::TempDir() + "/mpcf_v1.cq";
-  write_v1_cq(path, cq);
-  const auto rt = io::read_compressed(path);
-  EXPECT_EQ(rt.bx, cq.bx);
-  EXPECT_EQ(rt.levels, cq.levels);
-  ASSERT_EQ(rt.streams.size(), cq.streams.size());
-  for (std::size_t s = 0; s < rt.streams.size(); ++s) {
-    EXPECT_EQ(rt.streams[s].block_ids, cq.streams[s].block_ids);
-    EXPECT_EQ(rt.streams[s].data, cq.streams[s].data);
-  }
-  std::remove(path.c_str());
+/// Recomputes the header CRC over [12, crc_end) after fields were patched;
+/// crc_end is the blob region start of the unpatched image.
+void reseal(std::vector<std::uint8_t>& bytes, std::size_t crc_end) {
+  const std::uint32_t crc = io::crc32_bytes(bytes.data() + 12, crc_end - 12);
+  std::memcpy(bytes.data() + 8, &crc, sizeof(crc));
 }
 
-TEST(CompressedV1Compat, Uint64WrapInDirectoryIsRejected) {
+std::size_t blob_region_start(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t offset;
+  std::memcpy(&offset, bytes.data() + kEntryOffset, sizeof(offset));
+  return static_cast<std::size_t>(offset);
+}
+
+template <typename T>
+void patch(std::vector<std::uint8_t>& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Reads `bytes` back through `path` and returns the rejection message.
+std::string rejection(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  spit(path, bytes);
+  try {
+    (void)io::read_compressed(path);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "image read back without error";
+  return {};
+}
+
+TEST(CompressedDirectory, Uint64WrapInDirectoryIsRejected) {
   // Regression: blob_offset + blob_size wrapping uint64 used to pass the
   // `offset + size <= file_size` check and read out of bounds.
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), {'M', 'P', 'C', 'F', 'C', 'Q', '0', '1'});
-  for (std::int32_t v : {1, 1, 1, 8, 3, 0}) io::put_bytes(out, v);
-  io::put_bytes(out, 1e-3f);
-  out.push_back(0);  // derived_pressure
-  out.push_back(0);  // coder
-  out.push_back(0);
-  out.push_back(0);
-  io::put_bytes(out, std::uint32_t{1});            // one stream
-  io::put_bytes(out, std::uint32_t{0});            // no ids
-  io::put_bytes(out, std::uint64_t{16});           // raw_bytes
-  io::put_bytes(out, ~std::uint64_t{0});           // blob_size: 2^64-1
-  io::put_bytes(out, std::uint64_t{2});            // blob_offset: wraps to 1
   const std::string path = ::testing::TempDir() + "/mpcf_wrap.cq";
-  // mpcf-lint: allow(raw-io): hand-builds an offset-wrapping directory to attack the bounds checks
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  EXPECT_THROW((void)io::read_compressed(path), PreconditionError);
+  auto bytes = v3_image(make_cq(), path);
+  const std::size_t crc_end = blob_region_start(bytes);
+  patch(bytes, kEntrySize, ~std::uint64_t{0});  // blob_size: 2^64-1
+  patch(bytes, kEntryOffset, std::uint64_t{2});  // offset + size wraps to 1
+  reseal(bytes, crc_end);
+  EXPECT_NE(rejection(path, bytes).find("bad offsets"), std::string::npos);
   std::remove(path.c_str());
 }
 
-TEST(CompressedV1Compat, ImplausibleRawSizeIsRejectedBeforeAllocation) {
-  // v1 has no CRC, so a rotten raw_bytes field must be caught by the
-  // plausibility bound (zlib cannot exceed ~1032:1) instead of driving a
-  // multi-GB allocation in the decompressor.
+TEST(CompressedDirectory, ImplausibleRawSizeIsRejectedBeforeAllocation) {
+  // A raw_bytes field beyond zlib's ~1032:1 bound over the blob present
+  // must be caught by the plausibility check instead of driving a multi-GB
+  // allocation in the decoder — the writer seals it with a valid CRC.
   auto cq = make_cq();
-  const std::string path = ::testing::TempDir() + "/mpcf_huge_raw.cq";
   cq.streams[0].raw_bytes = 1ull << 50;
-  write_v1_cq(path, cq);
-  EXPECT_THROW((void)io::read_compressed(path), PreconditionError);
+  const std::string path = ::testing::TempDir() + "/mpcf_huge_raw.cq";
+  const auto bytes = v3_image(cq, path);
+  std::uint64_t raw;
+  std::memcpy(&raw, bytes.data() + kEntryRaw, sizeof(raw));
+  ASSERT_EQ(raw, 1ull << 50);
+  EXPECT_NE(rejection(path, bytes).find("implausible raw size"), std::string::npos);
   std::remove(path.c_str());
 }
 
-// --- Compressed-quantity v2 backward compatibility -----------------------
-
-void write_v2_cq(const std::string& path, const compression::CompressedQuantity& cq,
-                 std::uint8_t coder_id) {
-  std::vector<std::uint8_t> header;
-  for (std::int32_t v : {cq.bx, cq.by, cq.bz, cq.block_size, cq.levels, cq.quantity})
-    io::put_bytes(header, v);
-  io::put_bytes(header, cq.eps);
-  io::put_bytes(header, static_cast<std::uint8_t>(cq.derived_pressure));
-  io::put_bytes(header, coder_id);
-  header.push_back(0);
-  header.push_back(0);
-  io::put_bytes(header, static_cast<std::uint32_t>(cq.streams.size()));
-  std::uint64_t dir_bytes = 0;
-  for (const auto& s : cq.streams) dir_bytes += 32 + 4ull * s.block_ids.size();
-  std::uint64_t offset = 8 + 4 + header.size() + dir_bytes;
-  for (const auto& s : cq.streams) {
-    io::put_bytes(header, static_cast<std::uint32_t>(s.block_ids.size()));
-    io::put_bytes(header, s.raw_bytes);
-    io::put_bytes(header, static_cast<std::uint64_t>(s.data.size()));
-    io::put_bytes(header, offset);
-    io::put_bytes(header, io::crc32_bytes(s.data.data(), s.data.size()));
-    for (std::uint32_t id : s.block_ids) io::put_bytes(header, id);
-    offset += s.data.size();
+TEST(CompressedVersions, PreV3MagicsAreRejectedNamingTheVersion) {
+  const std::string path = ::testing::TempDir() + "/mpcf_old_magic.cq";
+  const auto v3 = v3_image(make_cq(), path);
+  for (const char* magic : {"MPCFCQ01", "MPCFCQ02"}) {
+    auto bytes = v3;
+    std::memcpy(bytes.data(), magic, 8);
+    const std::string msg = rejection(path, bytes);
+    EXPECT_NE(msg.find(magic), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unsupported .cq version"), std::string::npos) << msg;
   }
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), {'M', 'P', 'C', 'F', 'C', 'Q', '0', '2'});
-  io::put_bytes(out, io::crc32_bytes(header.data(), header.size()));
-  out.insert(out.end(), header.begin(), header.end());
-  for (const auto& s : cq.streams) out.insert(out.end(), s.data.begin(), s.data.end());
-  spit(path, out);
-}
-
-TEST(CompressedV2Compat, LegacyFilesStillReadAndDecode) {
-  const auto cq = make_cq();
-  const std::string path = ::testing::TempDir() + "/mpcf_v2.cq";
-  write_v2_cq(path, cq, static_cast<std::uint8_t>(cq.coder));
-  const auto rt = io::read_compressed(path);
-  ASSERT_EQ(rt.streams.size(), cq.streams.size());
-  for (std::size_t s = 0; s < rt.streams.size(); ++s) {
-    EXPECT_EQ(rt.streams[s].block_ids, cq.streams[s].block_ids);
-    EXPECT_EQ(rt.streams[s].data, cq.streams[s].data);
-  }
-  const auto f_new = compression::decompress_to_field(cq);
-  const auto f_old = compression::decompress_to_field(rt);
-  for (int iz = 0; iz < 8; ++iz)
-    for (int iy = 0; iy < 8; ++iy)
-      for (int ix = 0; ix < 8; ++ix) ASSERT_EQ(f_old(ix, iy, iz), f_new(ix, iy, iz));
   std::remove(path.c_str());
 }
 
-TEST(CompressedV2Compat, PostRegistryCoderIdsAreImpossibleInV2) {
-  // v1/v2 predate the codec registry: a coder byte naming kLz4 or beyond in
-  // an old file is rot, not data, and must be refused up front.
-  const auto cq = make_cq();
-  const std::string path = ::testing::TempDir() + "/mpcf_v2_badcoder.cq";
-  write_v2_cq(path, cq, 2);  // kLz4: cannot exist in a v2 file
-  EXPECT_THROW((void)io::read_compressed(path), PreconditionError);
-  write_v2_cq(path, cq, 200);  // entirely unknown
-  EXPECT_THROW((void)io::read_compressed(path), PreconditionError);
+TEST(CompressedVersions, OtherCodecPairsAreRejectedNamingTheCodec) {
+  // Earlier writers stored coder ids 0, 2 and 3 with these tags; an intact
+  // header naming any of them, or a mismatched pair, is refused by name.
+  const std::string path = ::testing::TempDir() + "/mpcf_other_codec.cq";
+  const auto v3 = v3_image(make_cq(), path);
+  const std::size_t crc_end = blob_region_start(v3);
+  const std::pair<std::uint8_t, const char*> pairs[] = {
+      {0, "ZLIB"}, {2, "LZ4B"}, {3, "SPL4"}, {1, "ZLIB"}, {0, "SPZL"}};
+  for (const auto& [coder, tag] : pairs) {
+    auto bytes = v3;
+    bytes[kCodecIdByte] = coder;
+    std::memcpy(bytes.data() + kFourccByte, tag, 4);
+    reseal(bytes, crc_end);
+    const std::string msg = rejection(path, bytes);
+    EXPECT_NE(msg.find(std::string("'") + tag + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("coder id " + std::to_string(coder)), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unsupported codec"), std::string::npos) << msg;
+  }
   std::remove(path.c_str());
 }
 
@@ -936,60 +840,6 @@ TEST(ClusterCheckpoint, RotatingRecoverySkipsCorruptAndTracesAttempts) {
     if (e.phase == perf::TracePhase::kCheckpoint) ++spans;
   EXPECT_EQ(spans, 2);
   fs::remove_all(dir);
-}
-
-// --- Async dumper on the atomic write path -------------------------------
-
-TEST(AsyncDumperFault, BackgroundWriteFailureSurfacesInWaitNotDtor) {
-  FaultGuard guard;
-  Grid g(1, 1, 1, 8, 1e-3);
-  std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
-  set_cloud_ic(g, one, TwoPhaseIC{});
-  compression::CompressionParams p;
-  p.eps = 1e-3f;
-  p.quantity = Q_G;
-  const std::string path = ::testing::TempDir() + "/mpcf_async_fault.cq";
-  std::remove(path.c_str());
-  {
-    compression::AsyncDumper dumper;
-    io::fault::arm({io::fault::Kind::kEnospc, 0, 0, 0});
-    dumper.dump(g, p, path);
-    // Regression: the failure must name which dump died, not surface as a
-    // bare deferred exception.
-    try {
-      dumper.wait();
-      FAIL() << "background ENOSPC did not surface in wait()";
-    } catch (const IoError& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << "error does not name the dump path: " << e.what();
-    }
-    EXPECT_FALSE(fs::exists(path)) << "failed dump published a file";
-    EXPECT_FALSE(fs::exists(path + ".tmp"));
-  }
-  {
-    // Uncollected failure: the destructor must swallow it, not terminate.
-    compression::AsyncDumper dumper;
-    io::fault::arm({io::fault::Kind::kEnospc, 0, 0, 0});
-    dumper.dump(g, p, path);
-  }
-  EXPECT_FALSE(fs::exists(path));
-  {
-    // A persistent failure (sticky: the disk stays full, every retry fails
-    // too) must still surface as a catchable IoError from wait(), never as
-    // std::terminate out of the writer's unwinding destructors.
-    compression::AsyncDumper dumper;
-    io::fault::arm({io::fault::Kind::kEnospc, 0, 0, 0, /*sticky=*/true});
-    dumper.dump(g, p, path);
-    try {
-      dumper.wait();
-      FAIL() << "persistent background ENOSPC did not surface in wait()";
-    } catch (const IoError& e) {
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << "error does not name the dump path: " << e.what();
-    }
-    io::fault::disarm();
-  }
-  EXPECT_FALSE(fs::exists(path));
 }
 
 }  // namespace

@@ -297,7 +297,7 @@ void rule_unchecked_syscall(const RuleContext& ctx, std::vector<Diagnostic>* out
 // Rule: thread-entry-exception-barrier.
 //
 // An exception escaping a std::thread entry calls std::terminate with no
-// provenance. The pipeline/AsyncDumper convention is a try/catch in every
+// provenance. The dump pipeline's convention is a try/catch in every
 // entry lambda storing into an exception_ptr that the owner rethrows after
 // join; this rule enforces it at every std::thread construction and
 // worker-pool emplace. Entry arguments it cannot resolve (function pointers,
