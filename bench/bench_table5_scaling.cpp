@@ -32,6 +32,7 @@
 #include "kernels/sos.h"
 #include "kernels/update.h"
 #include "perf/microbench.h"
+#include "simd/dispatch.h"
 
 using namespace mpcf;
 using namespace mpcf::cluster;
@@ -94,6 +95,7 @@ double run_weak_workload(int rr, SimComm::Stats* stats) {
   for (int r : cs.local_ranks())
     mpcf::bench::init_cloud_state(cs.rank_sim(r).grid(), 4, 42 + r);
   cs.step();  // untimed warm-up: first-touch, workspaces, the step graph
+  cs.comm().reset_stats();  // halo traffic of the timed steps only
   Timer timer;
   for (int s = 0; s < kWeakSteps; ++s) cs.step();
   const double seconds = timer.seconds();
@@ -183,12 +185,17 @@ int write_scaling_json(const char* path, const std::string& self) {
                "  \"per_rank\": {\"blocks\": [%d, %d, %d], \"block_size\": %d, "
                "\"steps\": %d},\n",
                kWeakBlocksAxis, kWeakBlocksAxis, kWeakBlocksAxis, kWeakBs, kWeakSteps);
-  std::fprintf(out, "  \"host\": {\"cores\": %d, \"mem_bw_gbs\": %.1f},\n", cores,
-               bw / 1e9);
+  // Host header of every datapoint: processors, SIMD width, measured
+  // single-core FMA peak and triad bandwidth.
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %d, \"simd_width\": \"%s\", "
+               "\"fma_peak_gflops_per_core\": %.1f, \"mem_bw_gbs\": %.1f},\n",
+               cores, simd::width_name(simd::dispatch_width()),
+               perf::host_machine().peak_gflops, bw / 1e9);
   std::fprintf(out, "  \"transports\": {\"inproc\": \"in-memory mailbox (oracle)\", "
                     "\"mp\": \"mpcf-run + shm rings\"},\n");
   std::fprintf(out,
-               "  \"efficiency_def\": \"t1*N / (tN * min(N, cores)): weak-scaling "
+               "  \"efficiency_def\": \"t1*N / (tN * min(N, nproc)): weak-scaling "
                "efficiency normalized by the cores actually available\",\n");
   std::fprintf(out, "  \"curves\": [\n");
   for (std::size_t i = 0; i < pts.size(); ++i) {

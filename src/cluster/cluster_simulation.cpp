@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "cluster/transport_inmemory.h"
 #include "compression/pipeline.h"
@@ -19,6 +20,44 @@ namespace {
                                                       int nranks) {
   if (t) return t;
   return std::make_shared<InMemoryTransport>(nranks);
+}
+
+/// Visits the box [ox, ox + nx) x [oy, oy + ny) x [oz, oz + nz) of `g`'s
+/// cells in x-fastest order as contiguous block-row runs:
+/// run(first cell, cells in the run, index of the first cell in the box).
+template <typename GridT, typename Run>
+void for_each_box_row(GridT& g, int ox, int oy, int oz, int nx, int ny, int nz, Run run) {
+  const int bs = g.block_size();
+  std::size_t at = 0;
+  for (int z = oz; z < oz + nz; ++z)
+    for (int y = oy; y < oy + ny; ++y)
+      for (int x = ox; x < ox + nx;) {
+        const int len = std::min(bs - x % bs, ox + nx - x);
+        run(&g.block(x / bs, y / bs, z / bs)(x % bs, y % bs, z % bs), len, at);
+        at += static_cast<std::size_t>(len);
+        x += len;
+      }
+}
+
+/// Copies a box of `g` into a dense float message in x-fastest Cell AoS
+/// order (kNumQuantities per cell): the wire form of the halo slabs and of
+/// kTagGather/kTagScatter.
+void box_to_msg(const Grid& g, int ox, int oy, int oz, int nx, int ny, int nz,
+                std::vector<float>& msg) {
+  msg.resize(static_cast<std::size_t>(nx) * ny * nz * kNumQuantities);
+  for_each_box_row(g, ox, oy, oz, nx, ny, nz, [&](const Cell* c, int len, std::size_t at) {
+    std::memcpy(msg.data() + at * kNumQuantities, c, static_cast<std::size_t>(len) * sizeof(Cell));
+  });
+}
+
+void msg_to_box(Grid& g, int ox, int oy, int oz, int nx, int ny, int nz,
+                const std::vector<float>& msg) {
+  require(msg.size() == static_cast<std::size_t>(nx) * ny * nz * kNumQuantities,
+          "ClusterSimulation: rank box message size mismatch");
+  for_each_box_row(g, ox, oy, oz, nx, ny, nz, [&](Cell* c, int len, std::size_t at) {
+    std::memcpy(static_cast<void*>(c), msg.data() + at * kNumQuantities,
+                static_cast<std::size_t>(len) * sizeof(Cell));
+  });
 }
 
 /// Wire form of the cluster clock (kTagClock broadcast on restart).
@@ -138,15 +177,18 @@ ClusterSimulation::ClusterSimulation(int gbx, int gby, int gbz, int bs,
       if (coords[a] != extents[a] - 1) rp.bc.face[a][1] = BCType::kAbsorbing;
     }
     sims_[r] = std::make_unique<Simulation>(lbx, lby, lbz, bs, rp);
-    sims_[r]->set_ghost_override([this, r](int lx, int ly, int lz, Cell& c) {
-      const RankBox& box = boxes_[r];
-      return fetch_remote(r, lx + box.ox, ly + box.oy, lz + box.oz, c);
-    });
 
-    // Halo/interior split of the local blocks.
+    // Ghosts past a face with a neighbour come from that face's halo slab.
     const bool periodic[3] = {global_bc_.face[0][0] == BCType::kPeriodic,
                               global_bc_.face[1][0] == BCType::kPeriodic,
                               global_bc_.face[2][0] == BCType::kPeriodic};
+    HaloSlabs& halo = halo_slabs_[r];
+    halo.rank = r;
+    for (int f = 0; f < 6; ++f)
+      halo.neighbor[f] = topo_.neighbor(r, f / 2, f % 2, periodic[f / 2]) >= 0;
+    sims_[r]->set_halo_slabs(&halo);
+
+    // Halo/interior split of the local blocks.
     const Grid& g = sims_[r]->grid();
     for (int i = 0; i < g.block_count(); ++i) {
       int bxc, byc, bzc;
@@ -228,27 +270,24 @@ bool ClusterSimulation::fetch_remote(int rank, int gx, int gy, int gz, Cell& out
   }
 
   if (ndev == 1) {
-    const auto& slab = halo_slabs_[rank][dev_axis * 2 + dev_side];
-    if (!slab.empty()) {
-      // Slab-local coordinates: the deviating axis indexes the 3 layers.
-      int sc[3] = {c[0] - lo[0], c[1] - lo[1], c[2] - lo[2]};
-      sc[dev_axis] = dev_side == 0 ? c[dev_axis] - (lo[dev_axis] - kGhosts)
-                                   : c[dev_axis] - (lo[dev_axis] + n[dev_axis]);
-      int dims[3] = {n[0], n[1], n[2]};
-      dims[dev_axis] = kGhosts;
-      const std::size_t idx =
-          sc[0] + static_cast<std::size_t>(dims[0]) * (sc[1] + static_cast<std::size_t>(dims[1]) * sc[2]);
-      out = slab[idx];
-      out.ru *= sign[0];
-      out.rv *= sign[1];
-      out.rw *= sign[2];
-      return true;
-    }
+    const std::vector<Cell>& slab = halo_slabs_[rank].slab(dev_axis * 2 + dev_side, n);
+    // Slab-local coordinates: the deviating axis indexes the 3 layers.
+    int sc[3] = {c[0] - lo[0], c[1] - lo[1], c[2] - lo[2]};
+    sc[dev_axis] = dev_side == 0 ? c[dev_axis] - (lo[dev_axis] - kGhosts)
+                                 : c[dev_axis] - (lo[dev_axis] + n[dev_axis]);
+    int dims[3] = {n[0], n[1], n[2]};
+    dims[dev_axis] = kGhosts;
+    const std::size_t idx =
+        sc[0] + static_cast<std::size_t>(dims[0]) * (sc[1] + static_cast<std::size_t>(dims[1]) * sc[2]);
+    out = slab[idx];
+    out.ru *= sign[0];
+    out.rv *= sign[1];
+    out.rw *= sign[2];
+    return true;
   }
 
-  // Edge/corner ghosts (never read by the axis-aligned WENO sweeps) and
-  // pre-exchange fetches: clamp into the rank box for a physically valid
-  // placeholder.
+  // Edge/corner ghosts (never read by the axis-aligned WENO sweeps): clamp
+  // into the rank box for a physically valid placeholder.
   int cc[3];
   for (int a = 0; a < 3; ++a) cc[a] = std::clamp(c[a], lo[a], lo[a] + n[a] - 1);
   out = g.cell(cc[0] - lo[0], cc[1] - lo[1], cc[2] - lo[2]);
@@ -260,47 +299,37 @@ bool ClusterSimulation::fetch_remote(int rank, int gx, int gy, int gz, Cell& out
 
 void ClusterSimulation::pack_rank_sends(int r, long epoch) {
   perf::TraceSpan span(tracer_, perf::TracePhase::kExchange, r);
-  const bool periodic[3] = {global_bc_.face[0][0] == BCType::kPeriodic,
-                            global_bc_.face[1][0] == BCType::kPeriodic,
-                            global_bc_.face[2][0] == BCType::kPeriodic};
   const Grid& g = sims_[r]->grid();
+  const HaloSlabs& halo = halo_slabs_[r];
   const int n[3] = {boxes_[r].nx, boxes_[r].ny, boxes_[r].nz};
-  for (int a = 0; a < 3; ++a)
-    for (int s = 0; s < 2; ++s) {
-      const int nr = topo_.neighbor(r, a, s, periodic[a]);
-      if (nr < 0) continue;
-      // Pack this rank's boundary layers on side s of axis a.
-      int dims[3] = {n[0], n[1], n[2]};
-      dims[a] = kGhosts;
-      std::vector<float> msg(static_cast<std::size_t>(dims[0]) * dims[1] * dims[2] *
-                             kNumQuantities);
-      std::size_t o = 0;
-      for (int k = 0; k < dims[2]; ++k)
-        for (int j = 0; j < dims[1]; ++j)
-          for (int i = 0; i < dims[0]; ++i) {
-            int lc[3] = {i, j, k};
-            lc[a] = s == 0 ? lc[a] : n[a] - kGhosts + lc[a];
-            const Cell& cell = g.cell(lc[0], lc[1], lc[2]);
-            for (int q = 0; q < kNumQuantities; ++q) msg[o++] = cell.q(q);
-          }
-      // The receiver sees this data on its side (1-s) of axis a, in the
-      // stage's epoch.
-      comm_.send(r, nr, halo_tag(a, 1 - s, epoch), std::move(msg));
-    }
+  for (int f = 0; f < 6; ++f) {
+    if (!halo.neighbor[f]) continue;
+    const int a = f / 2, s = f % 2;
+    // This rank's kGhosts boundary layers on side s of axis a, in the
+    // receiver's slab order.
+    int lo[3] = {0, 0, 0};
+    int dims[3] = {n[0], n[1], n[2]};
+    lo[a] = s == 0 ? 0 : n[a] - kGhosts;
+    dims[a] = kGhosts;
+    std::vector<float> msg;
+    box_to_msg(g, lo[0], lo[1], lo[2], dims[0], dims[1], dims[2], msg);
+    // The receiver sees this data on its side (1-s) of axis a, in the
+    // stage's epoch.
+    const int nr = topo_.neighbor(r, a, s, global_bc_.face[a][0] == BCType::kPeriodic);
+    comm_.send(r, nr, halo_tag(a, 1 - s, epoch), std::move(msg));
+  }
 }
 
 void ClusterSimulation::unpack_halo_slab(int r, int axis, int side,
                                          const std::vector<float>& msg) {
   const int n[3] = {boxes_[r].nx, boxes_[r].ny, boxes_[r].nz};
-  int dims[3] = {n[0], n[1], n[2]};
-  dims[axis] = kGhosts;
-  auto& slab = halo_slabs_[r][axis * 2 + side];
-  slab.resize(static_cast<std::size_t>(dims[0]) * dims[1] * dims[2]);
+  const int f = axis * 2 + side;
+  std::vector<Cell>& slab = halo_slabs_[r].face[f];
+  slab.resize(HaloSlabs::cells(f, n));
   require(msg.size() == slab.size() * kNumQuantities,
           "exchange_halos: message size mismatch");
-  std::size_t o = 0;
-  for (auto& cell : slab)
-    for (int q = 0; q < kNumQuantities; ++q) cell.q(q) = msg[o++];
+  // The wire format is the slab's Cell AoS order: one contiguous copy.
+  std::memcpy(static_cast<void*>(slab.data()), msg.data(), msg.size() * sizeof(float));
 }
 
 void ClusterSimulation::drain_halos(int r, long epoch) {
@@ -503,38 +532,6 @@ double ClusterSimulation::step() {
   advance(dt);
   return dt;
 }
-
-namespace {
-
-/// Copies a rank box between a global grid and a dense float message
-/// (x-fastest, kNumQuantities per cell — the kTagGather/kTagScatter wire
-/// form).
-void box_to_msg(const Grid& g, int ox, int oy, int oz, int nx, int ny, int nz,
-                std::vector<float>& msg) {
-  msg.resize(static_cast<std::size_t>(nx) * ny * nz * kNumQuantities);
-  std::size_t o = 0;
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        const Cell& c = g.cell(ox + ix, oy + iy, oz + iz);
-        for (int q = 0; q < kNumQuantities; ++q) msg[o++] = c.q(q);
-      }
-}
-
-void msg_to_box(Grid& g, int ox, int oy, int oz, int nx, int ny, int nz,
-                const std::vector<float>& msg) {
-  require(msg.size() == static_cast<std::size_t>(nx) * ny * nz * kNumQuantities,
-          "ClusterSimulation: rank box message size mismatch");
-  std::size_t o = 0;
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        Cell& c = g.cell(ox + ix, oy + iy, oz + iz);
-        for (int q = 0; q < kNumQuantities; ++q) c.q(q) = msg[o++];
-      }
-}
-
-}  // namespace
 
 void ClusterSimulation::gather(Grid& global) const {
   require(global.cells_x() == gbx_ * bs_ && global.cells_y() == gby_ * bs_ &&

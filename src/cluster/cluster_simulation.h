@@ -20,7 +20,6 @@
 // touches a sibling rank's grid directly.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -157,9 +156,11 @@ class ClusterSimulation {
   /// same number of times (each call is one epoch).
   void exchange_halos();
 
-  /// The ghost resolution path of a LOCAL `rank` for a global cell
-  /// coordinate (exposed for tests): returns false when the cell is
-  /// local-unfolded.
+  /// Per-cell oracle of a LOCAL `rank`'s halo-block labs (tests only; the
+  /// labs read the face slabs row by row): resolves one global cell
+  /// coordinate through the global BCs and the halo slabs, and returns false
+  /// when the cell is local-unfolded. Throws PreconditionError naming rank,
+  /// axis and side when the slab it needs has not arrived.
   [[nodiscard]] bool fetch_remote(int rank, int gx, int gy, int gz, Cell& out) const;
 
  private:
@@ -192,11 +193,13 @@ class ClusterSimulation {
   int gbx_, gby_, gbz_;
   BoundaryConditions global_bc_;
   std::vector<int> local_;  ///< comm_.local_ranks(); step-graph plan p is rank local_[p]
+  /// Per rank: the kGhosts-layer cell slab outside each rank-box face that
+  /// has a neighbour; each local rank's Simulation holds a pointer to its
+  /// own (sized once in the constructor, declared before sims_ to outlive it).
+  std::vector<HaloSlabs> halo_slabs_;
   std::vector<std::unique_ptr<Simulation>> sims_;  ///< null for remote ranks
   std::vector<RankBox> boxes_;
   std::vector<std::vector<int>> interior_, halo_;  ///< filled for local ranks
-  // halo_slabs_[rank][axis*2+side]: 3-layer cell slab outside the rank box.
-  std::vector<std::array<std::vector<Cell>, 6>> halo_slabs_;
   perf::Tracer tracer_;
   std::unique_ptr<StepScheduler> sched_;        ///< whole-step graph
   std::vector<std::vector<char>> plan_is_halo_;  ///< per plan: block -> halo?

@@ -99,10 +99,9 @@ void Simulation::assemble_lab(int block_id, int tid) {
   BlockLab& lab = labs_[tid];
   int bx, by, bz;
   grid_.indexer().coords(block_id, bx, by, bz);
-  // Bulk assembly: intra-rank ghosts fold through the BCs region-by-region;
-  // the cluster layer's override intercepts only out-of-domain coordinates.
-  lab.load(grid_, bx, by, bz, params_.bc,
-           ghost_override_ ? &ghost_override_ : nullptr);
+  // Bulk assembly: intra-rank ghosts fold through the BCs per axis entry;
+  // on a cluster rank, ghosts past a face with a neighbour read its slab.
+  lab.load(grid_, bx, by, bz, params_.bc, halo_);
 #if MPCF_CHECKED
   // The fused scheduler's counters are seeded from BlockTopology::readset;
   // cross-validate that the lab's fold tables never referenced a block the
@@ -167,10 +166,10 @@ void Simulation::ensure_step_graph() {
 }
 
 void Simulation::advance(double dt) {
-  // The cluster layer drives rank sims through its own step graph;
-  // a ghost override here means this sim is such a rank, so its standalone
-  // advance keeps the staged sweeps (halo coordination lives upstairs).
-  if (params_.fused_step && !ghost_override_ && grid_.block_size() >= kGhosts) {
+  // The cluster layer drives rank sims through its own step graph; halo
+  // slabs here mean this sim is such a rank, so its standalone advance
+  // keeps the staged sweeps (halo coordination lives upstairs).
+  if (params_.fused_step && halo_ == nullptr && grid_.block_size() >= kGhosts) {
     advance_fused(dt);
     return;
   }

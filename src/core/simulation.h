@@ -5,7 +5,6 @@
 // (Williamson, ref [80]) at CFL 0.3.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,11 +80,10 @@ class Simulation {
   /// compute_dt + advance; returns the dt taken.
   double step();
 
-  /// Optional ghost override used by the cluster layer: called for global
-  /// cell coordinates outside this rank's subdomain; returns true if it
-  /// filled `cell`. Coordinates may lie outside [0, cells) bounds.
-  using GhostOverride = std::function<bool(int, int, int, Cell&)>;
-  void set_ghost_override(GhostOverride f) { ghost_override_ = std::move(f); }
+  /// Cluster layer: the rank's face slabs, read by the labs of blocks on a
+  /// rank face that has a neighbour (BlockLab::load). They must outlive
+  /// every later lab assembly; null (the default) is the node layer.
+  void set_halo_slabs(const HaloSlabs* halo) noexcept { halo_ = halo; }
 
   /// Evaluates the RHS of every block (one staged sweep).
   void evaluate_rhs(double a_coeff);
@@ -108,6 +106,8 @@ class Simulation {
 
   /// Assembles the ghost lab of `block_id` into thread `tid`'s lab buffer.
   void assemble_lab(int block_id, int tid);
+  /// The lab thread `tid` assembled last (read back by the lab tests).
+  [[nodiscard]] const BlockLab& lab(int tid) const { return labs_.at(tid); }
   /// Evaluates the RHS of `block_id` from the lab thread `tid` just
   /// assembled (accumulator tmp <- a*tmp + RHS).
   void rhs_from_lab(double a_coeff, int block_id, int tid);
@@ -182,7 +182,7 @@ class Simulation {
   double time_ = 0;
   std::vector<BlockLab> labs_;              // one per thread
   std::vector<kernels::RhsWorkspace> ws_;   // one per thread
-  GhostOverride ghost_override_;
+  const HaloSlabs* halo_ = nullptr;         // cluster rank's face slabs
   StepProfile profile_;
   std::unique_ptr<BlockTopology> step_topo_;  // lazily built
   std::unique_ptr<StepScheduler> sched_;      // node-layer fused graph

@@ -7,17 +7,19 @@
 // Two assembly paths fill a lab:
 //  - load(..., Fetch&&): the per-cell reference path — every ghost cell goes
 //    through a fetch callback. Kept as the differential-testing oracle.
-//  - load(..., bc [, override]): bulk assembly — the interior transposes
-//    row-by-row straight out of the source block, and ghost cells resolve
-//    through per-axis fold tables computed once per load (BCs folded
-//    per-axis-entry, not per-cell). Only cells whose unfolded coordinates
-//    leave the grid's domain are routed through the optional override
-//    callback (the cluster layer's out-of-rank intercept).
+//  - load(..., bc [, halo]): bulk assembly — every lab row is one contiguous
+//    AoS run transposed into the SoA planes, taken from a local block, from
+//    one of the cluster layer's face slabs (HaloSlabs), or from a clamped
+//    in-box position; the source of each row and ghost cell comes from
+//    per-axis fold tables computed once per load (BCs folded per axis
+//    entry, not per cell).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -28,6 +30,39 @@
 #include "simd/vec8.h"  // MPCF_SIMD_AVX2 + intrinsics for the AoS->SoA transpose
 
 namespace mpcf {
+
+/// The cluster layer's ghost source for one rank box: the kGhosts cell
+/// layers beyond each face that has a neighbour rank, indexed
+/// [axis * 2 + side] (side 0 = low). Each slab is stored x-fastest over the
+/// box with the face-normal extent cut to kGhosts — the Cell AoS order of
+/// the halo message. A face without a neighbour has no slab; the rank's own
+/// boundary conditions fold it.
+struct HaloSlabs {
+  int rank = 0;                           ///< names the rank in errors
+  std::array<bool, 6> neighbor{};         ///< face has a neighbour rank
+  std::array<std::vector<Cell>, 6> face;  ///< empty until the first exchange
+
+  /// Cell count of face `f`'s slab around a box of n[3] cells.
+  [[nodiscard]] static std::size_t cells(int f, const int n[3]) noexcept {
+    std::size_t c = kGhosts;
+    for (int a = 0; a < 3; ++a)
+      if (a != f / 2) c *= static_cast<std::size_t>(n[a]);
+    return c;
+  }
+
+  /// Face `f`'s slab around a box of n[3] cells. Throws PreconditionError
+  /// naming rank, axis and side when it has not arrived (empty before the
+  /// first exchange) or has the wrong size.
+  [[nodiscard]] const std::vector<Cell>& slab(int f, const int n[3]) const {
+    const std::size_t want = cells(f, n);
+    if (face[f].size() != want)
+      throw PreconditionError("halo slab missing: rank " + std::to_string(rank) + ", axis " +
+                              "xyz"[f / 2] + ", side " + (f % 2 == 0 ? "low" : "high") +
+                              ": " + std::to_string(face[f].size()) + " of " +
+                              std::to_string(want) + " cells (no halo exchange yet?)");
+    return face[f];
+  }
+};
 
 class BlockLab {
  public:
@@ -105,18 +140,19 @@ class BlockLab {
         }
   }
 
-  /// Bulk assembly: interior rows transpose straight from the source block;
-  /// ghost cells resolve through per-axis fold tables (BCs folded once per
-  /// axis entry). `override_fn`, when non-null, intercepts cells whose
-  /// unfolded global coordinates fall outside the grid's domain (the cluster
-  /// layer's out-of-rank ghosts); when it declines (returns false) the cell
-  /// falls back to the locally folded value, matching the per-cell path.
-  template <typename Override>
+  /// Bulk assembly of block (bx,by,bz): every lab row is one contiguous AoS
+  /// run through copy_row_transposed, and ghosts resolve through per-axis
+  /// fold tables (BCs folded once per axis entry). With `halo` (the cluster
+  /// layer), a coordinate past a rank face that has a neighbour is a slab
+  /// layer: a ghost crossing exactly one such face reads that face's slab,
+  /// and one crossing two or three (edges and corners, never read by the
+  /// axis-aligned sweeps) reads the clamped in-box cell. Without `halo` —
+  /// or for a rank with no neighbours — this is the node-layer lab.
   void load(const Grid& grid, int bx, int by, int bz, const BoundaryConditions& bc,
-            const Override* override_fn) {
+            const HaloSlabs* halo = nullptr) {
     const Block& block = grid.block(bx, by, bz);
     const int origin[3] = {bx * bs_, by * bs_, bz * bs_};
-    build_fold_tables(grid, origin, bc);
+    const bool slabs = build_fold_tables(grid, origin, bc, halo);
 
     // Interior: row-by-row AoS -> SoA transpose, no index folding at all.
     for (int iz = 0; iz < bs_; ++iz)
@@ -124,45 +160,24 @@ class BlockLab {
         copy_row_transposed(&block(0, iy, iz), offset(0, iy, iz), bs_, Real(1), Real(1));
 
     // X-edge ghosts of interior rows: the y/z folds are identity there, so
-    // the folded source block is constant over the whole face — sweep the
-    // rows once with all per-column constants hoisted.
-    const int bs = bs_;
-    fill_x_edges(grid, origin, by, bz, override_fn);
+    // each column's source (block or x slab) is constant over the whole
+    // face — sweep the rows once with all per-column constants hoisted.
+    fill_x_edges(grid, origin, by, bz);
 
-    // Remaining ghost shell: rows whose y/z coordinate is itself a ghost.
-    // Their x-interior span [0, bs) never folds along x, so it is one
-    // contiguous cell run of a single source block and goes through the same
-    // transposed copy as interior rows (with the row's y/z momentum signs
-    // applied); only when an override could intercept the row does it stay
-    // per-cell.
-    for (int iz = -g_; iz < bs + g_; ++iz)
-      for (int iy = -g_; iy < bs + g_; ++iy) {
-        if (iy >= 0 && iy < bs && iz >= 0 && iz < bs) continue;  // handled above
-        fill_ghost_span(grid, origin, -g_, 0, iy, iz, override_fn);
-        const Fold& fy = fold_[1][iy + g_];
-        const Fold& fz = fold_[2][iz + g_];
-        if (override_fn == nullptr || !(fy.outside || fz.outside)) {
-          const Cell* src = &grid.block(bx, fy.block, fz.block)(0, fy.cell, fz.cell);
-          copy_row_transposed(src, offset(0, iy, iz), bs, fy.sign, fz.sign);
-        } else {
-          fill_ghost_span(grid, origin, 0, bs, iy, iz, override_fn);
-        }
-        fill_ghost_span(grid, origin, bs, bs + g_, iy, iz, override_fn);
-      }
-  }
-
-  /// Node-layer bulk load: ghosts resolved from neighbouring blocks of the
-  /// same grid, folded through the domain boundary conditions.
-  void load(const Grid& grid, int bx, int by, int bz, const BoundaryConditions& bc) {
-    load(grid, bx, by, bz, bc, static_cast<const NoOverride*>(nullptr));
+    // The node layer and a rank's interior blocks read no slab: compile
+    // their ghost rows without the per-cell slab test.
+    if (slabs)
+      fill_ghost_rows<true>(grid, bx, origin[0]);
+    else
+      fill_ghost_rows<false>(grid, bx, origin[0]);
   }
 
   /// Consumption hook for the fused step scheduler: the set of source blocks
   /// the last bulk load() may have read, linearized through `idx` and
   /// appended to `out` sorted ascending (out is cleared first). Computed as
   /// the product of the per-axis fold tables, so it is a conservative
-  /// superset of the actual reads (an override interception still counts its
-  /// locally folded block). Valid only after a bulk load; the per-cell
+  /// superset of the actual reads (a slab layer still counts its clamped
+  /// in-box block). Valid only after a bulk load; the per-cell
   /// oracle path does not build fold tables. The scheduler cross-validates
   /// this against BlockTopology::readset under MPCF_CHECKED.
   void read_block_set(const BlockIndexer& idx, std::vector<int>& out) const {
@@ -188,41 +203,68 @@ class BlockLab {
   }
 
  private:
-  /// Placeholder override type for the no-override bulk load.
-  struct NoOverride {
-    bool operator()(int, int, int, Cell&) const noexcept { return false; }
-  };
-
-  /// One x-ghost column of fill_x_edges, resolved once per load.
+  /// One x-ghost column of fill_x_edges, resolved once per load: the
+  /// source of lab row (iy, iz) is cells[sy * iy + sz * iz].
   struct XCol {
-    const Cell* cells;    ///< source block data (same by/bz as the lab's block)
-    int cell;             ///< folded source x-cell
-    int gx;               ///< unfolded global x (override coordinate)
+    const Cell* cells;    ///< source of row (0, 0): a block of the same by/bz, or an x slab
+    std::size_t sy, sz;   ///< source strides (cells) per lab row along y and z
     std::size_t doff;     ///< lab-row-relative destination offset
     Real sign;            ///< x-momentum sign
-    bool routed;          ///< offer to the override first
   };
 
   /// Fold table entry for one lab coordinate along one axis.
   struct Fold {
-    int block;      ///< source block index along the axis
-    int cell;       ///< source cell index within that block
-    Real sign;      ///< momentum sign of the axis component
-    bool outside;   ///< unfolded coordinate lies outside the grid's domain
+    int block;  ///< source block index along the axis (slab layer: clamped in-box)
+    int cell;   ///< source cell index within that block (slab layer: clamped)
+    int at;     ///< index along the axis into a face slab: the in-box position,
+                ///< or the layer for a slab layer
+    int face;   ///< face slab (axis * 2 + side) of a slab layer, or -1
+    Real sign;  ///< momentum sign of the axis component
   };
 
-  void build_fold_tables(const Grid& grid, const int origin[3],
-                         const BoundaryConditions& bc) {
+  /// One face slab as read by this load: cell (i, j, k) of the slab is
+  /// cells[i + sy * j + sz * k].
+  struct SlabView {
+    const Cell* cells = nullptr;
+    std::size_t sy = 0, sz = 0;
+  };
+
+  /// Builds the per-axis fold tables of a load; returns whether any entry
+  /// is a slab layer.
+  bool build_fold_tables(const Grid& grid, const int origin[3], const BoundaryConditions& bc,
+                         const HaloSlabs* halo) {
     const int ncells[3] = {grid.cells_x(), grid.cells_y(), grid.cells_z()};
+    if (halo != nullptr && g_ > kGhosts)
+      throw PreconditionError("BlockLab: ghosts deeper than the halo slabs");
+    bool viewed[6] = {};
+    bool slabs = false;
     for (int a = 0; a < 3; ++a) {
       std::vector<Fold>& t = fold_[a];
       for (int i = -g_; i < bs_ + g_; ++i) {
-        const int gcoord = origin[a] + i;
-        const FoldedIndex f = fold_index(gcoord, ncells[a], bc, a);
-        t[i + g_] = Fold{f.i / bs_, f.i % bs_, f.mom_sign,
-                         gcoord < 0 || gcoord >= ncells[a]};
+        const int c = origin[a] + i;
+        const int side = c < 0 ? 0 : c >= ncells[a] ? 1 : -1;
+        const int f = a * 2 + side;
+        if (side >= 0 && halo != nullptr && halo->neighbor[f]) {
+          // Past a rank face with a neighbour: a slab layer, keeping its
+          // clamped in-box position for edge and corner ghosts.
+          if (!viewed[f]) {
+            viewed[f] = slabs = true;
+            const std::vector<Cell>& cells = halo->slab(f, ncells);
+            const int d0 = a == 0 ? kGhosts : ncells[0];
+            const int d1 = a == 1 ? kGhosts : ncells[1];
+            slab_[f] = SlabView{cells.data(), static_cast<std::size_t>(d0),
+                                static_cast<std::size_t>(d0) * d1};
+          }
+          const int p = side == 0 ? 0 : ncells[a] - 1;
+          t[i + g_] = Fold{p / bs_, p % bs_, side == 0 ? c + kGhosts : c - ncells[a], f,
+                           Real(1)};
+        } else {
+          const FoldedIndex fi = fold_index(c, ncells[a], bc, a);
+          t[i + g_] = Fold{fi.i / bs_, fi.i % bs_, fi.i, -1, fi.mom_sign};
+        }
       }
     }
+    return slabs;
   }
 
 #if MPCF_SIMD_AVX2
@@ -260,8 +302,8 @@ class BlockLab {
   /// Transposes `count` consecutive AoS source cells into the SoA quantity
   /// planes at destination offset `o`, scaling the y/z momentum by the row's
   /// fold signs. The workhorse of bulk assembly: interior rows and the
-  /// unfolded x-span of ghost rows are contiguous cell runs in some source
-  /// block and funnel through here.
+  /// x-interior span of ghost rows are contiguous cell runs in some source
+  /// block or face slab and funnel through here.
   void copy_row_transposed(const Cell* src, std::size_t o, int count, Real sy, Real sz) {
     Real* const base = storage_.data();
     int c = 0;
@@ -298,41 +340,37 @@ class BlockLab {
   }
 
   /// Fills the 2*g x-ghost columns of every interior row in one sweep. The
-  /// y/z folds are identity on those rows, so each column's source block,
-  /// source x-cell, and momentum sign are constant over the whole face and
-  /// resolve once; the row loop then copies 2*g cells per row while the
-  /// destination cache lines are hot. Columns whose unfolded coordinate
-  /// leaves the domain are offered to the override first (cluster intercept).
-  template <typename Override>
-  void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz,
-                    const Override* override_fn) {
+  /// y/z folds are identity on those rows, so each column's source — a block
+  /// of the same by/bz at a folded x-cell, or the x slab's layer — and its
+  /// momentum sign are constant over the whole face and resolve once; the
+  /// row loop then copies 2*g cells per row while the destination cache
+  /// lines are hot.
+  void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz) {
     const int ncols = 2 * g_;
+    const std::size_t bs = static_cast<std::size_t>(bs_);
     std::vector<XCol>& cols = xcols_;
     for (int j = 0; j < ncols; ++j) {
       const int ix = j < g_ ? j - g_ : bs_ + j - g_;
       const Fold& fx = fold_[0][ix + g_];
-      cols[j] = XCol{grid.block(fx.block, by, bz).data(), fx.cell, origin[0] + ix,
-                    static_cast<std::size_t>(j < g_ ? j : bs_ + j), fx.sign,
-                    override_fn != nullptr && fx.outside};
+      const std::size_t doff = static_cast<std::size_t>(j < g_ ? j : bs_ + j);
+      if (fx.face >= 0) {
+        const SlabView& s = slab_[fx.face];
+        cols[j] = XCol{s.cells + (fx.at + s.sy * origin[1] + s.sz * origin[2]), s.sy, s.sz,
+                       doff, fx.sign};
+      } else {
+        cols[j] = XCol{grid.block(fx.block, by, bz).data() + fx.cell, bs, bs * bs, doff,
+                       fx.sign};
+      }
     }
 
     Real* const base = storage_.data();
-    const std::size_t bs = static_cast<std::size_t>(bs_);
     for (int iz = 0; iz < bs_; ++iz) {
       std::size_t o_row = offset(-g_, 0, iz);
-      std::size_t s_row = bs * bs * iz;
-      for (int iy = 0; iy < bs_; ++iy, o_row += n_, s_row += bs) {
+      for (int iy = 0; iy < bs_; ++iy, o_row += n_) {
         for (int j = 0; j < ncols; ++j) {
           const XCol& cl = cols[j];
           const std::size_t o = o_row + cl.doff;
-          if (cl.routed) {
-            Cell c;
-            if ((*override_fn)(cl.gx, origin[1] + iy, origin[2] + iz, c)) {
-              for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
-              continue;
-            }
-          }
-          Cell c = cl.cells[s_row + cl.cell];
+          Cell c = cl.cells[cl.sy * iy + cl.sz * iz];
           c.ru *= cl.sign;
           for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
         }
@@ -340,14 +378,44 @@ class BlockLab {
     }
   }
 
-  /// Fills lab cells [x0, x1) of row (iy, iz); every cell in the span is a
-  /// ghost. Hoists the source-block lookup across runs of constant x-block.
-  template <typename Override>
-  void fill_ghost_span(const Grid& grid, const int origin[3], int x0, int x1,
-                       int iy, int iz, const Override* override_fn) {
+  /// Fills the ghost shell left by the interior rows and fill_x_edges: rows
+  /// whose y/z coordinate is itself a ghost. Their x-interior span [0, bs)
+  /// never folds along x, so it is one contiguous run — of a y or z slab
+  /// when exactly one of the row's y/z coordinates is a slab layer, else of
+  /// the (folded or clamped) local block — and goes through the same
+  /// transposed copy as interior rows. `kSlabs`: some fold entry of this
+  /// load is a slab layer.
+  template <bool kSlabs>
+  void fill_ghost_rows(const Grid& grid, int bx, int ox) {
+    const int bs = bs_;
+    for (int iz = -g_; iz < bs + g_; ++iz)
+      for (int iy = -g_; iy < bs + g_; ++iy) {
+        if (iy >= 0 && iy < bs && iz >= 0 && iz < bs) continue;  // interior row
+        const Fold& fy = fold_[1][iy + g_];
+        const Fold& fz = fold_[2][iz + g_];
+        fill_ghost_span<kSlabs>(grid, -g_, 0, iy, iz);
+        const Cell* src;
+        if (kSlabs && (fy.face >= 0) != (fz.face >= 0)) {
+          const SlabView& s = slab_[fy.face >= 0 ? fy.face : fz.face];
+          src = s.cells + (ox + s.sy * fy.at + s.sz * fz.at);
+        } else {
+          src = &grid.block(bx, fy.block, fz.block)(0, fy.cell, fz.cell);
+        }
+        copy_row_transposed(src, offset(0, iy, iz), bs, fy.sign, fz.sign);
+        fill_ghost_span<kSlabs>(grid, bs, bs + g_, iy, iz);
+      }
+  }
+
+  /// Fills lab cells [x0, x1) of row (iy, iz); every cell in the span is an
+  /// x ghost. A cell crossing exactly one rank face with a neighbour reads
+  /// that face's slab; any other reads the local fold-table position, with
+  /// the source-block lookup hoisted across runs of constant x-block.
+  template <bool kSlabs>
+  void fill_ghost_span(const Grid& grid, int x0, int x1, int iy, int iz) {
     const Fold& fy = fold_[1][iy + g_];
     const Fold& fz = fold_[2][iz + g_];
-    const bool row_outside = fy.outside || fz.outside;
+    const int row_slabs = (fy.face >= 0) + (fz.face >= 0);
+    const int row_face = fy.face >= 0 ? fy.face : fz.face;  // read when row_slabs == 1
     const std::size_t in_block_yz =
         static_cast<std::size_t>(bs_) * (fy.cell + static_cast<std::size_t>(bs_) * fz.cell);
     Real* const base = storage_.data();
@@ -358,18 +426,17 @@ class BlockLab {
     std::size_t o = offset(x0, iy, iz);
     for (int ix = x0; ix < x1; ++ix, ++o) {
       const Fold& fx = fxs[ix];
-      if (override_fn != nullptr && (row_outside || fx.outside)) {
-        Cell c;
-        if ((*override_fn)(origin[0] + ix, origin[1] + iy, origin[2] + iz, c)) {
-          for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
-          continue;
+      Cell c;
+      if (kSlabs && (fx.face >= 0) + row_slabs == 1) {
+        const SlabView& s = slab_[fx.face >= 0 ? fx.face : row_face];
+        c = s.cells[fx.at + s.sy * fy.at + s.sz * fz.at];
+      } else {
+        if (fx.block != cached_bx) {
+          cached_bx = fx.block;
+          block_cells = grid.block(fx.block, fy.block, fz.block).data();
         }
+        c = block_cells[fx.cell + in_block_yz];
       }
-      if (fx.block != cached_bx) {
-        cached_bx = fx.block;
-        block_cells = grid.block(fx.block, fy.block, fz.block).data();
-      }
-      Cell c = block_cells[fx.cell + in_block_yz];
       c.ru *= fx.sign;
       c.rv *= fy.sign;
       c.rw *= fz.sign;
@@ -382,6 +449,7 @@ class BlockLab {
   AlignedBuffer<Real> storage_;
   std::vector<Fold> fold_[3];  ///< per-axis fold tables, rebuilt per load
   std::vector<XCol> xcols_;    ///< fill_x_edges columns, rebuilt per load
+  SlabView slab_[6];           ///< face slabs the last load read (cluster layer)
 };
 
 }  // namespace mpcf

@@ -13,6 +13,7 @@
 #include "cluster/cluster_simulation.h"
 #include "eos/stiffened_gas.h"
 #include "io/compressed_file.h"
+#include "rank_cases.h"
 #include "workload/cloud.h"
 
 namespace mpcf::cluster {
@@ -207,18 +208,18 @@ void copy_into_cluster(const Grid& global, ClusterSimulation& cs) {
   }
 }
 
-class RankEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, BCType>> {};
+class RankEquivalenceTest : public ::testing::TestWithParam<testing_cases::RankCase> {};
 
 TEST_P(RankEquivalenceTest, MultiRankMatchesSingleRank) {
-  const auto [rx, ry, rz, bctype] = GetParam();
-  const int gb = 4, bs = 8;  // 32^3 cells globally
+  const testing_cases::RankCase& c = GetParam();
+  const int gb = 4, bs = c.bs;  // 32^3 (bs 8) or 64^3 (bs 16) cells globally
 
-  Simulation::Params params = cloud_params(bctype);
+  Simulation::Params params = cloud_params(BCType::kAbsorbing);
+  params.bc = c.bc;
   Simulation single(gb, gb, gb, bs, params);
   init_cloud(single.grid());
 
-  ClusterSimulation cluster(gb, gb, gb, bs, CartTopology(rx, ry, rz), params);
+  ClusterSimulation cluster(gb, gb, gb, bs, CartTopology(c.rx, c.ry, c.rz), params);
   copy_into_cluster(single.grid(), cluster);
 
   for (int s = 0; s < 4; ++s) {
@@ -234,21 +235,12 @@ TEST_P(RankEquivalenceTest, MultiRankMatchesSingleRank) {
       for (int ix = 0; ix < single.grid().cells_x(); ++ix)
         for (int q = 0; q < kNumQuantities; ++q) {
           ASSERT_EQ(gathered.cell(ix, iy, iz).q(q), single.grid().cell(ix, iy, iz).q(q))
-              << "mismatch at " << ix << "," << iy << "," << iz << " q=" << q
-              << " ranks=" << rx << ry << rz;
+              << "mismatch at " << ix << "," << iy << "," << iz << " q=" << q << ", " << c;
         }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, RankEquivalenceTest,
-    ::testing::Values(std::tuple{2, 1, 1, BCType::kAbsorbing},
-                      std::tuple{1, 2, 1, BCType::kAbsorbing},
-                      std::tuple{1, 1, 2, BCType::kAbsorbing},
-                      std::tuple{2, 2, 2, BCType::kAbsorbing},
-                      std::tuple{2, 1, 1, BCType::kPeriodic},
-                      std::tuple{2, 2, 2, BCType::kPeriodic},
-                      std::tuple{4, 1, 1, BCType::kPeriodic},
-                      std::tuple{2, 2, 1, BCType::kWall}));
+INSTANTIATE_TEST_SUITE_P(Topologies, RankEquivalenceTest,
+                         ::testing::ValuesIn(testing_cases::rank_cases()));
 
 TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {
   Simulation::Params params = cloud_params(BCType::kAbsorbing);

@@ -2,18 +2,17 @@
 // oracle: for every boundary-condition fold (absorbing clamp, wall mirror
 // with momentum sign flip, periodic wrap, and mixed per-face settings) and
 // for every block position (faces, edges, corners), the bulk load must
-// reproduce the per-cell path bitwise. The cluster intercept is exercised
-// both with a synthetic override and with the real fetch_remote path.
+// reproduce the per-cell path bitwise. A cluster rank's lab, which reads the
+// halo slabs row by row, is checked against the per-cell fetch_remote path.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <functional>
 #include <memory>
 
 #include "cluster/cluster_simulation.h"
 #include "grid/boundary.h"
 #include "grid/grid.h"
 #include "grid/lab.h"
+#include "rank_cases.h"
 
 namespace mpcf {
 namespace {
@@ -99,104 +98,69 @@ TEST(LabAssembly, SingleBlockGridFoldsOntoItself) {
   check_all_blocks(g, BoundaryConditions::all(BCType::kWall));
 }
 
-TEST(LabAssembly, OverrideInterceptsExactlyTheOutOfDomainCells) {
-  Grid g(2, 1, 1, 8, 1.0);
-  tag_grid(g);
-  const auto bc = BoundaryConditions::all(BCType::kAbsorbing);
-
-  // Synthetic cluster intercept with fetch_remote semantics: fills any
-  // out-of-domain coordinate with a recognizable tag, declines in-domain
-  // coordinates (the local fold serves those).
-  long calls = 0, in_domain_calls = 0;
-  const std::function<bool(int, int, int, Cell&)> override_fn =
-      [&](int ix, int iy, int iz, Cell& c) {
-        ++calls;
-        const bool outside = ix < 0 || ix >= g.cells_x() || iy < 0 ||
-                             iy >= g.cells_y() || iz < 0 || iz >= g.cells_z();
-        if (!outside) {
-          ++in_domain_calls;
-          return false;
+/// Tags every cell of a cluster run by its global coordinates, so a slab
+/// cell read from the wrong rank, face, layer or position is visible.
+void tag_cluster(cluster::ClusterSimulation& cs) {
+  for (const int r : cs.local_ranks()) {
+    Grid& g = cs.rank_sim(r).grid();
+    int cx, cy, cz;
+    cs.topology().coords(r, cx, cy, cz);
+    const int ox = cx * g.cells_x(), oy = cy * g.cells_y(), oz = cz * g.cells_z();
+    for (int iz = 0; iz < g.cells_z(); ++iz)
+      for (int iy = 0; iy < g.cells_y(); ++iy)
+        for (int ix = 0; ix < g.cells_x(); ++ix) {
+          const int gx = ox + ix, gy = oy + iy, gz = oz + iz;
+          Cell c;
+          c.rho = static_cast<Real>(1 + gx + 100 * gy + 10000 * gz);
+          c.ru = static_cast<Real>(10 + gx);
+          c.rv = static_cast<Real>(20 + gy);
+          c.rw = static_cast<Real>(30 + gz);
+          c.E = static_cast<Real>(gx * gy + gz);
+          c.G = static_cast<Real>(2 + gx);
+          c.P = static_cast<Real>(3 + gz);
+          g.cell(ix, iy, iz) = c;
         }
-        c = Cell{};
-        c.rho = static_cast<Real>(-1000 - ix - 10 * iy - 100 * iz);
-        return true;
-      };
-
-  BlockLab oracle, bulk;
-  oracle.resize(8);
-  bulk.resize(8);
-  for (int bx = 0; bx < 2; ++bx) {
-    SCOPED_TRACE(testing::Message() << "block x " << bx);
-    // The per-cell oracle (the old rhs_one_block fetch) consults the
-    // override for *every* ghost cell, in-domain ones included.
-    oracle.load(g, bx, 0, 0, [&](int ix, int iy, int iz) {
-      Cell c;
-      if (override_fn(ix, iy, iz, c)) return c;
-      return g.cell_folded(ix, iy, iz, bc);
-    });
-    const long oracle_calls = calls;
-    calls = in_domain_calls = 0;
-    bulk.load(g, bx, 0, 0, bc, &override_fn);
-    expect_labs_bitwise(oracle, bulk);
-    // The bulk path must route only the out-of-domain subset through it.
-    EXPECT_EQ(in_domain_calls, 0);
-    EXPECT_GT(calls, 0);
-    EXPECT_LT(calls, oracle_calls);
-    calls = in_domain_calls = 0;
   }
 }
 
-TEST(LabAssembly, DecliningOverrideFallsBackToLocalFold) {
-  Grid g(2, 1, 1, 8, 1.0);
-  tag_grid(g);
-  const auto bc = BoundaryConditions::all(BCType::kPeriodic);
-  const std::function<bool(int, int, int, Cell&)> decline =
-      [](int, int, int, Cell&) { return false; };
-  BlockLab plain, declined;
-  plain.resize(8);
-  declined.resize(8);
-  plain.load(g, 1, 0, 0, bc);
-  declined.load(g, 1, 0, 0, bc, &decline);
-  expect_labs_bitwise(plain, declined);
-}
-
 TEST(LabAssembly, ClusterFetchRemoteInterceptMatchesPerCellPath) {
-  // The real cluster override: a 2x1x1 rank split with exchanged halos.
-  Simulation::Params p;
-  p.extent = 1.0;
-  p.bc = BoundaryConditions::all(BCType::kPeriodic);
-  auto cs = std::make_unique<cluster::ClusterSimulation>(4, 2, 2, 8,
-                                                         cluster::CartTopology(2, 1, 1), p);
-  for (int r = 0; r < 2; ++r) tag_grid(cs->rank_sim(r).grid());
-  cs->exchange_halos();
+  // Every rank lab — the slab-aware bulk load a rank's Simulation runs —
+  // equals the per-cell fetch_remote oracle on every lab cell, edges and
+  // corners included, for every topology and BC set of RankEquivalenceTest
+  // (periodic self-axis wraps, walls, and the cluster_weak shape).
+  for (const testing_cases::RankCase& rc : testing_cases::rank_cases()) {
+    SCOPED_TRACE(testing::Message() << rc);
+    Simulation::Params p;
+    p.bc = rc.bc;
+    auto cs = std::make_unique<cluster::ClusterSimulation>(
+        4, 4, 4, rc.bs, cluster::CartTopology(rc.rx, rc.ry, rc.rz), p);
+    tag_cluster(*cs);
+    cs->exchange_halos();
 
-  BlockLab oracle, bulk;
-  oracle.resize(8);
-  bulk.resize(8);
-  for (int r = 0; r < 2; ++r) {
-    Grid& g = cs->rank_sim(r).grid();
-    // fetch_remote takes global coordinates; the lab hands out rank-local
-    // ones — translate by the rank's box origin, as the cluster layer does.
-    int cx, cy, cz;
-    cs->topology().coords(r, cx, cy, cz);
-    const int ox = cx * g.cells_x(), oy = cy * g.cells_y(), oz = cz * g.cells_z();
-    const std::function<bool(int, int, int, Cell&)> remote =
-        [&, r, ox, oy, oz](int ix, int iy, int iz, Cell& c) {
-          return cs->fetch_remote(r, ix + ox, iy + oy, iz + oz, c);
-        };
-    for (int bz = 0; bz < g.blocks_z(); ++bz)
-      for (int by = 0; by < g.blocks_y(); ++by)
-        for (int bx = 0; bx < g.blocks_x(); ++bx) {
-          SCOPED_TRACE(testing::Message()
-                       << "rank " << r << " block (" << bx << "," << by << "," << bz << ")");
-          oracle.load(g, bx, by, bz, [&](int ix, int iy, int iz) {
-            Cell c;
-            if (remote(ix, iy, iz, c)) return c;
-            return g.cell_folded(ix, iy, iz, p.bc);
-          });
-          bulk.load(g, bx, by, bz, p.bc, &remote);
-          expect_labs_bitwise(oracle, bulk);
-        }
+    BlockLab oracle;
+    oracle.resize(rc.bs);
+    for (int r = 0; r < cs->rank_count(); ++r) {
+      Simulation& sim = cs->rank_sim(r);
+      const Grid& g = sim.grid();
+      int cx, cy, cz;
+      cs->topology().coords(r, cx, cy, cz);
+      const int ox = cx * g.cells_x(), oy = cy * g.cells_y(), oz = cz * g.cells_z();
+      for (int b = 0; b < g.block_count(); ++b) {
+        int bx, by, bz;
+        g.indexer().coords(b, bx, by, bz);
+        SCOPED_TRACE(testing::Message()
+                     << "rank " << r << " block (" << bx << "," << by << "," << bz << ")");
+        // fetch_remote takes global coordinates; the lab hands out rank-local
+        // ones. A declined cell is in the rank box, unfolded.
+        oracle.load(g, bx, by, bz, [&](int ix, int iy, int iz) {
+          Cell c;
+          if (cs->fetch_remote(r, ix + ox, iy + oy, iz + oz, c)) return c;
+          return g.cell(ix, iy, iz);
+        });
+        sim.assemble_lab(b, 0);
+        expect_labs_bitwise(oracle, sim.lab(0));
+      }
+    }
   }
 }
 
