@@ -18,6 +18,7 @@
 
 #include "bench_util.h"
 #include "grid/lab.h"
+#include "lab_oracle.h"  // tests/: the per-cell lab oracle
 #include "kernels/hlle.h"
 #include "kernels/sos.h"
 #include "kernels/update.h"
@@ -141,8 +142,9 @@ void BM_LabLoadPerCell(benchmark::State& state) {
   auto& f = fixture();
   const auto bc = BoundaryConditions::all(BCType::kAbsorbing);
   for (auto _ : state)
-    f.lab.load(f.grid, 0, 0, 0,
-               [&](int ix, int iy, int iz) { return f.grid.cell_folded(ix, iy, iz, bc); });
+    lab_oracle::load_per_cell(f.lab, f.grid, 0, 0, 0, 1, [&](int ix, int iy, int iz) {
+      return f.grid.cell_folded(ix, iy, iz, bc);
+    });
 }
 BENCHMARK(BM_LabLoadPerCell)->Unit(benchmark::kMicrosecond);
 
@@ -233,8 +235,9 @@ int write_json(const char* path) {
   const UpdateChoice auto_choice = update_auto_choice(kBs, simd::Width::kAuto);
 
   const double lab_cell_s = time_reps(16, [&] {
-    f.lab.load(f.grid, 0, 0, 0,
-               [&](int ix, int iy, int iz) { return f.grid.cell_folded(ix, iy, iz, bc); });
+    lab_oracle::load_per_cell(f.lab, f.grid, 0, 0, 0, 1, [&](int ix, int iy, int iz) {
+      return f.grid.cell_folded(ix, iy, iz, bc);
+    });
   });
   const double lab_bulk_s = time_reps(16, [&] { f.lab.load(f.grid, 0, 0, 0, bc); });
 

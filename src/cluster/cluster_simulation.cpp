@@ -407,13 +407,25 @@ void ClusterSimulation::ensure_step_graph() {
   std::vector<StepScheduler::Plan> plans;
   plans.reserve(local_.size());
   for (const int r : local_) {
-    std::vector<char> is_halo(sims_[r]->grid().block_count(), 0);
-    for (const int b : halo_[r]) is_halo[b] = 1;
+    Simulation& sim = *sims_[r];
+    // The graph's task unit is the rank's tile (a block when its grid does
+    // not tile); a halo tile is one that holds a halo block.
+    std::vector<char> halo_block(sim.grid().block_count(), 0);
+    for (const int b : halo_[r]) halo_block[b] = 1;
+    std::vector<char> is_halo(sim.tile_count(), 0);
+    std::vector<int> halo_tiles;
+    for (int t = 0; t < sim.tile_count(); ++t)
+      for (const int b : sim.tile_block_ids(t))
+        if (halo_block[b] != 0 && is_halo[t] == 0) {
+          is_halo[t] = 1;
+          halo_tiles.push_back(t);
+        }
     plan_is_halo_.push_back(std::move(is_halo));
     // The sent face slabs are kGhosts cell layers deep, so (bs >= kGhosts,
-    // checked by the fused gate in advance) the packs read exactly the halo
-    // blocks' cells — the same blocks whose labs read the drained slabs.
-    plans.push_back(StepScheduler::Plan{&sims_[r]->step_topology(), halo_[r]});
+    // checked by the fused gate in advance) the packs read only halo
+    // blocks' cells, all inside the halo tiles — the tiles whose labs read
+    // the drained slabs.
+    plans.push_back(StepScheduler::Plan{&sim.step_topology(), std::move(halo_tiles)});
   }
   sched_ = std::make_unique<StepScheduler>();
   sched_->build(plans, LsRk3::kStages);
@@ -421,37 +433,38 @@ void ClusterSimulation::ensure_step_graph() {
 
 void ClusterSimulation::advance_fused(double dt) {
   const bool guard = front_sim().params().rho_floor > 0 || front_sim().params().p_floor > 0;
-  for (const int r : local_) sims_[r]->ensure_thread_workspaces();
+  for (const int r : local_) sims_[r]->ensure_thread_workspaces(true);
   ensure_step_graph();
   // Stage s exchanges under tag epoch epoch_ + 1 + s, the epochs three
   // staged exchange_halos() calls would use.
   const long epoch0 = epoch_ + 1;
   epoch_ += LsRk3::kStages;
 
+  // Task units are the ranks' tiles (blocks on grids that do not tile).
   StepScheduler::Hooks hooks;
-  hooks.lab = [this](int, int plan, int block, int tid) {
+  hooks.lab = [this](int, int plan, int tile, int tid) {
     const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kLab, r);
-    sims_[r]->assemble_lab(block, tid);
+    sims_[r]->assemble_tile(tile, tid);
   };
-  hooks.rhs = [this](int stage, int plan, int block, int tid) {
+  hooks.rhs = [this](int stage, int plan, int tile, int tid) {
     const int r = local_[static_cast<std::size_t>(plan)];
-    // Two same-interval spans: the interior/halo block membership (what the
+    // Two same-interval spans: the interior/halo tile membership (what the
     // Cluster tracer tests aggregate) plus the fused-pipeline kRhs phase,
     // whose total is the pure RHS time.
-    const bool halo = plan_is_halo_[static_cast<std::size_t>(plan)][block] != 0;
+    const bool halo = plan_is_halo_[static_cast<std::size_t>(plan)][tile] != 0;
     perf::TraceSpan membership(
         tracer_, halo ? perf::TracePhase::kHalo : perf::TracePhase::kInterior, r);
     perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
-    sims_[r]->rhs_from_lab(LsRk3::a[stage], block, tid);
+    sims_[r]->rhs_tile(LsRk3::a[stage], tile, tid);
   };
-  hooks.update = [this, dt](int stage, int plan, int block, int) {
+  hooks.update = [this, dt](int stage, int plan, int tile, int) {
     const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
-    sims_[r]->update_one(LsRk3::b[stage] * dt, block);
+    sims_[r]->update_tile(LsRk3::b[stage] * dt, tile);
   };
-  hooks.sos = [this](int plan, int block, double& acc) {
-    sims_[local_[static_cast<std::size_t>(plan)]]->accumulate_block_speed(block, acc);
+  hooks.sos = [this](int plan, int tile, double& acc) {
+    sims_[local_[static_cast<std::size_t>(plan)]]->accumulate_tile_speed(tile, acc);
   };
   hooks.pack = [this, epoch0](int stage, int plan) {
     pack_rank_sends(local_[static_cast<std::size_t>(plan)], epoch0 + stage);

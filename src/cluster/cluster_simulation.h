@@ -202,7 +202,7 @@ class ClusterSimulation {
   std::vector<std::vector<int>> interior_, halo_;  ///< filled for local ranks
   perf::Tracer tracer_;
   std::unique_ptr<StepScheduler> sched_;        ///< whole-step graph
-  std::vector<std::vector<char>> plan_is_halo_;  ///< per plan: block -> halo?
+  std::vector<std::vector<char>> plan_is_halo_;  ///< per plan: tile -> halo tile?
   double time_ = 0;
   double comm_time_ = 0;
   double comm_work_time_ = 0;

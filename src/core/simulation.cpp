@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string_view>
 
@@ -20,23 +21,48 @@ namespace mpcf {
 Simulation::Simulation(int bx, int by, int bz, int bs)
     : Simulation(bx, by, bz, bs, Params{}) {}
 
+int tile_blocks(int bs, int nx, int ny, int nz) noexcept {
+  // Only bs 8 tiles. A bs 4 row is shorter than a vec8 and runs the
+  // kernels' scalar tail, whose rounding the tile's full vectors do not
+  // reproduce (at vec8, 495 of 512 bs 4 blocks of a cloud state got a
+  // different RHS as 16^3 tiles); larger blocks gain nothing.
+  if (bs != 8) return 1;
+  const int k = kTileEdge / bs;
+  return nx % k == 0 && ny % k == 0 && nz % k == 0 ? k : 1;
+}
+
 Simulation::Simulation(int bx, int by, int bz, int bs, Params params)
     : grid_(bx, by, bz, bs, params.extent), params_(params) {
+  const int k = mpcf::tile_blocks(bs, bx, by, bz);
+  tile_k_ = k;
+  tiles_ = k == 1 ? grid_.indexer() : BlockIndexer(bx / k, by / k, bz / k);
+  tile_ids_.reserve(static_cast<std::size_t>(grid_.block_count()));
+  for (int t = 0; t < tiles_.count(); ++t) {
+    int tx, ty, tz;
+    tiles_.coords(t, tx, ty, tz);
+    for (int jz = 0; jz < k; ++jz)
+      for (int jy = 0; jy < k; ++jy)
+        for (int jx = 0; jx < k; ++jx)
+          tile_ids_.push_back(grid_.indexer().linear(k * tx + jx, k * ty + jy, k * tz + jz));
+  }
   ensure_thread_workspaces();
 }
 
-void Simulation::ensure_thread_workspaces() {
+void Simulation::ensure_thread_workspaces(bool tiles) {
   // Sized lazily (not once at construction) so a thread count raised via
-  // omp_set_num_threads() after construction still gets dedicated buffers.
-  const int nthreads = omp_get_max_threads();
-  const int have = static_cast<int>(labs_.size());
+  // omp_set_num_threads() after construction still gets dedicated buffers,
+  // and tile-sized only once the fused step runs.
+  const int edge = std::max(ws_edge_, (tiles ? tile_k_ : 1) * grid_.block_size());
+  const int nthreads = std::max(omp_get_max_threads(), static_cast<int>(labs_.size()));
+  const int have = edge > ws_edge_ ? 0 : static_cast<int>(labs_.size());
   if (nthreads <= have) return;
   labs_.resize(nthreads);
   ws_.resize(nthreads);
   for (int t = have; t < nthreads; ++t) {
-    labs_[t].resize(grid_.block_size());
-    ws_[t].resize(grid_.block_size());
+    labs_[t].resize(edge);
+    ws_[t].resize(edge);
   }
+  ws_edge_ = edge;
 }
 
 double Simulation::compute_dt() {
@@ -93,26 +119,39 @@ void Simulation::evaluate_rhs(double a_coeff) {
 }
 
 void Simulation::assemble_lab(int block_id, int tid) {
+  int bx, by, bz;
+  grid_.indexer().coords(block_id, bx, by, bz);
+  assemble(bx, by, bz, 1, tid);
+}
+
+void Simulation::assemble_tile(int tile, int tid) {
+  int tx, ty, tz;
+  tiles_.coords(tile, tx, ty, tz);
+  const int k = tile_k_;
+  assemble(k * tx, k * ty, k * tz, k, tid);
+}
+
+void Simulation::assemble(int bx, int by, int bz, int k, int tid) {
   const simd::FlushSubnormals ftz;
   require(tid >= 0 && tid < static_cast<int>(labs_.size()),
           "Simulation: more threads than per-thread labs");
   BlockLab& lab = labs_[tid];
-  int bx, by, bz;
-  grid_.indexer().coords(block_id, bx, by, bz);
   // Bulk assembly: intra-rank ghosts fold through the BCs per axis entry;
   // on a cluster rank, ghosts past a face with a neighbour read its slab.
-  lab.load(grid_, bx, by, bz, params_.bc, halo_);
+  lab.load(grid_, bx, by, bz, params_.bc, halo_, k);
 #if MPCF_CHECKED
-  // The fused scheduler's counters are seeded from BlockTopology::readset;
-  // cross-validate that the lab's fold tables never referenced a block the
-  // topology missed (a miss would mean an unsynchronized read).
+  // The fused scheduler's counters are seeded from BlockTopology::readset
+  // over tiles; cross-validate that the lab's fold tables, mapped to tiles,
+  // never referenced one the topology missed (a miss would mean an
+  // unsynchronized read). A block's lab reads within its tile's.
   if (step_topo_) {
     thread_local std::vector<int> reads;
-    lab.read_block_set(grid_.indexer(), reads);
-    const auto rs = step_topo_->readset(block_id);
+    lab.read_block_set(tiles_, reads, tile_k_);
+    const int tile = tiles_.linear(bx / tile_k_, by / tile_k_, bz / tile_k_);
+    const auto rs = step_topo_->readset(tile);
     MPCF_CHECK(std::includes(rs.begin(), rs.end(), reads.begin(), reads.end()),
-               "Simulation: lab read a block outside its topology readset, block " +
-                   std::to_string(block_id));
+               "Simulation: lab read a tile outside its topology readset, tile " +
+                   std::to_string(tile));
   }
 #endif
 }
@@ -124,6 +163,17 @@ void Simulation::rhs_from_lab(double a_coeff, int block_id, int tid) {
                      params_.impl, params_.weno_order, params_.width);
 }
 
+void Simulation::rhs_tile(double a_coeff, int tile, int tid) {
+  const simd::FlushSubnormals ftz;
+  // k <= kTileEdge / 8 blocks per edge (tile_blocks).
+  std::array<Block*, 8> blocks{};
+  const std::span<const int> ids = tile_block_ids(tile);
+  for (std::size_t j = 0; j < ids.size(); ++j) blocks[j] = &grid_.block(ids[j]);
+  kernels::rhs_tile(labs_[tid], static_cast<Real>(grid_.h()), static_cast<Real>(a_coeff),
+                    blocks.data(), tile_k_, ws_[tid], params_.impl, params_.weno_order,
+                    params_.width);
+}
+
 void Simulation::update_one(double b_dt, int block_id) {
   const simd::FlushSubnormals ftz;
   if (params_.impl != kernels::KernelImpl::kScalar)
@@ -131,6 +181,10 @@ void Simulation::update_one(double b_dt, int block_id) {
                                params_.width);
   else
     kernels::update_block(grid_.block(block_id), static_cast<Real>(b_dt));
+}
+
+void Simulation::update_tile(double b_dt, int tile) {
+  for (const int b : tile_block_ids(tile)) update_one(b_dt, b);
 }
 
 void Simulation::update(double b_dt) {
@@ -151,10 +205,14 @@ void Simulation::accumulate_block_speed(int block_id, double& acc) const {
                                       params_.width, acc);
 }
 
+void Simulation::accumulate_tile_speed(int tile, double& acc) const {
+  for (const int b : tile_block_ids(tile)) accumulate_block_speed(b, acc);
+}
+
 const BlockTopology& Simulation::step_topology() {
   if (!step_topo_)
     step_topo_ = std::make_unique<BlockTopology>(build_block_topology(
-        grid_.indexer(), grid_.block_size(), kGhosts, params_.bc));
+        tiles_, tile_k_ * grid_.block_size(), kGhosts, params_.bc));
   return *step_topo_;
 }
 
@@ -169,7 +227,7 @@ void Simulation::advance(double dt) {
   // The cluster layer drives rank sims through its own step graph; halo
   // slabs here mean this sim is such a rank, so its standalone advance
   // keeps the staged sweeps (halo coordination lives upstairs).
-  if (params_.fused_step && halo_ == nullptr && grid_.block_size() >= kGhosts) {
+  if (fused() && halo_ == nullptr) {
     advance_fused(dt);
     return;
   }
@@ -189,30 +247,31 @@ void Simulation::advance(double dt) {
 }
 
 void Simulation::advance_fused(double dt) {
-  ensure_thread_workspaces();
+  ensure_thread_workspaces(true);
   ensure_step_graph();
   // With positivity floors active the guard mutates the state compute_dt
   // would read, so the SOS reduction folds into the guard sweep instead of
   // the final-stage update tasks.
   const bool guard = params_.rho_floor > 0 || params_.p_floor > 0;
 
+  // The graph's task unit is a tile (a block when tile_blocks() == 1).
   StepScheduler::Hooks hooks;
-  hooks.lab = [this](int, int, int block, int tid) { assemble_lab(block, tid); };
-  hooks.rhs = [this](int stage, int, int block, int tid) {
-    rhs_from_lab(LsRk3::a[stage], block, tid);
+  hooks.lab = [this](int, int, int tile, int tid) { assemble_tile(tile, tid); };
+  hooks.rhs = [this](int stage, int, int tile, int tid) {
+    rhs_tile(LsRk3::a[stage], tile, tid);
 #if MPCF_CHECKED
-    verify_block("rhs", stage, block);
+    for (const int b : tile_block_ids(tile)) verify_block("rhs", stage, b);
 #else
     (void)stage;
 #endif
   };
-  hooks.update = [this, dt](int stage, int, int block, int) {
-    update_one(LsRk3::b[stage] * dt, block);
+  hooks.update = [this, dt](int stage, int, int tile, int) {
+    update_tile(LsRk3::b[stage] * dt, tile);
 #if MPCF_CHECKED
-    verify_block("update", stage, block);
+    for (const int b : tile_block_ids(tile)) verify_block("update", stage, b);
 #endif
   };
-  hooks.sos = [this](int, int block, double& acc) { accumulate_block_speed(block, acc); };
+  hooks.sos = [this](int, int tile, double& acc) { accumulate_tile_speed(tile, acc); };
 
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
@@ -403,8 +462,12 @@ double Simulation::dump(const std::string& prefix, float eps_p, float eps_G) {
 double Simulation::flops_per_step() const {
   const int bs = grid_.block_size();
   const double nb = grid_.block_count();
-  return nb * (kernels::sos_flops(bs) +
-               LsRk3::kStages * (kernels::rhs_flops(bs) + kernels::update_flops(bs)));
+  // The RHS runs once per lab: per tile in the fused step (a tile's lab
+  // has no ghost work between its blocks), per block in the staged sweeps.
+  const int k = fused() ? tile_k_ : 1;
+  const double labs = nb / (k * k * k);
+  return nb * (kernels::sos_flops(bs) + LsRk3::kStages * kernels::update_flops(bs)) +
+         labs * LsRk3::kStages * kernels::rhs_flops(k * bs);
 }
 
 }  // namespace mpcf

@@ -1,11 +1,13 @@
 // Node-layer simulation driver (paper Section 6): owns one rank's grid,
 // schedules block work across OpenMP threads (dynamic scheduling, parallel
-// granularity of one block, per-thread ghost buffers) and advances the
-// solution with the third-order low-storage TVD Runge-Kutta scheme
-// (Williamson, ref [80]) at CFL 0.3.
+// granularity of one block — or of one 16^3 tile of small blocks in the
+// fused step — with per-thread ghost buffers) and advances the solution
+// with the third-order low-storage TVD Runge-Kutta scheme (Williamson,
+// ref [80]) at CFL 0.3.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,17 @@ struct LsRk3 {
   static constexpr double b[kStages] = {1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0};
 };
 
+/// Edge in cells of the fused step's task unit on small-block grids: the
+/// block size at which a ghost-extended lab stops dominating the RHS
+/// (DESIGN.md §14).
+inline constexpr int kTileEdge = 16;
+
+/// Blocks per tile edge of the fused step on a grid of nx*ny*nz blocks of
+/// edge bs: k = kTileEdge / bs when bs is 8 and k divides every block
+/// count, so one lab/RHS/update task covers k^3 blocks; otherwise 1, one
+/// task per block.
+[[nodiscard]] int tile_blocks(int bs, int nx, int ny, int nz) noexcept;
+
 class Simulation {
  public:
   struct Params {
@@ -46,10 +59,11 @@ class Simulation {
     double p_floor = 1.0;
     /// Cells clamped so far (written by advance; diagnostic only).
     long clamped_cells = 0;
-    /// Fused per-block step pipeline (DESIGN.md §14): dependency-scheduled
-    /// lab->RHS->update tasks with the SOS reduction folded into the final
-    /// stage (or the positivity guard), bitwise-identical to the staged
-    /// sweeps. Off = the barrier-separated staged schedule (kept as the
+    /// Fused step pipeline (DESIGN.md §14): dependency-scheduled
+    /// lab->RHS->update tasks, one per block or per tile of blocks
+    /// (tile_blocks), with the SOS reduction folded into the final stage (or
+    /// the positivity guard), bitwise-identical to the staged sweeps. Off =
+    /// the barrier-separated per-block staged schedule (kept as the
     /// conformance oracle).
     bool fused_step = true;
   };
@@ -88,12 +102,16 @@ class Simulation {
   /// Evaluates the RHS of every block (one staged sweep).
   void evaluate_rhs(double a_coeff);
 
-  /// Grows the per-thread lab/workspace arrays to omp_get_max_threads().
-  /// Called automatically at every evaluate_rhs entry (serial context), so
-  /// raising the OpenMP thread count after construction is safe; exposed for
-  /// callers that drive the per-block hooks below from their own parallel
+  /// Grows the per-thread lab/workspace arrays to omp_get_max_threads(),
+  /// each holding one block — or, with `tiles`, one tile, the fused step's
+  /// unit. Buffers only grow, so a tile-sized lab also serves block loads,
+  /// and a simulation that never runs the fused step holds no tile-sized
+  /// buffers. Called automatically by evaluate_rhs and the fused step
+  /// (serial context), so raising the OpenMP thread count after
+  /// construction is safe; exposed for callers that drive the per-block
+  /// (or, with `tiles`, the per-tile) hooks below from their own parallel
   /// regions. Must not be called concurrently with block evaluations.
-  void ensure_thread_workspaces();
+  void ensure_thread_workspaces(bool tiles = false);
   void update(double b_dt);
   void apply_positivity_guard();
 
@@ -117,6 +135,31 @@ class Simulation {
   /// per-block kernel compute_dt's sweep uses (max is order-independent, so
   /// folded accumulation is bitwise-equal to the staged reduction).
   void accumulate_block_speed(int block_id, double& acc) const;
+
+  // --- The fused step's task unit: a tile of k^3 blocks (k = tile_blocks(),
+  // --- tile ids from tile_indexer()); with k = 1 a tile is a block and tile
+  // --- t is block t. Same calling contract as the per-block hooks above,
+  // --- after ensure_thread_workspaces(true), and per block bitwise what
+  // --- they compute.
+
+  /// Blocks per tile edge (1: the step's task unit is a block).
+  [[nodiscard]] int tile_blocks() const noexcept { return tile_k_; }
+  /// The tile grid; its BlockTopology is step_topology().
+  [[nodiscard]] const BlockIndexer& tile_indexer() const noexcept { return tiles_; }
+  [[nodiscard]] int tile_count() const noexcept { return tiles_.count(); }
+  /// Block ids of tile `tile`, tile-local x fastest.
+  [[nodiscard]] std::span<const int> tile_block_ids(int tile) const {
+    const std::size_t k3 = static_cast<std::size_t>(tile_k_) * tile_k_ * tile_k_;
+    return {tile_ids_.data() + static_cast<std::size_t>(tile) * k3, k3};
+  }
+  /// Assembles tile `tile`'s lab into thread `tid`'s lab buffer.
+  void assemble_tile(int tile, int tid);
+  /// RHS of every block of `tile` from the tile lab thread `tid` assembled.
+  void rhs_tile(double a_coeff, int tile, int tid);
+  /// RK update of every block of `tile`.
+  void update_tile(double b_dt, int tile);
+  /// Folds the max characteristic speed of every block of `tile` into `acc`.
+  void accumulate_tile_speed(int tile, double& acc) const;
   /// Positivity guard fused with the SOS reduction: clamps every cell like
   /// apply_positivity_guard, folding each block's post-clamp max speed into
   /// `*vmax` in the same sweep (the folded fold point when floors are
@@ -134,8 +177,9 @@ class Simulation {
   /// the plain guard do it automatically).
   void invalidate_speed_cache() noexcept { folded_vmax_valid_ = false; }
 
-  /// Block readset/consumer tables of this grid under its BCs, built lazily
-  /// (shared by the node step graph and the cluster layer's step graph).
+  /// Readset/consumer tables of the tile grid (the block grid when
+  /// tile_blocks() == 1) under the BCs, built lazily (shared by the node
+  /// step graph and the cluster layer's step graph).
   [[nodiscard]] const BlockTopology& step_topology();
 
 #if MPCF_CHECKED
@@ -157,7 +201,9 @@ class Simulation {
   [[nodiscard]] StepProfile& profile() noexcept { return profile_; }
   [[nodiscard]] const StepProfile& profile() const noexcept { return profile_; }
 
-  /// Analytic FLOPs performed by one full step (for GFLOP/s reporting).
+  /// Analytic FLOPs performed by one full step (for GFLOP/s reporting): the
+  /// RHS counted on the labs the step evaluates — per tile in the fused
+  /// step, per block in the staged sweeps.
   [[nodiscard]] double flops_per_step() const;
 
  private:
@@ -165,6 +211,15 @@ class Simulation {
   void advance_fused(double dt);
   /// Lazily builds the node-layer fused step graph.
   void ensure_step_graph();
+  /// Whether this grid steps in the fused graph — the node step, or the
+  /// cluster step a rank takes part in — rather than the staged sweeps.
+  [[nodiscard]] bool fused() const noexcept {
+    return params_.fused_step && grid_.block_size() >= kGhosts;
+  }
+  /// Assembles thread `tid`'s lab of the k^3 blocks from block (bx,by,bz),
+  /// cross-checking its reads against the step topology of the tile holding
+  /// that block under MPCF_CHECKED.
+  void assemble(int bx, int by, int bz, int k, int tid);
   /// Clamps one block's cells to the positivity floors; returns the count.
   long clamp_block(Block& block) const;
 
@@ -179,9 +234,13 @@ class Simulation {
 
   Grid grid_;
   Params params_;
+  int tile_k_ = 1;              // blocks per tile edge
+  BlockIndexer tiles_;          // the tile grid (the block grid when k = 1)
+  std::vector<int> tile_ids_;   // k^3 block ids per tile, tile-local x fastest
   double time_ = 0;
   std::vector<BlockLab> labs_;              // one per thread
   std::vector<kernels::RhsWorkspace> ws_;   // one per thread
+  int ws_edge_ = 0;                         // edge labs_/ws_ are sized for
   const HaloSlabs* halo_ = nullptr;         // cluster rank's face slabs
   StepProfile profile_;
   std::unique_ptr<BlockTopology> step_topo_;  // lazily built

@@ -1,23 +1,20 @@
-// BlockLab: a per-thread working copy of one block extended by the ghost
-// layer required by the WENO5 stencil, converted from the AoS block storage
-// into SoA arrays (paper Fig. 2: "AoS/SoA conversion during the evaluation of
-// the RHS"). Each OpenMP thread owns one lab and reuses its memory across
-// blocks (paper Section 6, node layer).
+// BlockLab: a per-thread working copy of one block — or of a tile of k^3
+// blocks — extended by the ghost layer required by the WENO5 stencil,
+// converted from the AoS block storage into SoA arrays (paper Fig. 2:
+// "AoS/SoA conversion during the evaluation of the RHS"). Each thread owns
+// one lab and reuses its memory across loads (paper Section 6, node layer).
 //
-// Two assembly paths fill a lab:
-//  - load(..., Fetch&&): the per-cell reference path — every ghost cell goes
-//    through a fetch callback. Kept as the differential-testing oracle.
-//  - load(..., bc [, halo]): bulk assembly — every lab row is one contiguous
-//    AoS run transposed into the SoA planes, taken from a local block, from
-//    one of the cluster layer's face slabs (HaloSlabs), or from a clamped
-//    in-box position; the source of each row and ghost cell comes from
-//    per-axis fold tables computed once per load (BCs folded per axis
-//    entry, not per cell).
+// load(..., bc [, halo [, k]]) is bulk assembly: every lab row is a few
+// contiguous AoS runs (one per block the row crosses) transposed into the
+// SoA planes, taken from a local block, from one of the cluster layer's
+// face slabs (HaloSlabs), or from a clamped in-box position; the source of
+// each row and ghost cell comes from per-axis fold tables computed once per
+// load (BCs folded per axis entry, not per cell). The per-cell reference
+// path it is tested against lives with the tests (tests/lab_oracle.h).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -68,24 +65,38 @@ class BlockLab {
  public:
   BlockLab() = default;
 
-  /// Allocates storage for a block of edge `bs` with `ghosts` ghost cells.
-  void resize(int bs, int ghosts = kGhosts) {
-    require(bs > 0 && ghosts >= 0, "BlockLab: bad extents");
-    bs_ = bs;
+  /// Allocates storage for labs of interior edge up to `edge` (a block, or
+  /// a tile of blocks) with `ghosts` ghost cells, and shapes the lab to
+  /// `edge`. Every later load reuses this storage for any edge up to it.
+  void resize(int edge, int ghosts = kGhosts) {
+    require(edge > 0 && ghosts >= 0, "BlockLab: bad extents");
     g_ = ghosts;
-    n_ = bs + 2 * ghosts;
-    const std::size_t per_q = static_cast<std::size_t>(n_) * n_ * n_;
-    storage_.reset(per_q * kNumQuantities);
-    per_q_ = per_q;
-    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() reuses these tables per block
-    for (auto& t : fold_) t.resize(n_);
-    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() rebuilds it per block
+    cap_ = edge;
+    const std::size_t n = static_cast<std::size_t>(edge) + 2 * static_cast<std::size_t>(ghosts);
+    storage_.reset(n * n * n * kNumQuantities);
+    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() reuses these tables
+    for (auto& t : fold_) t.resize(n);
+    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() rebuilds it per block row
     xcols_.resize(2 * static_cast<std::size_t>(g_));
+    shape(edge);
   }
 
-  [[nodiscard]] int block_size() const noexcept { return bs_; }
+  /// Lays the lab out for interior edge `edge` within the allocated
+  /// capacity (no allocation): load() does this itself; a caller filling
+  /// cells through operator() does it first.
+  void shape(int edge) {
+    if (edge <= 0 || edge > cap_)
+      throw PreconditionError("BlockLab: edge " + std::to_string(edge) +
+                              " exceeds the allocated " + std::to_string(cap_));
+    e_ = edge;
+    n_ = edge + 2 * g_;
+    per_q_ = static_cast<std::size_t>(n_) * n_ * n_;
+  }
+
+  /// Interior edge of the current shape: a block's edge, or a tile's.
+  [[nodiscard]] int edge() const noexcept { return e_; }
   [[nodiscard]] int ghosts() const noexcept { return g_; }
-  /// Extended edge length (bs + 2*ghosts).
+  /// Extended edge length (edge + 2*ghosts).
   [[nodiscard]] int extent() const noexcept { return n_; }
 
   /// Quantity plane base pointer (SoA).
@@ -94,7 +105,7 @@ class BlockLab {
     return storage_.data() + quantity * per_q_;
   }
 
-  /// Element access with block-local coordinates in [-ghosts, bs+ghosts).
+  /// Element access with lab-local coordinates in [-ghosts, edge+ghosts).
   [[nodiscard]] Real& operator()(int quantity, int ix, int iy, int iz) MPCF_NOEXCEPT {
     MPCF_CHECK(quantity >= 0 && quantity < kNumQuantities,
                "BlockLab quantity " + std::to_string(quantity));
@@ -108,79 +119,70 @@ class BlockLab {
   }
 
   [[nodiscard]] std::size_t offset(int ix, int iy, int iz) const MPCF_NOEXCEPT {
-    MPCF_CHECK(ix >= -g_ && ix < bs_ + g_ && iy >= -g_ && iy < bs_ + g_ &&
-                   iz >= -g_ && iz < bs_ + g_,
+    MPCF_CHECK(ix >= -g_ && ix < e_ + g_ && iy >= -g_ && iy < e_ + g_ &&
+                   iz >= -g_ && iz < e_ + g_,
                "BlockLab cell (" + std::to_string(ix) + "," + std::to_string(iy) +
                    "," + std::to_string(iz) + ") outside [" + std::to_string(-g_) +
-                   "," + std::to_string(bs_ + g_) + ")^3");
+                   "," + std::to_string(e_ + g_) + ")^3");
     return (ix + g_) +
            static_cast<std::size_t>(n_) *
                ((iy + g_) + static_cast<std::size_t>(n_) * (iz + g_));
   }
 
-  /// Per-cell reference path: loads block (bx,by,bz) of `grid` plus ghosts.
-  /// `fetch(ix,iy,iz) -> Cell` must resolve any global cell coordinate
-  /// outside this block (other blocks, domain boundaries, or — in the
-  /// cluster layer — halo buffers).
-  template <typename Fetch>
-    requires std::invocable<Fetch&, int, int, int>
-  void load(const Grid& grid, int bx, int by, int bz, Fetch&& fetch) {
-    const Block& block = grid.block(bx, by, bz);
-    const int ox = bx * bs_, oy = by * bs_, oz = bz * bs_;
-    for (int iz = -g_; iz < bs_ + g_; ++iz)
-      for (int iy = -g_; iy < bs_ + g_; ++iy)
-        for (int ix = -g_; ix < bs_ + g_; ++ix) {
-          const bool interior = ix >= 0 && ix < bs_ && iy >= 0 && iy < bs_ &&
-                                iz >= 0 && iz < bs_;
-          const Cell c =
-              interior ? block(ix, iy, iz) : fetch(ox + ix, oy + iy, oz + iz);
-          const std::size_t o = offset(ix, iy, iz);
-          Real* base = storage_.data();
-          for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
-        }
-  }
-
-  /// Bulk assembly of block (bx,by,bz): every lab row is one contiguous AoS
-  /// run through copy_row_transposed, and ghosts resolve through per-axis
-  /// fold tables (BCs folded once per axis entry). With `halo` (the cluster
-  /// layer), a coordinate past a rank face that has a neighbour is a slab
-  /// layer: a ghost crossing exactly one such face reads that face's slab,
-  /// and one crossing two or three (edges and corners, never read by the
+  /// Bulk assembly of the tile of k^3 blocks whose low corner is block
+  /// (bx,by,bz) — k = 1 is block (bx,by,bz) alone — into a lab of edge
+  /// k * grid.block_size() (at most the allocated capacity). Every lab row
+  /// is one contiguous AoS run per block it crosses, through
+  /// copy_row_transposed, and ghosts resolve through per-axis fold tables
+  /// (BCs folded once per axis entry). With `halo` (the cluster layer), a
+  /// coordinate past a rank face that has a neighbour is a slab layer: a
+  /// ghost crossing exactly one such face reads that face's slab, and one
+  /// crossing two or three (edges and corners, never read by the
   /// axis-aligned sweeps) reads the clamped in-box cell. Without `halo` —
   /// or for a rank with no neighbours — this is the node-layer lab.
   void load(const Grid& grid, int bx, int by, int bz, const BoundaryConditions& bc,
-            const HaloSlabs* halo = nullptr) {
-    const Block& block = grid.block(bx, by, bz);
-    const int origin[3] = {bx * bs_, by * bs_, bz * bs_};
+            const HaloSlabs* halo = nullptr, int k = 1) {
+    const int bs = grid.block_size();
+    shape(k * bs);
+    bs_ = bs;
+    const int origin[3] = {bx * bs, by * bs, bz * bs};
     const bool slabs = build_fold_tables(grid, origin, bc, halo);
 
     // Interior: row-by-row AoS -> SoA transpose, no index folding at all.
-    for (int iz = 0; iz < bs_; ++iz)
-      for (int iy = 0; iy < bs_; ++iy)
-        copy_row_transposed(&block(0, iy, iz), offset(0, iy, iz), bs_, Real(1), Real(1));
+    for (int jz = 0; jz < k; ++jz)
+      for (int jy = 0; jy < k; ++jy)
+        for (int jx = 0; jx < k; ++jx) {
+          const Block& block = grid.block(bx + jx, by + jy, bz + jz);
+          for (int iz = 0; iz < bs; ++iz)
+            for (int iy = 0; iy < bs; ++iy)
+              copy_row_transposed(&block(0, iy, iz),
+                                  offset(jx * bs, jy * bs + iy, jz * bs + iz), bs, Real(1),
+                                  Real(1));
+        }
 
     // X-edge ghosts of interior rows: the y/z folds are identity there, so
-    // each column's source (block or x slab) is constant over the whole
-    // face — sweep the rows once with all per-column constants hoisted.
-    fill_x_edges(grid, origin, by, bz);
+    // each column's source (block or x slab) is constant over a block row —
+    // resolve it once per block row, then sweep that row's cells.
+    for (int jz = 0; jz < k; ++jz)
+      for (int jy = 0; jy < k; ++jy) fill_x_edges(grid, origin, by + jy, bz + jz, jy, jz);
 
-    // The node layer and a rank's interior blocks read no slab: compile
+    // The node layer and a rank's interior tiles and blocks read no slab: compile
     // their ghost rows without the per-cell slab test.
     if (slabs)
-      fill_ghost_rows<true>(grid, bx, origin[0]);
+      fill_ghost_rows<true>(grid, bx, k, origin[0]);
     else
-      fill_ghost_rows<false>(grid, bx, origin[0]);
+      fill_ghost_rows<false>(grid, bx, k, origin[0]);
   }
 
-  /// Consumption hook for the fused step scheduler: the set of source blocks
-  /// the last bulk load() may have read, linearized through `idx` and
-  /// appended to `out` sorted ascending (out is cleared first). Computed as
-  /// the product of the per-axis fold tables, so it is a conservative
-  /// superset of the actual reads (a slab layer still counts its clamped
-  /// in-box block). Valid only after a bulk load; the per-cell
-  /// oracle path does not build fold tables. The scheduler cross-validates
-  /// this against BlockTopology::readset under MPCF_CHECKED.
-  void read_block_set(const BlockIndexer& idx, std::vector<int>& out) const {
+  /// Consumption hook for the fused step scheduler: the set of source units
+  /// — tiles of k^3 blocks indexed by `units`, or blocks when k = 1 — the
+  /// last bulk load() may have read, appended to `out` sorted ascending (out
+  /// is cleared first). Computed as the product of the per-axis fold
+  /// tables, so it is a conservative superset of the actual reads (a slab
+  /// layer still counts its clamped in-box block). Valid only after a bulk
+  /// load. The step graph cross-validates this against
+  /// BlockTopology::readset under MPCF_CHECKED.
+  void read_block_set(const BlockIndexer& units, std::vector<int>& out, int k = 1) const {
     out.clear();
     // Distinct per-axis source blocks, in fold-table order.
     // mpcf-lint: allow(kernel-alloc): MPCF_CHECKED-only validation path, not a kernel loop
@@ -197,14 +199,14 @@ class BlockLab {
     for (const int bz : ax[2])
       for (const int by : ax[1])
         // mpcf-lint: allow(kernel-alloc): MPCF_CHECKED-only validation path, not a kernel loop
-        for (const int bx : ax[0]) out.push_back(idx.linear(bx, by, bz));
+        for (const int bx : ax[0]) out.push_back(units.linear(bx / k, by / k, bz / k));
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
   }
 
  private:
-  /// One x-ghost column of fill_x_edges, resolved once per load: the
-  /// source of lab row (iy, iz) is cells[sy * iy + sz * iz].
+  /// One x-ghost column of fill_x_edges, resolved once per block row: the
+  /// source of the block row's lab row (iy, iz) is cells[sy * iy + sz * iz].
   struct XCol {
     const Cell* cells;    ///< source of row (0, 0): a block of the same by/bz, or an x slab
     std::size_t sy, sz;   ///< source strides (cells) per lab row along y and z
@@ -240,7 +242,7 @@ class BlockLab {
     bool slabs = false;
     for (int a = 0; a < 3; ++a) {
       std::vector<Fold>& t = fold_[a];
-      for (int i = -g_; i < bs_ + g_; ++i) {
+      for (int i = -g_; i < e_ + g_; ++i) {
         const int c = origin[a] + i;
         const int side = c < 0 ? 0 : c >= ncells[a] ? 1 : -1;
         const int f = a * 2 + side;
@@ -339,24 +341,26 @@ class BlockLab {
     }
   }
 
-  /// Fills the 2*g x-ghost columns of every interior row in one sweep. The
-  /// y/z folds are identity on those rows, so each column's source — a block
-  /// of the same by/bz at a folded x-cell, or the x slab's layer — and its
-  /// momentum sign are constant over the whole face and resolve once; the
-  /// row loop then copies 2*g cells per row while the destination cache
-  /// lines are hot.
-  void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz) {
+  /// Fills the 2*g x-ghost columns of the interior rows of block row
+  /// (jy, jz) — the lab rows of source block row (by, bz) — in one sweep.
+  /// The y/z folds are identity on those rows, so each column's source — a
+  /// block of the same by/bz at a folded x-cell, or the x slab's layer —
+  /// and its momentum sign are constant over the block row and resolve
+  /// once; the row loop then copies 2*g cells per row while the destination
+  /// cache lines are hot.
+  void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz, int jy, int jz) {
     const int ncols = 2 * g_;
     const std::size_t bs = static_cast<std::size_t>(bs_);
+    const int y0 = jy * bs_, z0 = jz * bs_;  // the block row's first lab row
     std::vector<XCol>& cols = xcols_;
     for (int j = 0; j < ncols; ++j) {
-      const int ix = j < g_ ? j - g_ : bs_ + j - g_;
+      const int ix = j < g_ ? j - g_ : e_ + j - g_;
       const Fold& fx = fold_[0][ix + g_];
-      const std::size_t doff = static_cast<std::size_t>(j < g_ ? j : bs_ + j);
+      const std::size_t doff = static_cast<std::size_t>(j < g_ ? j : e_ + j);
       if (fx.face >= 0) {
         const SlabView& s = slab_[fx.face];
-        cols[j] = XCol{s.cells + (fx.at + s.sy * origin[1] + s.sz * origin[2]), s.sy, s.sz,
-                       doff, fx.sign};
+        cols[j] = XCol{s.cells + (fx.at + s.sy * (origin[1] + y0) + s.sz * (origin[2] + z0)),
+                       s.sy, s.sz, doff, fx.sign};
       } else {
         cols[j] = XCol{grid.block(fx.block, by, bz).data() + fx.cell, bs, bs * bs, doff,
                        fx.sign};
@@ -365,7 +369,7 @@ class BlockLab {
 
     Real* const base = storage_.data();
     for (int iz = 0; iz < bs_; ++iz) {
-      std::size_t o_row = offset(-g_, 0, iz);
+      std::size_t o_row = offset(-g_, y0, z0 + iz);
       for (int iy = 0; iy < bs_; ++iy, o_row += n_) {
         for (int j = 0; j < ncols; ++j) {
           const XCol& cl = cols[j];
@@ -379,30 +383,32 @@ class BlockLab {
   }
 
   /// Fills the ghost shell left by the interior rows and fill_x_edges: rows
-  /// whose y/z coordinate is itself a ghost. Their x-interior span [0, bs)
-  /// never folds along x, so it is one contiguous run — of a y or z slab
-  /// when exactly one of the row's y/z coordinates is a slab layer, else of
-  /// the (folded or clamped) local block — and goes through the same
-  /// transposed copy as interior rows. `kSlabs`: some fold entry of this
-  /// load is a slab layer.
+  /// whose y/z coordinate is itself a ghost. Their x-interior span [0, e)
+  /// never folds along x: it is one contiguous run of a y or z slab when
+  /// exactly one of the row's y/z coordinates is a slab layer (a slab row
+  /// spans the whole rank box), else one run per block of the (folded or
+  /// clamped) local block row — k runs from blocks bx.., each through the
+  /// same transposed copy as interior rows. `kSlabs`: some fold entry of
+  /// this load is a slab layer.
   template <bool kSlabs>
-  void fill_ghost_rows(const Grid& grid, int bx, int ox) {
-    const int bs = bs_;
-    for (int iz = -g_; iz < bs + g_; ++iz)
-      for (int iy = -g_; iy < bs + g_; ++iy) {
-        if (iy >= 0 && iy < bs && iz >= 0 && iz < bs) continue;  // interior row
+  void fill_ghost_rows(const Grid& grid, int bx, int k, int ox) {
+    const int e = e_, bs = bs_;
+    for (int iz = -g_; iz < e + g_; ++iz)
+      for (int iy = -g_; iy < e + g_; ++iy) {
+        if (iy >= 0 && iy < e && iz >= 0 && iz < e) continue;  // interior row
         const Fold& fy = fold_[1][iy + g_];
         const Fold& fz = fold_[2][iz + g_];
         fill_ghost_span<kSlabs>(grid, -g_, 0, iy, iz);
-        const Cell* src;
         if (kSlabs && (fy.face >= 0) != (fz.face >= 0)) {
           const SlabView& s = slab_[fy.face >= 0 ? fy.face : fz.face];
-          src = s.cells + (ox + s.sy * fy.at + s.sz * fz.at);
+          copy_row_transposed(s.cells + (ox + s.sy * fy.at + s.sz * fz.at), offset(0, iy, iz),
+                              e, fy.sign, fz.sign);
         } else {
-          src = &grid.block(bx, fy.block, fz.block)(0, fy.cell, fz.cell);
+          for (int jx = 0; jx < k; ++jx)
+            copy_row_transposed(&grid.block(bx + jx, fy.block, fz.block)(0, fy.cell, fz.cell),
+                                offset(jx * bs, iy, iz), bs, fy.sign, fz.sign);
         }
-        copy_row_transposed(src, offset(0, iy, iz), bs, fy.sign, fz.sign);
-        fill_ghost_span<kSlabs>(grid, bs, bs + g_, iy, iz);
+        fill_ghost_span<kSlabs>(grid, e, e + g_, iy, iz);
       }
   }
 
@@ -444,11 +450,14 @@ class BlockLab {
     }
   }
 
-  int bs_ = 0, g_ = 0, n_ = 0;
+  int cap_ = 0;  ///< largest edge the storage holds
+  int e_ = 0;    ///< interior edge of the current shape
+  int bs_ = 0;   ///< source block size of the last load
+  int g_ = 0, n_ = 0;
   std::size_t per_q_ = 0;
   AlignedBuffer<Real> storage_;
   std::vector<Fold> fold_[3];  ///< per-axis fold tables, rebuilt per load
-  std::vector<XCol> xcols_;    ///< fill_x_edges columns, rebuilt per load
+  std::vector<XCol> xcols_;    ///< fill_x_edges columns, rebuilt per block row
   SlabView slab_[6];           ///< face slabs the last load read (cluster layer)
 };
 

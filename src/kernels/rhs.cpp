@@ -1,5 +1,7 @@
 #include "kernels/rhs.h"
 
+#include <string>
+
 #include "kernels/hlle.h"
 #include "kernels/weno.h"
 #include "simd/memory_ops.h"
@@ -34,8 +36,9 @@ void conv_impl(const BlockLab& lab, RhsWorkspace& ws) {
   Real* out[kNumQuantities];
   for (int q = 0; q < kNumQuantities; ++q) out[q] = ws.prim(q);
 
-  std::size_t i = 0;
-  for (; i + L <= total; i += L) {
+  // The extent n = edge + 2 * ghosts is even (the edge is a multiple of 4),
+  // so n^3 is a multiple of 8 and of every lane count: no partial vector.
+  for (std::size_t i = 0; i < total; i += L) {
     const T r = load_elems<T>(rho + i);
     const T invr = T(1.0f) / r;
     const T u = load_elems<T>(ru + i) * invr;
@@ -52,20 +55,6 @@ void conv_impl(const BlockLab& lab, RhsWorkspace& ws) {
     store_elems(out[Q_E] + i, p);
     store_elems(out[Q_G] + i, g);
     store_elems(out[Q_P] + i, pi);
-  }
-  if constexpr (L > 1) {
-    for (; i < total; ++i) {
-      const float r = rho[i], invr = 1.0f / r;
-      const float u = ru[i] * invr, v = rv[i] * invr, w = rw[i] * invr;
-      const float ke = 0.5f * r * (u * u + v * v + w * w);
-      out[Q_RHO][i] = r;
-      out[Q_RU][i] = u;
-      out[Q_RV][i] = v;
-      out[Q_RW][i] = w;
-      out[Q_E][i] = (E[i] - ke - P[i]) / G[i];
-      out[Q_G][i] = G[i];
-      out[Q_P][i] = P[i];
-    }
   }
 }
 
@@ -223,7 +212,7 @@ inline void yz_columns(int bs, Line&& line) {
 /// reads them back: the memory round trip micro-fusion removes.
 template <typename T, int ORDER, bool STAGED>
 void sweep(RhsWorkspace& ws, int dir) {
-  const int bs = ws.block_size();
+  const int bs = ws.edge();
   const SweepPtrs sp = sweep_ptrs(ws, dir);
   Real* right[kNumQuantities];
   Real* left[kNumQuantities];
@@ -301,48 +290,61 @@ void sweep_all(RhsWorkspace& ws, bool staged, int order) {
 }
 
 /// BACK: RHS <- acc/h with the quasi-conservative Gamma/Pi fix, written into
-/// the block's AoS tmp area as tmp <- a*tmp + RHS.
-void back(RhsWorkspace& ws, Real h, Real a, Block& block) {
-  const int bs = ws.block_size();
+/// the AoS tmp area of each of the k^3 blocks the workspace covers as
+/// tmp <- a*tmp + RHS.
+void back(RhsWorkspace& ws, Real h, Real a, Block* const* blocks, int k) {
+  const int bs = ws.edge() / k;
   const Real invh = Real(1) / h;
-  for (int iz = 0; iz < bs; ++iz)
-    for (int iy = 0; iy < bs; ++iy)
-      for (int ix = 0; ix < bs; ++ix) {
-        const std::size_t o = ws.offset(ix, iy, iz);
-        Cell& t = block.tmp(ix, iy, iz);
-        for (int q = 0; q < Q_G; ++q) t.q(q) = a * t.q(q) + ws.acc(q)[o] * invh;
-        // d(phi)/dt = -div(phi u) + phi div(u); acc already holds -h*div.
-        const Real du = ws.ustar()[o];
-        t.G = a * t.G + (ws.acc(Q_G)[o] - ws.prim(Q_G)[o] * du) * invh;
-        t.P = a * t.P + (ws.acc(Q_P)[o] - ws.prim(Q_P)[o] * du) * invh;
+  for (int jz = 0; jz < k; ++jz)
+    for (int jy = 0; jy < k; ++jy)
+      for (int jx = 0; jx < k; ++jx) {
+        Block& block = *blocks[jx + k * (jy + k * jz)];
+        for (int iz = 0; iz < bs; ++iz)
+          for (int iy = 0; iy < bs; ++iy)
+            for (int ix = 0; ix < bs; ++ix) {
+              const std::size_t o = ws.offset(jx * bs + ix, jy * bs + iy, jz * bs + iz);
+              Cell& t = block.tmp(ix, iy, iz);
+              for (int q = 0; q < Q_G; ++q) t.q(q) = a * t.q(q) + ws.acc(q)[o] * invh;
+              // d(phi)/dt = -div(phi u) + phi div(u); acc already holds -h*div.
+              const Real du = ws.ustar()[o];
+              t.G = a * t.G + (ws.acc(Q_G)[o] - ws.prim(Q_G)[o] * du) * invh;
+              t.P = a * t.P + (ws.acc(Q_P)[o] - ws.prim(Q_P)[o] * du) * invh;
+            }
       }
 }
 
 }  // namespace
 
-void RhsWorkspace::resize(int bs, int ghosts) {
-  require(bs > 0 && bs % 4 == 0, "RhsWorkspace: block size must be a positive multiple of 4");
+void RhsWorkspace::resize(int edge, int ghosts) {
+  require(edge > 0 && edge % 4 == 0, "RhsWorkspace: edge must be a positive multiple of 4");
   require(ghosts >= 3, "RhsWorkspace: WENO5 needs at least 3 ghosts");
-  bs_ = bs;
+  cap_ = edge;
   g_ = ghosts;
-  n_ = bs + 2 * ghosts;
-  for (auto& f : prim_) f.reset(n_, n_, n_);
-  for (auto& f : acc_) f.reset(n_, n_, n_);
-  ustar_.reset(n_, n_, n_);
-  // Face buffers of the staged shape cover a whole directional sweep: bs+2
-  // cells x bs^2 lines per quantity-side.
-  const std::size_t facelen = static_cast<std::size_t>(bs + 2) * bs * bs;
+  const std::size_t n = static_cast<std::size_t>(edge) + 2 * static_cast<std::size_t>(ghosts);
+  for (auto& f : prim_) f.reset(n * n * n);
+  for (auto& f : acc_) f.reset(n * n * n);
+  ustar_.reset(n * n * n);
+  // Face buffers of the staged shape cover a whole directional sweep: edge+2
+  // cells x edge^2 lines per quantity-side.
+  const std::size_t facelen = static_cast<std::size_t>(edge + 2) * edge * edge;
   for (auto& r : faces_) r.reset(facelen);
-  // Line buffer rows: bs+2 cells of an x row or bs^2 columns of an xy-plane,
-  // padded to whole cache lines.
-  line_stride_ = (static_cast<std::size_t>(bs) * bs + 2 + 15) / 16 * 16;
-  line_.reset(kLineRows * line_stride_);
+  line_.reset(kLineRows * line_stride(edge));
+  shape(edge);
+}
+
+void RhsWorkspace::shape(int edge) {
+  if (edge <= 0 || edge % 4 != 0 || edge > cap_)
+    throw PreconditionError("RhsWorkspace: edge " + std::to_string(edge) +
+                            " is not a multiple of 4 within " + std::to_string(cap_));
+  e_ = edge;
+  n_ = edge + 2 * g_;
+  line_stride_ = line_stride(edge);
 }
 
 void convert_to_primitive(const BlockLab& lab, RhsWorkspace& ws, KernelImpl impl,
                           simd::Width width) {
-  require(lab.block_size() == ws.block_size() && lab.ghosts() == ws.ghosts(),
-          "convert_to_primitive: lab/workspace shape mismatch");
+  require(lab.ghosts() == ws.ghosts(), "convert_to_primitive: lab/workspace ghost mismatch");
+  ws.shape(lab.edge());
   const simd::Width w =
       impl == KernelImpl::kScalar ? simd::Width::kScalar : simd::resolve_width(width);
   switch (w) {
@@ -360,8 +362,15 @@ void convert_to_primitive(const BlockLab& lab, RhsWorkspace& ws, KernelImpl impl
 
 void rhs_block(const BlockLab& lab, Real h, Real a, Block& block, RhsWorkspace& ws,
                KernelImpl impl, int weno_order, simd::Width width) {
-  require(block.size() == ws.block_size(), "rhs_block: block/workspace shape mismatch");
-  require(weno_order == 3 || weno_order == 5, "rhs_block: WENO order must be 3 or 5");
+  Block* const blocks[1] = {&block};
+  rhs_tile(lab, h, a, blocks, 1, ws, impl, weno_order, width);
+}
+
+void rhs_tile(const BlockLab& lab, Real h, Real a, Block* const* blocks, int k,
+              RhsWorkspace& ws, KernelImpl impl, int weno_order, simd::Width width) {
+  require(k >= 1 && lab.edge() == k * blocks[0]->size(),
+          "rhs_tile: lab edge is not k blocks");
+  require(weno_order == 3 || weno_order == 5, "rhs_tile: WENO order must be 3 or 5");
   const simd::Width w =
       impl == KernelImpl::kScalar ? simd::Width::kScalar : simd::resolve_width(width);
   convert_to_primitive(lab, ws, impl, w);
@@ -379,18 +388,19 @@ void rhs_block(const BlockLab& lab, Real h, Real a, Block& block, RhsWorkspace& 
       sweep_all<simd::vec4>(ws, staged, weno_order);
       break;
   }
-  back(ws, h, a, block);
+  back(ws, h, a, blocks, k);
 }
 
-double rhs_flops(int bs) {
-  const double n = bs + 2.0 * kGhosts;
-  const double lines = 3.0 * bs * bs;  // lines of the three directional sweeps
-  const double cells = static_cast<double>(bs) * bs * bs;
+double rhs_flops(int edge) {
+  const double e = edge;
+  const double n = e + 2.0 * kGhosts;
+  const double lines = 3.0 * e * e;  // lines of the three directional sweeps
+  const double cells = e * e * e;
   const double conv = 14.0 * n * n * n;
-  // Each line reconstructs its bs cells plus one ghost cell per end and
-  // evaluates HLLE at its bs+1 faces.
-  const double weno = lines * (bs + 2.0) * kNumQuantities * kWenoFlops;
-  const double hlle = lines * (bs + 1.0) * kHlleFlops;
+  // Each line reconstructs its e cells plus one ghost cell per end and
+  // evaluates HLLE at its e+1 faces.
+  const double weno = lines * (e + 2.0) * kNumQuantities * kWenoFlops;
+  const double hlle = lines * (e + 1.0) * kHlleFlops;
   // SUM over 8 accumulators (7 components + ustar): one subtraction per
   // cell in x, an add and a subtraction per cell in y and in z.
   const double sum = cells * (kNumQuantities + 1) * (1.0 + 2.0 + 2.0);

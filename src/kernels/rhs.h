@@ -28,7 +28,7 @@
 // accumulator is zeroed and no ghost cell of one is ever written or read.
 #pragma once
 
-#include "common/field3d.h"
+#include "common/aligned_buffer.h"
 #include "grid/block.h"
 #include "grid/lab.h"
 #include "simd/dispatch.h"
@@ -37,14 +37,20 @@ namespace mpcf::kernels {
 
 enum class KernelImpl { kScalar, kSimd, kSimdFused };
 
-/// Per-thread scratch for one block evaluation: ghost-extended primitive
-/// arrays, flux-difference accumulators, the line buffer and the staged
-/// shape's face buffers.
+/// Per-thread scratch for one block or tile evaluation: ghost-extended
+/// primitive arrays, flux-difference accumulators, the line buffer and the
+/// staged shape's face buffers. Allocated once for the largest edge and
+/// shaped per evaluation to the lab's edge.
 class RhsWorkspace {
  public:
-  void resize(int bs, int ghosts = kGhosts);
+  /// Allocates for edges up to `edge` (a multiple of 4) with `ghosts` ghost
+  /// cells, and shapes the workspace to `edge`.
+  void resize(int edge, int ghosts = kGhosts);
+  /// Lays the buffers out for interior edge `edge` (a multiple of 4, at most
+  /// the allocated one) without allocating.
+  void shape(int edge);
 
-  [[nodiscard]] int block_size() const noexcept { return bs_; }
+  [[nodiscard]] int edge() const noexcept { return e_; }
   [[nodiscard]] int ghosts() const noexcept { return g_; }
   [[nodiscard]] int extent() const noexcept { return n_; }
 
@@ -57,7 +63,7 @@ class RhsWorkspace {
   /// Accumulator of the face-velocity differences (Gamma/Pi correction).
   [[nodiscard]] Real* ustar() noexcept { return ustar_.data(); }
   /// Staged face buffer r in [0, 14): right/left face values of the 7
-  /// primitives for every cell of one directional sweep, bs+2 per line.
+  /// primitives for every cell of one directional sweep, edge+2 per line.
   [[nodiscard]] Real* face(int r) noexcept { return faces_[r].data(); }
   /// Row r in [0, 22) of the line buffer: right/left face values of the 7
   /// primitives (of an x row's cells, or per column of the last y/z row of
@@ -66,7 +72,7 @@ class RhsWorkspace {
     return line_.data() + static_cast<std::size_t>(r) * line_stride_;
   }
 
-  /// Offset of cell (ix,iy,iz), block-local, ghosts included (ix >= -g).
+  /// Offset of cell (ix,iy,iz), lab-local, ghosts included (ix >= -g).
   [[nodiscard]] std::size_t offset(int ix, int iy, int iz) const noexcept {
     return (ix + g_) +
            static_cast<std::size_t>(n_) *
@@ -76,12 +82,17 @@ class RhsWorkspace {
  private:
   /// Rows of the line buffer.
   static constexpr int kLineRows = 3 * kNumQuantities + 1;
+  /// Line buffer row stride for edge e: e+2 cells of an x row or e^2
+  /// columns of an xy-plane, padded to whole cache lines.
+  [[nodiscard]] static std::size_t line_stride(int e) noexcept {
+    return (static_cast<std::size_t>(e) * e + 2 + 15) / 16 * 16;
+  }
 
-  int bs_ = 0, g_ = 0, n_ = 0;
+  int cap_ = 0, e_ = 0, g_ = 0, n_ = 0;
   std::size_t line_stride_ = 0;
-  Field3D<Real> prim_[kNumQuantities];
-  Field3D<Real> acc_[kNumQuantities];
-  Field3D<Real> ustar_;
+  AlignedBuffer<Real> prim_[kNumQuantities];
+  AlignedBuffer<Real> acc_[kNumQuantities];
+  AlignedBuffer<Real> ustar_;
   AlignedBuffer<Real> faces_[2 * kNumQuantities];
   AlignedBuffer<Real> line_;
 };
@@ -101,7 +112,17 @@ void rhs_block(const BlockLab& lab, Real h, Real a, Block& block, RhsWorkspace& 
                KernelImpl impl = KernelImpl::kSimdFused, int weno_order = 5,
                simd::Width width = simd::Width::kAuto);
 
-/// Analytic FLOP count of one rhs_block call (for GFLOP/s reporting).
-[[nodiscard]] double rhs_flops(int bs);
+/// The same evaluation over a tile of k^3 blocks held by one lab of edge
+/// k * block size: `blocks[jx + k * (jy + k * jz)]` is the tile's block at
+/// tile-local block coordinates (jx, jy, jz), and BACK writes each block's
+/// tmp. Per-cell arithmetic does not depend on the grouping, so every
+/// block's tmp is bitwise what rhs_block on its own lab writes.
+void rhs_tile(const BlockLab& lab, Real h, Real a, Block* const* blocks, int k,
+              RhsWorkspace& ws, KernelImpl impl = KernelImpl::kSimdFused, int weno_order = 5,
+              simd::Width width = simd::Width::kAuto);
+
+/// Analytic FLOP count of one RHS evaluation on a lab of edge `edge` (a
+/// block, or a tile), for GFLOP/s reporting.
+[[nodiscard]] double rhs_flops(int edge);
 
 }  // namespace mpcf::kernels

@@ -244,14 +244,16 @@ INSTANTIATE_TEST_SUITE_P(Topologies, RankEquivalenceTest,
 
 TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {
   Simulation::Params params = cloud_params(BCType::kAbsorbing);
-  ClusterSimulation cs(4, 4, 4, 8, CartTopology(2, 1, 1), params);
+  ClusterSimulation cs(8, 4, 4, 8, CartTopology(2, 1, 1), params);
   for (int r = 0; r < cs.rank_count(); ++r) init_cloud(cs.rank_sim(r).grid());
   cs.tracer().enable(true);
   cs.step();
   cs.step();
 
   using perf::TracePhase;
-  // 2x1x1 absorbing: each rank has a 2x4x4 halo layer and 2x4x4 interior.
+  // 2x1x1 absorbing: each rank box of 4x4x4 blocks of 8^3 steps as 2x2x2
+  // tiles, a 1x2x2 halo layer of tiles and a 1x2x2 interior.
+  ASSERT_EQ(cs.rank_sim(0).tile_blocks(), 2);
   EXPECT_GT(cs.tracer().total_seconds(TracePhase::kExchange), 0.0);
   EXPECT_GT(cs.tracer().total_seconds(TracePhase::kInterior), 0.0);
   EXPECT_GT(cs.tracer().total_seconds(TracePhase::kHalo), 0.0);

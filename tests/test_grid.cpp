@@ -3,6 +3,7 @@
 
 #include "grid/grid.h"
 #include "grid/lab.h"
+#include "lab_oracle.h"
 
 namespace mpcf {
 namespace {
@@ -154,7 +155,7 @@ TEST(BlockLab, CustomFetcherIsUsedForGhostsOnly) {
   BlockLab lab;
   lab.resize(8);
   int fetches = 0;
-  lab.load(g, 0, 0, 0, [&](int, int, int) {
+  lab_oracle::load_per_cell(lab, g, 0, 0, 0, 1, [&](int, int, int) {
     ++fetches;
     return Cell{};
   });

@@ -1,9 +1,11 @@
 // Differential tests of BlockLab bulk assembly against the per-cell fetch
-// oracle: for every boundary-condition fold (absorbing clamp, wall mirror
-// with momentum sign flip, periodic wrap, and mixed per-face settings) and
-// for every block position (faces, edges, corners), the bulk load must
-// reproduce the per-cell path bitwise. A cluster rank's lab, which reads the
-// halo slabs row by row, is checked against the per-cell fetch_remote path.
+// oracle (lab_oracle.h): for every boundary-condition fold (absorbing
+// clamp, wall mirror with momentum sign flip, periodic wrap, and mixed
+// per-face settings) and for every block and 2x2x2-block tile position
+// (faces, edges, corners), the bulk load must reproduce the per-cell path
+// bitwise. A cluster rank's lab, which reads the halo slabs row by row, is
+// checked against the per-cell fetch_remote path, per block and — where the
+// rank box tiles — per tile.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +14,7 @@
 #include "grid/boundary.h"
 #include "grid/grid.h"
 #include "grid/lab.h"
+#include "lab_oracle.h"
 #include "rank_cases.h"
 
 namespace mpcf {
@@ -35,67 +38,107 @@ void tag_grid(Grid& g) {
 }
 
 void expect_labs_bitwise(const BlockLab& a, const BlockLab& b) {
-  const int bs = a.block_size(), g = a.ghosts();
+  ASSERT_EQ(a.edge(), b.edge());
+  const int e = a.edge(), g = a.ghosts();
   for (int q = 0; q < kNumQuantities; ++q)
-    for (int iz = -g; iz < bs + g; ++iz)
-      for (int iy = -g; iy < bs + g; ++iy)
-        for (int ix = -g; ix < bs + g; ++ix)
+    for (int iz = -g; iz < e + g; ++iz)
+      for (int iy = -g; iy < e + g; ++iy)
+        for (int ix = -g; ix < e + g; ++ix)
           ASSERT_EQ(a(q, ix, iy, iz), b(q, ix, iy, iz))
               << "q=" << q << " (" << ix << "," << iy << "," << iz << ")";
 }
 
-/// Loads every block of `g` through both paths and compares bitwise.
-void check_all_blocks(Grid& g, const BoundaryConditions& bc) {
-  const int bs = g.block_size();
+/// Loads every tile of k^3 blocks of `g` (k = 1: every block) through both
+/// paths and compares bitwise.
+void check_all_tiles(Grid& g, const BoundaryConditions& bc, int k) {
+  ASSERT_TRUE(g.blocks_x() % k == 0 && g.blocks_y() % k == 0 && g.blocks_z() % k == 0);
   BlockLab oracle, bulk;
-  oracle.resize(bs);
-  bulk.resize(bs);
-  for (int bz = 0; bz < g.blocks_z(); ++bz)
-    for (int by = 0; by < g.blocks_y(); ++by)
-      for (int bx = 0; bx < g.blocks_x(); ++bx) {
-        SCOPED_TRACE(testing::Message() << "block (" << bx << "," << by << "," << bz << ")");
-        oracle.load(g, bx, by, bz,
-                    [&](int ix, int iy, int iz) { return g.cell_folded(ix, iy, iz, bc); });
-        bulk.load(g, bx, by, bz, bc);
+  oracle.resize(k * g.block_size());
+  bulk.resize(k * g.block_size());
+  for (int bz = 0; bz < g.blocks_z(); bz += k)
+    for (int by = 0; by < g.blocks_y(); by += k)
+      for (int bx = 0; bx < g.blocks_x(); bx += k) {
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " from block (" << bx << "," << by << "," << bz << ")");
+        lab_oracle::load_per_cell(oracle, g, bx, by, bz, k, [&](int ix, int iy, int iz) {
+          return g.cell_folded(ix, iy, iz, bc);
+        });
+        bulk.load(g, bx, by, bz, bc, nullptr, k);
         expect_labs_bitwise(oracle, bulk);
       }
 }
 
+/// Every block, then every 2x2x2 tile.
+void check_blocks_and_tiles(Grid& g, const BoundaryConditions& bc) {
+  check_all_tiles(g, bc, 1);
+  check_all_tiles(g, bc, 2);
+}
+
 TEST(LabAssembly, AbsorbingMatchesPerCellFetch) {
-  Grid g(2, 2, 2, 8, 1.0);
+  Grid g(4, 4, 4, 8, 1.0);
   tag_grid(g);
-  check_all_blocks(g, BoundaryConditions::all(BCType::kAbsorbing));
+  check_blocks_and_tiles(g, BoundaryConditions::all(BCType::kAbsorbing));
 }
 
 TEST(LabAssembly, WallMatchesPerCellFetch) {
-  Grid g(2, 2, 2, 8, 1.0);
+  Grid g(4, 4, 4, 8, 1.0);
   tag_grid(g);
-  check_all_blocks(g, BoundaryConditions::all(BCType::kWall));
+  check_blocks_and_tiles(g, BoundaryConditions::all(BCType::kWall));
 }
 
 TEST(LabAssembly, PeriodicMatchesPerCellFetch) {
-  Grid g(2, 2, 2, 8, 1.0);
+  Grid g(4, 4, 4, 8, 1.0);
   tag_grid(g);
-  check_all_blocks(g, BoundaryConditions::all(BCType::kPeriodic));
+  check_blocks_and_tiles(g, BoundaryConditions::all(BCType::kPeriodic));
 }
 
 TEST(LabAssembly, MixedPerFaceBcsMatchPerCellFetch) {
   // Different fold on every axis, asymmetric lo/hi on x: corner ghosts
   // combine three distinct folds (and two momentum sign flips on y-walls).
-  Grid g(3, 2, 1, 8, 1.0);
-  tag_grid(g);
   BoundaryConditions bc;
   bc.face[0] = {BCType::kAbsorbing, BCType::kWall};
   bc.face[1] = {BCType::kWall, BCType::kWall};
   bc.face[2] = {BCType::kPeriodic, BCType::kPeriodic};
-  check_all_blocks(g, bc);
+  Grid g(3, 2, 1, 8, 1.0);
+  tag_grid(g);
+  check_all_tiles(g, bc, 1);
+  Grid t(4, 2, 2, 8, 1.0);
+  tag_grid(t);
+  check_blocks_and_tiles(t, bc);
 }
 
 TEST(LabAssembly, SingleBlockGridFoldsOntoItself) {
   Grid g(1, 1, 1, 8, 1.0);
   tag_grid(g);
-  check_all_blocks(g, BoundaryConditions::all(BCType::kPeriodic));
-  check_all_blocks(g, BoundaryConditions::all(BCType::kWall));
+  check_all_tiles(g, BoundaryConditions::all(BCType::kPeriodic), 1);
+  check_all_tiles(g, BoundaryConditions::all(BCType::kWall), 1);
+  // One tile: its periodic ghosts wrap onto itself across block seams.
+  Grid t(2, 2, 2, 8, 1.0);
+  tag_grid(t);
+  check_all_tiles(t, BoundaryConditions::all(BCType::kPeriodic), 2);
+  check_all_tiles(t, BoundaryConditions::all(BCType::kWall), 2);
+}
+
+TEST(LabAssembly, ReshapesBetweenBlockAndTileLoads) {
+  // One lab sized for a tile serves block loads too, as a thread's lab does
+  // in the fused step (tiles) and the staged sweeps (blocks).
+  Grid g(4, 4, 4, 8, 1.0);
+  tag_grid(g);
+  const BoundaryConditions bc = BoundaryConditions::all(BCType::kWall);
+  BlockLab lab, oracle;
+  lab.resize(16);
+  oracle.resize(16);
+  for (const int k : {2, 1, 2}) {
+    lab.load(g, 2, 0, 2, bc, nullptr, k);
+    EXPECT_EQ(lab.edge(), 8 * k);
+    lab_oracle::load_per_cell(oracle, g, 2, 0, 2, k, [&](int ix, int iy, int iz) {
+      return g.cell_folded(ix, iy, iz, bc);
+    });
+    expect_labs_bitwise(oracle, lab);
+  }
+  BlockLab small;
+  small.resize(8);
+  EXPECT_THROW(small.load(g, 0, 0, 0, bc, nullptr, 2), PreconditionError);
 }
 
 /// Tags every cell of a cluster run by its global coordinates, so a slab
@@ -127,7 +170,9 @@ TEST(LabAssembly, ClusterFetchRemoteInterceptMatchesPerCellPath) {
   // Every rank lab — the slab-aware bulk load a rank's Simulation runs —
   // equals the per-cell fetch_remote oracle on every lab cell, edges and
   // corners included, for every topology and BC set of RankEquivalenceTest
-  // (periodic self-axis wraps, walls, and the cluster_weak shape).
+  // (periodic self-axis wraps, walls, and the cluster_weak shape): per
+  // block, and per tile wherever the rank box tiles.
+  int tiled_cases = 0;
   for (const testing_cases::RankCase& rc : testing_cases::rank_cases()) {
     SCOPED_TRACE(testing::Message() << rc);
     Simulation::Params p;
@@ -137,31 +182,47 @@ TEST(LabAssembly, ClusterFetchRemoteInterceptMatchesPerCellPath) {
     tag_cluster(*cs);
     cs->exchange_halos();
 
-    BlockLab oracle;
-    oracle.resize(rc.bs);
     for (int r = 0; r < cs->rank_count(); ++r) {
       Simulation& sim = cs->rank_sim(r);
       const Grid& g = sim.grid();
+      const int k = sim.tile_blocks();
+      BlockLab oracle;
+      oracle.resize(k * rc.bs);
       int cx, cy, cz;
       cs->topology().coords(r, cx, cy, cz);
       const int ox = cx * g.cells_x(), oy = cy * g.cells_y(), oz = cz * g.cells_z();
+      // fetch_remote takes global coordinates; the lab hands out rank-local
+      // ones. A declined cell is in the rank box, unfolded.
+      const auto fetch = [&](int ix, int iy, int iz) {
+        Cell c;
+        if (cs->fetch_remote(r, ix + ox, iy + oy, iz + oz, c)) return c;
+        return g.cell(ix, iy, iz);
+      };
       for (int b = 0; b < g.block_count(); ++b) {
         int bx, by, bz;
         g.indexer().coords(b, bx, by, bz);
         SCOPED_TRACE(testing::Message()
                      << "rank " << r << " block (" << bx << "," << by << "," << bz << ")");
-        // fetch_remote takes global coordinates; the lab hands out rank-local
-        // ones. A declined cell is in the rank box, unfolded.
-        oracle.load(g, bx, by, bz, [&](int ix, int iy, int iz) {
-          Cell c;
-          if (cs->fetch_remote(r, ix + ox, iy + oy, iz + oz, c)) return c;
-          return g.cell(ix, iy, iz);
-        });
+        lab_oracle::load_per_cell(oracle, g, bx, by, bz, 1, fetch);
         sim.assemble_lab(b, 0);
+        expect_labs_bitwise(oracle, sim.lab(0));
+      }
+      if (k == 1) continue;
+      if (r == 0) ++tiled_cases;
+      sim.ensure_thread_workspaces(true);
+      for (int t = 0; t < sim.tile_count(); ++t) {
+        int tx, ty, tz;
+        sim.tile_indexer().coords(t, tx, ty, tz);
+        SCOPED_TRACE(testing::Message()
+                     << "rank " << r << " tile (" << tx << "," << ty << "," << tz << ")");
+        lab_oracle::load_per_cell(oracle, g, k * tx, k * ty, k * tz, k, fetch);
+        sim.assemble_tile(t, 0);
         expect_labs_bitwise(oracle, sim.lab(0));
       }
     }
   }
+  // Every bs 8 case but 4x1x1 (a 1x4x4-block rank box) tiles.
+  EXPECT_EQ(tiled_cases, 7);
 }
 
 }  // namespace

@@ -9,13 +9,17 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "cluster/cluster_simulation.h"
 #include "core/simulation.h"
 #include "grid/lab.h"
 #include "grid/sfc.h"
+#include "kernels/rhs.h"
+#include "kernels/sos.h"
 #include "kernels/update.h"
 #include "simd/dispatch.h"
 #include "workload/cloud.h"
@@ -145,25 +149,135 @@ TEST(BlockTopology, PeriodicTwoBlocksPerAxisReadsEveryBlock) {
 }
 
 TEST(BlockTopology, ReadsetCoversActualLabLoads) {
-  // Brute force: for every block, a real bulk lab assembly's recorded source
-  // set must be contained in the topology's readset.
-  for (BCType bc : {BCType::kAbsorbing, BCType::kPeriodic}) {
-    Grid g(3, 2, 2, 8, 1.0);
+  // Brute force: for every block and every 2x2x2 tile, a real bulk lab
+  // assembly's recorded source set must be contained in the readset of the
+  // topology over blocks, resp. tiles.
+  for (BCType bc : {BCType::kAbsorbing, BCType::kWall, BCType::kPeriodic}) {
+    Grid g(4, 2, 2, 8, 1.0);
     const BoundaryConditions bcs = BoundaryConditions::all(bc);
-    const BlockTopology topo = build_block_topology(g.indexer(), 8, kGhosts, bcs);
     BlockLab lab;
+    lab.resize(16);
     std::vector<int> reads;
-    for (int b = 0; b < g.block_count(); ++b) {
-      int bx, by, bz;
-      g.indexer().coords(b, bx, by, bz);
-      lab.load(g, bx, by, bz, bcs);
-      lab.read_block_set(g.indexer(), reads);
-      const auto rs = topo.readset(b);
-      EXPECT_TRUE(std::includes(rs.begin(), rs.end(), reads.begin(), reads.end()))
-          << "lab of block " << b << " read outside its readset (bc="
-          << static_cast<int>(bc) << ")";
+    for (const int k : {1, 2}) {
+      const BlockIndexer units(4 / k, 2 / k, 2 / k);
+      const BlockTopology topo = build_block_topology(units, 8 * k, kGhosts, bcs);
+      for (int u = 0; u < units.count(); ++u) {
+        int ux, uy, uz;
+        units.coords(u, ux, uy, uz);
+        lab.load(g, k * ux, k * uy, k * uz, bcs, nullptr, k);
+        lab.read_block_set(units, reads, k);
+        EXPECT_FALSE(reads.empty());
+        const auto rs = topo.readset(u);
+        EXPECT_TRUE(std::includes(rs.begin(), rs.end(), reads.begin(), reads.end()))
+            << "lab of unit " << u << " (k=" << k << ") read outside its readset (bc="
+            << static_cast<int>(bc) << ")";
+      }
     }
   }
+}
+
+// --- Tiles: the fused step's task unit on bs 8 grids -----------------------
+
+TEST(TileRule, Bs8GridsTileWhenTwoDividesEveryBlockCount) {
+  EXPECT_EQ(tile_blocks(8, 12, 12, 12), 2);
+  Simulation cloud_job(12, 12, 12, 8);  // bench_suite's cloud_job grid
+  EXPECT_EQ(cloud_job.tile_blocks(), 2);
+  EXPECT_EQ(cloud_job.tile_count(), 6 * 6 * 6);
+  EXPECT_EQ(cloud_job.step_topology().count, 6 * 6 * 6);
+  EXPECT_EQ(tile_blocks(8, 2, 4, 4), 2);  // the bs 8 rank boxes of 2x1x1 ranks
+  // Stay per block: an odd block count on any axis, and other block sizes
+  // (bs 4 included: its rows run the kernels' scalar tail at vec8).
+  EXPECT_EQ(tile_blocks(8, 16, 1, 1), 1);
+  EXPECT_EQ(tile_blocks(8, 5, 5, 5), 1);
+  EXPECT_EQ(tile_blocks(8, 1, 4, 4), 1);
+  EXPECT_EQ(tile_blocks(16, 4, 4, 4), 1);
+  EXPECT_EQ(tile_blocks(32, 8, 8, 12), 1);
+  EXPECT_EQ(tile_blocks(4, 8, 8, 8), 1);
+  Simulation line(16, 1, 1, 8);
+  EXPECT_EQ(line.tile_blocks(), 1);
+  EXPECT_EQ(line.tile_count(), line.grid().block_count());
+}
+
+TEST(TileRule, TilesCoverEveryBlockOnce) {
+  Simulation sim(4, 6, 2, 8);
+  ASSERT_EQ(sim.tile_blocks(), 2);
+  std::vector<int> seen(sim.grid().block_count(), 0);
+  for (int t = 0; t < sim.tile_count(); ++t) {
+    int tx, ty, tz;
+    sim.tile_indexer().coords(t, tx, ty, tz);
+    const auto ids = sim.tile_block_ids(t);
+    ASSERT_EQ(ids.size(), 8u);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      int bx, by, bz;
+      sim.grid().indexer().coords(ids[j], bx, by, bz);
+      // Tile-local x fastest.
+      const int jx = static_cast<int>(j) % 2, jy = static_cast<int>(j) / 2 % 2,
+                jz = static_cast<int>(j) / 4;
+      EXPECT_EQ(bx, 2 * tx + jx);
+      EXPECT_EQ(by, 2 * ty + jy);
+      EXPECT_EQ(bz, 2 * tz + jz);
+      ++seen[ids[j]];
+    }
+  }
+  for (const int n : seen) EXPECT_EQ(n, 1);
+}
+
+TEST(TileRule, FlopsCountTheLabsTheStepEvaluates) {
+  Simulation::Params staged_params;
+  staged_params.fused_step = false;
+  Simulation fused(4, 4, 2, 8), staged(4, 4, 2, 8, staged_params);
+  const double nb = 32, per_block = kernels::sos_flops(8) + 3 * kernels::update_flops(8);
+  EXPECT_DOUBLE_EQ(fused.flops_per_step(), nb * per_block + 4 * 3 * kernels::rhs_flops(16));
+  EXPECT_DOUBLE_EQ(staged.flops_per_step(), nb * per_block + nb * 3 * kernels::rhs_flops(8));
+  EXPECT_LT(fused.flops_per_step(), staged.flops_per_step());
+}
+
+TEST(FusedStep, TilesBitwiseMatchStagedAcrossBcsWidthsThreadsAndFloors) {
+  // 4x4x2 blocks of 8^3 step as 2x2x1 tiles of 16^3; the staged oracle
+  // (fused_step = false) evaluates per block. State and dt sequence must
+  // agree bit for bit for every BC fold, width, thread count, and with the
+  // floors on (SOS folded into the guard sweep) and off (into the
+  // final-stage tile updates).
+  ThreadCountGuard tg;
+  BoundaryConditions mixed;
+  mixed.face[0] = {BCType::kAbsorbing, BCType::kWall};
+  mixed.face[1] = {BCType::kWall, BCType::kWall};
+  mixed.face[2] = {BCType::kPeriodic, BCType::kPeriodic};
+  const std::vector<BoundaryConditions> bcs = {
+      BoundaryConditions::all(BCType::kAbsorbing), BoundaryConditions::all(BCType::kWall),
+      BoundaryConditions::all(BCType::kPeriodic), mixed};
+  for (std::size_t ib = 0; ib < bcs.size(); ++ib)
+    for (const bool floors : {true, false})
+      for (const simd::Width w : executable_widths()) {
+        const auto run = [&](bool fused, std::vector<double>& dts) {
+          Simulation::Params p = cloud_params(BCType::kAbsorbing, fused, w);
+          p.bc = bcs[ib];
+          if (!floors) p.rho_floor = p.p_floor = -1.0;
+          auto sim = std::make_unique<Simulation>(4, 4, 2, 8, p);
+          if (floors)
+            init_cloud(sim->grid());
+          else
+            init_pulse(sim->grid());
+          for (int s = 0; s < 3; ++s) dts.push_back(sim->step());
+          return sim;
+        };
+        // The oracle does not depend on the thread count (one thread keeps
+        // its omp-for sweeps fast under TSan).
+        omp_set_num_threads(1);
+        std::vector<double> staged_dts;
+        const auto staged = run(false, staged_dts);
+        for (const int nt : {1, 2, 4}) {
+          SCOPED_TRACE(testing::Message() << "bc set " << ib << ", floors " << floors
+                                          << ", width " << static_cast<int>(w)
+                                          << ", threads " << nt);
+          omp_set_num_threads(nt);
+          std::vector<double> fused_dts;
+          const auto fused = run(true, fused_dts);
+          ASSERT_EQ(fused->tile_blocks(), 2);
+          ASSERT_EQ(fused_dts, staged_dts);
+          expect_grids_bitwise_equal(fused->grid(), staged->grid(), "tiles-vs-staged");
+        }
+      }
 }
 
 // --- Fused vs staged: node layer ------------------------------------------
