@@ -547,6 +547,17 @@ double ClusterSimulation::step() {
 }
 
 void ClusterSimulation::gather(Grid& global) const {
+  if (!comm_.is_local(0)) {
+    // Multi-process: this process's boxes converge on rank 0 through the
+    // transport; `global` is not touched here.
+    std::vector<float> msg;
+    for (const int r : local_) {
+      const RankBox& box = boxes_[r];
+      box_to_msg(sims_[r]->grid(), 0, 0, 0, box.nx, box.ny, box.nz, msg);
+      comm_.send(r, 0, kTagGather, msg);
+    }
+    return;
+  }
   require(global.cells_x() == gbx_ * bs_ && global.cells_y() == gby_ * bs_ &&
               global.cells_z() == gbz_ * bs_,
           "gather: global grid shape mismatch");
@@ -558,24 +569,12 @@ void ClusterSimulation::gather(Grid& global) const {
         for (int ix = 0; ix < box.nx; ++ix)
           global.cell(box.ox + ix, box.oy + iy, box.oz + iz) = g.cell(ix, iy, iz);
   }
-  if (static_cast<int>(local_.size()) == topo_.size()) return;
-
-  // Multi-process: remote boxes converge on rank 0 through the transport.
-  if (comm_.is_local(0)) {
-    std::vector<float> msg;
-    for (int r = 0; r < topo_.size(); ++r) {
-      if (comm_.is_local(r)) continue;
-      msg = comm_.recv(r, 0, kTagGather);
-      const RankBox& box = boxes_[r];
-      msg_to_box(global, box.ox, box.oy, box.oz, box.nx, box.ny, box.nz, msg);
-    }
-  } else {
-    std::vector<float> msg;
-    for (const int r : local_) {
-      const RankBox& box = boxes_[r];
-      box_to_msg(sims_[r]->grid(), 0, 0, 0, box.nx, box.ny, box.nz, msg);
-      comm_.send(r, 0, kTagGather, msg);
-    }
+  std::vector<float> msg;
+  for (int r = 0; r < topo_.size(); ++r) {
+    if (comm_.is_local(r)) continue;
+    msg = comm_.recv(r, 0, kTagGather);
+    const RankBox& box = boxes_[r];
+    msg_to_box(global, box.ox, box.oy, box.oz, box.nx, box.ny, box.nz, msg);
   }
 }
 
@@ -610,9 +609,16 @@ void ClusterSimulation::scatter(const Grid& global) {
   for (const int r : local_) sims_[r]->invalidate_speed_cache();
 }
 
-std::uint64_t ClusterSimulation::save_checkpoint(const std::string& path) const {
+Grid ClusterSimulation::checkpoint_grid() const {
   const double extent = front_sim().grid().h() * gbx_ * bs_;
-  Grid global(gbx_, gby_, gbz_, bs_, extent);
+  // Only rank 0's process reads or writes the global state; the others
+  // gather from and scatter into their own boxes alone.
+  if (comm_.is_local(0)) return Grid(gbx_, gby_, gbz_, bs_, extent);
+  return Grid(1, 1, 1, 1, extent);
+}
+
+std::uint64_t ClusterSimulation::save_checkpoint(const std::string& path) const {
+  Grid global = checkpoint_grid();
   gather(global);
   std::uint64_t bytes = 0;
   if (comm_.is_local(0)) bytes = io::save_grid_checkpoint(path, global, time_, steps_);
@@ -627,8 +633,7 @@ std::uint64_t ClusterSimulation::save_checkpoint(const std::string& path) const 
 }
 
 void ClusterSimulation::load_checkpoint(const std::string& path) {
-  const double extent = front_sim().grid().h() * gbx_ * bs_;
-  Grid global(gbx_, gby_, gbz_, bs_, extent);
+  Grid global = checkpoint_grid();
   io::CheckpointClock clock;
   const bool in_process = static_cast<int>(local_.size()) == topo_.size();
   if (comm_.is_local(0)) {

@@ -75,8 +75,8 @@ class ClusterSimulation {
 
   /// Copies the distributed state into a single global grid (shape must be
   /// gbx x gby x gbz blocks of the same block size). Multi-process: remote
-  /// boxes are shipped to rank 0, so only the process owning rank 0 ends up
-  /// with the complete grid; other processes fill just their own boxes.
+  /// boxes are shipped to rank 0, so only the process owning rank 0 fills
+  /// (and shape-checks) `global`; other processes only send their boxes.
   void gather(Grid& global) const;
 
   /// Inverse of gather: distributes a global grid across the rank subgrids.
@@ -186,6 +186,9 @@ class ClusterSimulation {
   /// Lazily builds the whole-step graph over the local ranks.
   void ensure_step_graph();
   [[nodiscard]] const Simulation& front_sim() const { return *sims_[local_.front()]; }
+  /// The global grid a checkpoint gathers into or scatters from: full size
+  /// on the process holding rank 0, a one-cell placeholder on the others.
+  [[nodiscard]] Grid checkpoint_grid() const;
 
   CartTopology topo_;
   mutable SimComm comm_;  ///< mutable: const collectives (gather, save) send

@@ -3,10 +3,9 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
-#include <thread>
 
+#include "common/chunk_loop.h"
 #include "common/error.h"
 #include "io/compressed_file.h"
 
@@ -52,7 +51,7 @@ CompressedQuantity compress_quantity_pipelined(const Grid& grid,
 
   const int requested = resolve_workers(params);
   const int nchunks = pipeline_chunk_count(blocks, requested);
-  const int workers = std::min(requested, std::max(nchunks, 1));
+  const int workers = chunk_workers(nchunks, requested);
   cq.streams.resize(nchunks);
   if (stats) {
     stats->workers = workers;
@@ -63,61 +62,35 @@ CompressedQuantity compress_quantity_pipelined(const Grid& grid,
 
   const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
 
-  // The stage graph: workers steal chunk *indices* off the shared counter
-  // (dynamic load balance — encode cost is content-dependent), but each
-  // chunk's output always lands in streams[c], so the file layout never
-  // depends on the schedule. Per-chunk failures are recorded and rethrown
-  // by lowest chunk id, keeping even the error deterministic.
-  std::atomic<int> next{0};
-  std::vector<std::exception_ptr> errors(nchunks);
+  // The stage graph: workers steal chunk *indices* (dynamic load balance —
+  // encode cost is content-dependent), but each chunk's output always lands
+  // in streams[c], so the file layout never depends on the schedule.
+  std::vector<std::vector<float>> coeffs(static_cast<std::size_t>(workers));
   std::vector<WorkerTimes> clocks(workers);
+  for_each_chunk(nchunks, requested, [&](int c, int w) {
+    std::vector<float>& cubes = coeffs[static_cast<std::size_t>(w)];
+    const int begin = chunk_begin(blocks, nchunks, c);
+    const int end = chunk_begin(blocks, nchunks, c + 1);
+    cubes.resize(static_cast<std::size_t>(end - begin) * cube_floats);
 
-  const auto work = [&](int w) {
-    std::vector<float> coeffs;
     Timer t;
-    for (;;) {
-      // order: relaxed — the counter only partitions chunk ids between
-      // workers; all cross-thread data handoff happens at thread join.
-      const int c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) break;
-      try {
-        const int begin = chunk_begin(blocks, nchunks, c);
-        const int end = chunk_begin(blocks, nchunks, c + 1);
-        coeffs.resize(static_cast<std::size_t>(end - begin) * cube_floats);
-
-        t.restart();
-        for (int b = begin; b < end; ++b) {
-          float* cube = coeffs.data() + static_cast<std::size_t>(b - begin) * cube_floats;
-          gather_block_quantity(grid.block(b), bs, params, cube);
-          FieldView3D<float> view(cube, bs, bs, bs);
-          wavelet::forward_3d_simd(view, levels);
-          wavelet::decimate(view, levels, params.eps, params.mode);
-        }
-        clocks[w].dec += t.seconds();
-
-        t.restart();
-        auto& stream = cq.streams[c];
-        encode_stream(coeffs.data(), coeffs.size(), stream);
-        stream.block_ids.resize(static_cast<std::size_t>(end - begin));
-        std::iota(stream.block_ids.begin(), stream.block_ids.end(),
-                  static_cast<std::uint32_t>(begin));
-        clocks[w].enc += t.seconds();
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
+    for (int b = begin; b < end; ++b) {
+      float* cube = cubes.data() + static_cast<std::size_t>(b - begin) * cube_floats;
+      gather_block_quantity(grid.block(b), bs, params, cube);
+      FieldView3D<float> view(cube, bs, bs, bs);
+      wavelet::forward_3d_simd(view, levels);
+      wavelet::decimate(view, levels, params.eps, params.mode);
     }
-  };
+    clocks[w].dec += t.seconds();
 
-  if (workers == 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work, w);
-    for (auto& th : pool) th.join();
-  }
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+    t.restart();
+    auto& stream = cq.streams[c];
+    encode_stream(cubes.data(), cubes.size(), stream);
+    stream.block_ids.resize(static_cast<std::size_t>(end - begin));
+    std::iota(stream.block_ids.begin(), stream.block_ids.end(),
+              static_cast<std::uint32_t>(begin));
+    clocks[w].enc += t.seconds();
+  });
 
   if (stats) {
     stats->worker_times = std::move(clocks);

@@ -13,9 +13,11 @@
 // never *where its output lands* — so for a fixed worker count the emitted
 // file is bitwise-stable run-to-run regardless of scheduling.
 //
-// Workers are plain std::threads, not an OpenMP team: the pool's width is
-// the dump's own CompressionParams::workers, set independently of the
-// solver's OpenMP team (bench_throughput sweeps it at a fixed team size).
+// Workers run the chunk-stealing loop the checkpoint codec shares
+// (common/chunk_loop.h): plain std::threads, not an OpenMP team, so the
+// pool's width is the dump's own CompressionParams::workers, set
+// independently of the solver's OpenMP team (bench_throughput sweeps it at a
+// fixed team size).
 #pragma once
 
 #include <string>

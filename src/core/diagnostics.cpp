@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mpcf {
 
@@ -22,11 +23,19 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
   const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
   const double inv_dG = 1.0 / (G_vapor - G_liquid);
 
-  double max_p = 0, max_pw = 0, ke = 0, E = 0, mass = 0, vap = 0;
+  // Each z-plane sums its cells in a fixed order into its own slot, and the
+  // slots are combined in plane order below, so the sums are bitwise the
+  // same at every thread count and schedule. The maxima start at 0 and
+  // never take a NaN, so their combination order does not matter.
+  struct Sums {
+    double ke = 0, E = 0, mass = 0, vap = 0;
+  };
+  std::vector<Sums> planes(static_cast<std::size_t>(nz));
+  double max_p = 0, max_pw = 0;
 
-#pragma omp parallel for schedule(static) reduction(max : max_p, max_pw) \
-    reduction(+ : ke, E, mass, vap)
-  for (int iz = 0; iz < nz; ++iz)
+#pragma omp parallel for schedule(static) reduction(max : max_p, max_pw)
+  for (int iz = 0; iz < nz; ++iz) {
+    Sums s;
     for (int iy = 0; iy < ny; ++iy)
       for (int ix = 0; ix < nx; ++ix) {
         const Cell& c = grid.cell(ix, iy, iz);
@@ -34,11 +43,11 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
         max_p = std::max(max_p, p);
         const double cke =
             0.5 * (double(c.ru) * c.ru + double(c.rv) * c.rv + double(c.rw) * c.rw) / c.rho;
-        ke += cke * dV;
-        E += double(c.E) * dV;
-        mass += double(c.rho) * dV;
+        s.ke += cke * dV;
+        s.E += double(c.E) * dV;
+        s.mass += double(c.rho) * dV;
         const double alpha = std::clamp((double(c.G) - G_liquid) * inv_dG, 0.0, 1.0);
-        vap += alpha * dV;
+        s.vap += alpha * dV;
 
         // Wall pressure: cells adjacent to a reflecting face.
         const bool on_wall =
@@ -50,14 +59,23 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
             (iz == nz - 1 && bc.face[2][1] == BCType::kWall);
         if (on_wall) max_pw = std::max(max_pw, p);
       }
+    planes[static_cast<std::size_t>(iz)] = s;
+  }
 
+  Sums total;
+  for (const Sums& s : planes) {
+    total.ke += s.ke;
+    total.E += s.E;
+    total.mass += s.mass;
+    total.vap += s.vap;
+  }
   d.max_p_field = max_p;
   d.max_p_wall = max_pw;
-  d.kinetic_energy = ke;
-  d.total_energy = E;
-  d.mass = mass;
-  d.vapor_volume = vap;
-  d.equivalent_radius = std::cbrt(3.0 * vap / (4.0 * M_PI));
+  d.kinetic_energy = total.ke;
+  d.total_energy = total.E;
+  d.mass = total.mass;
+  d.vapor_volume = total.vap;
+  d.equivalent_radius = std::cbrt(3.0 * total.vap / (4.0 * M_PI));
   return d;
 }
 

@@ -1,6 +1,7 @@
 // Tests of the bitwise-exact checkpoint/restart path.
 #include <gtest/gtest.h>
 
+#include <omp.h>
 #include <zlib.h>
 
 #include <cstdio>
@@ -113,128 +114,211 @@ std::vector<std::uint8_t> concat_blocks(const Grid& g) {
   return raw;
 }
 
-TEST(Checkpoint, StreamedPayloadEqualsOneShotCompress) {
-  // The writer deflates block by block; the payload must be the bytes
-  // compress2 at level 6 makes of a contiguous copy, so files stay
-  // byte-identical to the one-shot writer's.
-  Simulation a = make_sim();
-  for (int s = 0; s < 3; ++s) a.step();
-  const std::string path = ::testing::TempDir() + "/mpcf_ckpt6.bin";
-  save_checkpoint(path, a);
-  const std::vector<std::uint8_t> file = read_file(path);
-  const std::vector<std::uint8_t> raw = concat_blocks(a.grid());
-  uLongf len = compressBound(static_cast<uLong>(raw.size()));
-  std::vector<std::uint8_t> oneshot(len);
-  ASSERT_EQ(compress2(oneshot.data(), &len, raw.data(), static_cast<uLong>(raw.size()), 6), Z_OK);
-  oneshot.resize(len);
-  ASSERT_EQ(file.size(), 72 + oneshot.size());
-  EXPECT_EQ(std::memcmp(file.data() + 72, oneshot.data(), oneshot.size()), 0);
-  std::remove(path.c_str());
-}
+/// The v3 file as the tests read it: the directory and where each chunk's
+/// stream lies.
+struct ParsedFile {
+  std::uint32_t chunks = 0;
+  std::vector<std::uint64_t> offset, size;
+  std::vector<std::uint32_t> crc;
+};
 
-TEST(Checkpoint, BrokenDeflateStreamUnderValidCrcsLeavesGridUntouched) {
-  // A payload whose CRCs are right but whose deflate stream is not — a
-  // flipped byte mid-stream, or a bad adler32 trailer that only shows once
-  // every block has inflated — must be rejected before any block is
-  // written: the target grid stays bit-identical.
-  Simulation a = make_sim();
-  for (int s = 0; s < 2; ++s) a.step();
-  const std::string path = ::testing::TempDir() + "/mpcf_ckpt7.bin";
-  save_checkpoint(path, a);
-  const std::vector<std::uint8_t> good = read_file(path);
-  ASSERT_GT(good.size(), 200u);
-
-  for (const std::size_t at : {72 + (good.size() - 72) / 2, good.size() - 2}) {
-    SCOPED_TRACE(testing::Message() << "byte " << at << " of " << good.size());
-    std::vector<std::uint8_t> bad = good;
-    bad[at] ^= 0x5a;
-    // Re-seal: the payload CRC at offset 68 covers the blob, the header CRC
-    // at offset 8 covers bytes [12, 72).
-    const std::uint32_t payload_crc = crc32_bytes(bad.data() + 72, bad.size() - 72);
-    std::memcpy(bad.data() + 68, &payload_crc, 4);
-    const std::uint32_t header_crc = crc32_bytes(bad.data() + 12, 60);
-    std::memcpy(bad.data() + 8, &header_crc, 4);
-    const std::string bad_path = ::testing::TempDir() + "/mpcf_ckpt7_bad.bin";
-    {
-      SafeFile f(bad_path);
-      f.write(bad.data(), bad.size());
-      f.commit();
-    }
-
-    Simulation b = make_sim();  // same shape, different (initial) state
-    const std::vector<std::uint8_t> before = concat_blocks(b.grid());
-    EXPECT_THROW(load_checkpoint(bad_path, b), PreconditionError);
-    EXPECT_EQ(concat_blocks(b.grid()), before);
-    EXPECT_EQ(b.step_count(), 0);
-    std::remove(bad_path.c_str());
+ParsedFile parse(const std::vector<std::uint8_t>& file) {
+  ParsedFile f;
+  std::memcpy(&f.chunks, file.data() + 52, 4);
+  std::uint64_t at = 56 + 12 * std::uint64_t{f.chunks};
+  for (std::uint32_t c = 0; c < f.chunks; ++c) {
+    std::uint64_t n = 0;
+    std::uint32_t crc = 0;
+    std::memcpy(&n, file.data() + 56 + 12 * c, 8);
+    std::memcpy(&crc, file.data() + 56 + 12 * c + 8, 4);
+    f.offset.push_back(at);
+    f.size.push_back(n);
+    f.crc.push_back(crc);
+    at += n;
   }
-  std::remove(path.c_str());
+  return f;
 }
 
-/// Overwrites the state of `g` with `noise` pseudo-random bytes followed by
-/// zeros, in SFC block order: deflate stores the noise nearly verbatim and
-/// squeezes the zeros, so the payload size follows `noise` byte by byte.
-void fill_noise_prefix(Grid& g, std::size_t noise) {
+/// Writes `bytes` to `path` through SafeFile.
+void write_image(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+  SafeFile f(path);
+  f.write(bytes.data(), bytes.size());
+  f.commit();
+}
+
+/// Overwrites every state byte of `g` with xorshift noise: deflate cannot
+/// shrink it, so each chunk's stream comes out larger than its cells.
+void fill_noise(Grid& g) {
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  std::size_t at = 0;
   for (int b = 0; b < g.block_count(); ++b) {
     // mpcf-lint: allow(reinterpret-cast): the state written as the raw bytes a checkpoint stores
     auto* p = reinterpret_cast<std::uint8_t*>(g.block(b).data());
-    for (std::size_t i = 0; i < g.block(b).cells() * sizeof(Cell); ++i, ++at) {
+    for (std::size_t i = 0; i < g.block(b).cells() * sizeof(Cell); ++i) {
       x ^= x << 13;
       x ^= x >> 7;
       x ^= x << 17;
-      p[i] = at < noise ? static_cast<std::uint8_t>(x) : 0;
+      p[i] = static_cast<std::uint8_t>(x);
     }
   }
 }
 
-TEST(Checkpoint, PayloadSpanningManyReadChunksLoads) {
-  // A load reads the payload 64 KB at a time. Payloads of several chunks
-  // must round-trip whether the stream's 4-byte adler32 trailer ends a
-  // chunk exactly, straddles two chunks or sits inside the last one, and a
-  // broken stream in a later chunk must still leave the grid untouched.
-  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+/// Sets the OpenMP thread budget for one scope, restoring it on exit.
+struct Threads {
+  explicit Threads(int n) : saved(omp_get_max_threads()) { omp_set_num_threads(n); }
+  ~Threads() { omp_set_num_threads(saved); }
+  Threads(const Threads&) = delete;
+  Threads& operator=(const Threads&) = delete;
+  int saved;
+};
+
+/// set_cloud_ic on the calling thread alone. ThreadSanitizer cannot see
+/// libgomp's barriers, so cells an OpenMP team wrote turn every read by the
+/// codec's std::thread workers into a suppressed race report: a save of a
+/// few chunks then takes minutes under TSan instead of milliseconds.
+void set_ic_serially(Grid& g, const std::vector<Bubble>& bubbles) {
+  const Threads one(1);
+  set_cloud_ic(g, bubbles, TwoPhaseIC{});
+}
+
+TEST(Checkpoint, ChunkStreamsAreRleBytePlanesOfWholeBlocks) {
+  // The format, decoded independently: chunks of whole blocks in SFC order,
+  // floor(1 MiB / block bytes) blocks each (the last one short), each an own
+  // zlib stream of the chunk's 28 byte planes, tiled back to back after the
+  // directory, each with its CRC32.
+  Grid g(2, 2, 3, 16, 1e-3);  // 9 blocks of 112 KiB per chunk: chunks of 9 and 3
+  set_ic_serially(g, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}});
+  const std::string path = ::testing::TempDir() + "/mpcf_ckpt6.bin";
+  save_grid_checkpoint(path, g, 0.25, 7);
+  const std::vector<std::uint8_t> file = read_file(path);
+  ASSERT_EQ(std::memcmp(file.data(), "MPCFCKP3", 8), 0);
+  const ParsedFile f = parse(file);
+  ASSERT_EQ(f.chunks, 2u);
+  EXPECT_EQ(f.offset.back() + f.size.back(), file.size());
+
+  const std::vector<std::uint8_t> raw = concat_blocks(g);
+  const std::size_t block_bytes = 16 * 16 * 16 * sizeof(Cell);
+  const int first_blocks[] = {0, 9, 12};
+  for (std::uint32_t c = 0; c < f.chunks; ++c) {
+    SCOPED_TRACE(testing::Message() << "chunk " << c);
+    const std::uint8_t* stream = file.data() + f.offset[c];
+    EXPECT_EQ(crc32_bytes(stream, f.size[c]), f.crc[c]);
+    const std::size_t cells =
+        static_cast<std::size_t>(first_blocks[c + 1] - first_blocks[c]) * 16 * 16 * 16;
+    std::vector<std::uint8_t> planes(cells * sizeof(Cell));
+    uLongf len = static_cast<uLongf>(planes.size());
+    ASSERT_EQ(uncompress(planes.data(), &len, stream, static_cast<uLong>(f.size[c])), Z_OK);
+    ASSERT_EQ(len, planes.size());
+    const std::uint8_t* cell0 = raw.data() + first_blocks[c] * block_bytes;
+    std::vector<std::uint8_t> expected(planes.size());
+    for (std::size_t k = 0; k < sizeof(Cell); ++k)
+      for (std::size_t i = 0; i < cells; ++i) expected[k * cells + i] = cell0[i * sizeof(Cell) + k];
+    EXPECT_TRUE(planes == expected) << "the stream does not hold the chunk's byte planes";
+    // The encoder: one Z_RLE deflate of the planes, as one-shot zlib makes it.
+    z_stream zs{};
+    ASSERT_EQ(deflateInit2(&zs, 1, Z_DEFLATED, 15, 8, Z_RLE), Z_OK);
+    std::vector<std::uint8_t> oneshot(deflateBound(&zs, static_cast<uLong>(planes.size())));
+    zs.next_in = planes.data();
+    zs.avail_in = static_cast<uInt>(planes.size());
+    zs.next_out = oneshot.data();
+    zs.avail_out = static_cast<uInt>(oneshot.size());
+    ASSERT_EQ(deflate(&zs, Z_FINISH), Z_STREAM_END);
+    oneshot.resize(zs.total_out);
+    deflateEnd(&zs);
+    EXPECT_TRUE(std::vector<std::uint8_t>(stream, stream + f.size[c]) == oneshot);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, BytesAndLoadsDoNotDependOnTheWorkerCount) {
+  // The chunk partition is a function of the grid shape only: one state
+  // saved on 1, 2 and 4 workers gives one file, and it loads to the same
+  // state on each.
+  Grid a(2, 2, 1, 32, 1e-3);  // one block of 32^3 per chunk: 4 chunks
+  set_ic_serially(a, {{0.4e-3, 0.5e-3, 0.2e-3, 0.3e-3}});
+  const std::string path = ::testing::TempDir() + "/mpcf_ckpt7.bin";
+  std::vector<std::uint8_t> first;
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    const Threads scope(workers);
+    save_grid_checkpoint(path, a, 0.5, 2);
+    const std::vector<std::uint8_t> bytes = read_file(path);
+    if (first.empty()) first = bytes;
+    EXPECT_TRUE(bytes == first);
+    Grid b(2, 2, 1, 32, 1e-3);
+    load_grid_checkpoint(path, b);
+    EXPECT_TRUE(concat_blocks(b) == concat_blocks(a));
+  }
+  EXPECT_EQ(parse(first).chunks, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, BrokenChunkStreamUnderValidCrcsLeavesGridUntouched) {
+  // A chunk whose directory CRC and the header CRC are right but whose
+  // stream is not — a flipped byte mid-stream, or a bad adler32 trailer that
+  // only shows once the chunk has inflated — must be rejected before any
+  // block is written, in the first chunk as in the last: the target state
+  // stays bit-identical and its clock unchanged.
   Simulation::Params p;
   p.extent = 1e-3;
-  Simulation a(4, 4, 4, 8, p);  // 896 KB of state
+  Grid a(2, 2, 3, 16, p.extent);  // chunks of 9 and 3 blocks
+  set_ic_serially(a, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt8.bin";
-  for (const std::uint64_t tail : {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{100}}) {
-    SCOPED_TRACE(testing::Message() << "payload size % 64 KB = " << tail);
-    // Walk the noise length until the payload leaves `tail` bytes in its
-    // last chunk.
-    std::size_t noise = 3 * kChunk;
-    std::uint64_t payload = 0;
-    for (int tries = 0; tries < 32; ++tries) {
-      fill_noise_prefix(a.grid(), noise);
-      payload = save_checkpoint(path, a) - 72;
-      if (payload % kChunk == tail) break;
-      noise += (tail + kChunk - payload % kChunk) % kChunk;
+  save_grid_checkpoint(path, a, 1e-6, 5);
+  const std::vector<std::uint8_t> good = read_file(path);
+  const ParsedFile f = parse(good);
+  ASSERT_EQ(f.chunks, 2u);
+
+  Simulation b(2, 2, 3, 16, p);  // same shape, different state
+  set_ic_serially(b.grid(), {});
+  const std::vector<std::uint8_t> before = concat_blocks(b.grid());
+  for (const std::uint32_t c : {0u, f.chunks - 1})
+    for (const std::uint64_t at : {f.size[c] / 2, f.size[c] - 2}) {
+      SCOPED_TRACE(testing::Message() << "chunk " << c << ", stream byte " << at << " of "
+                                      << f.size[c]);
+      std::vector<std::uint8_t> bad = good;
+      bad[f.offset[c] + at] ^= 0x5a;
+      // Re-seal: the chunk's CRC in its directory entry, then the header CRC
+      // over bytes [12, 56 + 12 n).
+      const std::uint32_t crc = crc32_bytes(bad.data() + f.offset[c], f.size[c]);
+      std::memcpy(bad.data() + 56 + 12 * c + 8, &crc, 4);
+      const std::uint32_t header_crc = crc32_bytes(bad.data() + 12, 44 + 12 * f.chunks);
+      std::memcpy(bad.data() + 8, &header_crc, 4);
+      const std::string bad_path = ::testing::TempDir() + "/mpcf_ckpt8_bad.bin";
+      write_image(bad_path, bad);
+
+      try {
+        load_checkpoint(bad_path, b);
+        ADD_FAILURE() << "broken stream accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("chunk " + std::to_string(c)), std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(concat_blocks(b.grid()) == before);
+      EXPECT_EQ(b.step_count(), 0);
+      std::remove(bad_path.c_str());
     }
-    ASSERT_EQ(payload % kChunk, tail);
-    ASSERT_GT(payload, 3 * kChunk);
+  std::remove(path.c_str());
+}
 
-    Simulation b(4, 4, 4, 8, p);
-    load_checkpoint(path, b);
-    ASSERT_EQ(concat_blocks(b.grid()), concat_blocks(a.grid()));
-  }
+TEST(Checkpoint, IncompressibleChunksAndAShortLastChunkRoundTrip) {
+  // Noise makes every stream larger than its chunk's cells (the writer's
+  // output grows past the raw size, a load reads each stream in many
+  // pieces), and 11 blocks of 16^3 leave a last chunk of 2 blocks.
+  Grid a(1, 1, 11, 16, 1e-3);
+  fill_noise(a);
+  const std::string path = ::testing::TempDir() + "/mpcf_ckpt9.bin";
+  const std::uint64_t bytes = save_grid_checkpoint(path, a, 1.5, 3);
+  const ParsedFile f = parse(read_file(path));
+  ASSERT_EQ(f.chunks, 2u);
+  EXPECT_GT(f.size[0], 9u * 16 * 16 * 16 * sizeof(Cell));
+  EXPECT_GT(f.size[1], 2u * 16 * 16 * 16 * sizeof(Cell));
+  EXPECT_GT(bytes, a.cell_count() * sizeof(Cell));
 
-  // Flip one byte in the third chunk and re-seal both CRCs.
-  std::vector<std::uint8_t> bad = read_file(path);
-  bad[72 + 2 * kChunk + 5] ^= 0x5a;
-  const std::uint32_t payload_crc = crc32_bytes(bad.data() + 72, bad.size() - 72);
-  std::memcpy(bad.data() + 68, &payload_crc, 4);
-  const std::uint32_t header_crc = crc32_bytes(bad.data() + 12, 60);
-  std::memcpy(bad.data() + 8, &header_crc, 4);
-  {
-    SafeFile f(path);
-    f.write(bad.data(), bad.size());
-    f.commit();
-  }
-  Simulation c(4, 4, 4, 8, p);
-  const std::vector<std::uint8_t> before = concat_blocks(c.grid());
-  EXPECT_THROW(load_checkpoint(path, c), PreconditionError);
-  EXPECT_EQ(concat_blocks(c.grid()), before);
+  Grid b(1, 1, 11, 16, 1e-3);
+  const CheckpointClock clock = load_grid_checkpoint(path, b);
+  EXPECT_EQ(clock.time, 1.5);
+  EXPECT_EQ(clock.steps, 3);
+  EXPECT_TRUE(concat_blocks(b) == concat_blocks(a));
   std::remove(path.c_str());
 }
 

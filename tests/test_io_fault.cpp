@@ -6,8 +6,10 @@
 // codecs, and rotating retention with auto-recovery (crash-then-restart
 // resumes bitwise equal to an uninterrupted run).
 #include <gtest/gtest.h>
+#include <omp.h>
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,39 +133,89 @@ TEST(Cursor, WindowIsOverflowSafe) {
 
 // --- Checkpoint corruption matrix ----------------------------------------
 
+/// A state whose checkpoint has two chunks (9 and 3 blocks of 16^3), so the
+/// matrix covers a directory of several entries, a chunk boundary and a
+/// short last chunk. `bubbles` bubbles of the cloud are set (0: all liquid).
+/// The cells are set on the calling thread alone: ThreadSanitizer cannot see
+/// libgomp's barriers, so cells an OpenMP team wrote would turn every read
+/// by the codec's std::thread workers into a suppressed race report, and a
+/// save would take minutes under TSan.
+Simulation make_chunked_sim(std::size_t bubbles = 2) {
+  Simulation::Params p;
+  p.extent = 1e-3;
+  Simulation sim(2, 2, 3, 16, p);
+  std::vector<Bubble> cloud{{0.4e-3, 0.5e-3, 0.7e-3, 0.2e-3},
+                            {0.65e-3, 0.55e-3, 0.9e-3, 0.15e-3}};
+  cloud.resize(std::min(bubbles, cloud.size()));
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  set_cloud_ic(sim.grid(), cloud, TwoPhaseIC{});
+  omp_set_num_threads(threads);
+  return sim;
+}
+
+/// Bytes of a v3 checkpoint before its first chunk stream.
+std::size_t directory_end(const std::vector<std::uint8_t>& bytes) {
+  std::uint32_t chunks = 0;
+  std::memcpy(&chunks, bytes.data() + 52, 4);
+  return 56 + 12 * std::size_t{chunks};
+}
+
+/// Recomputes the header CRC of a v3 image over bytes [12, directory end).
+void reseal_header(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t crc = io::crc32_bytes(bytes.data() + 12, directory_end(bytes) - 12);
+  std::memcpy(bytes.data() + 8, &crc, 4);
+}
+
 class CheckpointCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
     io::fault::disarm();
-    sim_ = std::make_unique<Simulation>(make_sim());
-    for (int s = 0; s < 3; ++s) sim_->step();
+    sim_ = std::make_unique<Simulation>(make_chunked_sim());
+    sim_->restore_clock(2.5e-7, 3);
     path_ = ::testing::TempDir() + "/mpcf_fault_ckpt.bin";
     io::save_checkpoint(path_, *sim_);
     bytes_ = slurp(path_);
-    ASSERT_GT(bytes_.size(), 72u);
+    ASSERT_EQ(directory_end(bytes_), 80u);  // two chunks
+    ASSERT_GT(bytes_.size(), 80u);
+    victim_ = std::make_unique<Simulation>(make_chunked_sim(0));
+    pristine_ = std::make_unique<Simulation>(make_chunked_sim(0));
   }
   void TearDown() override {
     io::fault::disarm();
     std::remove(path_.c_str());
   }
 
+  /// Loads the file at path_ into the victim state, expecting a rejection
+  /// that leaves its cells and its clock untouched.
+  void expect_rejected(const std::string& what) {
+    EXPECT_THROW(io::load_checkpoint(path_, *victim_), PreconditionError) << what;
+    expect_grids_equal(victim_->grid(), pristine_->grid());
+    EXPECT_EQ(victim_->step_count(), 0) << what;
+  }
+
   std::unique_ptr<Simulation> sim_;
+  std::unique_ptr<Simulation> victim_;    ///< every rejected load's target
+  std::unique_ptr<Simulation> pristine_;  ///< what the victim must still hold
   std::string path_;
   std::vector<std::uint8_t> bytes_;
 };
 
 TEST_F(CheckpointCorruption, TruncationAtEveryBoundaryIsRejected) {
-  // Every header byte boundary, plus cuts inside and at the end of the
-  // payload — nothing short of the full file may load.
+  // Every byte boundary of the header and the directory, the chunk
+  // boundary, and cuts inside each chunk stream and at the end — nothing
+  // short of the full file may load.
+  std::uint64_t first = 0;
+  std::memcpy(&first, bytes_.data() + 56, 8);
   std::vector<std::size_t> cuts;
-  for (std::size_t c = 0; c <= 72; ++c) cuts.push_back(c);
-  cuts.push_back(72 + (bytes_.size() - 72) / 2);
+  for (std::size_t c = 0; c <= 80; ++c) cuts.push_back(c);
+  cuts.push_back(80 + first / 2);
+  cuts.push_back(80 + first);
+  cuts.push_back(80 + first + (bytes_.size() - 80 - first) / 2);
   cuts.push_back(bytes_.size() - 1);
   for (const std::size_t cut : cuts) {
     spit(path_, {bytes_.begin(), bytes_.begin() + cut});
-    Simulation victim = make_sim();
-    EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError)
-        << "truncated at byte " << cut;
+    expect_rejected("truncated at byte " + std::to_string(cut));
   }
 }
 
@@ -171,53 +223,102 @@ TEST_F(CheckpointCorruption, TrailingGarbageIsRejected) {
   auto padded = bytes_;
   padded.push_back(0x5a);
   spit(path_, padded);
-  Simulation victim = make_sim();
-  EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError);
+  expect_rejected("one trailing byte");
 }
 
 TEST_F(CheckpointCorruption, SingleBitFlipAnywhereIsRejected) {
+  // Every header and directory byte; every 37th byte of the first and last
+  // 4 KiB of each chunk stream (zlib header, first blocks, adler32 trailer);
+  // ~2400 bytes spread over both streams; the last byte.
   std::vector<std::size_t> targets;
-  for (std::size_t b = 0; b < 72; ++b) targets.push_back(b);  // header
-  for (std::size_t b = 72; b < bytes_.size(); b += 37) targets.push_back(b);
+  for (std::size_t b = 0; b < 80; ++b) targets.push_back(b);
+  std::uint64_t first = 0;
+  std::memcpy(&first, bytes_.data() + 56, 8);
+  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{80, 80 + first},
+                                   {80 + first, bytes_.size()}})
+    for (std::size_t b = 0; b < 4096 && b < end - begin; b += 37) {
+      targets.push_back(begin + b);
+      targets.push_back(end - 1 - b);
+    }
+  const std::size_t stride = std::max<std::size_t>(37, (bytes_.size() - 80) / 2400) | 1;
+  for (std::size_t b = 80; b < bytes_.size(); b += stride) targets.push_back(b);
   targets.push_back(bytes_.size() - 1);
   for (const std::size_t byte : targets) {
     auto corrupt = bytes_;
     corrupt[byte] ^= 1u << (byte % 8);
     spit(path_, corrupt);
-    Simulation victim = make_sim();
-    EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError)
+    EXPECT_THROW(io::load_checkpoint(path_, *victim_), PreconditionError)
         << "bit flip at byte " << byte << " restored silently";
+  }
+  // Every rejection left the one target state untouched.
+  expect_grids_equal(victim_->grid(), pristine_->grid());
+  EXPECT_EQ(victim_->step_count(), 0);
+}
+
+TEST_F(CheckpointCorruption, HugeCountAndSizeFieldsDoNotAllocate) {
+  // A chunk count beyond what the file holds is refused before the
+  // directory is read (its CRC cannot be resealed: the directory would not
+  // exist). Chunk sizes are resealed under a valid header CRC, so only the
+  // size validation can refuse them: huge, wrapping, and shifted by one
+  // byte between the two chunks (the sum still ends the file).
+  auto counted = bytes_;
+  const std::uint32_t many = 0xffffffffu;
+  std::memcpy(counted.data() + 52, &many, 4);
+  spit(path_, counted);
+  expect_rejected("chunk count 2^32 - 1");
+
+  std::uint64_t first = 0, second = 0;
+  std::memcpy(&first, bytes_.data() + 56, 8);
+  std::memcpy(&second, bytes_.data() + 68, 8);
+  const std::pair<std::uint64_t, std::uint64_t> sizes[] = {
+      {1ull << 60, second}, {first, 1ull << 60}, {~std::uint64_t{0}, second + 1},
+      {first + 1, second - 1}, {first - 1, second + 1}};
+  for (const auto& [a, b] : sizes) {
+    auto corrupt = bytes_;
+    std::memcpy(corrupt.data() + 56, &a, 8);
+    std::memcpy(corrupt.data() + 68, &b, 8);
+    reseal_header(corrupt);
+    spit(path_, corrupt);
+    expect_rejected("chunk sizes " + std::to_string(a) + ", " + std::to_string(b));
   }
 }
 
-TEST_F(CheckpointCorruption, HugeSizeFieldsDoNotAllocate) {
-  // Corrupt comp_bytes (offset 60) and raw_bytes (offset 52) to huge values
-  // with a recomputed header CRC, so only the size validation can save us.
-  for (const std::size_t field_off : {52u, 60u}) {
-    auto corrupt = bytes_;
-    const std::uint64_t huge = 1ull << 60;
-    std::memcpy(corrupt.data() + field_off, &huge, 8);
-    const std::uint32_t crc = io::crc32_bytes(corrupt.data() + 12, 60);
-    std::memcpy(corrupt.data() + 8, &crc, 4);
-    spit(path_, corrupt);
-    Simulation victim = make_sim();
-    EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError)
-        << "field at " << field_off;
+TEST_F(CheckpointCorruption, ChunkCountOtherThanTheShapeGivesIsRejected) {
+  // One chunk holding everything, with a valid header and stream CRC: the
+  // count follows from the grid shape, so the file is refused by name.
+  auto one = bytes_;
+  const std::uint32_t n = 1;
+  std::memcpy(one.data() + 52, &n, 4);
+  std::uint64_t first = 0, second = 0;
+  std::memcpy(&first, bytes_.data() + 56, 8);
+  std::memcpy(&second, bytes_.data() + 68, 8);
+  const std::uint64_t both = first + second;
+  std::memcpy(one.data() + 56, &both, 8);
+  const std::uint32_t crc = io::crc32_bytes(bytes_.data() + 80, both);
+  std::memcpy(one.data() + 64, &crc, 4);
+  one.erase(one.begin() + 68, one.begin() + 80);
+  reseal_header(one);
+  spit(path_, one);
+  try {
+    io::load_checkpoint(path_, *victim_);
+    FAIL() << "one-chunk file accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk count"), std::string::npos) << e.what();
   }
 }
 
 TEST_F(CheckpointCorruption, ExtentMismatchIsRejected) {
   Simulation::Params p;
   p.extent = 2e-3;  // same shape, different physical extent
-  Simulation wrong(2, 2, 2, 8, p);
+  Simulation wrong(2, 2, 3, 16, p);
   EXPECT_THROW(io::load_checkpoint(path_, wrong), PreconditionError);
 }
 
 TEST_F(CheckpointCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
   FaultGuard guard;
+  Simulation changed = make_chunked_sim(1);
+  changed.restore_clock(5e-7, 5);
   for (long nth = 0;; ++nth) {
-    Simulation changed = make_sim();
-    for (int s = 0; s < 5; ++s) changed.step();
     io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
     try {
       io::save_checkpoint(path_, changed);
@@ -227,52 +328,64 @@ TEST_F(CheckpointCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
       EXPECT_TRUE(io::fault::fired());
       EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "nth=" << nth;
       // Atomicity: the previously committed checkpoint is untouched.
-      Simulation victim = make_sim();
-      io::load_checkpoint(path_, victim);
-      expect_grids_equal(victim.grid(), sim_->grid());
+      io::load_checkpoint(path_, *victim_);
+      expect_grids_equal(victim_->grid(), sim_->grid());
+      EXPECT_EQ(victim_->step_count(), 3);
     }
   }
+  io::load_checkpoint(path_, *victim_);
+  expect_grids_equal(victim_->grid(), changed.grid());
+  EXPECT_EQ(victim_->step_count(), 5);
 }
 
 TEST_F(CheckpointCorruption, TornWriteLeavesTempBehindAndOldFileIntact) {
+  // A crash in every write call in turn: the header, the directory and each
+  // piece of both chunk streams.
   FaultGuard guard;
-  io::fault::arm({io::fault::Kind::kTornWrite, 3, 0, 0});  // tear the payload
-  Simulation changed = make_sim();
-  EXPECT_THROW(io::save_checkpoint(path_, changed), IoError);
-  EXPECT_TRUE(io::fault::fired());
-  EXPECT_TRUE(fs::exists(path_ + ".tmp")) << "crash should leave the temp file";
-  Simulation victim = make_sim();
-  io::load_checkpoint(path_, victim);  // final path: still the old version
-  expect_grids_equal(victim.grid(), sim_->grid());
-  // The next healthy save simply overwrites the stale temp.
-  io::save_checkpoint(path_, changed);
+  const Simulation changed = make_chunked_sim(1);
+  for (long nth = 0;; ++nth) {
+    io::fault::arm({io::fault::Kind::kTornWrite, nth, 0, 0});
+    try {
+      io::save_checkpoint(path_, changed);
+      EXPECT_FALSE(io::fault::fired());
+      break;  // nth beyond the write-call count: healthy save, matrix done
+    } catch (const IoError&) {
+      EXPECT_TRUE(io::fault::fired());
+      EXPECT_TRUE(fs::exists(path_ + ".tmp")) << "nth=" << nth << ": a crash leaves the temp file";
+      io::load_checkpoint(path_, *victim_);  // final path: still the old version
+      expect_grids_equal(victim_->grid(), sim_->grid());
+    }
+  }
+  // The healthy save simply overwrote the stale temp.
   EXPECT_FALSE(fs::exists(path_ + ".tmp"));
-  io::load_checkpoint(path_, victim);
-  expect_grids_equal(victim.grid(), changed.grid());
+  io::load_checkpoint(path_, *victim_);
+  expect_grids_equal(victim_->grid(), changed.grid());
 }
 
 TEST_F(CheckpointCorruption, InjectedPostCommitCorruptionIsDetected) {
   FaultGuard guard;
-  io::fault::arm({io::fault::Kind::kTruncate, 0, 80, 0});
+  // Truncation inside the first chunk stream, then a flip inside the last.
+  const std::uint64_t cut = 200;
+  const std::uint64_t flip = bytes_.size() - 100;
+  io::fault::arm({io::fault::Kind::kTruncate, 0, cut, 0});
 #if MPCF_CHECKED
   // The checked build's verify-after-write readback refuses the save itself
   // (see test_checked_mode.cpp); release builds only notice at restart.
   EXPECT_THROW(io::save_checkpoint(path_, *sim_), CheckError);
   EXPECT_TRUE(io::fault::fired());
-  io::fault::arm({io::fault::Kind::kBitFlip, 0, 75, 2});
+  io::fault::arm({io::fault::Kind::kBitFlip, 0, flip, 2});
   EXPECT_THROW(io::save_checkpoint(path_, *sim_), CheckError);
   EXPECT_TRUE(io::fault::fired());
 #else
   io::save_checkpoint(path_, *sim_);
   EXPECT_TRUE(io::fault::fired());
-  Simulation victim = make_sim();
-  EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError);
+  expect_rejected("truncated after commit");
 
   io::save_checkpoint(path_, *sim_);  // heal
-  io::fault::arm({io::fault::Kind::kBitFlip, 0, 75, 2});
+  io::fault::arm({io::fault::Kind::kBitFlip, 0, flip, 2});
   io::save_checkpoint(path_, *sim_);
   EXPECT_TRUE(io::fault::fired());
-  EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError);
+  expect_rejected("bit flipped after commit");
 #endif
 }
 
@@ -294,16 +407,14 @@ TEST_F(CheckpointCorruption, EnvKnobArmsTheShim) {
 #else
   io::save_checkpoint(path_, *sim_);
   EXPECT_TRUE(io::fault::fired());
-  Simulation victim = make_sim();
-  EXPECT_THROW(io::load_checkpoint(path_, victim), PreconditionError);
+  expect_rejected("bit 3 of byte 70 flipped after commit");
 #endif
 }
 
 // --- Checkpoint versions -------------------------------------------------
 
-/// A version-1 checkpoint as earlier writers produced it: the v2 header
-/// without its two CRC fields.
-void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
+/// Every state byte of the simulation, SFC block order.
+std::vector<std::uint8_t> raw_state(const Simulation& sim) {
   const Grid& g = sim.grid();
   std::vector<std::uint8_t> raw(g.cell_count() * sizeof(Cell));
   std::size_t off = 0;
@@ -312,23 +423,74 @@ void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
     std::memcpy(raw.data() + off, g.block(b).data(), n);
     off += n;
   }
+  return raw;
+}
+
+/// The state as one zlib level-6 stream, as the v1 and v2 writers stored it.
+std::vector<std::uint8_t> one_stream(const std::vector<std::uint8_t>& raw) {
   uLongf comp_len = compressBound(static_cast<uLong>(raw.size()));
   std::vector<std::uint8_t> comp(comp_len);
-  ASSERT_EQ(compress2(comp.data(), &comp_len, raw.data(),
-                      static_cast<uLong>(raw.size()), 6),
+  EXPECT_EQ(compress2(comp.data(), &comp_len, raw.data(), static_cast<uLong>(raw.size()), 6),
             Z_OK);
   comp.resize(comp_len);
+  return comp;
+}
 
-  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '1'};
+/// The header fields v1 and v2 share: shape, clock, raw and blob sizes.
+void put_v1_fields(std::vector<std::uint8_t>& out, const Simulation& sim, std::size_t raw,
+                   std::size_t comp) {
+  const Grid& g = sim.grid();
   for (std::int32_t v : {g.blocks_x(), g.blocks_y(), g.blocks_z(), g.block_size()})
     io::put_bytes(out, v);
   io::put_bytes(out, sim.time());
   io::put_bytes(out, g.h() * g.cells_x());
   io::put_bytes(out, static_cast<std::int64_t>(sim.step_count()));
-  io::put_bytes(out, static_cast<std::uint64_t>(raw.size()));
-  io::put_bytes(out, static_cast<std::uint64_t>(comp.size()));
+  io::put_bytes(out, static_cast<std::uint64_t>(raw));
+  io::put_bytes(out, static_cast<std::uint64_t>(comp));
+}
+
+/// A version-1 checkpoint as earlier writers produced it: a header without
+/// CRC fields, then one zlib stream of the raw cells.
+void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
+  const std::vector<std::uint8_t> raw = raw_state(sim);
+  const std::vector<std::uint8_t> comp = one_stream(raw);
+  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '1'};
+  put_v1_fields(out, sim, raw.size(), comp.size());
   out.insert(out.end(), comp.begin(), comp.end());
   spit(path, out);
+}
+
+/// A version-2 checkpoint as earlier writers produced it: the v1 fields
+/// under a header CRC, the payload CRC, then the same single stream.
+void write_v2_checkpoint(const std::string& path, const Simulation& sim) {
+  const std::vector<std::uint8_t> raw = raw_state(sim);
+  const std::vector<std::uint8_t> comp = one_stream(raw);
+  std::vector<std::uint8_t> header;
+  put_v1_fields(header, sim, raw.size(), comp.size());
+  io::put_bytes(header, io::crc32_bytes(comp.data(), comp.size()));
+  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '2'};
+  io::put_bytes(out, io::crc32_bytes(header.data(), header.size()));
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), comp.begin(), comp.end());
+  spit(path, out);
+}
+
+/// Expects the file to be refused with an error naming `magic` as an
+/// unsupported version, whole and truncated anywhere in its header.
+void expect_version_refused(const std::string& path, const char* magic) {
+  Simulation b = make_sim();
+  try {
+    io::load_checkpoint(path, b);
+    ADD_FAILURE() << magic << " checkpoint accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(magic), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  }
+  const auto bytes = io::read_file(path);
+  for (std::size_t cut = 0; cut < 76; cut += 4) {
+    spit(path, {bytes.begin(), bytes.begin() + cut});
+    EXPECT_THROW(io::load_checkpoint(path, b), PreconditionError) << "cut at " << cut;
+  }
 }
 
 TEST(CheckpointVersions, V1FilesAreRejectedNamingTheVersion) {
@@ -336,20 +498,16 @@ TEST(CheckpointVersions, V1FilesAreRejectedNamingTheVersion) {
   a.step();
   const std::string path = ::testing::TempDir() + "/mpcf_v1.ckp";
   write_v1_checkpoint(path, a);
-  Simulation b = make_sim();
-  try {
-    io::load_checkpoint(path, b);
-    FAIL() << "v1 checkpoint accepted";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("MPCFCKP1"), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
-  }
-  // Truncated anywhere, the file is still refused cleanly.
-  const auto bytes = io::read_file(path);
-  for (std::size_t cut = 0; cut < 64; cut += 4) {
-    spit(path, {bytes.begin(), bytes.begin() + cut});
-    EXPECT_THROW(io::load_checkpoint(path, b), PreconditionError) << "cut at " << cut;
-  }
+  expect_version_refused(path, "MPCFCKP1");
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointVersions, V2FilesAreRejectedNamingTheVersion) {
+  Simulation a = make_sim();
+  a.step();
+  const std::string path = ::testing::TempDir() + "/mpcf_v2.ckp";
+  write_v2_checkpoint(path, a);
+  expect_version_refused(path, "MPCFCKP2");
   std::remove(path.c_str());
 }
 

@@ -2,8 +2,10 @@
 // conservation over many steps, free-stream stability, acoustic propagation
 // speed and symmetry preservation.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/simulation.h"
 #include "eos/stiffened_gas.h"
@@ -188,6 +190,34 @@ TEST(Simulation, BubbleCollapseRaisesPressureAndShrinksVapor) {
   EXPECT_LT(min_vol, 0.7 * d0.vapor_volume);
   EXPECT_GT(peak_ke, 0.0);
   EXPECT_GT(peak_p, materials::kLiquidPressure);
+}
+
+TEST(Simulation, DiagnosticsAreBitwiseEqualAtEveryThreadCount) {
+  // The sums combine per-plane partials in plane order, so one state gives
+  // the same bits at 1, 2, 3 and 4 threads (an OpenMP reduction(+) combines
+  // its partial sums in an order that varies with the team).
+  Simulation::Params prm;
+  prm.extent = 1e-3;
+  prm.bc.face[2][0] = BCType::kWall;
+  Simulation sim(4, 4, 5, 8, prm);
+  std::vector<Bubble> bubbles{Bubble{0.4e-3, 0.5e-3, 0.6e-3, 0.2e-3},
+                              Bubble{0.65e-3, 0.45e-3, 0.5e-3, 0.15e-3}};
+  set_cloud_ic(sim.grid(), bubbles, TwoPhaseIC{});
+  for (int s = 0; s < 3; ++s) sim.step();
+  const double Gv = materials::kVapor.Gamma(), Gl = materials::kLiquid.Gamma();
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const Diagnostics ref = sim.diagnostics(Gv, Gl);
+  ASSERT_GT(ref.kinetic_energy, 0);
+  ASSERT_GT(ref.max_p_wall, 0);
+  for (const int threads : {2, 3, 4}) {
+    omp_set_num_threads(threads);
+    const Diagnostics d = sim.diagnostics(Gv, Gl);
+    EXPECT_EQ(std::memcmp(&d, &ref, sizeof(Diagnostics)), 0)
+        << threads << " threads: kinetic " << d.kinetic_energy << " vs " << ref.kinetic_energy
+        << ", vapor " << d.vapor_volume << " vs " << ref.vapor_volume;
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Simulation, ProfileAccumulatesKernelTimes) {

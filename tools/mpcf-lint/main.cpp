@@ -2,6 +2,12 @@
 // and prints one `file:line: [rule] message` diagnostic per finding.
 // Exit code 0 = clean tree, 1 = diagnostics, 2 = usage/IO error.
 //
+// A file found under a directory argument is named by its path relative to
+// that argument's parent (`mpcf-lint /x/repo/src` lints `src/io/x.cpp`); the
+// scope rules, the diagnostics and the baseline all use that name, so they
+// do not depend on where the checkout lives. File arguments keep their own
+// spelling.
+//
 // Modes:
 //   --format=text|json     human lines (default) or a machine report
 //   --baseline FILE        tolerate findings matching (file, rule) entries
@@ -18,6 +24,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint.h"
@@ -25,6 +32,17 @@
 namespace fs = std::filesystem;
 
 namespace {
+
+/// The path the rules see for a file found under the directory argument
+/// `root`: relative to root's parent, so scope rules match the tree's own
+/// layout (`src/`, `tests/`) wherever the checkout lives — under
+/// `/x/final_src/`, `tests/t.cpp` is not production code.
+std::string scope_path(const fs::path& file, const fs::path& root) {
+  fs::path base = fs::absolute(root).lexically_normal();
+  if (!base.has_filename()) base = base.parent_path();  // "src/" names "src"
+  return fs::absolute(file).lexically_normal().lexically_relative(base.parent_path())
+      .generic_string();
+}
 
 bool lintable(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -51,7 +69,8 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<fs::path> files;
+  // (file on disk, path the rules and diagnostics use)
+  std::vector<std::pair<fs::path, std::string>> files;
   bool list_rules = false;
   bool json = false;
   bool fix_suppressions = false;
@@ -97,10 +116,13 @@ int main(int argc, char** argv) {
     std::error_code ec;
     if (fs::is_directory(arg, ec)) {
       for (const auto& e : fs::recursive_directory_iterator(arg)) {
-        if (e.is_regular_file() && lintable(e.path())) files.push_back(e.path());
+        if (e.is_regular_file() && lintable(e.path()))
+          files.emplace_back(e.path(), scope_path(e.path(), arg));
       }
     } else if (fs::is_regular_file(arg, ec)) {
-      files.push_back(arg);
+      // Lint against a generic (forward-slash) spelling so scope rules
+      // behave identically regardless of how the path was passed.
+      files.emplace_back(arg, fs::path(arg).generic_string());
     } else {
       std::fprintf(stderr, "mpcf-lint: no such file or directory: %s\n", arg.c_str());
       return 2;
@@ -127,15 +149,13 @@ int main(int argc, char** argv) {
 
   std::vector<mpcf::lint::Diagnostic> findings;
   std::size_t baselined = 0;
-  for (const auto& f : files) {
+  for (const auto& [f, scope] : files) {
     std::string content;
     if (!read_file(f, &content)) {
       std::fprintf(stderr, "mpcf-lint: cannot read %s\n", f.c_str());
       return 2;
     }
-    // Lint against a generic (forward-slash) spelling so scope rules behave
-    // identically regardless of how the path was passed.
-    for (auto& d : mpcf::lint::lint_file(f.generic_string(), content)) {
+    for (auto& d : mpcf::lint::lint_file(scope, content)) {
       if (mpcf::lint::baseline_matches(baseline, d)) {
         ++baselined;
         continue;

@@ -30,7 +30,10 @@ std::string trimmed(const std::string& l) {
 }
 
 bool path_contains(const std::string& path, const char* piece) {
-  return path.find(piece) != std::string::npos;
+  for (std::size_t at = path.find(piece); at != std::string::npos;
+       at = path.find(piece, at + 1))
+    if (at == 0 || path[at - 1] == '/') return true;
+  return false;
 }
 
 std::size_t skip_ws(const std::string& l, std::size_t p) {

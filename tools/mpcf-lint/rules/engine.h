@@ -33,6 +33,9 @@ namespace mpcf::lint {
 [[nodiscard]] std::size_t find_word(const std::string& l, const std::string& w,
                                     std::size_t from = 0);
 [[nodiscard]] std::string trimmed(const std::string& l);
+/// True if `piece` (a directory path such as "src/io/") occurs in `path` at
+/// its start or right after a '/': "final_src/tests/t.cpp" is not under
+/// "src/".
 [[nodiscard]] bool path_contains(const std::string& path, const char* piece);
 [[nodiscard]] std::size_t skip_ws(const std::string& l, std::size_t p);
 /// Kernel-scope files: allocation + scalar-tail discipline applies.
