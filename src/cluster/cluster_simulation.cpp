@@ -432,7 +432,6 @@ void ClusterSimulation::ensure_step_graph() {
 }
 
 void ClusterSimulation::advance_fused(double dt) {
-  const bool guard = front_sim().params().rho_floor > 0 || front_sim().params().p_floor > 0;
   for (const int r : local_) sims_[r]->ensure_thread_workspaces(true);
   ensure_step_graph();
   // Stage s exchanges under tag epoch epoch_ + 1 + s, the epochs three
@@ -462,6 +461,8 @@ void ClusterSimulation::advance_fused(double dt) {
     const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
     sims_[r]->update_tile(LsRk3::b[stage] * dt, tile);
+    // The positivity guard, before the sos hook folds the tile's speed.
+    if (stage == LsRk3::kStages - 1) sims_[r]->guard_tile(tile);
   };
   hooks.sos = [this](int plan, int tile, double& acc) {
     sims_[local_[static_cast<std::size_t>(plan)]]->accumulate_tile_speed(tile, acc);
@@ -478,7 +479,7 @@ void ClusterSimulation::advance_fused(double dt) {
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  sched_->run(hooks, omp_get_max_threads(), !guard, &vmax, &times);
+  sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
   const double wall = region.seconds();
 
   // The step loop never blocked on comm (comm_time_ untouched): the
@@ -501,15 +502,7 @@ void ClusterSimulation::advance_fused(double dt) {
       prof.up += wall * t.up / total;
       prof.dt += wall * t.sos / total;
     }
-    // With positivity floors the guard mutates the state compute_dt reads,
-    // so the SOS reduction folds into the guard sweep instead.
-    if (guard) {
-      double v = 0;
-      sim.apply_positivity_guard_folded(&v);
-      sim.cache_step_vmax(v);
-    } else {
-      sim.cache_step_vmax(vmax[p]);
-    }
+    sim.end_fused_step(vmax[p]);
   }
   time_ += dt;
   ++steps_;

@@ -180,8 +180,8 @@ class ClusterSimulation {
   void unpack_halo_slab(int r, int axis, int side, const std::vector<float>& msg);
   /// Fused step (DESIGN.md §14): one StepScheduler::run over the whole-step
   /// graph of all local ranks, pack/drain tasks included. Bitwise-identical
-  /// to the staged oracle; the SOS reduction folds into the final stage (or
-  /// the positivity guard), so the next compute_dt skips its sweep.
+  /// to the staged oracle; the positivity guard and the SOS reduction fold
+  /// into the final-stage updates, so the next compute_dt skips its sweep.
   void advance_fused(double dt);
   /// Lazily builds the whole-step graph over the local ranks.
   void ensure_step_graph();

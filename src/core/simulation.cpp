@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <string_view>
+#include <utility>
 
 #include "common/check.h"
 #include "compression/pipeline.h"
@@ -45,6 +46,7 @@ Simulation::Simulation(int bx, int by, int bz, int bs, Params params)
         for (int jx = 0; jx < k; ++jx)
           tile_ids_.push_back(grid_.indexer().linear(k * tx + jx, k * ty + jy, k * tz + jz));
   }
+  tile_clamped_.assign(static_cast<std::size_t>(tiles_.count()), 0);
   ensure_thread_workspaces();
 }
 
@@ -69,10 +71,10 @@ double Simulation::compute_dt() {
   Timer timer;
   double vmax = 0;
   if (folded_vmax_valid_) {
-    // The fused step already folded this reduction into its final stage (or
-    // the positivity guard); consume the cached maximum instead of sweeping
-    // the grid a seventh time. One-shot: any later mutation of the state
-    // must go through a fresh sweep.
+    // The fused step already folded this reduction into its final-stage
+    // updates; consume the cached maximum instead of sweeping the grid a
+    // seventh time. One-shot: any later mutation of the state must go
+    // through a fresh sweep.
     vmax = folded_vmax_;
     folded_vmax_valid_ = false;
   } else {
@@ -241,7 +243,7 @@ void Simulation::advance(double dt) {
     verify_state("update", s);
 #endif
   }
-  if (params_.rho_floor > 0 || params_.p_floor > 0) apply_positivity_guard();
+  if (guard_active()) apply_positivity_guard();
   time_ += dt;
   ++profile_.steps;
 }
@@ -249,12 +251,10 @@ void Simulation::advance(double dt) {
 void Simulation::advance_fused(double dt) {
   ensure_thread_workspaces(true);
   ensure_step_graph();
-  // With positivity floors active the guard mutates the state compute_dt
-  // would read, so the SOS reduction folds into the guard sweep instead of
-  // the final-stage update tasks.
-  const bool guard = params_.rho_floor > 0 || params_.p_floor > 0;
 
-  // The graph's task unit is a tile (a block when tile_blocks() == 1).
+  // The graph's task unit is a tile (a block when tile_blocks() == 1). A
+  // tile's final-stage update also runs the positivity guard, which the
+  // SOS hook then sees: its folded max speed is the post-guard one.
   StepScheduler::Hooks hooks;
   hooks.lab = [this](int, int, int tile, int tid) { assemble_tile(tile, tid); };
   hooks.rhs = [this](int stage, int, int tile, int tid) {
@@ -270,13 +270,14 @@ void Simulation::advance_fused(double dt) {
 #if MPCF_CHECKED
     for (const int b : tile_block_ids(tile)) verify_block("update", stage, b);
 #endif
+    if (stage == LsRk3::kStages - 1) guard_tile(tile);
   };
   hooks.sos = [this](int, int tile, double& acc) { accumulate_tile_speed(tile, acc); };
 
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  sched_->run(hooks, omp_get_max_threads(), !guard, &vmax, &times);
+  sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
   const double wall = region.seconds();
 
   // profile().lab keeps its thread-seconds meaning; the region wall clock is
@@ -291,13 +292,7 @@ void Simulation::advance_fused(double dt) {
     profile_.dt += wall * t.sos / work;
   }
 
-  if (guard) {
-    double gv = 0;
-    apply_positivity_guard_folded(&gv);
-    cache_step_vmax(gv);
-  } else {
-    cache_step_vmax(vmax.front());
-  }
+  end_fused_step(vmax.front());
   time_ += dt;
   ++profile_.steps;
 }
@@ -352,23 +347,19 @@ void Simulation::apply_positivity_guard() {
   invalidate_speed_cache();
 }
 
-void Simulation::apply_positivity_guard_folded(double* vmax) {
-  const bool use_simd = params_.impl != kernels::KernelImpl::kScalar;
+void Simulation::guard_tile(int tile) {
+  if (!guard_active()) return;
+  const simd::FlushSubnormals ftz;
   long clamped = 0;
-  double v = 0;
-  // Per block: clamp first, then fold its max speed — the folded maximum is
-  // exactly what a post-guard compute_dt sweep would reduce.
-#pragma omp parallel reduction(+ : clamped) reduction(max : v)
-  {
-    const simd::FlushSubnormals ftz;
-#pragma omp for schedule(static)
-    for (int i = 0; i < grid_.block_count(); ++i) {
-      clamped += clamp_block(grid_.block(i));
-      kernels::block_max_speed_accumulate(grid_.block(i), use_simd, params_.width, v);
-    }
-  }
-  params_.clamped_cells += clamped;
-  *vmax = v;
+  for (const int b : tile_block_ids(tile)) clamped += clamp_block(grid_.block(b));
+  // One task per tile writes its slot: no two threads share one.
+  tile_clamped_[static_cast<std::size_t>(tile)] = clamped;
+}
+
+void Simulation::end_fused_step(double vmax) noexcept {
+  for (long& n : tile_clamped_) params_.clamped_cells += std::exchange(n, 0);
+  folded_vmax_ = vmax;
+  folded_vmax_valid_ = true;
 }
 
 #if MPCF_CHECKED

@@ -61,9 +61,9 @@ class Simulation {
     long clamped_cells = 0;
     /// Fused step pipeline (DESIGN.md §14): dependency-scheduled
     /// lab->RHS->update tasks, one per block or per tile of blocks
-    /// (tile_blocks), with the SOS reduction folded into the final stage (or
-    /// the positivity guard), bitwise-identical to the staged sweeps. Off =
-    /// the barrier-separated per-block staged schedule (kept as the
+    /// (tile_blocks), with the positivity guard and the SOS reduction folded
+    /// into the final-stage updates, bitwise-identical to the staged sweeps.
+    /// Off = the barrier-separated per-block staged schedule (kept as the
     /// conformance oracle).
     bool fused_step = true;
   };
@@ -113,6 +113,8 @@ class Simulation {
   /// regions. Must not be called concurrently with block evaluations.
   void ensure_thread_workspaces(bool tiles = false);
   void update(double b_dt);
+  /// The staged step's positivity guard sweep: clamps every block to the
+  /// floors (see Params) and adds the count to clamped_cells.
   void apply_positivity_guard();
 
   // --- Fused-step building blocks (StepScheduler hooks; also driven by the
@@ -160,21 +162,20 @@ class Simulation {
   void update_tile(double b_dt, int tile);
   /// Folds the max characteristic speed of every block of `tile` into `acc`.
   void accumulate_tile_speed(int tile, double& acc) const;
-  /// Positivity guard fused with the SOS reduction: clamps every cell like
-  /// apply_positivity_guard, folding each block's post-clamp max speed into
-  /// `*vmax` in the same sweep (the folded fold point when floors are
-  /// active, since the guard mutates the state compute_dt would read).
-  void apply_positivity_guard_folded(double* vmax);
-  /// Publishes a folded step vmax for the next compute_dt (one-shot cache;
-  /// set by the fused step, consumed and cleared by compute_dt). Exposed for
-  /// the cluster layer's fused driver.
-  void cache_step_vmax(double vmax) noexcept {
-    folded_vmax_ = vmax;
-    folded_vmax_valid_ = true;
-  }
+  /// Positivity guard of one tile: clamps its blocks like
+  /// apply_positivity_guard (nothing when the floors are off) and keeps the
+  /// count for end_fused_step. The fused step runs it in each tile's
+  /// final-stage update task, after which nothing in the step reads the
+  /// tile's cells, so it computes what the staged post-step sweep does.
+  void guard_tile(int tile);
+  /// Ends a fused step: adds the cells guard_tile clamped to clamped_cells
+  /// and publishes the step's folded vmax for the next compute_dt (one-shot
+  /// cache, consumed and cleared by compute_dt). Exposed for the cluster
+  /// layer's fused driver.
+  void end_fused_step(double vmax) noexcept;
   /// Drops the folded vmax; callers that mutate grid cells between an
   /// advance and the next compute_dt must call this (scatter, restarts and
-  /// the plain guard do it automatically).
+  /// the staged guard sweep do it automatically).
   void invalidate_speed_cache() noexcept { folded_vmax_valid_ = false; }
 
   /// Readset/consumer tables of the tile grid (the block grid when
@@ -220,6 +221,10 @@ class Simulation {
   /// cross-checking its reads against the step topology of the tile holding
   /// that block under MPCF_CHECKED.
   void assemble(int bx, int by, int bz, int k, int tid);
+  /// Whether the positivity floors are active (see Params).
+  [[nodiscard]] bool guard_active() const noexcept {
+    return params_.rho_floor > 0 || params_.p_floor > 0;
+  }
   /// Clamps one block's cells to the positivity floors; returns the count.
   long clamp_block(Block& block) const;
 
@@ -237,6 +242,7 @@ class Simulation {
   int tile_k_ = 1;              // blocks per tile edge
   BlockIndexer tiles_;          // the tile grid (the block grid when k = 1)
   std::vector<int> tile_ids_;   // k^3 block ids per tile, tile-local x fastest
+  std::vector<long> tile_clamped_;  // cells guard_tile clamped, per tile
   double time_ = 0;
   std::vector<BlockLab> labs_;              // one per thread
   std::vector<kernels::RhsWorkspace> ws_;   // one per thread

@@ -142,7 +142,7 @@ void StepScheduler::finalize(std::vector<std::vector<int>>& mid,
   pending_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
 }
 
-void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
+void StepScheduler::run(const Hooks& hooks, int nthreads,
                         std::vector<double>* vmax_per_plan,
                         std::vector<PlanTimes>* times) {
   const int n = task_count();
@@ -212,7 +212,7 @@ void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
       case Task::Kind::kUpdate:
         hooks.update(task.stage, task.plan, task.block, tid);
         pt.up += tm.seconds();
-        if (fold_sos && task.stage == sos_stage_) {
+        if (task.stage == sos_stage_) {
           tm.restart();
           hooks.sos(task.plan, task.block, vm[static_cast<std::size_t>(tid) * np + task.plan]);
           pt.sos += tm.seconds();

@@ -14,9 +14,9 @@
 // of a kLabRhs task, before the RHS runs) plus the block's own RHS. Since
 // per-block lab/RHS/update arithmetic is deterministic in the lab contents,
 // any interleaving respecting those constraints reproduces the staged
-// result bit for bit. The final stage's update tasks optionally fold the
-// next step's SOS max-speed reduction (order-independent max), deleting the
-// standalone seventh grid sweep from the steady-state step.
+// result bit for bit. The final stage's update tasks fold the next step's
+// SOS max-speed reduction (order-independent max), deleting the standalone
+// seventh grid sweep from the steady-state step.
 //
 // One graph shape serves both layers: a whole step (all RK stages) over a
 // list of plans, one per local rank. A plan with halo blocks also gets a
@@ -46,7 +46,7 @@ class StepScheduler {
     std::function<void(int stage, int plan, int block, int tid)> rhs;
     std::function<void(int stage, int plan, int block, int tid)> update;
     /// Folds `block`'s max characteristic speed into `acc` (called after the
-    /// final-stage update of each block when run(fold_sos) is set).
+    /// final-stage update of each block, on the same thread).
     std::function<void(int plan, int block, double& acc)> sos;
     std::function<void(int stage, int plan)> pack;   ///< plans with halo blocks only
     std::function<void(int stage, int plan)> drain;  ///< plans with halo blocks only
@@ -83,13 +83,12 @@ class StepScheduler {
 
   /// Executes the current graph on `nthreads` workers (an OpenMP parallel
   /// region; per-thread work deques with chunked block->thread affinity,
-  /// work-stealing from the front of a victim's deque). `fold_sos` enables
-  /// the folded SOS reduction on final-stage updates; `vmax_per_plan` (may
-  /// be null) receives the per-plan folded maxima. `times` (may be null)
-  /// receives per-plan thread-seconds. The first hook exception aborts the
-  /// run and is rethrown here after the region drains.
-  void run(const Hooks& hooks, int nthreads, bool fold_sos,
-           std::vector<double>* vmax_per_plan, std::vector<PlanTimes>* times);
+  /// work-stealing from the front of a victim's deque). `vmax_per_plan`
+  /// (may be null) receives the per-plan maxima the sos hook folded.
+  /// `times` (may be null) receives per-plan thread-seconds. The first hook
+  /// exception aborts the run and is rethrown here after the region drains.
+  void run(const Hooks& hooks, int nthreads, std::vector<double>* vmax_per_plan,
+           std::vector<PlanTimes>* times);
 
  private:
   struct Task {

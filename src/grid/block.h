@@ -1,28 +1,26 @@
 // A grid block: bs^3 cells in AoS layout plus a temporary area used as the
-// RHS accumulator of the low-storage Runge-Kutta scheme (paper Fig. 2).
+// RHS accumulator of the low-storage Runge-Kutta scheme (paper Fig. 2). A
+// Block is a non-owning view: the cells live in its Grid's one mapping
+// (grid.h) and the view stays valid for the grid's lifetime, moves included.
 #pragma once
 
-#include "common/aligned_buffer.h"
+#include <cstddef>
+#include <string>
+
 #include "common/check.h"
-#include "common/error.h"
 #include "grid/cell.h"
 
 namespace mpcf {
 
 class Block {
  public:
-  Block() = default;
-  explicit Block(int bs)
-      : bs_(bs),
-        data_(static_cast<std::size_t>(bs) * bs * bs),
-        tmp_(static_cast<std::size_t>(bs) * bs * bs) {
-    require(bs > 0, "Block: block size must be positive");
-    for (auto& c : data_) c = Cell{};
-    for (auto& c : tmp_) c = Cell{};
-  }
+  /// View of `bs`^3 cells at `data` with their accumulator at `tmp`.
+  Block(int bs, Cell* data, Cell* tmp) noexcept : bs_(bs), data_(data), tmp_(tmp) {}
 
   [[nodiscard]] int size() const noexcept { return bs_; }
-  [[nodiscard]] std::size_t cells() const noexcept { return data_.size(); }
+  [[nodiscard]] std::size_t cells() const noexcept {
+    return static_cast<std::size_t>(bs_) * bs_ * bs_;
+  }
 
   [[nodiscard]] Cell& operator()(int ix, int iy, int iz) MPCF_NOEXCEPT {
     return data_[index(ix, iy, iz)];
@@ -39,10 +37,10 @@ class Block {
     return tmp_[index(ix, iy, iz)];
   }
 
-  [[nodiscard]] Cell* data() noexcept { return data_.data(); }
-  [[nodiscard]] const Cell* data() const noexcept { return data_.data(); }
-  [[nodiscard]] Cell* tmp_data() noexcept { return tmp_.data(); }
-  [[nodiscard]] const Cell* tmp_data() const noexcept { return tmp_.data(); }
+  [[nodiscard]] Cell* data() noexcept { return data_; }
+  [[nodiscard]] const Cell* data() const noexcept { return data_; }
+  [[nodiscard]] Cell* tmp_data() noexcept { return tmp_; }
+  [[nodiscard]] const Cell* tmp_data() const noexcept { return tmp_; }
 
  private:
   [[nodiscard]] std::size_t index(int ix, int iy, int iz) const MPCF_NOEXCEPT {
@@ -52,9 +50,9 @@ class Block {
     return ix + static_cast<std::size_t>(bs_) * (iy + static_cast<std::size_t>(bs_) * iz);
   }
 
-  int bs_ = 0;
-  AlignedBuffer<Cell> data_;
-  AlignedBuffer<Cell> tmp_;
+  int bs_;
+  Cell* data_;
+  Cell* tmp_;
 };
 
 }  // namespace mpcf

@@ -3,6 +3,8 @@
 // curve (paper Section 5). Cell spacing is uniform and cubic.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -19,7 +21,9 @@ class Grid {
   /// `extent_x` (y/z extents follow from cubic cells). The block storage
   /// order defaults to Morton for power-of-two cubes (row-major otherwise);
   /// pass a curve explicitly to override (e.g. Hilbert, for the SFC
-  /// ablation).
+  /// ablation). Every block's cells and RK accumulator live in one
+  /// anonymous mapping owned by the grid, zero-filled (all +0.0) and
+  /// faulted in at construction; blocks are views into it.
   Grid(int bx, int by, int bz, int bs, double extent_x = 1.0);
   Grid(int bx, int by, int bz, int bs, double extent_x, BlockIndexer::Curve curve);
 
@@ -94,9 +98,19 @@ class Grid {
   }
 
  private:
+  /// Deleter of the storage mapping.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::byte* p) const noexcept;
+  };
+
+  /// Maps the storage and lays the block views over it.
+  void map_blocks();
+
   BlockIndexer indexer_;
   int bs_;
   double h_;
+  std::unique_ptr<std::byte, Unmap> storage_;
   std::vector<Block> blocks_;
 };
 

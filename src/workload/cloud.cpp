@@ -1,5 +1,6 @@
 #include "workload/cloud.h"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -62,11 +63,9 @@ double vapor_fraction(double x, double y, double z, const std::vector<Bubble>& b
   return alpha;
 }
 
-namespace {
-
-Cell make_mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid_override) {
+Cell mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid) {
   const double rho = alpha * ic.rho_vapor + (1.0 - alpha) * ic.rho_liquid;
-  const double p = alpha * ic.p_vapor + (1.0 - alpha) * p_liquid_override;
+  const double p = alpha * ic.p_vapor + (1.0 - alpha) * p_liquid;
   const auto mix = eos::mix(ic.vapor, ic.liquid, alpha);
   Cell c;
   c.rho = static_cast<Real>(rho);
@@ -77,26 +76,73 @@ Cell make_mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid_overr
   return c;
 }
 
+namespace {
+
+/// The bubbles of `bubbles` that block (bx, by, bz) does not cull, in
+/// order: those with (distance from the centre to the block's box of cell
+/// centres - r) / delta below kBubbleCullWidths. Every cell centre lies at
+/// least that far from a culled bubble, so its tanh is exactly 1.0 there
+/// and it could only have added max(alpha, +0) to vapor_fraction.
+std::vector<Bubble> bubbles_near_block(const Grid& grid, int bx, int by, int bz,
+                                       const std::vector<Bubble>& bubbles, double delta) {
+  const int bs = grid.block_size();
+  const int first[3] = {bx * bs, by * bs, bz * bs};
+  std::vector<Bubble> near;
+  for (const Bubble& b : bubbles) {
+    const double centre[3] = {b.x, b.y, b.z};
+    double d2 = 0;
+    for (int a = 0; a < 3; ++a) {
+      const double lo = grid.cell_center(first[a]), hi = grid.cell_center(first[a] + bs - 1);
+      const double d = std::max({lo - centre[a], 0.0, centre[a] - hi});
+      d2 += d * d;
+    }
+    // Written so that only a proven saturation culls (a NaN keeps the bubble).
+    if (!((std::sqrt(d2) - b.r) / delta >= kBubbleCullWidths)) near.push_back(b);
+  }
+  return near;
+}
+
+/// Sets every cell of `grid` to cell_at(alpha, x), alpha = vapor_fraction
+/// of `bubbles` at the cell centre, in one parallel loop over blocks; a
+/// block that culls every bubble gets alpha = 0 without evaluating it.
+template <class CellAt>
+void set_bubble_ic(Grid& grid, const std::vector<Bubble>& bubbles, double delta,
+                   const CellAt& cell_at) {
+  const int bs = grid.block_size();
+  // Dynamic: blocks near a bubble cost far more than the liquid far field.
+#pragma omp parallel for schedule(dynamic, 1)
+  for (int b = 0; b < grid.block_count(); ++b) {
+    int bx = 0, by = 0, bz = 0;
+    grid.indexer().coords(b, bx, by, bz);
+    const std::vector<Bubble> near = bubbles_near_block(grid, bx, by, bz, bubbles, delta);
+    Block& blk = grid.block(b);
+    for (int iz = 0; iz < bs; ++iz) {
+      const double z = grid.cell_center(bz * bs + iz);
+      for (int iy = 0; iy < bs; ++iy) {
+        const double y = grid.cell_center(by * bs + iy);
+        for (int ix = 0; ix < bs; ++ix) {
+          const double x = grid.cell_center(bx * bs + ix);
+          const double alpha = near.empty() ? 0.0 : vapor_fraction(x, y, z, near, delta);
+          blk(ix, iy, iz) = cell_at(alpha, x);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void set_cloud_ic(Grid& grid, const std::vector<Bubble>& bubbles, const TwoPhaseIC& ic) {
-  const double delta = ic.smoothing_cells * grid.h();
-  const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
-#pragma omp parallel for schedule(static)
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        const double alpha = vapor_fraction(grid.cell_center(ix), grid.cell_center(iy),
-                                            grid.cell_center(iz), bubbles, delta);
-        grid.cell(ix, iy, iz) = make_mixture_cell(alpha, ic, ic.p_liquid);
-      }
+  const Cell liquid = mixture_cell(0.0, ic, ic.p_liquid);
+  set_bubble_ic(grid, bubbles, ic.smoothing_cells * grid.h(), [&](double alpha, double) {
+    return alpha == 0.0 ? liquid : mixture_cell(alpha, ic, ic.p_liquid);
+  });
 }
 
 void set_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic) {
   const double extent = grid.h() * grid.cells_x();
   const std::vector<Bubble> one{Bubble{ic.bubble.x * extent, ic.bubble.y * extent,
                                        ic.bubble.z * extent, ic.bubble.r * extent}};
-  const double delta = ic.phases.smoothing_cells * grid.h();
   const double xs = ic.shock_x * extent;
 
   // Post-shock liquid state from the stiffened-gas Rankine-Hugoniot
@@ -115,26 +161,20 @@ void set_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic) {
   const double us = std::sqrt(ph1 / r1 * ((g + 1.0) / 2.0 * ph2 / ph1 + (g - 1.0) / 2.0));
   const double u2 = us * (1.0 - r1 / r2);
 
-  const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
-#pragma omp parallel for schedule(static)
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        const double x = grid.cell_center(ix);
-        const double alpha = vapor_fraction(x, grid.cell_center(iy), grid.cell_center(iz),
-                                            one, delta);
-        Cell c = make_mixture_cell(alpha, ic.phases, p1);
-        if (x < xs && alpha < 0.5) {
-          // Pure post-shock liquid column.
-          c.rho = static_cast<Real>(r2);
-          c.ru = static_cast<Real>(r2 * u2);
-          const double G = l.Gamma(), Pi = l.Pi();
-          c.G = static_cast<Real>(G);
-          c.P = static_cast<Real>(Pi);
-          c.E = static_cast<Real>(G * p2 + Pi + 0.5 * r2 * u2 * u2);
-        }
-        grid.cell(ix, iy, iz) = c;
-      }
+  // Pure post-shock liquid column.
+  Cell post;
+  post.rho = static_cast<Real>(r2);
+  post.ru = static_cast<Real>(r2 * u2);
+  const double G = l.Gamma(), Pi = l.Pi();
+  post.G = static_cast<Real>(G);
+  post.P = static_cast<Real>(Pi);
+  post.E = static_cast<Real>(G * p2 + Pi + 0.5 * r2 * u2 * u2);
+
+  const Cell liquid = mixture_cell(0.0, ic.phases, p1);
+  set_bubble_ic(grid, one, ic.phases.smoothing_cells * grid.h(), [&](double alpha, double x) {
+    if (x < xs && alpha < 0.5) return post;
+    return alpha == 0.0 ? liquid : mixture_cell(alpha, ic.phases, p1);
+  });
 }
 
 }  // namespace mpcf

@@ -46,8 +46,21 @@ struct TwoPhaseIC {
   double smoothing_cells = 1.5;  ///< interface smearing width in cells
 };
 
+/// std::tanh(x) rounds to exactly 1.0 for every double x >= kTanhSaturation,
+/// so a bubble adds exactly +0 to vapor_fraction at every point where
+/// (dist - r) / delta reaches it.
+inline constexpr double kTanhSaturation = 19.0616;
+
+/// The initial conditions skip a bubble for a whole block when (distance
+/// from its centre to the block's box of cell centres - r) / delta reaches
+/// this. Its margin over kTanhSaturation, about 4 smoothing widths, covers
+/// the rounding of that distance many times over.
+inline constexpr double kBubbleCullWidths = 23.0;
+
 /// Sets the cloud-collapse initial condition: quiescent pressurized liquid
-/// with vapor bubbles, diffuse interfaces of a few cells.
+/// with vapor bubbles, diffuse interfaces of a few cells. One parallel loop
+/// over blocks; each block evaluates vapor_fraction over the bubbles it
+/// does not cull (kBubbleCullWidths), which keeps every cell's bits.
 void set_cloud_ic(Grid& grid, const std::vector<Bubble>& bubbles, const TwoPhaseIC& ic);
 
 struct ShockBubbleIC {
@@ -57,12 +70,17 @@ struct ShockBubbleIC {
   Bubble bubble{0.4, 0.5, 0.5, 0.1};  ///< in fractions of extent
 };
 
-/// Planar shock in liquid travelling toward a single gas bubble.
+/// Planar shock in liquid travelling toward a single gas bubble (per block,
+/// like set_cloud_ic).
 void set_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic);
 
 /// Vapor volume fraction at a point for a given bubble set (diffuse
 /// interface of width `delta`); exposed for tests.
 [[nodiscard]] double vapor_fraction(double x, double y, double z,
                                     const std::vector<Bubble>& bubbles, double delta);
+
+/// The quiescent mixture cell of vapor fraction `alpha` whose liquid phase
+/// sits at `p_liquid` (the cell set_cloud_ic writes).
+[[nodiscard]] Cell mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid);
 
 }  // namespace mpcf

@@ -66,7 +66,8 @@ bool parse_provenance(const std::string& msg, int* block, int* cx, int* cy, int*
 }
 
 TEST(CheckedMode, BlockOutOfBoundsTraps) {
-  Block b(8);
+  Grid g(1, 1, 1, 8);
+  Block& b = g.block(0);
   EXPECT_THROW((void)b(8, 0, 0), CheckError);
   EXPECT_THROW((void)b(0, -1, 0), CheckError);
   EXPECT_THROW((void)b.tmp(0, 0, 8), CheckError);

@@ -1,6 +1,11 @@
 // Unit tests for blocks, grid addressing, boundary folding and the BlockLab.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "grid/grid.h"
 #include "grid/lab.h"
 #include "lab_oracle.h"
@@ -52,6 +57,63 @@ TEST(Grid, BlocksAreZeroInitialized) {
   Grid g(1, 1, 1, 8);
   EXPECT_EQ(g.cell(3, 4, 5).rho, 0.0f);
   EXPECT_EQ(g.block(0).tmp(1, 2, 3).E, 0.0f);
+}
+
+TEST(Grid, FreshStorageIsAllPositiveZeroBitsInAlignedDisjointSpans) {
+  struct Shape {
+    int bx, by, bz, bs;
+  };
+  // bs 1 and 5: cell spans that are not a multiple of 64 bytes.
+  for (const Shape& s : {Shape{1, 1, 1, 1}, Shape{2, 3, 1, 5}, Shape{2, 2, 2, 8},
+                         Shape{1, 1, 2, 16}}) {
+    SCOPED_TRACE(testing::Message() << "bs " << s.bs);
+    Grid g(s.bx, s.by, s.bz, s.bs);
+    const std::size_t bytes = g.block(0).cells() * sizeof(Cell);
+    const std::vector<unsigned char> zero(bytes, 0);
+    for (int b = 0; b < g.block_count(); ++b) {
+      Block& blk = g.block(b);
+      for (const Cell* span : {blk.data(), blk.tmp_data()}) {
+        // mpcf-lint: allow(reinterpret-cast): pointer->integer conversion is the alignment assertion itself
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span) % 64, 0u) << "block " << b;
+        EXPECT_EQ(std::memcmp(span, zero.data(), bytes), 0) << "block " << b;
+      }
+    }
+    // Fill every span with its own byte, then read them all back: a span
+    // overlapping another would have lost its pattern.
+    for (int b = 0; b < g.block_count(); ++b) {
+      std::memset(static_cast<void*>(g.block(b).data()), 2 * b + 1, bytes);
+      std::memset(static_cast<void*>(g.block(b).tmp_data()), 2 * b + 2, bytes);
+    }
+    for (int b = 0; b < g.block_count(); ++b) {
+      const std::vector<unsigned char> d(bytes, static_cast<unsigned char>(2 * b + 1));
+      const std::vector<unsigned char> t(bytes, static_cast<unsigned char>(2 * b + 2));
+      EXPECT_EQ(std::memcmp(g.block(b).data(), d.data(), bytes), 0) << "block " << b;
+      EXPECT_EQ(std::memcmp(g.block(b).tmp_data(), t.data(), bytes), 0) << "block " << b;
+    }
+  }
+}
+
+TEST(Grid, BlockViewsStayValidAcrossMoves) {
+  Grid a(2, 2, 2, 8);
+  fill_tagged(a);
+  a.block(5).tmp(1, 2, 3).E = 42.0f;
+  std::vector<const Cell*> data;
+  for (int b = 0; b < a.block_count(); ++b) data.push_back(a.block(b).data());
+  Block& held = a.block(5);
+
+  Grid moved(std::move(a));
+  Grid assigned(1, 1, 1, 4);
+  assigned = std::move(moved);  // releases the 1-block grid's storage
+  ASSERT_EQ(assigned.block_count(), 8);
+  ASSERT_EQ(assigned.block_size(), 8);
+  for (int b = 0; b < assigned.block_count(); ++b)
+    EXPECT_EQ(assigned.block(b).data(), data[b]) << "block " << b;
+  EXPECT_EQ(&held, &assigned.block(5));
+  EXPECT_EQ(held.tmp(1, 2, 3).E, 42.0f);
+  for (int iz = 0; iz < 16; ++iz)
+    for (int iy = 0; iy < 16; ++iy)
+      for (int ix = 0; ix < 16; ++ix)
+        ASSERT_EQ(assigned.cell(ix, iy, iz).E, tagged_cell(ix, iy, iz).E);
 }
 
 TEST(Boundary, PeriodicFold) {

@@ -15,6 +15,7 @@
 #include "common/config_file.h"
 #include "core/simulation.h"
 #include "eos/stiffened_gas.h"
+#include "ic_oracle.h"
 #include "io/safe_file.h"
 #include "physics/riemann_exact.h"
 #include "scenario/runner.h"
@@ -183,6 +184,64 @@ TEST(ScenarioParity, WallErosionMatchesRetiredExample) {
   set_cloud_ic(hard.grid(), generate_cloud(cloud, params.extent), TwoPhaseIC{});
 
   expect_lockstep_identical(*inst.sim, hard, 2);
+}
+
+TEST(ScenarioIC, ShippedConfigsMatchThePerCellOracleOnSmallGrids) {
+  // Every shipped config, rebuilt on small grids of block sizes 4, 8 and
+  // 16, against the per-cell oracle set from the scenario's inputs (the
+  // configs restate the defaults the parity tests above hard-code).
+  const double R0 = 0.2e-3;
+  CloudParams cloud, erosion;
+  cloud.count = 12;
+  cloud.r_min = 60e-6;
+  cloud.r_max = 220e-6;
+  cloud.lognormal_mu = -8.9;
+  erosion.count = 5;
+  erosion.r_min = 120e-6;
+  erosion.r_max = 280e-6;
+  erosion.lognormal_mu = std::log(180e-6);
+  erosion.box_hi = 0.65;
+  ShockBubbleIC shock;
+  shock.shock_x = 0.15;
+  shock.bubble = Bubble{0.45, 0.5, 0.5, 0.12};
+
+  std::vector<std::string> seen;
+  for (const auto& entry : std::filesystem::directory_iterator(MPCF_CONFIG_DIR)) {
+    if (entry.path().extension() != ".cfg") continue;
+    const std::string name =
+        Config::parse_file(entry.path()).get_string("scenario", "name", "");
+    seen.push_back(name);
+    if (name == "shock_tube") continue;  // sets its own IC: no bubbles
+    struct Shape {
+      const char* blocks;
+      const char* bs;
+    };
+    for (const Shape& shape : {Shape{"4 4 4", "4"}, Shape{"2 3 2", "8"}, Shape{"1 1 1", "16"}}) {
+      SCOPED_TRACE(entry.path().filename().string() + ", block size " + shape.bs);
+      Config cfg = Config::parse_file(entry.path());
+      cfg.set("simulation", "blocks", shape.blocks);
+      cfg.set("simulation", "block_size", shape.bs);
+      const scenario::ScenarioInstance inst = scenario::make_scenario(cfg);
+      const Grid& g = inst.sim->grid();
+      const double extent = inst.sim->params().extent;
+      Grid oracle(g.blocks_x(), g.blocks_y(), g.blocks_z(), g.block_size(), extent);
+      if (name == "cloud_collapse")
+        ic_oracle::set_cloud_ic_per_cell(oracle, generate_cloud(cloud, extent), TwoPhaseIC{});
+      else if (name == "wall_erosion")
+        ic_oracle::set_cloud_ic_per_cell(oracle, generate_cloud(erosion, extent), TwoPhaseIC{});
+      else if (name == "rayleigh_collapse")
+        ic_oracle::set_cloud_ic_per_cell(
+            oracle, {Bubble{extent / 2, extent / 2, extent / 2, R0}}, TwoPhaseIC{});
+      else if (name == "shock_bubble")
+        ic_oracle::set_shock_bubble_ic_per_cell(oracle, shock);
+      else
+        FAIL() << "no oracle for scenario " << name;
+      EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(g, oracle));
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{"cloud_collapse", "rayleigh_collapse",
+                                            "shock_bubble", "shock_tube", "wall_erosion"}));
 }
 
 TEST(ScenarioValidation, SodL1DensityErrorWithinBound) {

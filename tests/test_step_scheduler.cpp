@@ -1,11 +1,12 @@
 // Tests of the fused per-block step pipeline (DESIGN.md §14): the block
 // dependency topology the scheduler seeds its counters from, bitwise
 // identity of the fused schedule against the staged oracle across SIMD
-// widths / thread counts at the node and cluster layers, the folded SOS
-// reduction (steady state runs no standalone sweep; the folded dt is
-// bit-equal to the staged sweep's), and the streaming UPDATE store
-// variant. Built under MPCF_CHECKED these runs additionally exercise the
-// scheduler's counter invariants and the lab readset cross-validation.
+// widths / thread counts at the node and cluster layers, the positivity
+// guard and SOS reduction folded into the final-stage updates (steady state
+// runs no standalone sweep; the folded dt and clamps are bit-equal to the
+// staged sweeps'), and UPDATE across widths. Built under MPCF_CHECKED these
+// runs additionally exercise the scheduler's counter invariants and the lab
+// readset cross-validation.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -236,8 +237,8 @@ TEST(FusedStep, TilesBitwiseMatchStagedAcrossBcsWidthsThreadsAndFloors) {
   // 4x4x2 blocks of 8^3 step as 2x2x1 tiles of 16^3; the staged oracle
   // (fused_step = false) evaluates per block. State and dt sequence must
   // agree bit for bit for every BC fold, width, thread count, and with the
-  // floors on (SOS folded into the guard sweep) and off (into the
-  // final-stage tile updates).
+  // floors on and off (the guard runs in the final-stage tile updates, and
+  // the SOS folds after it).
   ThreadCountGuard tg;
   BoundaryConditions mixed;
   mixed.face[0] = {BCType::kAbsorbing, BCType::kWall};
@@ -305,8 +306,8 @@ TEST(FusedStep, BitwiseMatchesStagedAcrossWidthsAndThreads) {
 }
 
 TEST(FusedStep, BitwiseMatchesStagedWithoutPositivityGuard) {
-  // Floors off => the SOS reduction folds into the final-stage update tasks
-  // instead of the guard sweep; the pulse IC never needs clamping.
+  // Floors off => the final-stage update tasks fold the SOS reduction with
+  // no guard before it; the pulse IC never needs clamping.
   ThreadCountGuard tg;
   omp_set_num_threads(4);
   Simulation::Params ps = cloud_params(BCType::kPeriodic, false);
@@ -318,6 +319,44 @@ TEST(FusedStep, BitwiseMatchesStagedWithoutPositivityGuard) {
   init_pulse(fused.grid());
   for (int s = 0; s < 3; ++s) ASSERT_EQ(staged.step(), fused.step()) << "step " << s;
   expect_grids_bitwise_equal(staged.grid(), fused.grid(), "guard-off");
+}
+
+TEST(FusedStep, FoldedGuardClampsWhatTheStagedSweepClamps) {
+  // A 10 bar pressure floor, above the bubble cores' mixture pressure,
+  // makes the guard clamp cells after every step. The fused step clamps each
+  // tile (or block) in its final-stage update: same cells, same bits, same
+  // count, and the next dt folds the post-clamp speeds without a standalone
+  // SOS sweep.
+  ThreadCountGuard tg;
+  struct Shape {
+    int bx, by, bz;
+  };
+  for (const Shape& sh : {Shape{4, 4, 2}, Shape{3, 2, 2}}) {  // tiles, blocks
+    const auto run = [&](bool fused, std::vector<double>& dts) {
+      Simulation::Params p = cloud_params(BCType::kAbsorbing, fused);
+      p.p_floor = 1e6;
+      auto sim = std::make_unique<Simulation>(sh.bx, sh.by, sh.bz, 8, p);
+      init_cloud(sim->grid());
+      for (int s = 0; s < 3; ++s) dts.push_back(sim->step());
+      return sim;
+    };
+    omp_set_num_threads(1);
+    std::vector<double> staged_dts;
+    const auto staged = run(false, staged_dts);
+    ASSERT_GT(staged->params().clamped_cells, 0);
+    for (const int nt : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << sh.bx << "x" << sh.by << "x" << sh.bz
+                                      << " blocks, threads " << nt);
+      omp_set_num_threads(nt);
+      std::vector<double> fused_dts;
+      const auto fused = run(true, fused_dts);
+      EXPECT_EQ(fused->tile_blocks(), sh.bx == 4 ? 2 : 1);
+      ASSERT_EQ(fused_dts, staged_dts);
+      EXPECT_EQ(fused->params().clamped_cells, staged->params().clamped_cells);
+      EXPECT_EQ(fused->profile().sos_sweeps, 1);
+      expect_grids_bitwise_equal(fused->grid(), staged->grid(), "folded guard");
+    }
+  }
 }
 
 TEST(FusedStep, SteadyStateRunsNoStandaloneSosSweep) {
@@ -361,9 +400,9 @@ TEST(FusedStep, FoldedVmaxCacheIsOneShotAndInvalidated) {
 TEST(ClusterFused, BitwiseMatchesStagedOracle) {
   // The whole-step graph (one run per step, pack/drain tasks inside) against
   // the staged oracle (exchange_halos, then each rank's staged sweeps):
-  // bit-identical states and dt sequences on a periodic 2x2x2 topology.
-  // Floors on folds the SOS reduction into the guard sweep; floors off folds
-  // it into the final-stage updates (the pulse IC never needs clamping).
+  // bit-identical states and dt sequences on a periodic 2x2x2 topology,
+  // with the floors on (guard in the final-stage updates) and off (the
+  // pulse IC never needs clamping).
   ThreadCountGuard tg;
   const auto run = [](bool fused, bool floors, std::vector<double>& dts) {
     Simulation::Params params = cloud_params(BCType::kPeriodic, fused);
@@ -394,6 +433,39 @@ TEST(ClusterFused, BitwiseMatchesStagedOracle) {
       ASSERT_EQ(fused_dts, staged_dts) << "dt sequence, floors=" << floors << " threads=" << nt;
       expect_grids_bitwise_equal(fused, staged, "fused-vs-staged cluster");
     }
+  }
+}
+
+TEST(ClusterFused, FoldedGuardClampsWhatTheStagedSweepClamps) {
+  // Each rank clamps its tiles in their final-stage updates; the next
+  // step's packs then send the clamped state, as after the staged sweep.
+  ThreadCountGuard tg;
+  const auto run = [](bool fused, std::vector<double>& dts, long& clamped) {
+    Simulation::Params params = cloud_params(BCType::kPeriodic, fused);
+    params.p_floor = 1e6;
+    Grid global(4, 4, 4, 8, params.extent);
+    init_cloud(global);
+    ClusterSimulation cs(4, 4, 4, 8, CartTopology(2, 1, 1), params);
+    cs.scatter(global);
+    for (int s = 0; s < 3; ++s) dts.push_back(cs.step());
+    clamped = 0;
+    for (int r = 0; r < cs.rank_count(); ++r) clamped += cs.rank_sim(r).params().clamped_cells;
+    cs.gather(global);
+    return global;
+  };
+  omp_set_num_threads(1);
+  std::vector<double> staged_dts;
+  long staged_clamped = 0;
+  const Grid staged = run(false, staged_dts, staged_clamped);
+  ASSERT_GT(staged_clamped, 0);
+  for (const int nt : {1, 4}) {
+    omp_set_num_threads(nt);
+    std::vector<double> fused_dts;
+    long fused_clamped = 0;
+    const Grid fused = run(true, fused_dts, fused_clamped);
+    ASSERT_EQ(fused_dts, staged_dts) << "threads=" << nt;
+    EXPECT_EQ(fused_clamped, staged_clamped) << "threads=" << nt;
+    expect_grids_bitwise_equal(fused, staged, "folded guard, cluster");
   }
 }
 
@@ -441,11 +513,13 @@ TEST(UpdateWidths, EveryWidthMatchesScalarBitwise) {
   // rounds the product separately instead of through one fused
   // multiply-add shows up here (a tiny bdt hides it below the ulp of data).
   const Real bdt = static_cast<Real>(0.37);
-  Block scalar(16);
+  Grid scalar_grid(1, 1, 1, 16);
+  Block& scalar = scalar_grid.block(0);
   fill_update_fixture(scalar);
   kernels::update_block(scalar, bdt);
   for (const simd::Width w : executable_widths()) {
-    Block b(16);
+    Grid g(1, 1, 1, 16);
+    Block& b = g.block(0);
     fill_update_fixture(b);
     kernels::update_block_simd(b, bdt, w);
     for (int iz = 0; iz < 16; ++iz)

@@ -1,9 +1,12 @@
 // Unit tests for the bubble-cloud workload generator and initial conditions.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
 
 #include "grid/grid.h"
+#include "ic_oracle.h"
 #include "workload/cloud.h"
 
 namespace mpcf {
@@ -105,6 +108,113 @@ TEST(VaporFraction, InsideOutsideAndInterface) {
   EXPECT_NEAR(vapor_fraction(0.5, 0.5, 0.5, one, 0.01), 1.0, 1e-6);
   EXPECT_NEAR(vapor_fraction(0.9, 0.5, 0.5, one, 0.01), 0.0, 1e-6);
   EXPECT_NEAR(vapor_fraction(0.6, 0.5, 0.5, one, 0.01), 0.5, 1e-6);
+}
+
+TEST(VaporFraction, TanhIsExactlyOneFromTheSaturationBoundTo1e3) {
+  // The culled initial conditions rest on this: past kTanhSaturation a
+  // bubble adds exactly +0 to vapor_fraction. The cull cutoff keeps a
+  // margin of ~4 smoothing widths over it, and below it tanh is not 1.
+  ASSERT_GT(kBubbleCullWidths - kTanhSaturation, 3.9);
+  EXPECT_LT(std::tanh(19.0), 1.0);
+  long checked = 0;
+  for (double x = kTanhSaturation; x < 40.0; x += 1.0 / 65536, ++checked)
+    ASSERT_EQ(std::tanh(x), 1.0) << "x = " << x;
+  for (double x = 40.0; x <= 1e3; x += 1.0 / 1024, ++checked)
+    ASSERT_EQ(std::tanh(x), 1.0) << "x = " << x;
+  EXPECT_EQ(std::tanh(1e3), 1.0);
+  EXPECT_GT(checked, 2000000);
+  // Every cell's tanh term is then exactly +0, which max(alpha, .) drops.
+  EXPECT_EQ(0.5 * (1.0 - std::tanh(kTanhSaturation)), 0.0);
+  EXPECT_FALSE(std::signbit(0.5 * (1.0 - std::tanh(kTanhSaturation))));
+}
+
+/// Bubbles placed on the block lattice of edge `edge` (cells of a domain of
+/// x-extent `extent`): centred on a block face, on a block edge and on a
+/// block corner, larger than a block, smaller than a cell, and outside the
+/// domain near and past the cull cutoff.
+std::vector<Bubble> lattice_bubbles(double extent, double edge, double h) {
+  const double delta = TwoPhaseIC{}.smoothing_cells * h;
+  return {
+      Bubble{2 * edge, 1.5 * edge, 1.5 * edge, 0.3 * edge},   // on a block face
+      Bubble{edge, edge, 2.5 * edge, 0.45 * edge},            // on a block edge
+      Bubble{3 * edge, 3 * edge, 3 * edge, 1.6 * edge},       // corner, r > a block
+      Bubble{0.5 * edge, 3.5 * edge, 0.5 * edge, 0.3 * h},    // smaller than a cell
+      Bubble{-0.4 * edge, 0.5 * extent, 0.5 * extent, 0.5 * edge},  // straddles x = 0
+      // Outside the domain, with (distance to the nearest blocks' cell
+      // centres - r) / delta just below, at and just above the cull cutoff.
+      Bubble{extent - 0.5 * h + 0.1 * edge + (kBubbleCullWidths - 0.5) * delta,
+             0.5 * edge, 0.5 * edge, 0.1 * edge},
+      Bubble{0.5 * edge, 0.5 * h - 0.1 * edge - kBubbleCullWidths * delta, 1.5 * edge,
+             0.1 * edge},
+      Bubble{1.5 * edge, 0.5 * edge, 0.5 * h - 0.1 * edge - (kBubbleCullWidths + 0.5) * delta,
+             0.1 * edge},
+      Bubble{-10 * extent, -10 * extent, -10 * extent, 0.2 * edge},  // far outside
+  };
+}
+
+TEST(CloudIC, CulledBlocksEqualThePerCellOracle) {
+  // 32^3 to 32x32x64 cells at block sizes 4, 8, 16 and 32; memcmp of every
+  // block against vapor_fraction over every bubble at every cell.
+  struct Shape {
+    int bx, by, bz, bs;
+  };
+  for (const Shape& s : {Shape{8, 8, 8, 4}, Shape{4, 4, 6, 8}, Shape{2, 3, 2, 16},
+                         Shape{1, 1, 2, 32}}) {
+    SCOPED_TRACE(testing::Message() << "bs " << s.bs);
+    const double extent = 1e-3;
+    Grid culled(s.bx, s.by, s.bz, s.bs, extent), oracle(s.bx, s.by, s.bz, s.bs, extent);
+    const std::vector<Bubble> bubbles = lattice_bubbles(extent, s.bs * culled.h(), culled.h());
+    TwoPhaseIC ic;
+    set_cloud_ic(culled, bubbles, ic);
+    ic_oracle::set_cloud_ic_per_cell(oracle, bubbles, ic);
+    EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(culled, oracle));
+    // A wider interface keeps every bubble in more blocks.
+    ic.smoothing_cells = 4.0;
+    set_cloud_ic(culled, bubbles, ic);
+    ic_oracle::set_cloud_ic_per_cell(oracle, bubbles, ic);
+    EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(culled, oracle));
+  }
+}
+
+TEST(CloudIC, CulledBlocksEqualTheOracleAtEveryThreadCount) {
+  // The block loop is dynamically scheduled; cells must not depend on it.
+  const int saved = omp_get_max_threads();
+  Grid oracle(4, 4, 4, 8, 2e-3);
+  CloudParams cp;
+  cp.count = 12;
+  const std::vector<Bubble> bubbles = generate_cloud(cp, 2e-3);
+  ic_oracle::set_cloud_ic_per_cell(oracle, bubbles, TwoPhaseIC{});
+  for (const int nt : {1, 3, 4}) {
+    omp_set_num_threads(nt);
+    Grid culled(4, 4, 4, 8, 2e-3);
+    set_cloud_ic(culled, bubbles, TwoPhaseIC{});
+    EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(culled, oracle)) << nt << " threads";
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST(ShockBubbleIC, CulledBlocksEqualThePerCellOracle) {
+  struct Case {
+    int bx, by, bz, bs;
+    double shock_x;
+    Bubble bubble;  // fractions of the extent
+  };
+  for (const Case& c : {
+           Case{8, 8, 8, 4, 0.25, {0.5, 0.5, 0.5, 0.1}},      // on a block corner
+           Case{4, 4, 4, 8, 0.3, {0.55, 0.5, 0.25, 0.2}},     // on a block face, r > a block
+           Case{2, 2, 2, 16, 0.1, {0.4, 0.5, 0.5, 0.12}},     // the shipped layout
+           Case{1, 1, 1, 32, 0.5, {0.95, 0.5, 0.5, 0.15}},    // straddles x = extent
+           Case{2, 2, 2, 16, 0.2, {1.8, 0.5, 0.5, 0.1}},      // outside the domain
+       }) {
+    SCOPED_TRACE(testing::Message() << "bs " << c.bs << ", bubble x " << c.bubble.x);
+    ShockBubbleIC ic;
+    ic.shock_x = c.shock_x;
+    ic.bubble = c.bubble;
+    Grid culled(c.bx, c.by, c.bz, c.bs, 1.0), oracle(c.bx, c.by, c.bz, c.bs, 1.0);
+    set_shock_bubble_ic(culled, ic);
+    ic_oracle::set_shock_bubble_ic_per_cell(oracle, ic);
+    EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(culled, oracle));
+  }
 }
 
 TEST(CloudIC, SetsPureStatesAwayFromInterfaces) {
