@@ -8,7 +8,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "compression/compressor.h"
+#include "compression/pipeline.h"
 #include "io/compressed_file.h"
 
 using namespace mpcf;
@@ -33,9 +33,9 @@ int main() {
           cp.derive_pressure = true;
           cp.eps = 1e5f;
         }
-        std::vector<compression::WorkerTimes> times;
-        const auto cq = compression::compress_quantity(sim.grid(), cp, &times);
-        for (const auto& t : times) {
+        compression::PipelineStats stats;
+        const auto cq = compression::compress_quantity_pipelined(sim.grid(), cp, &stats);
+        for (const auto& t : stats.worker_times) {
           t_fwt_dec += t.dec;
           t_enc += t.enc;
         }

@@ -2,16 +2,15 @@
 // (t_max - t_min)/t_avg across workers, for Gamma and pressure dumps.
 // The paper reports DEC 30%/22%, ENC 390%/2100%, IO 5%/15% — decimation is
 // mildly data-dependent, encoding wildly so (stream sizes differ), I/O is
-// nearly uniform. We run 4 OpenMP workers over a cloud snapshot and measure
-// the same three stages (IO = per-stream file writes).
+// nearly uniform. We run 4 pipeline workers over a cloud snapshot and
+// measure the same three stages (IO = per-stream file writes).
 #include <omp.h>
 
 #include <cstdio>
 #include <string>
 
 #include "bench_util.h"
-#include "compression/compressor.h"
-#include "io/compressed_file.h"
+#include "compression/pipeline.h"
 
 using namespace mpcf;
 
@@ -23,13 +22,14 @@ struct Row {
 
 Row measure(Grid& grid, const compression::CompressionParams& params,
             const std::string& path) {
-  std::vector<compression::WorkerTimes> times;
-  const auto cq = compression::compress_quantity(grid, params, &times);
+  compression::PipelineStats stats;
+  const auto cq = compression::compress_quantity_pipelined(grid, params, &stats);
+  const std::vector<compression::WorkerTimes>& times = stats.worker_times;
 
   // Per-worker IO time: each worker writes its encoded blob into its region
   // of a shared file (the collective write assigns contiguous offset ranges
   // via the exclusive scan). One warm-up write removes open/metadata noise.
-  std::vector<double> io_times(times.size(), 0.0);
+  std::vector<double> io_times(cq.streams.size(), 0.0);
   // mpcf-lint: allow(raw-io): the bench measures raw write() timing; SafeFile's fsync would dominate it
   std::FILE* f = std::fopen(path.c_str(), "wb");
   for (int warm = 0; warm < 2; ++warm) {

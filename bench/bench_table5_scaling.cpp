@@ -185,13 +185,7 @@ int write_scaling_json(const char* path, const std::string& self) {
                "  \"per_rank\": {\"blocks\": [%d, %d, %d], \"block_size\": %d, "
                "\"steps\": %d},\n",
                kWeakBlocksAxis, kWeakBlocksAxis, kWeakBlocksAxis, kWeakBs, kWeakSteps);
-  // Host header of every datapoint: processors, SIMD width, measured
-  // single-core FMA peak and triad bandwidth.
-  std::fprintf(out,
-               "  \"host\": {\"nproc\": %d, \"simd_width\": \"%s\", "
-               "\"fma_peak_gflops_per_core\": %.1f, \"mem_bw_gbs\": %.1f},\n",
-               cores, simd::width_name(simd::dispatch_width()),
-               perf::host_machine().peak_gflops, bw / 1e9);
+  mpcf::bench::write_host_json(out);
   std::fprintf(out, "  \"transports\": {\"inproc\": \"in-memory mailbox (oracle)\", "
                     "\"mp\": \"mpcf-run + shm rings\"},\n");
   std::fprintf(out,

@@ -8,7 +8,8 @@
 // throughput (GB/s of solver data retired to disk) and compression ratio
 // versus pipeline worker count {1, 2, 4}, for both dumped quantities (p and
 // Gamma, at Simulation::dump's thresholds) through the one entropy stage,
-// written as one JSON document (BENCH_io.json by default). Worker counts
+// written as one JSON document (BENCH_io.json by default) under the host
+// header BENCH_scaling.json carries. Worker counts
 // beyond the machine's cores are still measured but flagged — on an
 // undersubscribed box the scaling curve flattens for honest hardware
 // reasons, not pipeline ones.
@@ -20,7 +21,6 @@
 
 #include "bench_util.h"
 #include "compression/pipeline.h"
-#include "io/compressed_file.h"
 #include "perf/machine.h"
 
 using namespace mpcf;
@@ -96,7 +96,7 @@ int write_json(const char* out_path) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"io_pipeline\",\n");
-  std::fprintf(out, "  \"cores\": %u,\n", cores);
+  mpcf::bench::write_host_json(out);
   std::fprintf(out, "  \"cells\": %lld,\n",
                static_cast<long long>(sim.grid().cell_count()));
   std::fprintf(out, "  \"entropy_stage\": \"sparse+zlib\",\n");

@@ -1,11 +1,15 @@
 // Shared helpers for the table/figure reproduction benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "core/simulation.h"
 #include "eos/stiffened_gas.h"
+#include "perf/microbench.h"
+#include "simd/dispatch.h"
 #include "workload/cloud.h"
 
 namespace mpcf::bench {
@@ -39,6 +43,18 @@ double time_best_of(F&& f, int repeats = 3) {
 
 inline void print_rule() {
   std::puts("--------------------------------------------------------------------------");
+}
+
+/// The host header of a committed BENCH_*.json, as one `"host": {...},`
+/// line: processors, SIMD width, measured single-core FMA peak and triad
+/// bandwidth.
+inline void write_host_json(std::FILE* out) {
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %u, \"simd_width\": \"%s\", "
+               "\"fma_peak_gflops_per_core\": %.1f, \"mem_bw_gbs\": %.1f},\n",
+               std::max(1u, std::thread::hardware_concurrency()),
+               simd::width_name(simd::dispatch_width()), perf::host_machine().peak_gflops,
+               perf::host_machine().mem_bw_gbs);
 }
 
 }  // namespace mpcf::bench

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "compression/compressor.h"
+#include "compression/pipeline.h"
 #include "eos/stiffened_gas.h"
 #include "workload/cloud.h"
 
@@ -44,11 +44,11 @@ int main() {
     compression::CompressionParams p;
     p.eps = eps;
     p.quantity = Q_G;
-    std::vector<compression::WorkerTimes> times;
-    const auto cq = compress_quantity(grid, p, &times);
+    compression::PipelineStats stats;
+    const auto cq = compress_quantity_pipelined(grid, p, &stats);
     const auto field = decompress_to_field(cq);
     double dec = 0, enc = 0;
-    for (const auto& t : times) {
+    for (const auto& t : stats.worker_times) {
       dec += t.dec;
       enc += t.enc;
     }
@@ -63,7 +63,7 @@ int main() {
     p.eps = eps;
     p.mode = wavelet::ThresholdMode::kGuaranteed;
     p.quantity = Q_G;
-    const auto cq = compress_quantity(grid, p);
+    const auto cq = compress_quantity_pipelined(grid, p);
     const auto field = decompress_to_field(cq);
     const double err = linf_error(grid, field, Q_G);
     std::printf("%8.1e  %7.1f  %9.2e  %s\n", eps, cq.compression_rate(), err,
@@ -76,7 +76,7 @@ int main() {
     compression::CompressionParams p;
     p.eps = eps;
     p.derive_pressure = true;
-    const auto cq = compress_quantity(grid, p);
+    const auto cq = compress_quantity_pipelined(grid, p);
     std::printf("%8.1e  %7.1f\n", eps, cq.compression_rate());
   }
   std::printf("\n# paper: Gamma 100-150:1 at eps=1e-3, pressure 10-20:1 at 1e-2\n");

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <optional>
 
 #include "cluster/transport_inmemory.h"
 #include "compression/pipeline.h"
@@ -60,64 +62,59 @@ void msg_to_box(Grid& g, int ox, int oy, int oz, int nx, int ny, int nz,
   });
 }
 
-/// Wire form of the cluster clock (kTagClock broadcast on restart).
-[[nodiscard]] std::vector<float> pack_clock(double time, long steps) {
+/// Wire form of one rank's directory entries (kTagBlobs, first message):
+/// whether the rank encoded its blobs, their count, then their entries.
+[[nodiscard]] std::vector<float> pack_directory(bool ok, const std::vector<io::Blob>& blobs) {
   std::vector<std::uint8_t> b;
-  io::put_bytes(b, time);
-  io::put_bytes(b, static_cast<std::int64_t>(steps));
+  b.reserve(8 + 32 * blobs.size());
+  io::put_bytes(b, static_cast<std::uint32_t>(ok));
+  io::put_bytes(b, static_cast<std::uint32_t>(ok ? blobs.size() : 0));
+  if (ok)
+    for (const io::Blob& blob : blobs) io::put_entry(b, blob.entry);
   return pack_bytes(b);
 }
 
-[[nodiscard]] io::CheckpointClock unpack_clock(const std::vector<float>& msg) {
+/// Inverse of pack_directory: appends the entries, returns the ok flag.
+bool unpack_directory(const std::vector<float>& msg, std::vector<io::BlobEntry>& entries) {
   const std::vector<std::uint8_t> b = unpack_bytes(msg);
   io::Cursor cur(b);
-  io::CheckpointClock clock;
-  clock.time = cur.get<double>();
-  clock.steps = static_cast<long>(cur.get<std::int64_t>());
-  return clock;
+  const bool ok = cur.get<std::uint32_t>() != 0;
+  for (auto n = cur.get<std::uint32_t>(); n > 0; --n) entries.push_back(io::get_entry(cur));
+  return ok;
 }
 
-/// Wire form of one rank's collective-dump contribution (kTagDump):
-/// the exscan offset, the encoder's level count, and the streams.
-[[nodiscard]] std::vector<float> pack_rank_streams(const compression::RankStreams& part,
-                                                   int levels) {
-  std::vector<std::uint8_t> b;
-  io::put_bytes(b, part.offset);
-  io::put_bytes(b, static_cast<std::int32_t>(levels));
-  io::put_bytes(b, static_cast<std::uint64_t>(part.streams.size()));
-  for (const auto& s : part.streams) {
-    io::put_bytes(b, static_cast<std::uint64_t>(s.block_ids.size()));
-    io::put_bytes(b, static_cast<std::uint64_t>(s.data.size()));
-    io::put_bytes(b, s.raw_bytes);
-    // mpcf-lint: allow(reinterpret-cast): block-id array serialized as raw little-endian bytes
-    const auto* ids = reinterpret_cast<const std::uint8_t*>(s.block_ids.data());
-    b.insert(b.end(), ids, ids + s.block_ids.size() * sizeof(std::uint32_t));
-    b.insert(b.end(), s.data.begin(), s.data.end());
+/// Runs f unless `error` holds an earlier failure of the call, keeping its
+/// exception: the steps after a failure are skipped, the protocol's
+/// messages still flow, so no peer waits out its receive timeout.
+template <typename F>
+void attempt(std::exception_ptr& error, F&& f) {
+  if (error) return;
+  try {
+    f();
+  } catch (...) {
+    error = std::current_exception();
   }
-  return pack_bytes(b);
 }
 
-[[nodiscard]] compression::RankStreams unpack_rank_streams(int rank,
-                                                           const std::vector<float>& msg,
-                                                           int* levels) {
-  const std::vector<std::uint8_t> b = unpack_bytes(msg);
-  io::Cursor cur(b);
-  compression::RankStreams part;
-  part.rank = rank;
-  part.offset = cur.get<std::uint64_t>();
-  *levels = cur.get<std::int32_t>();
-  const std::uint64_t nstreams = cur.get<std::uint64_t>();
-  part.streams.resize(nstreams);
-  for (auto& s : part.streams) {
-    const std::uint64_t nids = cur.get<std::uint64_t>();
-    const std::uint64_t ndata = cur.get<std::uint64_t>();
-    s.raw_bytes = cur.get<std::uint64_t>();
-    s.block_ids.resize(nids);
-    cur.read(s.block_ids.data(), nids * sizeof(std::uint32_t));
-    s.data.resize(ndata);
-    cur.read(s.data.data(), ndata);
+/// One allreduce over every process: a collective I/O call that failed
+/// anywhere throws everywhere — this process's own exception where it
+/// failed, an error naming `what` elsewhere (an IoError if any was one).
+void agree(const SimComm& comm, std::size_t local_ranks, const std::string& what,
+           const std::exception_ptr& error) {
+  double code = 0;  // 0 ok, 1 failed, 2 failed with an IoError
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const IoError&) {
+      code = 2;
+    } catch (...) {
+      code = 1;
+    }
   }
-  return part;
+  const double worst = comm.allreduce_max(std::vector<double>(local_ranks, code));
+  if (error) std::rethrow_exception(error);
+  if (worst == 2) throw IoError(what + ": failed on another rank");
+  if (worst == 1) throw PreconditionError(what + ": failed on another rank");
 }
 
 }  // namespace
@@ -602,43 +599,120 @@ void ClusterSimulation::scatter(const Grid& global) {
   for (const int r : local_) sims_[r]->invalidate_speed_cache();
 }
 
-Grid ClusterSimulation::checkpoint_grid() const {
-  const double extent = front_sim().grid().h() * gbx_ * bs_;
-  // Only rank 0's process reads or writes the global state; the others
-  // gather from and scatter into their own boxes alone.
-  if (comm_.is_local(0)) return Grid(gbx_, gby_, gbz_, bs_, extent);
-  return Grid(1, 1, 1, 1, extent);
+std::vector<std::uint32_t> ClusterSimulation::rank_block_ids(int r) const {
+  const RankBox& box = boxes_[r];
+  return io::global_block_ids(sims_[r]->grid(), gbx_, gby_, gbz_, box.ox / bs_, box.oy / bs_,
+                              box.oz / bs_);
+}
+
+std::uint64_t ClusterSimulation::write_collective(
+    const std::string& path, const io::ContainerHeader& header, const std::string& what,
+    const std::function<std::vector<io::Blob>(int)>& encode) const {
+  // Each local rank encodes its own blocks under their global ids.
+  std::exception_ptr error;
+  std::vector<io::Blob> mine;  // this process's ranks, in rank order
+  attempt(error, [&] {
+    for (const int r : local_) {
+      std::vector<io::Blob> blobs = encode(r);
+      for (io::Blob& b : blobs) mine.push_back(std::move(b));
+    }
+  });
+
+  std::uint64_t bytes = 0;
+  if (static_cast<int>(local_.size()) == topo_.size()) {
+    // Every rank in this process, the node layer's one-rank case included.
+    attempt(error, [&] { bytes = io::write_container(path, header, mine); });
+    agree(comm_, local_.size(), what, error);
+    return bytes;
+  }
+  require(local_.size() == 1, what + ": a collective write drives one rank per process");
+  const int me = local_.front();
+  if (me != 0) {
+    // Directory entries first, then one blob per word from the root, piece
+    // by piece, so the root holds its own blobs and one remote blob at a
+    // time in messages of at most a piece; a zero word ends the transfer.
+    comm_.send(me, 0, kTagBlobs, pack_directory(!error, mine));
+    if (!error)
+      for (const io::Blob& b : mine) {
+        if (comm_.recv(0, me, kTagBlobs).front() == 0) break;
+        for (const auto& piece : b.pieces)
+          if (!piece.empty()) comm_.send(me, 0, kTagBlobs, pack_bytes(piece));
+      }
+  } else {
+    // The root writes the header and every rank's directory entries, then
+    // the blobs in rank order.
+    std::vector<io::BlobEntry> dir;
+    for (const io::Blob& b : mine) dir.push_back(b.entry);
+    std::vector<std::vector<std::uint64_t>> size(static_cast<std::size_t>(topo_.size()));
+    std::vector<char> ok(size.size(), 0);  ///< ranks waiting for a word per blob
+    bool all_ok = !error;
+    for (int r = 1; r < topo_.size(); ++r) {
+      const std::size_t first = dir.size();
+      ok[r] = unpack_directory(comm_.recv(r, 0, kTagBlobs), dir) ? 1 : 0;
+      for (std::size_t k = first; k < dir.size(); ++k) size[r].push_back(dir[k].size);
+      all_ok = all_ok && ok[r] != 0;
+    }
+    std::optional<io::ContainerWriter> out;
+    if (all_ok) attempt(error, [&] { out.emplace(path, header, std::move(dir)); });
+    if (out)
+      attempt(error, [&] {
+        for (const io::Blob& b : mine)
+          for (const auto& piece : b.pieces) out->write(piece.data(), piece.size());
+      });
+    for (int r = 1; r < topo_.size(); ++r) {
+      // Every rank that encoded its blobs waits for a word per blob: one,
+      // or zero once the write has failed; a blob asked for is always taken.
+      for (std::size_t k = 0; ok[r] != 0 && k < size[r].size(); ++k) {
+        const bool take = out && !error;
+        comm_.send(0, r, kTagBlobs, {take ? 1.0f : 0.0f});
+        if (!take) break;
+        for (std::uint64_t got = 0; got < size[r][k];) {
+          const std::vector<float> msg = comm_.recv(r, 0, kTagBlobs);
+          std::uint64_t n = 0;
+          std::memcpy(&n, msg.data(), sizeof(n));  // pack_bytes: count, then the bytes
+          attempt(error, [&] { out->write(msg.data() + 2, n); });
+          if (n == 0) break;  // never sent: the short blob fails the commit
+          got += n;
+        }
+      }
+    }
+    if (out) attempt(error, [&] { bytes = out->commit(); });
+  }
+  agree(comm_, local_.size(), what, error);
+  // The reduction publishes the root's byte count to every process.
+  return static_cast<std::uint64_t>(
+      comm_.allreduce_max({local_.front() == 0 ? static_cast<double>(bytes) : 0.0}));
 }
 
 std::uint64_t ClusterSimulation::save_checkpoint(const std::string& path) const {
-  Grid global = checkpoint_grid();
-  gather(global);
-  std::uint64_t bytes = 0;
-  if (comm_.is_local(0)) bytes = io::save_grid_checkpoint(path, global, time_, steps_);
-  if (static_cast<int>(local_.size()) == topo_.size()) return bytes;
-  // Multi-process: the reduction both publishes root's byte count and acts
-  // as the barrier that makes the committed file visible before any rank
-  // returns.
-  std::vector<double> contrib(local_.size(), 0.0);
-  for (std::size_t i = 0; i < local_.size(); ++i)
-    if (local_[i] == 0) contrib[i] = static_cast<double>(bytes);
-  return static_cast<std::uint64_t>(comm_.allreduce_max(contrib));
+  const double extent = front_sim().grid().h() * (gbx_ * bs_);  // as the node layer has it
+  return write_collective(
+      path, io::checkpoint_header(gbx_, gby_, gbz_, bs_, time_, extent, steps_),
+      "save_checkpoint",
+      [this](int r) { return io::encode_checkpoint(sims_[r]->grid(), rank_block_ids(r)); });
 }
 
 void ClusterSimulation::load_checkpoint(const std::string& path) {
-  Grid global = checkpoint_grid();
-  io::CheckpointClock clock;
-  const bool in_process = static_cast<int>(local_.size()) == topo_.size();
-  if (comm_.is_local(0)) {
-    clock = io::load_grid_checkpoint(path, global);
-    if (!in_process)
-      for (int r = 0; r < topo_.size(); ++r)
-        if (!comm_.is_local(r))
-          comm_.send(0, r, kTagClock, pack_clock(clock.time, clock.steps));
-  } else {
-    clock = unpack_clock(comm_.recv(0, local_.front(), kTagClock));
+  std::vector<Block*> targets(static_cast<std::size_t>(gbx_) * gby_ * gbz_, nullptr);
+  for (const int r : local_) {
+    Grid& g = sims_[r]->grid();
+    const std::vector<std::uint32_t> ids = rank_block_ids(r);
+    for (int i = 0; i < g.block_count(); ++i)
+      targets[ids[static_cast<std::size_t>(i)]] = &g.block(i);
   }
-  scatter(global);
+  // Every process checks and restores the blobs of its own blocks, read
+  // from the file itself. Each pass ends in an agreement, so a file one
+  // process rejects is rejected by all before any grid is written.
+  std::exception_ptr error;
+  std::optional<io::CheckpointLoad> load;
+  const double extent = front_sim().grid().h() * (gbx_ * bs_);
+  attempt(error, [&] {
+    load.emplace(path, gbx_, gby_, gbz_, bs_, extent, std::move(targets));
+  });
+  agree(comm_, local_.size(), "load_checkpoint", error);
+  attempt(error, [&] { load->restore(); });
+  agree(comm_, local_.size(), "load_checkpoint", error);
+  const io::CheckpointClock clock = load->clock();
   for (const int r : local_) sims_[r]->restore_clock(clock.time, clock.steps);
   time_ = clock.time;
   steps_ = clock.steps;
@@ -699,95 +773,26 @@ Diagnostics ClusterSimulation::diagnostics(double G_vapor, double G_liquid) cons
   return total;
 }
 
-compression::CompressedQuantity ClusterSimulation::compress_collective(
-    const compression::CompressionParams& params,
-    std::vector<compression::WorkerTimes>* times) {
-  compression::CompressedQuantity global;
-  global.bx = gbx_;
-  global.by = gby_;
-  global.bz = gbz_;
-  global.block_size = bs_;
-  global.eps = params.eps;
-  global.derived_pressure = params.derive_pressure;
-  global.quantity = params.quantity;
-
-  const BlockIndexer gindex(gbx_, gby_, gbz_);
-  std::vector<compression::RankStreams> parts;
-  parts.reserve(local_.size());
-  std::vector<std::uint64_t> local_bytes;
-  local_bytes.reserve(local_.size());
-  if (times) times->clear();
-
-  for (const int r : local_) {
+std::uint64_t ClusterSimulation::dump_collective(const std::string& path,
+                                                 const compression::CompressionParams& params) {
+  const io::ContainerHeader header = io::dump_header(
+      {.bx = gbx_, .by = gby_, .bz = gbz_, .block_size = bs_, .levels = wavelet::max_levels(bs_),
+       .eps = params.eps, .derived_pressure = params.derive_pressure, .quantity = params.quantity,
+       .streams = {}});
+  return write_collective(path, header, "dump_collective", [&](int r) {
     perf::TraceSpan span(tracer_, perf::TracePhase::kDump, r);
-    // Each rank compresses through the pipelined stage graph; its chunked
-    // streams keep block-id order, so the remap below and the offset-ordered
-    // assembly preserve the deterministic file layout.
-    compression::PipelineStats rank_stats;
-    auto cq = compression::compress_quantity_pipelined(sims_[r]->grid(), params,
-                                                       times ? &rank_stats : nullptr);
-    global.levels = cq.levels;
-    int cx, cy, cz;
-    topo_.coords(r, cx, cy, cz);
-    const int obx = cx * (gbx_ / topo_.rx), oby = cy * (gby_ / topo_.ry),
-              obz = cz * (gbz_ / topo_.rz);
-    const BlockIndexer lindex(gbx_ / topo_.rx, gby_ / topo_.ry, gbz_ / topo_.rz);
-    std::uint64_t bytes = 0;
+    // Each rank compresses through the pipelined stage graph; its streams
+    // keep block-id order and carry their blocks' global ids.
+    compression::CompressedQuantity cq =
+        compression::compress_quantity_pipelined(sims_[r]->grid(), params);
+    const std::vector<std::uint32_t> ids = rank_block_ids(r);
+    std::vector<io::Blob> blobs;
     for (auto& stream : cq.streams) {
-      for (auto& id : stream.block_ids) {
-        int lx, ly, lz;
-        lindex.coords(static_cast<int>(id), lx, ly, lz);
-        id = static_cast<std::uint32_t>(gindex.linear(obx + lx, oby + ly, obz + lz));
-      }
-      bytes += stream.data.size();
+      for (auto& id : stream.block_ids) id = ids[id];
+      blobs.push_back(io::stream_blob(std::move(stream)));
     }
-    parts.push_back(compression::RankStreams{r, 0, std::move(cq.streams)});
-    local_bytes.push_back(bytes);
-    if (times)
-      times->insert(times->end(), rank_stats.worker_times.begin(),
-                    rank_stats.worker_times.end());
-  }
-
-  // The collective write orders rank blobs by the exclusive prefix sum of
-  // their encoded sizes (the MPI_Exscan of the paper): the scanned offsets
-  // — not rank completion order — decide where each blob lands.
-  const std::vector<std::uint64_t> offsets = comm_.exscan(local_bytes);
-  for (std::size_t i = 0; i < parts.size(); ++i) parts[i].offset = offsets[i];
-
-  if (static_cast<int>(local_.size()) == topo_.size()) {
-    compression::assemble_collective(global, std::move(parts));
-    return global;
-  }
-
-  // Multi-process: streams converge on rank 0 in arrival order; the scanned
-  // offsets restore the file order during assembly.
-  if (comm_.is_local(0)) {
-    std::vector<float> msg;
-    for (int r = 0; r < topo_.size(); ++r) {
-      if (comm_.is_local(r)) continue;
-      msg = comm_.recv(r, 0, kTagDump);
-      int levels = 0;
-      parts.push_back(unpack_rank_streams(r, msg, &levels));
-      global.levels = levels;
-    }
-    compression::assemble_collective(global, std::move(parts));
-  } else {
-    for (const auto& part : parts)
-      comm_.send(part.rank, 0, kTagDump, pack_rank_streams(part, global.levels));
-  }
-  return global;
-}
-
-std::uint64_t ClusterSimulation::dump_collective(
-    const std::string& path, const compression::CompressionParams& params,
-    std::vector<compression::WorkerTimes>* times) {
-  const compression::CompressedQuantity global = compress_collective(params, times);
-  // Only the process holding the assembled streams writes; the two-phase
-  // aggregating writer turns the offset-ordered blobs into large aligned
-  // writes (the collective dump of paper Section 6, single file per
-  // quantity).
-  if (!comm_.is_local(0)) return 0;
-  return io::write_compressed(path, global);
+    return blobs;
+  });
 }
 
 StepProfile ClusterSimulation::profile() const {

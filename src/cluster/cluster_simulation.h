@@ -15,11 +15,12 @@
 // declares local (Transport::local_ranks). On the default in-memory
 // transport that is every rank — the historical all-in-one-process mode.
 // Under tools/mpcf-run each process holds ONE rank over the shared-memory
-// transport, and all cross-rank traffic (halos, gather/scatter, checkpoint,
-// collective dump, DT reduction) moves through the transport; no code path
+// transport, and all cross-rank traffic (halos, gather/scatter, checkpoint
+// and dump blobs, DT reduction) moves through the transport; no code path
 // touches a sibling rank's grid directly.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "cluster/topology.h"
 #include "compression/compressor.h"
 #include "core/simulation.h"
+#include "io/container.h"
 #include "io/retention.h"
 #include "perf/trace.h"
 
@@ -84,18 +86,16 @@ class ClusterSimulation {
   /// remote rank its box; other processes ignore their `global` argument.
   void scatter(const Grid& global);
 
-  /// Checkpoints the gathered global state + cluster clock into one
-  /// atomic, CRC-protected file (same format as the node layer; a cluster
-  /// checkpoint restores into any topology of the same global shape).
-  /// Multi-process: rank 0's process writes the file; the call is
-  /// collective and every process returns the written byte count.
+  /// Checkpoints the state + cluster clock into one atomic, CRC-protected
+  /// container through write_collective (DESIGN.md §12). The bytes depend
+  /// on the topology, not on the thread count; one rank writes the node
+  /// layer's file of the same state. Every process returns the file size.
   std::uint64_t save_checkpoint(const std::string& path) const;
 
-  /// Restores a checkpoint written by save_checkpoint (or the node layer's
-  /// save_checkpoint of an identically shaped grid): scatters the state and
-  /// restores every rank clock. Throws PreconditionError on any mismatch,
-  /// truncation, or CRC failure. Multi-process: rank 0's process reads the
-  /// file and broadcasts state + clock.
+  /// Restores a checkpoint of any topology of the same global shape (or a
+  /// node-layer file) and every rank clock; each process reads only the
+  /// blobs of its blocks. A file any process rejects throws
+  /// PreconditionError on every process, before any grid is written.
   void load_checkpoint(const std::string& path);
 
   /// Rotating retention: saves through `rot` at the current step count and
@@ -114,22 +114,11 @@ class ClusterSimulation {
   /// mode; every process returns the same global values).
   [[nodiscard]] Diagnostics diagnostics(double G_vapor, double G_liquid) const;
 
-  /// Compresses one quantity across all ranks into a single dump whose
-  /// streams carry global block ids; the streams land in the order given by
-  /// the exclusive prefix sum of the per-rank encoded sizes — NOT rank
-  /// completion order (collective dump, paper Section 6). Multi-process:
-  /// remote ranks ship their streams to rank 0, whose process returns the
-  /// assembled dump; other processes return only the header (no streams).
-  [[nodiscard]] compression::CompressedQuantity compress_collective(
-      const compression::CompressionParams& params,
-      std::vector<compression::WorkerTimes>* times = nullptr);
-
-  /// Collective dump straight to disk: compress_collective, then the
-  /// two-phase aggregating `.cq` writer. Only the process holding rank 0
-  /// writes; returns the bytes it wrote (0 elsewhere).
+  /// Collective dump of one quantity (paper Section 6, one file per
+  /// quantity): every rank's pipelined streams under global ids, through
+  /// write_collective. Every process returns the file size.
   std::uint64_t dump_collective(const std::string& path,
-                                const compression::CompressionParams& params,
-                                std::vector<compression::WorkerTimes>* times = nullptr);
+                                const compression::CompressionParams& params);
 
   /// Aggregated kernel times across this process's local ranks.
   [[nodiscard]] StepProfile profile() const;
@@ -186,9 +175,14 @@ class ClusterSimulation {
   /// Lazily builds the whole-step graph over the local ranks.
   void ensure_step_graph();
   [[nodiscard]] const Simulation& front_sim() const { return *sims_[local_.front()]; }
-  /// The global grid a checkpoint gathers into or scatters from: full size
-  /// on the process holding rank 0, a one-cell placeholder on the others.
-  [[nodiscard]] Grid checkpoint_grid() const;
+  /// Global block id of each block of local rank r's grid.
+  [[nodiscard]] std::vector<std::uint32_t> rank_block_ids(int r) const;
+  /// The collective container write: each local rank r encodes its blobs
+  /// (`encode(r)`), the process holding rank 0 writes every rank's in rank
+  /// order, and a write that fails on any process throws on every process.
+  std::uint64_t write_collective(const std::string& path, const io::ContainerHeader& header,
+                                 const std::string& what,
+                                 const std::function<std::vector<io::Blob>(int)>& encode) const;
 
   CartTopology topo_;
   mutable SimComm comm_;  ///< mutable: const collectives (gather, save) send

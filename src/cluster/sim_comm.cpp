@@ -101,14 +101,6 @@ double SimComm::allreduce_sum(const std::vector<double>& contributions) const {
   return transport_->allreduce_sum(contributions);
 }
 
-std::vector<std::uint64_t> SimComm::exscan(const std::vector<std::uint64_t>& values) const {
-  {
-    const LockGuard lock(mu_);
-    stats_.collectives++;
-  }
-  return transport_->exscan(values);
-}
-
 void SimComm::barrier() const { transport_->barrier(); }
 
 }  // namespace mpcf::cluster

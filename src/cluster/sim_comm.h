@@ -60,11 +60,6 @@ class SimComm {
   /// Sum-allreduce, deterministic rank-order reduction.
   [[nodiscard]] double allreduce_sum(const std::vector<double>& contributions) const;
 
-  /// Exclusive prefix sum across all ranks; returns the offsets of this
-  /// process's local ranks, in local_ranks() order (the dump offset scan).
-  [[nodiscard]] std::vector<std::uint64_t> exscan(
-      const std::vector<std::uint64_t>& values) const;
-
   /// Barrier across all ranks (no-op on the in-memory backend).
   void barrier() const;
 

@@ -46,14 +46,13 @@ class TransportError : public std::runtime_error {
 
 // --- Tag schema -----------------------------------------------------------
 //
-// Tags below kHaloTagBase are control-plane flows (gather/scatter/clock/
-// dump). Halo traffic encodes the RK stage epoch into the tag so a fast rank
+// Tags below kHaloTagBase are control-plane flows (gather/scatter, blobs).
+// Halo traffic encodes the RK stage epoch into the tag so a fast rank
 // running a full stage ahead can never alias the previous stage's messages,
 // even on an out-of-order transport: tag = kHaloTagBase + epoch*6 + face.
-constexpr int kTagGather = 0;   ///< rank -> root subdomain blobs (gather)
-constexpr int kTagScatter = 1;  ///< root -> rank subdomain blobs (scatter)
-constexpr int kTagClock = 2;    ///< root -> rank clock broadcast (restart)
-constexpr int kTagDump = 3;     ///< rank -> root encoded streams (collective dump)
+constexpr int kTagGather = 0;   ///< rank -> root subdomain boxes (gather)
+constexpr int kTagScatter = 1;  ///< root -> rank subdomain boxes (scatter)
+constexpr int kTagBlobs = 3;    ///< rank -> root directory entries, then blobs
 constexpr int kHaloTagBase = 8;
 constexpr int kFaceTags = 6;  ///< 3 axes x 2 receiver sides
 
@@ -68,7 +67,7 @@ constexpr int halo_tag_face(int tag) { return (tag - kHaloTagBase) % kFaceTags; 
 // --- Byte payload packing -------------------------------------------------
 //
 // The wire payload is a float vector (halo slabs are float data). Control
-// flows (checkpoint gather, dump streams) carry arbitrary bytes; these two
+// flows (directory entries, blobs) carry arbitrary bytes; these two
 // helpers pack them losslessly: a u64 byte count in the first two lanes,
 // then the raw bytes memcpy'd across the remaining lanes. No float
 // arithmetic ever touches the lanes, so arbitrary bit patterns survive.
@@ -124,11 +123,6 @@ class Transport {
   /// Sum-allreduce with a deterministic rank-order reduction tree (so every
   /// rank computes the bitwise-same total).
   [[nodiscard]] virtual double allreduce_sum(const std::vector<double>& contributions) = 0;
-
-  /// Exclusive prefix sum across all ranks; returns the offsets of this
-  /// transport's local ranks, in local_ranks() order.
-  [[nodiscard]] virtual std::vector<std::uint64_t> exscan(
-      const std::vector<std::uint64_t>& values) = 0;
 
   /// Barrier across all ranks.
   virtual void barrier() = 0;

@@ -93,17 +93,4 @@ double InMemoryTransport::allreduce_sum(const std::vector<double>& contributions
   return acc;
 }
 
-std::vector<std::uint64_t> InMemoryTransport::exscan(
-    const std::vector<std::uint64_t>& values) {
-  require(static_cast<int>(values.size()) == nranks_,
-          "InMemoryTransport::exscan: one value per rank required");
-  std::vector<std::uint64_t> out(values.size());
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = acc;
-    acc += values[i];
-  }
-  return out;
-}
-
 }  // namespace mpcf::cluster

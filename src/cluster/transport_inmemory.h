@@ -33,8 +33,6 @@ class InMemoryTransport final : public Transport {
 
   [[nodiscard]] double allreduce_max(const std::vector<double>& contributions) override;
   [[nodiscard]] double allreduce_sum(const std::vector<double>& contributions) override;
-  [[nodiscard]] std::vector<std::uint64_t> exscan(
-      const std::vector<std::uint64_t>& values) override;
   void barrier() override {}  // single process: nothing to rendezvous
 
   void set_timeout(double seconds) override { timeout_ = seconds; }

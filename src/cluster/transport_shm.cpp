@@ -112,8 +112,7 @@ struct Segment {
   std::size_t len = 0;
   int nranks = 0;
   std::size_t ring_bytes = 0;
-  std::size_t off_pids = 0, off_final = 0, off_dslots = 0, off_uslots = 0,
-              off_rings = 0, ring_stride = 0;
+  std::size_t off_pids = 0, off_final = 0, off_dslots = 0, off_rings = 0, ring_stride = 0;
 
   ~Segment() {
     if (base) ::munmap(base, len);
@@ -123,8 +122,7 @@ struct Segment {
     off_pids = align_up(sizeof(SegHeader));
     off_final = off_pids + sizeof(std::atomic<std::int32_t>) * nranks;
     off_dslots = align_up(off_final + sizeof(std::atomic<std::uint32_t>) * nranks);
-    off_uslots = off_dslots + sizeof(std::atomic<double>) * nranks;
-    off_rings = align_up(off_uslots + sizeof(std::atomic<std::uint64_t>) * nranks);
+    off_rings = align_up(off_dslots + sizeof(std::atomic<double>) * nranks);
     ring_stride = align_up(sizeof(RingCtl)) + align_up(ring_bytes);
     len = off_rings +
           ring_stride * static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks);
@@ -145,10 +143,6 @@ struct Segment {
   [[nodiscard]] std::atomic<double>* dslots() const {
     // mpcf-lint: allow(reinterpret-cast): typed views into the mmap'd segment; layout is compute_layout()'s
     return reinterpret_cast<std::atomic<double>*>(base + off_dslots);
-  }
-  [[nodiscard]] std::atomic<std::uint64_t>* uslots() const {
-    // mpcf-lint: allow(reinterpret-cast): typed views into the mmap'd segment; layout is compute_layout()'s
-    return reinterpret_cast<std::atomic<std::uint64_t>*>(base + off_uslots);
   }
   [[nodiscard]] RingCtl& ring(int src, int dst) const {
     std::uint8_t* p = base + off_rings +
@@ -552,29 +546,16 @@ void ShmTransport::barrier() {
   }
 }
 
-template <typename T>
-T ShmTransport::rendezvous(T mine, T (*combine)(const T*, int)) {
+double ShmTransport::rendezvous(double mine, double (*combine)(const double*, int)) {
   // Publication slots are typed atomics in the segment; the barriers fence
   // publish -> combine -> reuse, and every rank combines in rank order, so
   // all ranks return the bitwise-identical result.
-  if constexpr (std::is_same_v<T, double>) {
-    seg_->dslots()[rank_].store(mine, std::memory_order_release);
-  } else {
-    seg_->uslots()[rank_].store(mine, std::memory_order_release);
-  }
+  seg_->dslots()[rank_].store(mine, std::memory_order_release);
   barrier();
-  T out;
-  if constexpr (std::is_same_v<T, double>) {
-    std::vector<double> all(seg_->nranks);
-    for (int r = 0; r < seg_->nranks; ++r)
-      all[r] = seg_->dslots()[r].load(std::memory_order_acquire);
-    out = combine(all.data(), seg_->nranks);
-  } else {
-    std::vector<std::uint64_t> all(seg_->nranks);
-    for (int r = 0; r < seg_->nranks; ++r)
-      all[r] = seg_->uslots()[r].load(std::memory_order_acquire);
-    out = combine(all.data(), seg_->nranks);
-  }
+  std::vector<double> all(seg_->nranks);
+  for (int r = 0; r < seg_->nranks; ++r)
+    all[r] = seg_->dslots()[r].load(std::memory_order_acquire);
+  const double out = combine(all.data(), seg_->nranks);
   barrier();
   return out;
 }
@@ -582,7 +563,7 @@ T ShmTransport::rendezvous(T mine, T (*combine)(const T*, int)) {
 double ShmTransport::allreduce_max(const std::vector<double>& contributions) {
   require(contributions.size() == 1,
           "ShmTransport::allreduce_max: exactly one contribution (the local rank's)");
-  return rendezvous<double>(contributions[0], [](const double* v, int n) {
+  return rendezvous(contributions[0], [](const double* v, int n) {
     double m = v[0];
     for (int i = 1; i < n; ++i) m = v[i] > m ? v[i] : m;
     return m;
@@ -592,24 +573,11 @@ double ShmTransport::allreduce_max(const std::vector<double>& contributions) {
 double ShmTransport::allreduce_sum(const std::vector<double>& contributions) {
   require(contributions.size() == 1,
           "ShmTransport::allreduce_sum: exactly one contribution (the local rank's)");
-  return rendezvous<double>(contributions[0], [](const double* v, int n) {
+  return rendezvous(contributions[0], [](const double* v, int n) {
     double s = 0;
     for (int i = 0; i < n; ++i) s += v[i];  // rank order: deterministic
     return s;
   });
-}
-
-std::vector<std::uint64_t> ShmTransport::exscan(
-    const std::vector<std::uint64_t>& values) {
-  require(values.size() == 1,
-          "ShmTransport::exscan: exactly one value (the local rank's)");
-  seg_->uslots()[rank_].store(values[0], std::memory_order_release);
-  barrier();
-  std::uint64_t prefix = 0;
-  for (int r = 0; r < rank_; ++r)
-    prefix += seg_->uslots()[r].load(std::memory_order_acquire);
-  barrier();
-  return {prefix};
 }
 
 }  // namespace mpcf::cluster

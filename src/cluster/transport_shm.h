@@ -13,7 +13,6 @@
 //   finalized[] set by a rank's clean detach; waiting on a finalized rank
 //              that can no longer send is an immediate error
 //   dslots[]   one double per rank: scratch for allreduce max/sum
-//   uslots[]   one u64 per rank: scratch for the exclusive scan
 //   rings[]    nranks*nranks SPSC byte rings, ring (src,dst) owned by the
 //              src process as producer and dst process as consumer
 //
@@ -85,8 +84,6 @@ class ShmTransport final : public Transport {
 
   [[nodiscard]] double allreduce_max(const std::vector<double>& contributions) override;
   [[nodiscard]] double allreduce_sum(const std::vector<double>& contributions) override;
-  [[nodiscard]] std::vector<std::uint64_t> exscan(
-      const std::vector<std::uint64_t>& values) override;
   void barrier() override;
 
   void set_timeout(double seconds) override { timeout_ = seconds; }
@@ -115,8 +112,7 @@ class ShmTransport final : public Transport {
   void check_liveness(int peer, const char* what) const;
   /// Scratch-slot rendezvous shared by the collectives: publishes `mine`,
   /// barriers, combines all slots in rank order, barriers again.
-  template <typename T>
-  T rendezvous(T mine, T (*combine)(const T*, int));
+  double rendezvous(double mine, double (*combine)(const double*, int));
 
   std::shared_ptr<shm_detail::Segment> seg_;
   int rank_;

@@ -1,6 +1,5 @@
 #include "compression/compressor.h"
 
-#include <omp.h>
 #include <zlib.h>
 
 #include <algorithm>
@@ -98,81 +97,6 @@ double CompressedQuantity::compression_rate() const {
   return c == 0 ? 0.0 : static_cast<double>(uncompressed_bytes()) / static_cast<double>(c);
 }
 
-CompressedQuantity compress_quantity(const Grid& grid, const CompressionParams& params,
-                                     std::vector<WorkerTimes>* times) {
-  const int bs = grid.block_size();
-  const int levels = wavelet::max_levels(bs);
-
-  CompressedQuantity cq;
-  cq.bx = grid.blocks_x();
-  cq.by = grid.blocks_y();
-  cq.bz = grid.blocks_z();
-  cq.block_size = bs;
-  cq.levels = levels;
-  cq.eps = params.eps;
-  cq.derived_pressure = params.derive_pressure;
-  cq.quantity = params.quantity;
-
-  // Streams are sized for the maximum team; the runtime may grant fewer
-  // threads, and threads past the block count contribute nothing — both
-  // cases are pruned below so no empty stream reaches the file pipeline.
-  const int nthreads = omp_get_max_threads();
-  cq.streams.resize(nthreads);
-  if (times) {
-    times->clear();
-    times->resize(nthreads);
-  }
-  const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
-  int team_size = nthreads;
-
-#pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    require(tid < static_cast<int>(cq.streams.size()),
-            "compress_quantity: thread id exceeds stream count");
-#pragma omp single
-    team_size = omp_get_num_threads();
-    auto& stream = cq.streams[tid];
-    // Dedicated per-thread decimation buffer (paper Section 5): coefficient
-    // cubes of all blocks this worker processes, concatenated.
-    std::vector<std::uint8_t> buffer;
-    Field3D<float> cube(bs, bs, bs);
-    Timer t;
-
-#pragma omp for schedule(dynamic, 1)
-    for (int i = 0; i < grid.block_count(); ++i) {
-      gather_block_quantity(grid.block(i), bs, params, cube.data());
-      wavelet::forward_3d_simd(cube.view(), levels);
-      wavelet::decimate(cube.view(), levels, params.eps, params.mode);
-      // mpcf-lint: allow(reinterpret-cast): float->byte view of the decimated cube for the entropy coder
-      const auto* bytes = reinterpret_cast<const std::uint8_t*>(cube.data());
-      buffer.insert(buffer.end(), bytes, bytes + cube_floats * sizeof(float));
-      stream.block_ids.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (times) (*times)[tid].dec = t.seconds();
-
-    // Encode the concatenated stream in one shot: detail coefficients of
-    // adjacent blocks assume similar ranges, so a single stream compresses
-    // better than per-block encoding (paper Section 5).
-    t.restart();
-    if (!buffer.empty()) {
-      // mpcf-lint: allow(reinterpret-cast): byte->float view; buffer holds packed float cubes by construction
-      const auto* floats = reinterpret_cast<const float*>(buffer.data());
-      encode_stream(floats, buffer.size() / sizeof(float), stream);
-    }
-    if (times) (*times)[tid].enc = t.seconds();
-  }
-
-  // Report only the workers that actually ran, and drop streams that carry
-  // no blocks (idle workers): empty streams would otherwise travel through
-  // the collective file pipeline as zero-byte blobs.
-  if (times) times->resize(team_size);
-  std::erase_if(cq.streams, [](const CompressedQuantity::Stream& s) {
-    return s.block_ids.empty();
-  });
-  return cq;
-}
-
 Field3D<float> decompress_to_field(const CompressedQuantity& cq) {
   const int bs = cq.block_size;
   Field3D<float> out(cq.bx * bs, cq.by * bs, cq.bz * bs);
@@ -190,8 +114,13 @@ Field3D<float> decompress_to_field(const CompressedQuantity& cq) {
     for (std::size_t b = 0; b < stream.block_ids.size(); ++b) {
       std::memcpy(cube.data(), coeffs.data() + b * cube_floats, cube_bytes);
       wavelet::inverse_3d(cube.view(), cq.levels);
+      const std::uint32_t id = stream.block_ids[b];
+      require(id < static_cast<std::uint32_t>(indexer.count()),
+              "decompress_to_field (stream " + std::to_string(si) + "): block id " +
+                  std::to_string(id) + " out of range for " + std::to_string(indexer.count()) +
+                  " blocks");
       int bxc, byc, bzc;
-      indexer.coords(static_cast<int>(stream.block_ids[b]), bxc, byc, bzc);
+      indexer.coords(static_cast<int>(id), bxc, byc, bzc);
       for (int iz = 0; iz < bs; ++iz)
         for (int iy = 0; iy < bs; ++iy)
           for (int ix = 0; ix < bs; ++ix)
@@ -207,31 +136,14 @@ void decompress_quantity(const CompressedQuantity& cq, Grid& grid) {
   require(grid.blocks_x() == cq.bx && grid.blocks_y() == cq.by &&
               grid.blocks_z() == cq.bz && grid.block_size() == cq.block_size,
           "decompress_quantity: grid shape mismatch");
+  require(cq.quantity >= 0 && cq.quantity < kNumQuantities,
+          "decompress_quantity: quantity " + std::to_string(cq.quantity) + " out of range");
   const Field3D<float> field = decompress_to_field(cq);
   const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
   for (int iz = 0; iz < nz; ++iz)
     for (int iy = 0; iy < ny; ++iy)
       for (int ix = 0; ix < nx; ++ix)
         grid.cell(ix, iy, iz).q(cq.quantity) = field(ix, iy, iz);
-}
-
-void assemble_collective(CompressedQuantity& global, std::vector<RankStreams> parts) {
-  std::sort(parts.begin(), parts.end(),
-            [](const RankStreams& a, const RankStreams& b) {
-              return a.offset != b.offset ? a.offset < b.offset : a.rank < b.rank;
-            });
-  std::uint64_t expected = 0;
-  for (auto& part : parts) {
-    require(part.offset == expected,
-            "assemble_collective: rank " + std::to_string(part.rank) +
-                " landed at offset " + std::to_string(part.offset) +
-                " but the scan places it at " + std::to_string(expected) +
-                " (gap or overlap in the collective layout)");
-    for (auto& stream : part.streams) {
-      expected += stream.data.size();
-      global.streams.push_back(std::move(stream));
-    }
-  }
 }
 
 }  // namespace mpcf::compression

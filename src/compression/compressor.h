@@ -2,15 +2,15 @@
 //
 //   per block:   in-place forward wavelet transform  (FWT)
 //                lossy decimation of small details   (DEC)
-//   per thread:  concatenation of the surviving coefficient cubes into a
-//                dedicated buffer, lossless encoding of the whole stream:
-//                sparse significance coder, then zlib (ENC)
-//   per rank:    one global buffer of encoded streams, written collectively
-//                (see cluster::write_compressed_collective)
+//   per chunk:   concatenation of the surviving coefficient cubes of a run
+//                of blocks, lossless encoding of the whole stream: sparse
+//                significance coder, then zlib (ENC)
+//   per rank:    the encoded streams, written collectively into one file
+//                (io/compressed_file.h, ClusterSimulation::dump_collective)
 //
-// Dumps are performed for one quantity at a time (pressure and Gamma in the
-// production runs) to cap the memory overhead at ~10% of the simulation
-// footprint; parallel granularity is one block.
+// The compressor is compression/pipeline.h (DESIGN.md §13). Dumps are
+// performed for one quantity at a time (pressure and Gamma in the production
+// runs) to cap the memory overhead at ~10% of the simulation footprint.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,8 @@ struct CompressionParams {
   /// pressure; the paper dumps p and Gamma.
   bool derive_pressure = false;  ///< if true, `quantity` is ignored: dump p
   int quantity = Q_G;
-  /// Pipelined dump path only: transform/encode worker threads (0 = one per
-  /// available core; negative counts are rejected). The synchronous
-  /// compress_quantity keeps using the ambient OpenMP team.
+  /// Transform/encode worker threads (0 = one per available core; negative
+  /// counts are rejected).
   int workers = 0;
 };
 
@@ -42,12 +41,11 @@ struct CompressionParams {
 struct WorkerTimes {
   double dec = 0;  ///< FWT + decimation
   double enc = 0;  ///< entropy stage (encode_stream)
-  double io = 0;   ///< file write (filled by the I/O layer)
 };
 
-/// One quantity, compressed: a set of per-worker streams, each an encoded
-/// blob of concatenated decimated coefficient cubes plus the ids of the
-/// blocks it contains (in stream order).
+/// One quantity, compressed: a set of streams, each an encoded blob of
+/// concatenated decimated coefficient cubes plus the ids of the blocks it
+/// contains (in stream order).
 struct CompressedQuantity {
   int bx = 0, by = 0, bz = 0;  ///< grid shape in blocks
   int block_size = 0;
@@ -70,9 +68,8 @@ struct CompressedQuantity {
 };
 
 /// Extracts one block's scalar quantity (or derived pressure) into a dense
-/// bs^3 cube in x-fastest order. Shared by the synchronous compressor and
-/// the pipelined dump; the derived-pressure path guards the kinetic-energy
-/// division against near-vacuum densities.
+/// bs^3 cube in x-fastest order; the derived-pressure path guards the
+/// kinetic-energy division against near-vacuum densities.
 void gather_block_quantity(const Block& block, int bs, const CompressionParams& params,
                            float* cube);
 
@@ -83,35 +80,14 @@ void gather_block_quantity(const Block& block, int bs, const CompressionParams& 
 /// signed zeros included; the lossy step is the decimation alone.
 void encode_stream(const float* coeffs, std::size_t n, CompressedQuantity::Stream& stream);
 
-/// Compresses one scalar quantity of the whole grid. If `times` is given it
-/// is resized to the worker count and filled with per-worker DEC/ENC times.
-[[nodiscard]] CompressedQuantity compress_quantity(const Grid& grid,
-                                                   const CompressionParams& params,
-                                                   std::vector<WorkerTimes>* times = nullptr);
-
 /// Inverse pipeline: decodes, inverse-transforms and writes the quantity
 /// back into `grid` (grid shape must match). Derived pressure cannot be
 /// scattered back into conserved variables and is written into a Field3D.
 void decompress_quantity(const CompressedQuantity& cq, Grid& grid);
 
 /// Decompresses into a standalone cell-indexed scalar field (works for
-/// derived quantities too).
+/// derived quantities too). Throws PreconditionError on a block id outside
+/// the shape or a stream that does not decode to its blocks.
 [[nodiscard]] Field3D<float> decompress_to_field(const CompressedQuantity& cq);
-
-/// One rank's contribution to a collective dump: its streams (already
-/// carrying global block ids) plus the exclusive-prefix-sum offset of its
-/// encoded bytes in the file (the MPI_Exscan of the paper's collective
-/// write).
-struct RankStreams {
-  int rank = 0;
-  std::uint64_t offset = 0;  ///< exscan of per-rank encoded byte counts
-  std::vector<CompressedQuantity::Stream> streams;
-};
-
-/// Assembles rank contributions into `global.streams` ordered by their
-/// scanned offsets — NOT by arrival order, which on a real transport is the
-/// completion order of the ranks. Verifies the offsets tile the file
-/// contiguously (no gap or overlap) and throws PreconditionError otherwise.
-void assemble_collective(CompressedQuantity& global, std::vector<RankStreams> parts);
 
 }  // namespace mpcf::compression

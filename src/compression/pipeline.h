@@ -1,23 +1,16 @@
-// Pipelined multi-threaded dump path (DESIGN.md §13) — the throughput-grade
-// successor of the synchronous compressor: a pool of workers pulls fixed
+// The one compressor (DESIGN.md §13): a pool of workers pulls fixed
 // block-range chunks off a shared queue, runs FWT + decimation over each
 // chunk's cubes and feeds the result straight into its own entropy-encode
-// stage (no barrier between chunks — a worker encodes chunk A while another
-// still transforms chunk B), draining into the two-phase aggregator of the
-// `.cq` writer: directory offsets by exclusive prefix sum first, then the
-// stream blobs coalesced into large aligned writes.
+// stage (no barrier between chunks). Each chunk becomes one stream, each
+// stream one blob of the dump's container (io/compressed_file.h). Its
+// reference is the codec-free transform oracle of tests/test_pipeline.cpp.
 //
 // Determinism: the chunk → block-range map is a pure function of
-// (block_count, worker count), streams are emitted in chunk (= block-id)
-// order, and workers steal *which chunk to process next* dynamically but
-// never *where its output lands* — so for a fixed worker count the emitted
-// file is bitwise-stable run-to-run regardless of scheduling.
-//
-// Workers run the chunk-stealing loop the checkpoint codec shares
-// (common/chunk_loop.h): plain std::threads, not an OpenMP team, so the
-// pool's width is the dump's own CompressionParams::workers, set
-// independently of the solver's OpenMP team (bench_throughput sweeps it at a
-// fixed team size).
+// (block_count, worker count), and workers steal *which chunk to process
+// next* but never *where its output lands* — so for a fixed worker count
+// the emitted file is bitwise-stable run-to-run regardless of scheduling.
+// Workers run the chunk loop of common/chunk_loop.h: plain std::threads,
+// sized by CompressionParams::workers independently of the solver's team.
 #pragma once
 
 #include <string>
@@ -33,7 +26,7 @@ struct PipelineStats {
   int chunks = 0;   ///< streams emitted (= chunk count)
   /// Per-worker wall-clock split: dec = FWT+decimate, enc = entropy stage.
   std::vector<WorkerTimes> worker_times;
-  double write_seconds = 0;           ///< aggregator write phase (dump only)
+  double write_seconds = 0;           ///< container write (dump only)
   std::uint64_t bytes_written = 0;    ///< file size (dump only)
   std::uint64_t uncompressed_bytes = 0;
   std::uint64_t compressed_bytes = 0;
@@ -45,16 +38,14 @@ struct PipelineStats {
 /// content-dependent encode cost, capped at the block count.
 [[nodiscard]] int pipeline_chunk_count(int block_count, int workers);
 
-/// Compresses one quantity of the grid through the stage graph. Decoded
-/// output is identical to the synchronous compress_quantity (same per-block
-/// transform, same entropy stage); the stream partition differs (fixed
-/// chunks vs per-thread accumulation). Worker count comes from
-/// params.workers (0 = one per core).
+/// Compresses one quantity of the grid through the stage graph. The stream
+/// partition depends on the worker count, the decoded field does not.
+/// Worker count comes from params.workers (0 = one per core).
 [[nodiscard]] CompressedQuantity compress_quantity_pipelined(
     const Grid& grid, const CompressionParams& params, PipelineStats* stats = nullptr);
 
-/// Full pipelined dump: stage graph, then the two-phase aggregating writer.
-/// Returns the compression rate; fills write/byte accounting into `stats`.
+/// Full pipelined dump: stage graph, then the container writer. Returns the
+/// compression rate; fills write/byte accounting into `stats`.
 double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
                                const std::string& path, PipelineStats* stats = nullptr);
 

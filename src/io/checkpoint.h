@@ -1,41 +1,29 @@
-// Bitwise-exact checkpoint/restart of a simulation. The paper's I/O
-// challenge notes that serializing the full state of a production run means
-// Petabytes — which is why analysis dumps go through the lossy wavelet
-// pipeline. Restart files, however, must be exact AND trustworthy: this
-// module stores the raw block storage zlib-compressed (lossless) together
-// with the simulation clock, written atomically through io::SafeFile
-// (temp + fsync + rename) and protected by CRC32 over the header and every
-// compressed chunk, so a crash mid-write can never leave a half-written file
-// at the final path and silent bit-rot is detected at load instead of being
-// restored into the solver.
+// Bitwise-exact checkpoint/restart. Analysis dumps go through the lossy
+// wavelet pipeline; restart files must be exact AND trustworthy. A
+// checkpoint is the payload "PLRL" over the one container (io/container.h,
+// DESIGN.md §8): written atomically, a header CRC and one CRC per blob, so
+// a crash mid-write never leaves a half-written file at the final path and
+// bit-rot is refused at load instead of restored into the solver.
 //
-// The state is cut into chunks of whole blocks in SFC order, about 1 MiB of
-// cells each; the partition is a pure function of the grid shape. Each
-// chunk's cells are stored as 28 byte planes (plane k holds byte k of every
-// cell) deflated as one zlib stream with the Z_RLE strategy. Chunks are
-// encoded and decoded in parallel on the caller's omp_get_max_threads()
-// workers (common/chunk_loop.h); the file bytes do not depend on the worker
-// count.
+// Payload: a grid's blocks in SFC order, cut into runs of about 1 MiB of
+// cells (a pure function of the grid's shape). Each run is one blob under
+// its blocks' global ids: the run's cells as 28 byte planes (plane k holds
+// byte k of every cell), one zlib stream with the Z_RLE strategy. The
+// record holds f64 time, f64 extent, i64 steps. Blobs are encoded and
+// decoded on the caller's omp_get_max_threads() workers
+// (common/chunk_loop.h); the bytes do not depend on the worker count.
 //
-// v3 layout ("MPCFCKP3", written by save_checkpoint; all little endian):
-//   off  0  magic "MPCFCKP3"                                  8 bytes
-//   off  8  u32 header_crc   CRC32 of bytes [12, 56 + 12 n)   4
-//   off 12  i32 bx, by, bz, bs                               16
-//   off 28  f64 time, extent                                 16
-//   off 44  i64 steps                                         8
-//   off 52  u32 n            chunk count                      4
-//   off 56  per chunk: u64 comp_bytes, u32 crc (of the stream) 12 n
-//           the chunk streams, back to back in chunk order
-//
-// The chunk count and every chunk size are bounds-checked against the actual
-// file and grid before any allocation. v3 is the only version read: v1
-// ("MPCFCKP1") and v2 ("MPCFCKP2", one stream over the raw cells) files are
-// rejected with an error naming their version.
+// A cluster checkpoint is every rank's runs in rank order; the node layer
+// is the one-rank case. The bytes thus depend on the topology, and any file
+// restores into any topology of the same global shape: a load reads only
+// the blobs that hold its blocks.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/simulation.h"
+#include "io/container.h"
 
 namespace mpcf::io {
 
@@ -45,20 +33,53 @@ struct CheckpointClock {
   long steps = 0;
 };
 
-/// Serializes grid state + a clock; returns bytes written. Used directly by
-/// the cluster layer (which checkpoints its gathered global grid).
-std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g,
-                                   double time, long steps);
+/// The global id of every block of `g` (in g's block order) when g is the
+/// box of a bx*by*bz-block global grid whose first block is (ox, oy, oz).
+[[nodiscard]] std::vector<std::uint32_t> global_block_ids(const Grid& g, int bx, int by,
+                                                          int bz, int ox = 0, int oy = 0,
+                                                          int oz = 0);
 
-/// Restores into a grid of identical shape (throws PreconditionError on any
-/// mismatch, truncation, or CRC failure, leaving the grid untouched) and
-/// returns the stored clock.
+/// The container header of a checkpoint of a global grid of bx*by*bz blocks
+/// of bs^3 cells spanning `extent` in x.
+[[nodiscard]] ContainerHeader checkpoint_header(int bx, int by, int bz, int bs, double time,
+                                                double extent, long steps);
+
+/// g's blocks as checkpoint blobs, block i stored under global id ids[i].
+[[nodiscard]] std::vector<Blob> encode_checkpoint(const Grid& g,
+                                                  const std::vector<std::uint32_t>& ids);
+
+/// A checkpoint opened for a load into a global grid of bx*by*bz blocks of
+/// bs^3 over `extent`, where `targets[id]` is the block global block `id`
+/// restores into (null: another process's). The constructor validates the
+/// file and checks every blob holding a target — its CRC, and that its
+/// stream inflates to exactly its blocks — writing nothing; it throws
+/// PreconditionError.
+class CheckpointLoad {
+ public:
+  CheckpointLoad(const std::string& path, int bx, int by, int bz, int bs, double extent,
+                 std::vector<Block*> targets);
+
+  /// Writes the checked blobs into their target blocks.
+  void restore() const;
+  [[nodiscard]] CheckpointClock clock() const noexcept { return clock_; }
+
+ private:
+  ContainerReader file_;
+  std::vector<Block*> targets_;
+  std::vector<std::size_t> needed_;  ///< blobs holding a target block
+  CheckpointClock clock_;
+};
+
+/// Serializes grid state + a clock; returns bytes written.
+std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g, double time,
+                                   long steps);
+/// Restores into a grid of identical shape and returns the stored clock;
+/// throws PreconditionError on any mismatch or corruption, leaving the grid
+/// untouched.
 CheckpointClock load_grid_checkpoint(const std::string& path, Grid& g);
 
-/// Serializes grid state + simulation clock; returns bytes written.
+/// The same for a simulation's grid and clock.
 std::uint64_t save_checkpoint(const std::string& path, const Simulation& sim);
-
-/// Restores into a simulation of identical shape (throws on mismatch).
 void load_checkpoint(const std::string& path, Simulation& sim);
 
 }  // namespace mpcf::io

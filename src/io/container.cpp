@@ -1,0 +1,258 @@
+#include "io/container.h"
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstring>
+#include <limits>
+
+#include "common/check.h"
+#include "common/error.h"
+
+namespace mpcf::io {
+
+namespace {
+
+/// "MPCF" + "CNT" + a version digit. Earlier writers produced "MPCFCQ0x"
+/// dumps and "MPCFCKPx" checkpoints; those are refused by name.
+constexpr char kMagic[8] = {'M', 'P', 'C', 'F', 'C', 'N', 'T', '1'};
+constexpr std::size_t kHeaderBytes = 80;
+constexpr std::size_t kEntryBytes = 32;  ///< an entry without its ids
+
+// zlib cannot shrink data below ~1032:1 (deflate's hard bound), plus slack
+// for the fixed overhead of tiny streams: a larger raw size over the blob
+// present is corrupt, so a decoder never allocates ~1000x the file size.
+constexpr std::uint64_t kMaxZlibRatio = 1032;
+constexpr std::uint64_t kRatioSlack = 4096;
+
+/// Bytes as text for error messages; non-printable bytes as '?'.
+std::string printable(const void* p, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(p);
+  std::string text(n, '?');
+  for (std::size_t k = 0; k < n; ++k)
+    if (std::isprint(bytes[k])) text[k] = static_cast<char>(bytes[k]);
+  return text;
+}
+
+}  // namespace
+
+void put_entry(std::vector<std::uint8_t>& out, const BlobEntry& e) {
+  put_bytes(out, e.offset);
+  put_bytes(out, e.size);
+  put_bytes(out, e.raw_size);
+  put_bytes(out, e.crc);
+  put_bytes(out, static_cast<std::uint32_t>(e.ids.size()));
+  for (const std::uint32_t id : e.ids) put_bytes(out, id);
+}
+
+BlobEntry get_entry(Cursor& cur) {
+  BlobEntry e;
+  e.offset = cur.get<std::uint64_t>();
+  e.size = cur.get<std::uint64_t>();
+  e.raw_size = cur.get<std::uint64_t>();
+  e.crc = cur.get<std::uint32_t>();
+  const auto nids = cur.get<std::uint32_t>();
+  require(nids <= cur.remaining() / 4, "corrupt id count");
+  e.ids.resize(nids);
+  cur.read(e.ids.data(), std::size_t{nids} * 4);
+  return e;
+}
+
+ContainerWriter::ContainerWriter(const std::string& path, const ContainerHeader& header,
+                                 std::vector<BlobEntry> directory)
+    : file_(path), header_(header), dir_(std::move(directory)) {
+  require(header.bs >= 1 && header.bs <= kMaxBlockSize,
+          "ContainerWriter: block size " + std::to_string(header.bs) + " outside [1, " +
+              std::to_string(kMaxBlockSize) + "]");
+  std::uint64_t offset = kHeaderBytes;
+  for (const BlobEntry& e : dir_) offset += kEntryBytes + 4 * e.ids.size();
+  const std::uint64_t dir_bytes = offset - kHeaderBytes;
+  // The blobs follow the directory back to back: each offset is the
+  // exclusive scan of the sizes before it.
+  std::vector<std::uint8_t> head(sizeof(kMagic) + 4);  // magic, header CRC (set below)
+  std::memcpy(head.data(), kMagic, sizeof(kMagic));
+  head.reserve(offset);
+  put_bytes(head, static_cast<std::uint32_t>(header.kind));
+  for (const std::int32_t v : {header.bx, header.by, header.bz, header.bs}) put_bytes(head, v);
+  put_bytes(head, static_cast<std::uint32_t>(dir_.size()));
+  put_bytes(head, std::uint32_t{0});
+  put_bytes(head, dir_bytes);
+  head.insert(head.end(), header.record.begin(), header.record.end());
+  for (BlobEntry& e : dir_) {
+    e.offset = offset;
+    offset += e.size;
+    put_entry(head, e);
+  }
+  end_ = offset;
+  const std::uint32_t crc = crc32_bytes(head.data() + 12, head.size() - 12);
+  std::memcpy(head.data() + 8, &crc, sizeof(crc));
+  file_.write(head.data(), head.size());
+}
+
+std::uint64_t ContainerWriter::commit() {
+  require(file_.bytes_written() == end_,
+          "ContainerWriter: " + file_.path() + " got " + std::to_string(file_.bytes_written()) +
+              " bytes, its directory ends at " + std::to_string(end_));
+  file_.commit();
+#if MPCF_CHECKED
+  // Verify-after-write: the committed file must read back as written (rot
+  // between rename and first use, torn commits the OS hid, serializer bugs
+  // the CRCs alone would only catch at the next read).
+  const std::string context = "container readback of " + file_.path();
+  try {
+    const ContainerReader back(file_.path(), header_.kind, context);
+    const ContainerHeader& h = back.header();
+    MPCF_CHECK(back.size() == end_ && h.bx == header_.bx && h.by == header_.by &&
+                   h.bz == header_.bz && h.bs == header_.bs && h.record == header_.record &&
+                   back.blobs().size() == dir_.size(),
+               context + ": header or size mismatch");
+    for (std::size_t k = 0; k < dir_.size(); ++k) {
+      const BlobEntry& e = back.blobs()[k];
+      MPCF_CHECK(e.size == dir_[k].size && e.raw_size == dir_[k].raw_size &&
+                     e.crc == dir_[k].crc && e.ids == dir_[k].ids,
+                 context + ": blob " + std::to_string(k) + " mismatch");
+      (void)back.read_blob(k);  // checks the CRC of what landed
+    }
+  } catch (const PreconditionError& e) {
+    MPCF_CHECK(false, e.what());
+  }
+#endif
+  return end_;
+}
+
+std::uint64_t write_container(const std::string& path, const ContainerHeader& header,
+                              const std::vector<Blob>& blobs) {
+  std::vector<BlobEntry> dir;
+  dir.reserve(blobs.size());
+  for (const Blob& b : blobs) dir.push_back(b.entry);
+  ContainerWriter w(path, header, std::move(dir));
+  for (const Blob& b : blobs)
+    for (const auto& piece : b.pieces) w.write(piece.data(), piece.size());
+  return w.commit();
+}
+
+ContainerReader::Descriptor::~Descriptor() {
+  // Read-only descriptor: close cannot lose data.
+  if (fd >= 0) (void)::close(fd);
+}
+
+ContainerReader::ContainerReader(const std::string& path, PayloadKind kind, std::string what)
+    : path_(path), what_(std::move(what)) {
+  fd_.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  require(fd_.fd >= 0, what_ + ": cannot open " + path_);
+  struct stat st {};
+  require(::fstat(fd_.fd, &st) == 0, what_ + ": cannot stat " + path_);
+  size_ = static_cast<std::uint64_t>(st.st_size);
+
+  std::uint8_t head[kHeaderBytes] = {};
+  const auto head_bytes = static_cast<std::size_t>(std::min<std::uint64_t>(size_, kHeaderBytes));
+  read_at(0, head, head_bytes);
+  require(head_bytes >= sizeof(kMagic), what_ + ": truncated header");
+  if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
+    require(std::memcmp(head, kMagic, 4) != 0,
+            what_ + ": unsupported file version '" + printable(head, sizeof(kMagic)) +
+                "'; only '" + printable(kMagic, sizeof(kMagic)) + "' is read");
+    throw PreconditionError(what_ + ": bad magic");
+  }
+  require(head_bytes == kHeaderBytes, what_ + ": truncated header");
+  Cursor cur(head, kHeaderBytes);
+  cur.skip(sizeof(kMagic));
+  const auto header_crc = cur.get<std::uint32_t>();
+  const auto stored_kind = cur.get<std::uint32_t>();
+  header_.bx = cur.get<std::int32_t>();
+  header_.by = cur.get<std::int32_t>();
+  header_.bz = cur.get<std::int32_t>();
+  header_.bs = cur.get<std::int32_t>();
+  const auto nblobs = cur.get<std::uint32_t>();
+  cur.skip(4);
+  const auto dir_bytes = cur.get<std::uint64_t>();
+  cur.read(header_.record.data(), header_.record.size());
+
+  // The directory must fit in the bytes present before it is read.
+  require(dir_bytes <= size_ - kHeaderBytes,
+          what_ + ": directory runs past the end of the file");
+  require(nblobs <= dir_bytes / kEntryBytes, what_ + ": corrupt blob count");
+  std::vector<std::uint8_t> dir(static_cast<std::size_t>(dir_bytes));
+  read_at(kHeaderBytes, dir.data(), dir.size());
+  require(crc32_bytes(dir.data(), dir.size(), crc32_bytes(head + 12, kHeaderBytes - 12)) ==
+              header_crc,
+          what_ + ": header CRC mismatch");
+  // Checked only once the header is known intact, so rot is reported as rot
+  // and an intact header naming another kind as a file of that kind.
+  const auto wanted = static_cast<std::uint32_t>(kind);
+  require(stored_kind == wanted, what_ + ": payload kind '" +
+                                     printable(&stored_kind, 4) + "'; only '" +
+                                     printable(&wanted, 4) + "' is read here");
+  header_.kind = kind;
+
+  require(header_.bx > 0 && header_.by > 0 && header_.bz > 0 && header_.bs > 0 &&
+              header_.bs <= kMaxBlockSize,
+          what_ + ": grid shape not positive or its blocks above " +
+              std::to_string(kMaxBlockSize) + "^3");
+  // Every block is named once in the directory, 4 bytes per id.
+  const std::uint64_t blocks = header_.block_count();
+  require(blocks <= dir_bytes / 4 &&
+              blocks <= static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
+          what_ + ": grid shape of " + std::to_string(blocks) +
+              " blocks is larger than the ids of the directory");
+
+  std::vector<bool> seen(static_cast<std::size_t>(blocks), false);
+  std::uint64_t covered = 0;
+  std::uint64_t offset = kHeaderBytes + dir_bytes;
+  Cursor entries(dir);
+  blobs_.reserve(nblobs);
+  for (std::uint32_t k = 0; k < nblobs; ++k) {
+    const std::string blob = what_ + ": blob " + std::to_string(k);
+    try {
+      blobs_.push_back(get_entry(entries));
+    } catch (const PreconditionError& e) {
+      throw PreconditionError(blob + ": " + e.what());
+    }
+    const BlobEntry& e = blobs_.back();
+    require(!e.ids.empty(), blob + " holds no block");
+    // The windows tile the blob area in order; sizes are compared with what
+    // is left of the file, so no sum can wrap.
+    require(e.offset == offset, blob + " does not start where the previous blob ends");
+    require(e.size <= size_ - offset, blob + " runs past the end of the file");
+    require(e.raw_size <= kRatioSlack || (e.raw_size - kRatioSlack) / kMaxZlibRatio <= e.size,
+            blob + ": implausible raw size " + std::to_string(e.raw_size));
+    for (const std::uint32_t id : e.ids) {
+      require(id < blocks, blob + ": block id " + std::to_string(id) + " out of range for " +
+                               std::to_string(blocks) + " blocks");
+      require(!seen[id], blob + ": block id " + std::to_string(id) + " appears twice");
+      seen[id] = true;
+    }
+    covered += e.ids.size();
+    offset += e.size;
+  }
+  require(entries.remaining() == 0, what_ + ": directory bytes do not match its entries");
+  require(offset == size_, what_ + ": trailing bytes after the last blob");
+  require(covered == blocks, what_ + ": " + std::to_string(blocks - covered) + " of " +
+                                 std::to_string(blocks) + " blocks are in no blob");
+}
+
+void ContainerReader::read_at(std::uint64_t offset, std::uint8_t* dst, std::size_t n) const {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd_.fd, dst, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    require(got > 0, what_ + ": short read on " + path_);
+    dst += got;
+    offset += static_cast<std::uint64_t>(got);
+    n -= static_cast<std::size_t>(got);
+  }
+}
+
+std::vector<std::uint8_t> ContainerReader::read_blob(std::size_t k) const {
+  const BlobEntry& e = blobs_.at(k);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(e.size));
+  read_at(e.offset, bytes.data(), bytes.size());
+  require(crc32_bytes(bytes.data(), bytes.size()) == e.crc,
+          what_ + ": blob " + std::to_string(k) + " CRC mismatch");
+  return bytes;
+}
+
+}  // namespace mpcf::io

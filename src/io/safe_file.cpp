@@ -110,20 +110,13 @@ void SafeFile::commit() {
 
 void Cursor::read(void* dst, std::size_t n) {
   require(n <= size_ - off_, "Cursor: truncated file (read past end of buffer)");
-  std::memcpy(dst, data_ + off_, n);
+  if (n > 0) std::memcpy(dst, data_ + off_, n);  // dst may be null when n is 0
   off_ += n;
 }
 
 void Cursor::skip(std::size_t n) {
   require(n <= size_ - off_, "Cursor: truncated file (skip past end of buffer)");
   off_ += n;
-}
-
-const std::uint8_t* Cursor::window(std::uint64_t offset, std::uint64_t length) const {
-  // Overflow-safe: `offset + length <= size` would wrap for hostile values.
-  require(length <= size_ && offset <= size_ - length,
-          "Cursor: window out of bounds (corrupt offsets)");
-  return data_ + offset;
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {

@@ -10,11 +10,9 @@
 // unlinks its temp file on destruction.
 //
 // Cursor is the read-side counterpart: a bounds-checked view over an
-// in-memory file image. Every get<T>() validates against the remaining
-// bytes and window() uses overflow-safe offset arithmetic
-// (size <= total && offset <= total - size), so truncated or corrupted
-// headers fail with a clean PreconditionError instead of out-of-bounds
-// reads or uint64 wraparound.
+// in-memory byte image. Every get<T>() validates against the remaining
+// bytes, so truncated or corrupted fields fail with a clean
+// PreconditionError instead of out-of-bounds reads.
 #pragma once
 
 #include <cstdint>
@@ -88,11 +86,6 @@ class Cursor {
   }
 
   void skip(std::size_t n);
-
-  /// Validates that [offset, offset + length) lies inside the buffer using
-  /// overflow-safe arithmetic, and returns a pointer to its start.
-  [[nodiscard]] const std::uint8_t* window(std::uint64_t offset,
-                                           std::uint64_t length) const;
 
  private:
   const std::uint8_t* data_;

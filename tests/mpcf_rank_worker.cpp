@@ -6,7 +6,11 @@
 // asserts the two checkpoints are bitwise identical.
 //
 //   mpcf_rank_worker --topo RX,RY,RZ --blocks GX,GY,GZ [--bs B] [--steps S]
-//                    [--out FILE] [--die RANK] [--staged]
+//                    [--load FILE] [--out FILE] [--die RANK] [--staged]
+//
+// --load FILE restores the state and clock from a checkpoint of any
+// topology instead of setting the initial condition. A rejected load or a
+// failed save fails every rank (exit 1), each naming its rank on stderr.
 //
 // --staged runs the staged oracle (fused_step = false: a sequential halo
 // exchange per RK stage, blocking recv included) instead of the fused step
@@ -38,7 +42,7 @@ bool parse_triple(const char* s, int out[3]) {
 int usage() {
   std::fprintf(stderr,
                "usage: mpcf_rank_worker --topo RX,RY,RZ --blocks GX,GY,GZ "
-               "[--bs B] [--steps S] [--out FILE] [--die RANK] [--staged]\n");
+               "[--bs B] [--steps S] [--load FILE] [--out FILE] [--die RANK] [--staged]\n");
   return 2;
 }
 
@@ -51,7 +55,7 @@ int main(int argc, char** argv) {
   int topo[3] = {0, 0, 0}, blocks[3] = {0, 0, 0};
   int bs = 8, steps = 3, die_rank = -1;
   bool staged = false;
-  std::string out;
+  std::string load, out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* val = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -63,6 +67,8 @@ int main(int argc, char** argv) {
       bs = std::atoi(argv[++i]);
     } else if (arg == "--steps" && val) {
       steps = std::atoi(argv[++i]);
+    } else if (arg == "--load" && val) {
+      load = argv[++i];
     } else if (arg == "--out" && val) {
       out = argv[++i];
     } else if (arg == "--die" && val) {
@@ -77,6 +83,7 @@ int main(int argc, char** argv) {
   if (nranks <= 0 || blocks[0] <= 0 || blocks[1] <= 0 || blocks[2] <= 0)
     return usage();
 
+  std::string who = "rank ?";  // this process's ranks, for error lines
   try {
     Simulation::Params params;
     params.extent = 1e-3;
@@ -84,15 +91,37 @@ int main(int argc, char** argv) {
     ClusterSimulation cs(blocks[0], blocks[1], blocks[2], bs,
                          CartTopology(topo[0], topo[1], topo[2]), params,
                          make_env_transport(nranks));
+    who = "rank";
+    for (const int r : cs.local_ranks()) who.append(1, ' ').append(std::to_string(r));
 
-    // Deterministic two-bubble IC, staged on the root process and scattered.
-    Grid staging(blocks[0], blocks[1], blocks[2], bs, params.extent);
-    if (cs.is_local(0)) {
+    // A collective load or save that fails, fails on every rank: each names
+    // its reason, then they leave together, so the launcher's teardown of
+    // the rest once one rank exits cannot cut a report short.
+    const auto together = [&](const auto& io) {
+      try {
+        io();
+        return true;
+      } catch (const TransportError&) {
+        throw;
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "mpcf_rank_worker (%s): %s\n", who.c_str(), e.what());
+        cs.comm().barrier();
+        return false;
+      }
+    };
+    if (!load.empty()) {
+      if (!together([&] { cs.load_checkpoint(load); })) return 1;
+    } else if (cs.is_local(0)) {
+      // Deterministic two-bubble IC, staged on the root process and
+      // scattered; the other processes only receive their boxes.
+      Grid staging(blocks[0], blocks[1], blocks[2], bs, params.extent);
       std::vector<Bubble> bubbles{{0.4e-3, 0.5e-3, 0.5e-3, 0.15e-3},
                                   {0.65e-3, 0.45e-3, 0.55e-3, 0.1e-3}};
       set_cloud_ic(staging, bubbles, TwoPhaseIC{});
+      cs.scatter(staging);
+    } else {
+      cs.scatter(Grid(1, 1, 1, 1, params.extent));
     }
-    cs.scatter(staging);
 
     const bool die_here = die_rank >= 0 && cs.is_local(die_rank);
     for (int s = 0; s < steps; ++s) {
@@ -100,12 +129,13 @@ int main(int argc, char** argv) {
       if (die_here) ::_exit(3);  // simulated rank crash, mid-run
     }
 
-    if (!out.empty()) cs.save_checkpoint(out);
+    if (!out.empty() && !together([&] { (void)cs.save_checkpoint(out); })) return 1;
   } catch (const TransportError& e) {
-    std::fprintf(stderr, "mpcf_rank_worker: transport error: %s\n", e.what());
+    std::fprintf(stderr, "mpcf_rank_worker (%s): transport error: %s\n", who.c_str(),
+                 e.what());
     return 4;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "mpcf_rank_worker: %s\n", e.what());
+    std::fprintf(stderr, "mpcf_rank_worker (%s): %s\n", who.c_str(), e.what());
     return 1;
   }
   return 0;

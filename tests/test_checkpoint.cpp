@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
+#include "container_image.h"
 #include "io/checkpoint.h"
 #include "io/safe_file.h"
 #include "workload/cloud.h"
@@ -114,27 +116,22 @@ std::vector<std::uint8_t> concat_blocks(const Grid& g) {
   return raw;
 }
 
-/// The v3 file as the tests read it: the directory and where each chunk's
-/// stream lies.
+/// The file as the tests read it: where each blob's stream lies.
 struct ParsedFile {
   std::uint32_t chunks = 0;
   std::vector<std::uint64_t> offset, size;
   std::vector<std::uint32_t> crc;
+  std::vector<std::vector<std::uint32_t>> ids;
 };
 
 ParsedFile parse(const std::vector<std::uint8_t>& file) {
   ParsedFile f;
-  std::memcpy(&f.chunks, file.data() + 52, 4);
-  std::uint64_t at = 56 + 12 * std::uint64_t{f.chunks};
-  for (std::uint32_t c = 0; c < f.chunks; ++c) {
-    std::uint64_t n = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&n, file.data() + 56 + 12 * c, 8);
-    std::memcpy(&crc, file.data() + 56 + 12 * c + 8, 4);
-    f.offset.push_back(at);
-    f.size.push_back(n);
-    f.crc.push_back(crc);
-    at += n;
+  for (const test::ImageEntry& e : test::parse_image(file).entries) {
+    ++f.chunks;
+    f.offset.push_back(e.offset);
+    f.size.push_back(e.size);
+    f.crc.push_back(e.crc);
+    f.ids.push_back(e.ids);
   }
   return f;
 }
@@ -181,16 +178,17 @@ void set_ic_serially(Grid& g, const std::vector<Bubble>& bubbles) {
 }
 
 TEST(Checkpoint, ChunkStreamsAreRleBytePlanesOfWholeBlocks) {
-  // The format, decoded independently: chunks of whole blocks in SFC order,
+  // The format, decoded independently: blobs of whole blocks in SFC order,
   // floor(1 MiB / block bytes) blocks each (the last one short), each an own
-  // zlib stream of the chunk's 28 byte planes, tiled back to back after the
-  // directory, each with its CRC32.
+  // zlib stream of the blob's 28 byte planes under its blocks' ids, tiled
+  // back to back after the directory, each with its CRC32.
   Grid g(2, 2, 3, 16, 1e-3);  // 9 blocks of 112 KiB per chunk: chunks of 9 and 3
   set_ic_serially(g, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt6.bin";
   save_grid_checkpoint(path, g, 0.25, 7);
   const std::vector<std::uint8_t> file = read_file(path);
-  ASSERT_EQ(std::memcmp(file.data(), "MPCFCKP3", 8), 0);
+  ASSERT_EQ(std::memcmp(file.data(), "MPCFCNT1", 8), 0);
+  ASSERT_EQ(std::memcmp(file.data() + 12, "PLRL", 4), 0);
   const ParsedFile f = parse(file);
   ASSERT_EQ(f.chunks, 2u);
   EXPECT_EQ(f.offset.back() + f.size.back(), file.size());
@@ -202,6 +200,9 @@ TEST(Checkpoint, ChunkStreamsAreRleBytePlanesOfWholeBlocks) {
     SCOPED_TRACE(testing::Message() << "chunk " << c);
     const std::uint8_t* stream = file.data() + f.offset[c];
     EXPECT_EQ(crc32_bytes(stream, f.size[c]), f.crc[c]);
+    std::vector<std::uint32_t> ids(static_cast<std::size_t>(first_blocks[c + 1] - first_blocks[c]));
+    std::iota(ids.begin(), ids.end(), static_cast<std::uint32_t>(first_blocks[c]));
+    EXPECT_EQ(f.ids[c], ids);
     const std::size_t cells =
         static_cast<std::size_t>(first_blocks[c + 1] - first_blocks[c]) * 16 * 16 * 16;
     std::vector<std::uint8_t> planes(cells * sizeof(Cell));
@@ -277,12 +278,7 @@ TEST(Checkpoint, BrokenChunkStreamUnderValidCrcsLeavesGridUntouched) {
                                       << f.size[c]);
       std::vector<std::uint8_t> bad = good;
       bad[f.offset[c] + at] ^= 0x5a;
-      // Re-seal: the chunk's CRC in its directory entry, then the header CRC
-      // over bytes [12, 56 + 12 n).
-      const std::uint32_t crc = crc32_bytes(bad.data() + f.offset[c], f.size[c]);
-      std::memcpy(bad.data() + 56 + 12 * c + 8, &crc, 4);
-      const std::uint32_t header_crc = crc32_bytes(bad.data() + 12, 44 + 12 * f.chunks);
-      std::memcpy(bad.data() + 8, &header_crc, 4);
+      test::reseal(bad);  // the blob's CRC in its directory entry, then the header's
       const std::string bad_path = ::testing::TempDir() + "/mpcf_ckpt8_bad.bin";
       write_image(bad_path, bad);
 
@@ -290,7 +286,7 @@ TEST(Checkpoint, BrokenChunkStreamUnderValidCrcsLeavesGridUntouched) {
         load_checkpoint(bad_path, b);
         ADD_FAILURE() << "broken stream accepted";
       } catch (const PreconditionError& e) {
-        EXPECT_NE(std::string(e.what()).find("chunk " + std::to_string(c)), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("blob " + std::to_string(c)), std::string::npos)
             << e.what();
       }
       EXPECT_TRUE(concat_blocks(b.grid()) == before);

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <random>
 
-#include "compression/compressor.h"
+#include "compression/pipeline.h"
 #include "eos/stiffened_gas.h"
 #include "io/compressed_file.h"
 #include "workload/cloud.h"
@@ -28,7 +28,7 @@ TEST(Compressor, LosslessRoundTripAtZeroThreshold) {
   CompressionParams p;
   p.eps = 0.0f;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   const auto field = decompress_to_field(cq);
   for (int iz = 0; iz < g.cells_z(); ++iz)
     for (int iy = 0; iy < g.cells_y(); ++iy)
@@ -43,7 +43,7 @@ TEST(Compressor, LossyErrorBoundedByGuaranteedMode) {
   p.eps = 1e-3f;
   p.mode = wavelet::ThresholdMode::kGuaranteed;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   const auto field = decompress_to_field(cq);
   float maxerr = 0;
   for (int iz = 0; iz < g.cells_z(); ++iz)
@@ -65,7 +65,7 @@ TEST(Compressor, GammaCompressesWell) {
   CompressionParams p;
   p.eps = 1e-2f;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   EXPECT_GT(cq.compression_rate(), 20.0);
 }
 
@@ -80,8 +80,8 @@ TEST(Compressor, PressureCompressesWorseThanGamma) {
   // Matching relative threshold: pressure spans ~1e7 Pa, Gamma ~2.3.
   pp.eps = 1e-3f * 0.5e7f;
   Grid g2 = make_cloud_grid();
-  const double rate_G = compress_quantity(g, pg).compression_rate();
-  const double rate_p = compress_quantity(g2, pp).compression_rate();
+  const double rate_G = compress_quantity_pipelined(g, pg).compression_rate();
+  const double rate_p = compress_quantity_pipelined(g2, pp).compression_rate();
   EXPECT_GT(rate_G, rate_p * 0.8);  // G at least comparable, normally far better
 }
 
@@ -92,7 +92,7 @@ TEST(Compressor, RateIncreasesWithThreshold) {
     CompressionParams p;
     p.eps = eps;
     p.quantity = Q_G;
-    const double rate = compress_quantity(g, p).compression_rate();
+    const double rate = compress_quantity_pipelined(g, p).compression_rate();
     EXPECT_GE(rate, prev * 0.99) << "eps=" << eps;
     prev = rate;
   }
@@ -102,7 +102,7 @@ TEST(Compressor, AllBlocksAppearExactlyOnce) {
   Grid g = make_cloud_grid();
   CompressionParams p;
   p.quantity = Q_RHO;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   std::vector<int> seen(g.block_count(), 0);
   for (const auto& s : cq.streams)
     for (auto id : s.block_ids) seen[id]++;
@@ -113,23 +113,24 @@ TEST(Compressor, WorkerTimesReported) {
   Grid g = make_cloud_grid();
   CompressionParams p;
   p.quantity = Q_G;
-  std::vector<WorkerTimes> times;
-  (void)compress_quantity(g, p, &times);
-  ASSERT_FALSE(times.empty());
+  PipelineStats stats;
+  (void)compress_quantity_pipelined(g, p, &stats);
+  ASSERT_FALSE(stats.worker_times.empty());
   double dec = 0;
-  for (const auto& t : times) dec += t.dec;
+  for (const auto& t : stats.worker_times) dec += t.dec;
   EXPECT_GT(dec, 0.0);
 }
 
 TEST(Compressor, NoEmptyStreamsLeaveThePipeline) {
-  // One block, many threads: all workers but one are idle, and their empty
-  // streams must be pruned before the result reaches the file pipeline.
+  // One block, many workers: every worker but one is idle, and no empty
+  // stream may reach the file (the container refuses a blob of no block).
   Grid g(1, 1, 1, 16, 1e-3);
   std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
   set_cloud_ic(g, one, TwoPhaseIC{});
   CompressionParams p;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  p.workers = 8;
+  const auto cq = compress_quantity_pipelined(g, p);
   ASSERT_EQ(cq.streams.size(), 1u);
   EXPECT_EQ(cq.streams[0].block_ids.size(), 1u);
   EXPECT_FALSE(cq.streams[0].data.empty());
@@ -145,7 +146,7 @@ TEST(Compressor, DerivedPressureGuardsNearVacuumDensity) {
   CompressionParams p;
   p.derive_pressure = true;
   p.eps = 0.0f;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   const auto field = decompress_to_field(cq);
   for (int iz = 0; iz < 32; ++iz)
     for (int iy = 0; iy < 32; ++iy)
@@ -159,7 +160,7 @@ TEST(Compressor, DecompressQuantityWritesBackIntoGrid) {
   CompressionParams p;
   p.eps = 0.0f;
   p.quantity = Q_RHO;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   Grid g2(2, 2, 2, 16, 1e-3);  // empty target
   decompress_quantity(cq, g2);
   EXPECT_NEAR(g2.cell(5, 6, 7).rho, g.cell(5, 6, 7).rho, 1e-3f);
@@ -171,7 +172,7 @@ TEST(Compressor, DerivedPressureFieldIsPhysical) {
   CompressionParams p;
   p.derive_pressure = true;
   p.eps = 0.0f;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   const auto field = decompress_to_field(cq);
   // pure-liquid corner ~100 bar, bubble centers near vapor pressure
   EXPECT_NEAR(field(0, 0, 0), materials::kLiquidPressure,
@@ -189,7 +190,7 @@ TEST(CompressedFile, RoundTripThroughDisk) {
   CompressionParams p;
   p.eps = 1e-3f;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   const std::string path = ::testing::TempDir() + "/mpcf_dump_test.cq";
   const auto written = io::write_compressed(path, cq);
   EXPECT_GT(written, 0u);
@@ -227,52 +228,6 @@ TEST(CompressedFile, RejectsCorruptMagic) {
 
 TEST(CompressedFile, RejectsMissingFile) {
   EXPECT_THROW((void)io::read_compressed("/nonexistent/path/foo.cq"), PreconditionError);
-}
-
-namespace {
-CompressedQuantity::Stream make_stream(std::uint32_t id, std::size_t nbytes) {
-  CompressedQuantity::Stream s;
-  s.block_ids = {id};
-  s.data.assign(nbytes, static_cast<std::uint8_t>(id));
-  s.raw_bytes = nbytes * 3;
-  return s;
-}
-}  // namespace
-
-TEST(AssembleCollective, OrdersByScannedOffsetNotArrivalOrder) {
-  // The regression behind this test: the collective dump used to concatenate
-  // rank streams in completion order, silently discarding the exscan
-  // offsets. Hand assemble_collective the parts in a shuffled arrival order;
-  // the result must follow the offsets (rank 0's streams first).
-  CompressedQuantity global;
-  std::vector<RankStreams> parts;
-  parts.push_back({2, 30, {make_stream(20, 5), make_stream(21, 7)}});  // arrives 1st
-  parts.push_back({0, 0, {make_stream(0, 10)}});                       // arrives 2nd
-  parts.push_back({3, 42, {}});                                        // empty rank
-  parts.push_back({1, 10, {make_stream(10, 20)}});                     // arrives last
-  assemble_collective(global, std::move(parts));
-  ASSERT_EQ(global.streams.size(), 4u);
-  EXPECT_EQ(global.streams[0].block_ids, std::vector<std::uint32_t>{0});
-  EXPECT_EQ(global.streams[1].block_ids, std::vector<std::uint32_t>{10});
-  EXPECT_EQ(global.streams[2].block_ids, std::vector<std::uint32_t>{20});
-  EXPECT_EQ(global.streams[3].block_ids, std::vector<std::uint32_t>{21});
-}
-
-TEST(AssembleCollective, RejectsGapOrOverlapInTheLayout) {
-  {
-    CompressedQuantity global;
-    std::vector<RankStreams> parts;
-    parts.push_back({0, 0, {make_stream(0, 10)}});
-    parts.push_back({1, 12, {make_stream(1, 4)}});  // gap: scan says 10
-    EXPECT_THROW(assemble_collective(global, std::move(parts)), PreconditionError);
-  }
-  {
-    CompressedQuantity global;
-    std::vector<RankStreams> parts;
-    parts.push_back({0, 0, {make_stream(0, 10)}});
-    parts.push_back({1, 6, {make_stream(1, 4)}});  // overlap into rank 0
-    EXPECT_THROW(assemble_collective(global, std::move(parts)), PreconditionError);
-  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// Crash-safety and integrity tests of the hardened I/O substrate: the
-// corruption matrix (truncate at every field boundary, single-bit flips in
-// header/directory/payload, injected ENOSPC and torn writes at every write
-// call) for both on-disk formats, the directory bounds checks on
-// hand-built files with intact CRCs, rejection of unsupported versions and
-// codecs, and rotating retention with auto-recovery (crash-then-restart
-// resumes bitwise equal to an uninterrupted run).
+// Crash-safety and integrity tests of the I/O substrate: the SafeFile and
+// Cursor primitives; one corruption matrix over the container
+// (io/container.h), run for both payload kinds — truncation at every header
+// and directory boundary and mid-blob, bit flips and trailing garbage, huge
+// count, size and id fields, block ids and shapes the directory does not
+// cover, older versions and other kinds, injected ENOSPC at every write
+// call, torn writes and post-commit corruption; the payload-specific cases;
+// and rotating retention with auto-recovery (crash-then-restart resumes
+// bitwise equal to an uninterrupted run).
 #include <gtest/gtest.h>
 #include <omp.h>
 #include <zlib.h>
@@ -16,11 +18,13 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster_simulation.h"
 #include "common/check.h"
-#include "compression/compressor.h"
+#include "compression/pipeline.h"
+#include "container_image.h"
 #include "io/checkpoint.h"
 #include "io/compressed_file.h"
 #include "io/fault_injection.h"
@@ -32,6 +36,9 @@ namespace mpcf {
 namespace {
 
 namespace fs = std::filesystem;
+using test::blob_area;
+using test::load_field;
+using test::store_field;
 
 /// Every fault test disarms on exit so a failing EXPECT cannot leak an
 /// armed plan into the next test.
@@ -121,25 +128,16 @@ TEST(Cursor, RejectsReadsPastEnd) {
   EXPECT_NO_THROW(cur.skip(4));
 }
 
-TEST(Cursor, WindowIsOverflowSafe) {
-  const std::uint8_t buf[16] = {};
-  io::Cursor cur(buf, sizeof(buf));
-  EXPECT_NO_THROW((void)cur.window(8, 8));
-  EXPECT_THROW((void)cur.window(8, 9), PreconditionError);
-  // offset + length wraps uint64 to a small value: must still be rejected.
-  EXPECT_THROW((void)cur.window(2, ~std::uint64_t{0}), PreconditionError);
-  EXPECT_THROW((void)cur.window(~std::uint64_t{0}, 2), PreconditionError);
-}
+// --- The container corruption matrix, both payload kinds -----------------
 
-// --- Checkpoint corruption matrix ----------------------------------------
+enum class Payload { kCheckpoint, kDump };
 
-/// A state whose checkpoint has two chunks (9 and 3 blocks of 16^3), so the
-/// matrix covers a directory of several entries, a chunk boundary and a
-/// short last chunk. `bubbles` bubbles of the cloud are set (0: all liquid).
-/// The cells are set on the calling thread alone: ThreadSanitizer cannot see
-/// libgomp's barriers, so cells an OpenMP team wrote would turn every read
-/// by the codec's std::thread workers into a suppressed race report, and a
-/// save would take minutes under TSan.
+/// A state whose files have several blobs: its checkpoint two (9 and 3
+/// blocks of 16^3), its 2-worker dump eight streams. `bubbles` bubbles of
+/// the cloud are set (0: all liquid). The cells are set on the calling
+/// thread alone: ThreadSanitizer cannot see libgomp's barriers, so cells an
+/// OpenMP team wrote would turn every read by the codec's std::thread
+/// workers into a suppressed race report, and a save would take minutes.
 Simulation make_chunked_sim(std::size_t bubbles = 2) {
   Simulation::Params p;
   p.extent = 1e-3;
@@ -154,44 +152,86 @@ Simulation make_chunked_sim(std::size_t bubbles = 2) {
   return sim;
 }
 
-/// Bytes of a v3 checkpoint before its first chunk stream.
-std::size_t directory_end(const std::vector<std::uint8_t>& bytes) {
-  std::uint32_t chunks = 0;
-  std::memcpy(&chunks, bytes.data() + 52, 4);
-  return 56 + 12 * std::size_t{chunks};
+compression::CompressionParams dump_params() {
+  compression::CompressionParams p;
+  p.eps = 1e-3f;
+  p.quantity = Q_G;
+  p.workers = 2;
+  return p;
 }
 
-/// Recomputes the header CRC of a v3 image over bytes [12, directory end).
-void reseal_header(std::vector<std::uint8_t>& bytes) {
-  const std::uint32_t crc = io::crc32_bytes(bytes.data() + 12, directory_end(bytes) - 12);
-  std::memcpy(bytes.data() + 8, &crc, 4);
-}
-
-class CheckpointCorruption : public ::testing::Test {
+class ContainerCorruption : public ::testing::TestWithParam<Payload> {
  protected:
   void SetUp() override {
     io::fault::disarm();
     sim_ = std::make_unique<Simulation>(make_chunked_sim());
     sim_->restore_clock(2.5e-7, 3);
-    path_ = ::testing::TempDir() + "/mpcf_fault_ckpt.bin";
-    io::save_checkpoint(path_, *sim_);
-    bytes_ = slurp(path_);
-    ASSERT_EQ(directory_end(bytes_), 80u);  // two chunks
-    ASSERT_GT(bytes_.size(), 80u);
     victim_ = std::make_unique<Simulation>(make_chunked_sim(0));
     pristine_ = std::make_unique<Simulation>(make_chunked_sim(0));
+    path_ = ::testing::TempDir() + (checkpoint() ? "/mpcf_fault.ckp" : "/mpcf_fault.cq");
+    save(*sim_);
+    bytes_ = slurp(path_);
+    if (!checkpoint()) field_ = compression::decompress_to_field(io::read_compressed(path_));
+    image_ = test::parse_image(bytes_);
+    ASSERT_EQ(image_.entries.size(), checkpoint() ? 2u : 8u);
   }
   void TearDown() override {
     io::fault::disarm();
     std::remove(path_.c_str());
+    std::remove((path_ + ".tmp").c_str());
   }
 
-  /// Loads the file at path_ into the victim state, expecting a rejection
-  /// that leaves its cells and its clock untouched.
-  void expect_rejected(const std::string& what) {
-    EXPECT_THROW(io::load_checkpoint(path_, *victim_), PreconditionError) << what;
-    expect_grids_equal(victim_->grid(), pristine_->grid());
-    EXPECT_EQ(victim_->step_count(), 0) << what;
+  [[nodiscard]] bool checkpoint() const { return GetParam() == Payload::kCheckpoint; }
+
+  /// Writes `sim`'s file of this kind at path_.
+  void save(const Simulation& sim) const {
+    if (checkpoint())
+      io::save_checkpoint(path_, sim);
+    else
+      compression::dump_quantity_pipelined(sim.grid(), dump_params(), path_);
+  }
+
+  /// Reads path_ through the kind's reader and decoder.
+  void load() const {
+    if (checkpoint())
+      io::load_checkpoint(path_, *victim_);
+    else
+      (void)compression::decompress_to_field(io::read_compressed(path_));
+  }
+
+  /// The file at path_ must be refused with a PreconditionError, leaving
+  /// the victim's cells and clock untouched; returns the message.
+  std::string expect_rejected(const std::string& what) {
+    std::string msg;
+    try {
+      load();
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const PreconditionError& e) {
+      msg = e.what();
+    }
+    if (checkpoint()) {
+      expect_grids_equal(victim_->grid(), pristine_->grid());
+      EXPECT_EQ(victim_->step_count(), 0) << what;
+    }
+    return msg;
+  }
+
+  /// Writes `bytes` at path_ and expects them refused; returns the message.
+  std::string rejects(const std::vector<std::uint8_t>& bytes, const std::string& what) {
+    spit(path_, bytes);
+    return expect_rejected(what);
+  }
+
+  /// The file at path_ holds sim_'s state.
+  void expect_original() {
+    load();
+    if (checkpoint()) {
+      expect_grids_equal(victim_->grid(), sim_->grid());
+      EXPECT_EQ(victim_->step_count(), 3);
+    } else {
+      const Field3D<float> f = compression::decompress_to_field(io::read_compressed(path_));
+      EXPECT_EQ(std::memcmp(f.data(), field_.data(), f.size() * sizeof(float)), 0);
+    }
   }
 
   std::unique_ptr<Simulation> sim_;
@@ -199,319 +239,290 @@ class CheckpointCorruption : public ::testing::Test {
   std::unique_ptr<Simulation> pristine_;  ///< what the victim must still hold
   std::string path_;
   std::vector<std::uint8_t> bytes_;
+  test::ContainerImage image_;
+  Field3D<float> field_{1, 1, 1};  ///< the dump's decoded field
 };
 
-TEST_F(CheckpointCorruption, TruncationAtEveryBoundaryIsRejected) {
-  // Every byte boundary of the header and the directory, the chunk
-  // boundary, and cuts inside each chunk stream and at the end — nothing
-  // short of the full file may load.
-  std::uint64_t first = 0;
-  std::memcpy(&first, bytes_.data() + 56, 8);
+TEST_P(ContainerCorruption, RoundTripAndRewriteAreBitwise) {
+  expect_original();
+  // The image codec of the tests rebuilds the file byte for byte.
+  EXPECT_TRUE(test::build_image(image_) == bytes_);
+}
+
+TEST_P(ContainerCorruption, TruncationAtEveryHeaderAndDirectoryBoundaryAndMidBlobIsRejected) {
   std::vector<std::size_t> cuts;
-  for (std::size_t c = 0; c <= 80; ++c) cuts.push_back(c);
-  cuts.push_back(80 + first / 2);
-  cuts.push_back(80 + first);
-  cuts.push_back(80 + first + (bytes_.size() - 80 - first) / 2);
-  cuts.push_back(bytes_.size() - 1);
-  for (const std::size_t cut : cuts) {
-    spit(path_, {bytes_.begin(), bytes_.begin() + cut});
-    expect_rejected("truncated at byte " + std::to_string(cut));
+  for (std::size_t c = 0; c <= blob_area(bytes_); ++c) cuts.push_back(c);
+  for (const test::ImageEntry& e : image_.entries) {
+    cuts.push_back(e.offset + e.size / 2);
+    cuts.push_back(e.offset + e.size);
   }
+  cuts.pop_back();  // the end of the last blob is the whole file
+  cuts.push_back(bytes_.size() - 1);
+  for (const std::size_t cut : cuts)
+    rejects({bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(cut)},
+            "truncated at byte " + std::to_string(cut));
 }
 
-TEST_F(CheckpointCorruption, TrailingGarbageIsRejected) {
-  auto padded = bytes_;
-  padded.push_back(0x5a);
-  spit(path_, padded);
-  expect_rejected("one trailing byte");
-}
-
-TEST_F(CheckpointCorruption, SingleBitFlipAnywhereIsRejected) {
+TEST_P(ContainerCorruption, BitFlipsAndTrailingGarbageAreRejected) {
   // Every header and directory byte; every 37th byte of the first and last
-  // 4 KiB of each chunk stream (zlib header, first blocks, adler32 trailer);
-  // ~2400 bytes spread over both streams; the last byte.
+  // 4 KiB of each blob (zlib header, first blocks, adler32 trailer); ~1200
+  // bytes spread over the blobs; the last byte.
   std::vector<std::size_t> targets;
-  for (std::size_t b = 0; b < 80; ++b) targets.push_back(b);
-  std::uint64_t first = 0;
-  std::memcpy(&first, bytes_.data() + 56, 8);
-  for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{80, 80 + first},
-                                   {80 + first, bytes_.size()}})
-    for (std::size_t b = 0; b < 4096 && b < end - begin; b += 37) {
-      targets.push_back(begin + b);
-      targets.push_back(end - 1 - b);
+  const std::size_t area = blob_area(bytes_);
+  for (std::size_t b = 0; b < area; ++b) targets.push_back(b);
+  for (const test::ImageEntry& e : image_.entries)
+    for (std::size_t b = 0; b < 4096 && b < e.size; b += 37) {
+      targets.push_back(e.offset + b);
+      targets.push_back(e.offset + e.size - 1 - b);
     }
-  const std::size_t stride = std::max<std::size_t>(37, (bytes_.size() - 80) / 2400) | 1;
-  for (std::size_t b = 80; b < bytes_.size(); b += stride) targets.push_back(b);
+  const std::size_t stride = std::max<std::size_t>(37, (bytes_.size() - area) / 1200) | 1;
+  for (std::size_t b = area; b < bytes_.size(); b += stride) targets.push_back(b);
   targets.push_back(bytes_.size() - 1);
   for (const std::size_t byte : targets) {
     auto corrupt = bytes_;
     corrupt[byte] ^= 1u << (byte % 8);
     spit(path_, corrupt);
-    EXPECT_THROW(io::load_checkpoint(path_, *victim_), PreconditionError)
-        << "bit flip at byte " << byte << " restored silently";
+    EXPECT_THROW(load(), PreconditionError) << "bit flip at byte " << byte << " read silently";
   }
-  // Every rejection left the one target state untouched.
-  expect_grids_equal(victim_->grid(), pristine_->grid());
-  EXPECT_EQ(victim_->step_count(), 0);
-}
-
-TEST_F(CheckpointCorruption, HugeCountAndSizeFieldsDoNotAllocate) {
-  // A chunk count beyond what the file holds is refused before the
-  // directory is read (its CRC cannot be resealed: the directory would not
-  // exist). Chunk sizes are resealed under a valid header CRC, so only the
-  // size validation can refuse them: huge, wrapping, and shifted by one
-  // byte between the two chunks (the sum still ends the file).
-  auto counted = bytes_;
-  const std::uint32_t many = 0xffffffffu;
-  std::memcpy(counted.data() + 52, &many, 4);
-  spit(path_, counted);
-  expect_rejected("chunk count 2^32 - 1");
-
-  std::uint64_t first = 0, second = 0;
-  std::memcpy(&first, bytes_.data() + 56, 8);
-  std::memcpy(&second, bytes_.data() + 68, 8);
-  const std::pair<std::uint64_t, std::uint64_t> sizes[] = {
-      {1ull << 60, second}, {first, 1ull << 60}, {~std::uint64_t{0}, second + 1},
-      {first + 1, second - 1}, {first - 1, second + 1}};
-  for (const auto& [a, b] : sizes) {
-    auto corrupt = bytes_;
-    std::memcpy(corrupt.data() + 56, &a, 8);
-    std::memcpy(corrupt.data() + 68, &b, 8);
-    reseal_header(corrupt);
-    spit(path_, corrupt);
-    expect_rejected("chunk sizes " + std::to_string(a) + ", " + std::to_string(b));
+  if (checkpoint()) {
+    expect_grids_equal(victim_->grid(), pristine_->grid());
+    EXPECT_EQ(victim_->step_count(), 0);
+  }
+  for (const std::size_t extra : {1, 100}) {
+    auto padded = bytes_;
+    padded.insert(padded.end(), extra, 0x5a);
+    EXPECT_NE(rejects(padded, "trailing garbage").find("trailing bytes"), std::string::npos);
   }
 }
 
-TEST_F(CheckpointCorruption, ChunkCountOtherThanTheShapeGivesIsRejected) {
-  // One chunk holding everything, with a valid header and stream CRC: the
-  // count follows from the grid shape, so the file is refused by name.
-  auto one = bytes_;
-  const std::uint32_t n = 1;
-  std::memcpy(one.data() + 52, &n, 4);
-  std::uint64_t first = 0, second = 0;
-  std::memcpy(&first, bytes_.data() + 56, 8);
-  std::memcpy(&second, bytes_.data() + 68, 8);
-  const std::uint64_t both = first + second;
-  std::memcpy(one.data() + 56, &both, 8);
-  const std::uint32_t crc = io::crc32_bytes(bytes_.data() + 80, both);
-  std::memcpy(one.data() + 64, &crc, 4);
-  one.erase(one.begin() + 68, one.begin() + 80);
-  reseal_header(one);
-  spit(path_, one);
-  try {
-    io::load_checkpoint(path_, *victim_);
-    FAIL() << "one-chunk file accepted";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("chunk count"), std::string::npos) << e.what();
+TEST_P(ContainerCorruption, HugeCountSizeAndIdFieldsAllocateNothing) {
+  // Each field is patched under a resealed header CRC, so only the field
+  // checks can refuse it, before anything the field sizes is allocated.
+  const auto patched = [&](std::size_t at, auto value) {
+    auto f = bytes_;
+    store_field(f, at, value);
+    test::reseal_header(f);
+    return f;
+  };
+  const std::size_t e0 = test::kImageHeader;  // first directory entry
+  const std::size_t e1 = e0 + test::kImageEntry + 4 * image_.entries[0].ids.size();
+  const std::uint64_t s0 = image_.entries[0].size, s1 = image_.entries[1].size;
+  EXPECT_NE(rejects(patched(32, 0xffffffffu), "blob count").find("blob count"),
+            std::string::npos);
+  // The header CRC cannot be resealed over a directory the file lacks.
+  EXPECT_NE(rejects(patched(40, std::uint64_t{1} << 60), "directory bytes")
+                .find("directory runs past"),
+            std::string::npos);
+  EXPECT_NE(rejects(patched(e0 + 28, 0xffffffffu), "id count").find("id count"),
+            std::string::npos);
+  EXPECT_NE(rejects(patched(e0 + 8, std::uint64_t{1} << 60), "blob size").find("past the end"),
+            std::string::npos);
+  EXPECT_NE(rejects(patched(e0 + 8, ~std::uint64_t{0}), "wrapping blob size").find("past the end"),
+            std::string::npos);
+  EXPECT_NE(rejects(patched(e0, ~std::uint64_t{0} - 1), "wrapping offset").find("does not start"),
+            std::string::npos);
+  EXPECT_NE(rejects(patched(e0 + 16, std::uint64_t{1} << 50), "raw size").find("implausible"),
+            std::string::npos);
+  // Sizes shifted by one byte between the first two blobs: the windows
+  // still tile the file, but the second does not start where it says.
+  auto shifted = bytes_;
+  store_field(shifted, e0 + 8, s0 + 1);
+  store_field(shifted, e1 + 8, s1 - 1);
+  test::reseal_header(shifted);
+  EXPECT_NE(rejects(shifted, "shifted sizes").find("does not start"), std::string::npos);
+}
+
+TEST_P(ContainerCorruption, BlockIdsAndShapesTheDirectoryDoesNotCoverAreRejected) {
+  // Files with every CRC resealed: the id and shape checks alone refuse
+  // them. Regression: a reader that trusted ids wrote out of bounds while
+  // decoding the first, and decoded the fourth to a field half of whose
+  // blocks were never written.
+  struct Case {
+    const char* what;
+    const char* message;
+    void (*edit)(test::ContainerImage&);
+  };
+  const Case cases[] = {
+      {"id out of range", "out of range",
+       [](test::ContainerImage& img) { img.entries[0].ids[0] = 4000; }},
+      {"duplicate id", "appears twice",
+       [](test::ContainerImage& img) { img.entries[1].ids[0] = img.entries[0].ids[0]; }},
+      {"missing block", "in no blob",
+       [](test::ContainerImage& img) { img.entries.back().ids.pop_back(); }},
+      {"shape larger than the ids", "in no blob",
+       [](test::ContainerImage& img) { img.bx *= 2; }},
+      {"non-positive shape", "not positive", [](test::ContainerImage& img) { img.bz = 0; }},
+      {"block size above the bound", "above", [](test::ContainerImage& img) { img.bs = 65; }},
+  };
+  for (const Case& c : cases) {
+    test::ContainerImage img = image_;
+    c.edit(img);
+    const std::string msg = rejects(test::build_image(img), c.what);
+    EXPECT_NE(msg.find(c.message), std::string::npos) << c.what << ": " << msg;
   }
 }
 
-TEST_F(CheckpointCorruption, ExtentMismatchIsRejected) {
-  Simulation::Params p;
-  p.extent = 2e-3;  // same shape, different physical extent
-  Simulation wrong(2, 2, 3, 16, p);
-  EXPECT_THROW(io::load_checkpoint(path_, wrong), PreconditionError);
+TEST_P(ContainerCorruption, OlderVersionsAndOtherKindsAreRefusedByName) {
+  for (const char* magic :
+       {"MPCFCQ01", "MPCFCQ02", "MPCFCQ03", "MPCFCKP1", "MPCFCKP2", "MPCFCKP3"}) {
+    auto old = bytes_;
+    std::memcpy(old.data(), magic, 8);
+    const std::string msg = rejects(old, magic);
+    EXPECT_NE(msg.find(magic), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unsupported file version"), std::string::npos) << msg;
+    for (std::size_t cut = 0; cut < test::kImageHeader; cut += 8)
+      rejects({old.begin(), old.begin() + static_cast<std::ptrdiff_t>(cut)},
+              std::string(magic) + " cut at " + std::to_string(cut));
+  }
+  // An intact header of another kind is refused naming both kinds.
+  for (const char* kind : {"SPZL", "PLRL", "ZLIB"}) {
+    if (std::memcmp(bytes_.data() + 12, kind, 4) == 0) continue;
+    auto other = bytes_;
+    std::memcpy(other.data() + 12, kind, 4);
+    test::reseal_header(other);
+    const std::string msg = rejects(other, kind);
+    EXPECT_NE(msg.find(std::string("'") + kind + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("payload kind"), std::string::npos) << msg;
+  }
 }
 
-TEST_F(CheckpointCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
+TEST_P(ContainerCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
   FaultGuard guard;
   Simulation changed = make_chunked_sim(1);
   changed.restore_clock(5e-7, 5);
   for (long nth = 0;; ++nth) {
     io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
     try {
-      io::save_checkpoint(path_, changed);
+      save(changed);
       EXPECT_FALSE(io::fault::fired());
       break;  // nth beyond the write-call count: healthy save, matrix done
     } catch (const IoError&) {
       EXPECT_TRUE(io::fault::fired());
       EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "nth=" << nth;
-      // Atomicity: the previously committed checkpoint is untouched.
-      io::load_checkpoint(path_, *victim_);
-      expect_grids_equal(victim_->grid(), sim_->grid());
-      EXPECT_EQ(victim_->step_count(), 3);
+      expect_original();  // atomicity: the committed file is untouched
     }
   }
-  io::load_checkpoint(path_, *victim_);
-  expect_grids_equal(victim_->grid(), changed.grid());
-  EXPECT_EQ(victim_->step_count(), 5);
+  // A persistent fault (a disk that stays full) from every write call on.
+  spit(path_, bytes_);
+  for (long nth = 0; nth < 4; ++nth) {
+    io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0, /*sticky=*/true});
+    EXPECT_THROW(save(changed), IoError) << "sticky ENOSPC from write " << nth;
+    io::fault::disarm();
+    EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "temp left behind, nth=" << nth;
+    expect_original();
+  }
 }
 
-TEST_F(CheckpointCorruption, TornWriteLeavesTempBehindAndOldFileIntact) {
-  // A crash in every write call in turn: the header, the directory and each
-  // piece of both chunk streams.
+TEST_P(ContainerCorruption, TornWriteLeavesTempBehindAndOldFileIntact) {
+  // A crash in every write call in turn: the header and directory, and each
+  // piece of every blob.
   FaultGuard guard;
   const Simulation changed = make_chunked_sim(1);
   for (long nth = 0;; ++nth) {
     io::fault::arm({io::fault::Kind::kTornWrite, nth, 0, 0});
     try {
-      io::save_checkpoint(path_, changed);
+      save(changed);
       EXPECT_FALSE(io::fault::fired());
       break;  // nth beyond the write-call count: healthy save, matrix done
     } catch (const IoError&) {
       EXPECT_TRUE(io::fault::fired());
       EXPECT_TRUE(fs::exists(path_ + ".tmp")) << "nth=" << nth << ": a crash leaves the temp file";
-      io::load_checkpoint(path_, *victim_);  // final path: still the old version
-      expect_grids_equal(victim_->grid(), sim_->grid());
+      expect_original();  // final path: still the old version
     }
   }
   // The healthy save simply overwrote the stale temp.
   EXPECT_FALSE(fs::exists(path_ + ".tmp"));
-  io::load_checkpoint(path_, *victim_);
-  expect_grids_equal(victim_->grid(), changed.grid());
 }
 
-TEST_F(CheckpointCorruption, InjectedPostCommitCorruptionIsDetected) {
+TEST_P(ContainerCorruption, InjectedPostCommitCorruptionIsDetected) {
   FaultGuard guard;
-  // Truncation inside the first chunk stream, then a flip inside the last.
-  const std::uint64_t cut = 200;
+  // Truncation inside the first blob, then a flip inside the last.
+  const std::uint64_t cut = image_.entries[0].offset + 10;
   const std::uint64_t flip = bytes_.size() - 100;
   io::fault::arm({io::fault::Kind::kTruncate, 0, cut, 0});
 #if MPCF_CHECKED
   // The checked build's verify-after-write readback refuses the save itself
-  // (see test_checked_mode.cpp); release builds only notice at restart.
-  EXPECT_THROW(io::save_checkpoint(path_, *sim_), CheckError);
+  // (see test_checked_mode.cpp); release builds only notice at the read.
+  EXPECT_THROW(save(*sim_), CheckError);
   EXPECT_TRUE(io::fault::fired());
   io::fault::arm({io::fault::Kind::kBitFlip, 0, flip, 2});
-  EXPECT_THROW(io::save_checkpoint(path_, *sim_), CheckError);
+  EXPECT_THROW(save(*sim_), CheckError);
   EXPECT_TRUE(io::fault::fired());
 #else
-  io::save_checkpoint(path_, *sim_);
+  save(*sim_);
   EXPECT_TRUE(io::fault::fired());
   expect_rejected("truncated after commit");
 
-  io::save_checkpoint(path_, *sim_);  // heal
   io::fault::arm({io::fault::Kind::kBitFlip, 0, flip, 2});
-  io::save_checkpoint(path_, *sim_);
+  save(*sim_);
   EXPECT_TRUE(io::fault::fired());
   expect_rejected("bit flipped after commit");
 #endif
 }
 
-TEST_F(CheckpointCorruption, EnvKnobArmsTheShim) {
+INSTANTIATE_TEST_SUITE_P(BothPayloads, ContainerCorruption,
+                         ::testing::Values(Payload::kCheckpoint, Payload::kDump),
+                         [](const ::testing::TestParamInfo<Payload>& info) {
+                           return info.param == Payload::kCheckpoint ? "Checkpoint" : "Dump";
+                         });
+
+// --- Checkpoint payload --------------------------------------------------
+
+TEST(CheckpointPayload, ExtentMismatchIsRejected) {
+  const std::string path = ::testing::TempDir() + "/mpcf_extent.ckp";
+  io::save_checkpoint(path, make_chunked_sim());
+  Simulation::Params p;
+  p.extent = 2e-3;  // same shape, different physical extent
+  Simulation wrong(2, 2, 3, 16, p);
+  EXPECT_THROW(io::load_checkpoint(path, wrong), PreconditionError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointPayload, RawSizeOtherThanItsBlocksIsRejected) {
+  // A raw size is its ids times the block bytes; one that is not is refused
+  // by name even under intact CRCs.
+  const std::string path = ::testing::TempDir() + "/mpcf_raw.ckp";
+  io::save_checkpoint(path, make_chunked_sim());
+  test::ContainerImage img = test::parse_image(slurp(path));
+  img.entries[1].raw -= sizeof(Cell);
+  spit(path, test::build_image(img));
+  Simulation b = make_chunked_sim(0);
+  try {
+    io::load_checkpoint(path, b);
+    ADD_FAILURE() << "raw size accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("blob 1 raw size"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointPayload, EnvKnobArmsTheShim) {
   FaultGuard guard;
+  const std::string path = ::testing::TempDir() + "/mpcf_envknob.ckp";
+  const Simulation sim = make_sim();
   ::setenv("MPCF_IO_FAULT", "enospc:0", 1);
   io::fault::arm_from_env();
   ::unsetenv("MPCF_IO_FAULT");
   EXPECT_TRUE(io::fault::armed());
-  EXPECT_THROW(io::save_checkpoint(path_, *sim_), IoError);
+  EXPECT_THROW(io::save_checkpoint(path, sim), IoError);
   EXPECT_TRUE(io::fault::fired());
 
   ::setenv("MPCF_IO_FAULT", "bitflip:70:3", 1);
   io::fault::arm_from_env();
   ::unsetenv("MPCF_IO_FAULT");
 #if MPCF_CHECKED
-  EXPECT_THROW(io::save_checkpoint(path_, *sim_), CheckError);
+  EXPECT_THROW(io::save_checkpoint(path, sim), CheckError);
   EXPECT_TRUE(io::fault::fired());
 #else
-  io::save_checkpoint(path_, *sim_);
+  io::save_checkpoint(path, sim);
   EXPECT_TRUE(io::fault::fired());
-  expect_rejected("bit 3 of byte 70 flipped after commit");
-#endif
-}
-
-// --- Checkpoint versions -------------------------------------------------
-
-/// Every state byte of the simulation, SFC block order.
-std::vector<std::uint8_t> raw_state(const Simulation& sim) {
-  const Grid& g = sim.grid();
-  std::vector<std::uint8_t> raw(g.cell_count() * sizeof(Cell));
-  std::size_t off = 0;
-  for (int b = 0; b < g.block_count(); ++b) {
-    const std::size_t n = g.block(b).cells() * sizeof(Cell);
-    std::memcpy(raw.data() + off, g.block(b).data(), n);
-    off += n;
-  }
-  return raw;
-}
-
-/// The state as one zlib level-6 stream, as the v1 and v2 writers stored it.
-std::vector<std::uint8_t> one_stream(const std::vector<std::uint8_t>& raw) {
-  uLongf comp_len = compressBound(static_cast<uLong>(raw.size()));
-  std::vector<std::uint8_t> comp(comp_len);
-  EXPECT_EQ(compress2(comp.data(), &comp_len, raw.data(), static_cast<uLong>(raw.size()), 6),
-            Z_OK);
-  comp.resize(comp_len);
-  return comp;
-}
-
-/// The header fields v1 and v2 share: shape, clock, raw and blob sizes.
-void put_v1_fields(std::vector<std::uint8_t>& out, const Simulation& sim, std::size_t raw,
-                   std::size_t comp) {
-  const Grid& g = sim.grid();
-  for (std::int32_t v : {g.blocks_x(), g.blocks_y(), g.blocks_z(), g.block_size()})
-    io::put_bytes(out, v);
-  io::put_bytes(out, sim.time());
-  io::put_bytes(out, g.h() * g.cells_x());
-  io::put_bytes(out, static_cast<std::int64_t>(sim.step_count()));
-  io::put_bytes(out, static_cast<std::uint64_t>(raw));
-  io::put_bytes(out, static_cast<std::uint64_t>(comp));
-}
-
-/// A version-1 checkpoint as earlier writers produced it: a header without
-/// CRC fields, then one zlib stream of the raw cells.
-void write_v1_checkpoint(const std::string& path, const Simulation& sim) {
-  const std::vector<std::uint8_t> raw = raw_state(sim);
-  const std::vector<std::uint8_t> comp = one_stream(raw);
-  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '1'};
-  put_v1_fields(out, sim, raw.size(), comp.size());
-  out.insert(out.end(), comp.begin(), comp.end());
-  spit(path, out);
-}
-
-/// A version-2 checkpoint as earlier writers produced it: the v1 fields
-/// under a header CRC, the payload CRC, then the same single stream.
-void write_v2_checkpoint(const std::string& path, const Simulation& sim) {
-  const std::vector<std::uint8_t> raw = raw_state(sim);
-  const std::vector<std::uint8_t> comp = one_stream(raw);
-  std::vector<std::uint8_t> header;
-  put_v1_fields(header, sim, raw.size(), comp.size());
-  io::put_bytes(header, io::crc32_bytes(comp.data(), comp.size()));
-  std::vector<std::uint8_t> out{'M', 'P', 'C', 'F', 'C', 'K', 'P', '2'};
-  io::put_bytes(out, io::crc32_bytes(header.data(), header.size()));
-  out.insert(out.end(), header.begin(), header.end());
-  out.insert(out.end(), comp.begin(), comp.end());
-  spit(path, out);
-}
-
-/// Expects the file to be refused with an error naming `magic` as an
-/// unsupported version, whole and truncated anywhere in its header.
-void expect_version_refused(const std::string& path, const char* magic) {
   Simulation b = make_sim();
-  try {
-    io::load_checkpoint(path, b);
-    ADD_FAILURE() << magic << " checkpoint accepted";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find(magic), std::string::npos) << e.what();
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
-  }
-  const auto bytes = io::read_file(path);
-  for (std::size_t cut = 0; cut < 76; cut += 4) {
-    spit(path, {bytes.begin(), bytes.begin() + cut});
-    EXPECT_THROW(io::load_checkpoint(path, b), PreconditionError) << "cut at " << cut;
-  }
-}
-
-TEST(CheckpointVersions, V1FilesAreRejectedNamingTheVersion) {
-  Simulation a = make_sim();
-  a.step();
-  const std::string path = ::testing::TempDir() + "/mpcf_v1.ckp";
-  write_v1_checkpoint(path, a);
-  expect_version_refused(path, "MPCFCKP1");
+  EXPECT_THROW(io::load_checkpoint(path, b), PreconditionError);
+#endif
   std::remove(path.c_str());
 }
 
-TEST(CheckpointVersions, V2FilesAreRejectedNamingTheVersion) {
-  Simulation a = make_sim();
-  a.step();
-  const std::string path = ::testing::TempDir() + "/mpcf_v2.ckp";
-  write_v2_checkpoint(path, a);
-  expect_version_refused(path, "MPCFCKP2");
-  std::remove(path.c_str());
-}
-
-// --- Compressed-quantity corruption matrix -------------------------------
+// --- Dump payload --------------------------------------------------------
 
 compression::CompressedQuantity make_cq() {
   Grid g(1, 1, 1, 8, 1e-3);
@@ -520,119 +531,64 @@ compression::CompressedQuantity make_cq() {
   compression::CompressionParams p;
   p.eps = 1e-3f;
   p.quantity = Q_G;
-  return compression::compress_quantity(g, p);
+  return compression::compress_quantity_pipelined(g, p);
 }
 
-class CompressedCorruption : public ::testing::Test {
- protected:
-  void SetUp() override {
-    io::fault::disarm();
-    cq_ = make_cq();
-    ASSERT_FALSE(cq_.streams.empty());
-    path_ = ::testing::TempDir() + "/mpcf_fault.cq";
-    io::write_compressed(path_, cq_);
-    bytes_ = slurp(path_);
-    ASSERT_GT(bytes_.size(), 48u);
-  }
-  void TearDown() override {
-    io::fault::disarm();
-    std::remove(path_.c_str());
-  }
-
-  compression::CompressedQuantity cq_;
-  std::string path_;
-  std::vector<std::uint8_t> bytes_;
-};
-
-TEST_F(CompressedCorruption, RoundTripSurvives) {
-  const auto rt = io::read_compressed(path_);
-  ASSERT_EQ(rt.streams.size(), cq_.streams.size());
-  for (std::size_t s = 0; s < rt.streams.size(); ++s) {
-    EXPECT_EQ(rt.streams[s].block_ids, cq_.streams[s].block_ids);
-    EXPECT_EQ(rt.streams[s].raw_bytes, cq_.streams[s].raw_bytes);
-    EXPECT_EQ(rt.streams[s].data, cq_.streams[s].data);
-  }
-  const auto f_rt = compression::decompress_to_field(rt);
-  const auto f_cq = compression::decompress_to_field(cq_);
-  ASSERT_EQ(f_rt.size(), f_cq.size());
-  EXPECT_EQ(std::memcmp(f_rt.data(), f_cq.data(), f_cq.size() * sizeof(float)), 0);
-}
-
-TEST_F(CompressedCorruption, TruncationAtEveryBoundaryIsRejected) {
-  for (std::size_t cut = 0; cut < bytes_.size(); ++cut) {
-    spit(path_, {bytes_.begin(), bytes_.begin() + cut});
-    EXPECT_THROW((void)io::read_compressed(path_), PreconditionError)
-        << "truncated at byte " << cut;
-  }
-}
-
-TEST_F(CompressedCorruption, SingleBitFlipAnywhereIsRejected) {
-  const std::size_t stride = bytes_.size() > 4096 ? 7 : 1;
-  for (std::size_t byte = 0; byte < bytes_.size(); byte += stride) {
-    auto corrupt = bytes_;
-    corrupt[byte] ^= 1u << (byte % 8);
-    spit(path_, corrupt);
-    EXPECT_THROW((void)io::read_compressed(path_), PreconditionError)
-        << "bit flip at byte " << byte << " read back silently";
-  }
-}
-
-TEST_F(CompressedCorruption, WriteFaultsNeverPublishAPartialFile) {
-  FaultGuard guard;
-  const std::string out = ::testing::TempDir() + "/mpcf_fault_out.cq";
-  std::remove(out.c_str());
-  for (long nth = 0;; ++nth) {
-    io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
+TEST(DumpPayload, RecordFieldsTheDecoderTrustsAreChecked) {
+  // The wavelet depth must be the one the block size gives, and a raw
+  // quantity must name a cell component.
+  const std::string path = ::testing::TempDir() + "/mpcf_record.cq";
+  io::write_compressed(path, make_cq());
+  const auto good = slurp(path);
+  const std::tuple<std::size_t, std::int32_t, const char*> cases[] = {
+      {48, 9, "wavelet levels"}, {52, 7, "quantity 7 out of range"},
+      {52, -1, "quantity -1 out of range"}};
+  for (const auto& [at, value, message] : cases) {
+    auto bad = good;
+    store_field(bad, at, value);
+    test::reseal_header(bad);
+    spit(path, bad);
     try {
-      io::write_compressed(out, cq_);
-      EXPECT_FALSE(io::fault::fired());
-      break;
-    } catch (const IoError&) {
-      EXPECT_TRUE(io::fault::fired());
-      EXPECT_FALSE(fs::exists(out)) << "partial file published, nth=" << nth;
-      EXPECT_FALSE(fs::exists(out + ".tmp"));
+      (void)io::read_compressed(path);
+      ADD_FAILURE() << message << ": accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
     }
   }
-  io::fault::arm({io::fault::Kind::kTornWrite, 1, 0, 0});
-  EXPECT_THROW((void)io::write_compressed(out, cq_), IoError);
-  std::remove((out + ".tmp").c_str());
-  std::remove(out.c_str());
+  std::remove(path.c_str());
 }
 
-TEST_F(CompressedCorruption, PersistentEnospcSurfacesAsCatchableError) {
-  // Regression: the coalescing writer's destructor used to retry the failed
-  // flush during stack unwinding; on a *persistent* write failure (a disk
-  // that is genuinely full keeps failing, unlike a one-shot injected plan)
-  // the retry threw out of a noexcept destructor and the process died in
-  // std::terminate instead of surfacing an IoError. Sweep the sticky fault
-  // across every write call: each must throw a catchable IoError.
-  FaultGuard guard;
-  const std::string out = ::testing::TempDir() + "/mpcf_fault_sticky.cq";
-  std::remove(out.c_str());
-  const long healthy_writes = [&] {
-    long n = 0;
-    for (;; ++n) {  // count the write calls of one healthy save
-      io::fault::arm({io::fault::Kind::kEnospc, n, 0, 0});
-      try {
-        io::write_compressed(out, cq_);
-        return n;
-      } catch (const IoError&) {
-      }
-    }
-  }();
-  std::remove(out.c_str());
-  for (long nth = 0; nth < healthy_writes; ++nth) {
-    io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0, /*sticky=*/true});
-    EXPECT_THROW((void)io::write_compressed(out, cq_), IoError)
-        << "sticky ENOSPC from write " << nth;
-    io::fault::disarm();
-    EXPECT_FALSE(fs::exists(out)) << "partial file published, nth=" << nth;
-    EXPECT_FALSE(fs::exists(out + ".tmp")) << "temp left behind, nth=" << nth;
+TEST(DumpPayload, OutOfRangeIdAndUncoveredShapeAreRefused) {
+  // Regression, through write_compressed with valid CRCs: a block id of
+  // 4000 in a 2x2x2-block quantity (decoding it wrote out of bounds), and a
+  // header of 4x2x2 blocks over ids that cover 8 (half the field was never
+  // written). The checked build's readback refuses them at the write.
+  Grid g(2, 2, 2, 8, 1e-3);
+  set_cloud_ic(g, {Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}}, TwoPhaseIC{});
+  compression::CompressionParams p;
+  p.quantity = Q_G;
+  const auto good = compression::compress_quantity_pipelined(g, p);
+  auto far = good;
+  far.streams[0].block_ids[0] = 4000;
+  auto wide = good;
+  wide.bx = 4;
+  const std::string path = ::testing::TempDir() + "/mpcf_probe.cq";
+  for (const auto* cq : {&far, &wide}) {
+#if MPCF_CHECKED
+    EXPECT_THROW(io::write_compressed(path, *cq), CheckError);
+#else
+    io::write_compressed(path, *cq);
+    EXPECT_THROW((void)io::read_compressed(path), PreconditionError);
+#endif
   }
-  std::remove(out.c_str());
+  std::remove(path.c_str());
 }
 
-// --- Sparse-stream corruption (decoder-level, below the file CRCs) --------
+TEST(DumpPayload, InMemoryIdsOutsideTheShapeAreRefusedByTheDecoder) {
+  auto cq = make_cq();
+  cq.streams[0].block_ids[0] = 4000;
+  EXPECT_THROW((void)compression::decompress_to_field(cq), PreconditionError);
+}
 
 /// Re-encodes a sparse payload into the stream so the zlib layer and the
 /// directory stay self-consistent: only the sparse decoder can notice.
@@ -703,8 +659,7 @@ TEST(SparseCorruption, WrappingRunLengthsAreRejectedBeforeAnyWrite) {
 
 TEST(SparseCorruption, LengthMismatchNamesTheExpectedCount) {
   // A sparse header claiming a different coefficient count than the block
-  // directory implies must fail up front (this is what the old vacuous
-  // `require` was meant to catch).
+  // directory implies must fail up front.
   auto cq = make_cq();
   ASSERT_FALSE(cq.streams.empty());
   std::vector<std::uint8_t> sparse;
@@ -713,118 +668,6 @@ TEST(SparseCorruption, LengthMismatchNamesTheExpectedCount) {
   put_varint(sparse, 0);
   replace_sparse_payload(cq.streams[0], sparse);
   EXPECT_THROW((void)compression::decompress_to_field(cq), PreconditionError);
-}
-
-// --- Compressed-quantity directory bounds, versions and codecs ----------
-//
-// Hand-built v3 images with an intact header CRC: the CRC cannot be what
-// rejects them, so each test proves the reader's own check fires.
-
-/// Byte offsets of the v3 header fields patched below.
-constexpr std::size_t kCodecIdByte = 41;  // after magic, crc, 6 dims, eps, flag
-constexpr std::size_t kFourccByte = 44;   // after the coder byte and 2 pad bytes
-constexpr std::size_t kFirstEntry = 52;   // after fourcc and stream count
-constexpr std::size_t kEntryRaw = kFirstEntry + 4;
-constexpr std::size_t kEntrySize = kFirstEntry + 12;
-constexpr std::size_t kEntryOffset = kFirstEntry + 20;
-
-/// A real single-stream v3 dump of make_cq() as bytes.
-std::vector<std::uint8_t> v3_image(const compression::CompressedQuantity& cq,
-                                   const std::string& path) {
-  io::write_compressed(path, cq);
-  return slurp(path);
-}
-
-/// Recomputes the header CRC over [12, crc_end) after fields were patched;
-/// crc_end is the blob region start of the unpatched image.
-void reseal(std::vector<std::uint8_t>& bytes, std::size_t crc_end) {
-  const std::uint32_t crc = io::crc32_bytes(bytes.data() + 12, crc_end - 12);
-  std::memcpy(bytes.data() + 8, &crc, sizeof(crc));
-}
-
-std::size_t blob_region_start(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t offset;
-  std::memcpy(&offset, bytes.data() + kEntryOffset, sizeof(offset));
-  return static_cast<std::size_t>(offset);
-}
-
-template <typename T>
-void patch(std::vector<std::uint8_t>& bytes, std::size_t at, T value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
-}
-
-/// Reads `bytes` back through `path` and returns the rejection message.
-std::string rejection(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  spit(path, bytes);
-  try {
-    (void)io::read_compressed(path);
-  } catch (const PreconditionError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "image read back without error";
-  return {};
-}
-
-TEST(CompressedDirectory, Uint64WrapInDirectoryIsRejected) {
-  // Regression: blob_offset + blob_size wrapping uint64 used to pass the
-  // `offset + size <= file_size` check and read out of bounds.
-  const std::string path = ::testing::TempDir() + "/mpcf_wrap.cq";
-  auto bytes = v3_image(make_cq(), path);
-  const std::size_t crc_end = blob_region_start(bytes);
-  patch(bytes, kEntrySize, ~std::uint64_t{0});  // blob_size: 2^64-1
-  patch(bytes, kEntryOffset, std::uint64_t{2});  // offset + size wraps to 1
-  reseal(bytes, crc_end);
-  EXPECT_NE(rejection(path, bytes).find("bad offsets"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CompressedDirectory, ImplausibleRawSizeIsRejectedBeforeAllocation) {
-  // A raw_bytes field beyond zlib's ~1032:1 bound over the blob present
-  // must be caught by the plausibility check instead of driving a multi-GB
-  // allocation in the decoder — the writer seals it with a valid CRC.
-  auto cq = make_cq();
-  cq.streams[0].raw_bytes = 1ull << 50;
-  const std::string path = ::testing::TempDir() + "/mpcf_huge_raw.cq";
-  const auto bytes = v3_image(cq, path);
-  std::uint64_t raw;
-  std::memcpy(&raw, bytes.data() + kEntryRaw, sizeof(raw));
-  ASSERT_EQ(raw, 1ull << 50);
-  EXPECT_NE(rejection(path, bytes).find("implausible raw size"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(CompressedVersions, PreV3MagicsAreRejectedNamingTheVersion) {
-  const std::string path = ::testing::TempDir() + "/mpcf_old_magic.cq";
-  const auto v3 = v3_image(make_cq(), path);
-  for (const char* magic : {"MPCFCQ01", "MPCFCQ02"}) {
-    auto bytes = v3;
-    std::memcpy(bytes.data(), magic, 8);
-    const std::string msg = rejection(path, bytes);
-    EXPECT_NE(msg.find(magic), std::string::npos) << msg;
-    EXPECT_NE(msg.find("unsupported .cq version"), std::string::npos) << msg;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CompressedVersions, OtherCodecPairsAreRejectedNamingTheCodec) {
-  // Earlier writers stored coder ids 0, 2 and 3 with these tags; an intact
-  // header naming any of them, or a mismatched pair, is refused by name.
-  const std::string path = ::testing::TempDir() + "/mpcf_other_codec.cq";
-  const auto v3 = v3_image(make_cq(), path);
-  const std::size_t crc_end = blob_region_start(v3);
-  const std::pair<std::uint8_t, const char*> pairs[] = {
-      {0, "ZLIB"}, {2, "LZ4B"}, {3, "SPL4"}, {1, "ZLIB"}, {0, "SPZL"}};
-  for (const auto& [coder, tag] : pairs) {
-    auto bytes = v3;
-    bytes[kCodecIdByte] = coder;
-    std::memcpy(bytes.data() + kFourccByte, tag, 4);
-    reseal(bytes, crc_end);
-    const std::string msg = rejection(path, bytes);
-    EXPECT_NE(msg.find(std::string("'") + tag + "'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("coder id " + std::to_string(coder)), std::string::npos) << msg;
-    EXPECT_NE(msg.find("unsupported codec"), std::string::npos) << msg;
-  }
-  std::remove(path.c_str());
 }
 
 // --- Rotating retention and auto-recovery --------------------------------
@@ -901,7 +744,7 @@ TEST(Retention, CrashThenRestartResumesBitwiseIdentical) {
     }
     run.step();
     run.step();
-    io::fault::arm({io::fault::Kind::kEnospc, 2, 0, 0});
+    io::fault::arm({io::fault::Kind::kEnospc, 1, 0, 0});
     EXPECT_THROW(rot.save(run), IoError);  // "crash"
     EXPECT_TRUE(io::fault::fired());
   }
@@ -944,8 +787,8 @@ TEST(ClusterCheckpoint, RoundTripAcrossTopologiesIsBitwise) {
   const std::string path = ::testing::TempDir() + "/mpcf_cluster.ckp";
   EXPECT_GT(a.save_checkpoint(path), 0u);
 
-  // Restore into a *different* topology: the checkpoint is the gathered
-  // global state, so any decomposition of the same global shape works.
+  // Restore into a *different* topology: the blobs carry global block ids,
+  // so any decomposition of the same global shape works.
   cluster::ClusterSimulation b(2, 2, 2, 8, cluster::CartTopology(1, 1, 2),
                                cluster_params());
   b.load_checkpoint(path);

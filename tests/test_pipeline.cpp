@@ -1,9 +1,8 @@
-// Conformance and correctness tests of the pipelined multi-threaded dump
-// path (DESIGN.md §13): stage-graph output vs the synchronous compressor
-// across worker counts, the decoded dump vs a codec-free per-block
-// transform oracle, deterministic file layout, the v3 on-disk format,
-// parameter validation, and fault injection through the two-phase
-// aggregating writer.
+// Conformance and correctness tests of the one compressor, the pipelined
+// multi-threaded dump path (DESIGN.md §13): its decoded output against the
+// codec-free per-block transform oracle at every worker count,
+// deterministic file layout, the container the dump writes, parameter
+// validation, and fault injection through the container writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "compression/pipeline.h"
+#include "container_image.h"
 #include "io/compressed_file.h"
 #include "io/fault_injection.h"
 #include "io/safe_file.h"
@@ -55,23 +55,7 @@ void expect_fields_bitwise_equal(const Field3D<float>& a, const Field3D<float>& 
             << b(ix, iy, iz);
 }
 
-// --- Conformance: stage graph vs synchronous path -------------------------
-
-TEST(PipelineConformance, MatchesSynchronousPathForEveryWorkerCount) {
-  // The pipelined stage graph must reproduce the synchronous compressor's
-  // output exactly: same per-block FWT + decimation, same entropy stage, so
-  // the decoded fields are bitwise identical for every worker count.
-  const Grid g = make_grid();
-  const auto f_sync = decompress_to_field(compress_quantity(g, make_params(0)));
-  for (const int workers : {1, 2, 8}) {
-    PipelineStats stats;
-    const auto cq = compress_quantity_pipelined(g, make_params(workers), &stats);
-    EXPECT_EQ(stats.chunks, pipeline_chunk_count(g.block_count(), workers));
-    EXPECT_EQ(static_cast<int>(cq.streams.size()), stats.chunks);
-    const auto f_pipe = decompress_to_field(cq);
-    expect_fields_bitwise_equal(f_pipe, f_sync);
-  }
-}
+// --- Conformance: stage graph vs the transform oracle ----------------------
 
 /// The dump's lossy content without any entropy stage: every block's
 /// quantity through forward_3d_simd -> decimate -> inverse_3d, in memory.
@@ -93,6 +77,21 @@ Field3D<float> transform_oracle(const Grid& g, const CompressionParams& p) {
           out(bx * bs + ix, by * bs + iy, bz * bs + iz) = cube(ix, iy, iz);
   }
   return out;
+}
+
+TEST(PipelineConformance, MatchesSynchronousPathForEveryWorkerCount) {
+  // The stage graph's output is the oracle's for every worker count: the
+  // per-block FWT + decimation decoded through the entropy stage, bit for
+  // bit, whatever the stream partition.
+  const Grid g = make_grid();
+  const auto oracle = transform_oracle(g, make_params(0));
+  for (const int workers : {1, 2, 8}) {
+    PipelineStats stats;
+    const auto cq = compress_quantity_pipelined(g, make_params(workers), &stats);
+    EXPECT_EQ(stats.chunks, pipeline_chunk_count(g.block_count(), workers));
+    EXPECT_EQ(static_cast<int>(cq.streams.size()), stats.chunks);
+    expect_fields_bitwise_equal(decompress_to_field(cq), oracle);
+  }
 }
 
 TEST(PipelineConformance, DecodedDumpEqualsCodecFreeTransformOracle) {
@@ -165,11 +164,11 @@ TEST(PipelineConformance, ChunkCountIsAPureFunctionOfShapeAndWorkers) {
   EXPECT_EQ(pipeline_chunk_count(64, 100), 64);
 }
 
-// --- The v3 on-disk format ------------------------------------------------
+// --- The container the dump writes ---------------------------------------
 
-TEST(PipelineDump, WritesReadableV3WithTheOneCodecTag) {
+TEST(PipelineDump, WritesTheContainerWithTheWaveletPayload) {
   const Grid g = make_grid();
-  const std::string path = ::testing::TempDir() + "/mpcf_pipe_v3.cq";
+  const std::string path = ::testing::TempDir() + "/mpcf_pipe_container.cq";
   PipelineStats stats;
   const double rate = dump_quantity_pipelined(g, make_params(2), path, &stats);
   EXPECT_GT(rate, 1.0);
@@ -177,32 +176,23 @@ TEST(PipelineDump, WritesReadableV3WithTheOneCodecTag) {
   EXPECT_GT(stats.workers, 0);
 
   const auto bytes = io::read_file(path);
-  ASSERT_GE(bytes.size(), 48u);
-  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "MPCFCQ03");
-  // magic, crc, six i32 dims, f32 eps, u8 derived_pressure: the coder byte
-  // then sits at 41, the fourcc at 44.
-  EXPECT_EQ(bytes[41], 1);
-  EXPECT_EQ(std::string(bytes.begin() + 44, bytes.begin() + 48), "SPZL");
-
-  const auto f_sync = decompress_to_field(compress_quantity(g, make_params(0)));
-  expect_fields_bitwise_equal(decompress_to_field(io::read_compressed(path)), f_sync);
-  std::remove(path.c_str());
-}
-
-TEST(PipelineDump, BlobOffsetsStartAtAlignedBoundary) {
-  // The aggregator pads the directory so phase-two writes start 4 KiB
-  // aligned; the first stream's directory offset must sit on that boundary.
-  const Grid g = make_grid();
-  const std::string path = ::testing::TempDir() + "/mpcf_pipe_align.cq";
-  dump_quantity_pipelined(g, make_params(2), path);
-  const auto bytes = io::read_file(path);
-  io::Cursor cur(bytes);
-  cur.skip(8 + 4 + 24 + 8 + 4);  // magic, crc, dims, eps/flags, fourcc
-  const auto nstreams = cur.get<std::uint32_t>();
-  ASSERT_GT(nstreams, 0u);
-  cur.skip(4 + 8 + 8);  // first entry: id count, raw bytes, blob size
-  const auto first_offset = cur.get<std::uint64_t>();
-  EXPECT_EQ(first_offset % 4096, 0u);
+  ASSERT_GE(bytes.size(), 80u);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 8), "MPCFCNT1");
+  EXPECT_EQ(std::string(bytes.begin() + 12, bytes.begin() + 16), "SPZL");
+  // One blob per stream, in block-id order, back to back from the end of
+  // the directory to the end of the file.
+  const test::ContainerImage img = test::parse_image(bytes);
+  ASSERT_EQ(static_cast<int>(img.entries.size()), stats.chunks);
+  std::uint64_t at = test::blob_area(bytes);
+  std::uint32_t next = 0;
+  for (const test::ImageEntry& e : img.entries) {
+    EXPECT_EQ(e.offset, at);
+    at += e.size;
+    for (const std::uint32_t id : e.ids) EXPECT_EQ(id, next++);
+  }
+  EXPECT_EQ(at, bytes.size());
+  expect_fields_bitwise_equal(decompress_to_field(io::read_compressed(path)),
+                              transform_oracle(g, make_params(2)));
   std::remove(path.c_str());
 }
 
@@ -218,7 +208,7 @@ TEST(PipelineValidation, NegativeWorkerCountIsNamed) {
   }
 }
 
-// --- Fault injection through the aggregating writer -----------------------
+// --- Fault injection through the container writer -------------------------
 
 TEST(PipelineFault, InjectedWriteFailureWithTwoWorkersFailsCleanly) {
   struct FaultGuard {

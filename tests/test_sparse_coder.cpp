@@ -6,7 +6,7 @@
 #include <random>
 #include <vector>
 
-#include "compression/compressor.h"
+#include "compression/pipeline.h"
 #include "compression/sparse_coder.h"
 #include "io/compressed_file.h"
 #include "workload/cloud.h"
@@ -101,7 +101,7 @@ TEST(SparsePipeline, RoundTripThroughCompressorAndFile) {
   CompressionParams p;
   p.eps = 1e-2f;
   p.quantity = Q_G;
-  const auto cq = compress_quantity(g, p);
+  const auto cq = compress_quantity_pipelined(g, p);
   // Decimation leaves mostly zeros: the significance-coded intermediate is
   // far smaller than the raw coefficients, before zlib even runs.
   std::uint64_t raw = 0;

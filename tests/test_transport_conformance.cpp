@@ -174,37 +174,26 @@ TEST_P(TransportConformance, CollectivesMatchSerialOracleOnEveryRank) {
   const int n = 4;
   World w(GetParam(), n);
   const std::vector<double> vals = {0.25, -3.5, 17.125, 2.0};
-  const std::vector<std::uint64_t> sizes = {100, 0, 37, 4096};
 
   // Serial oracle values.
   double omax = vals[0], osum = 0;
   for (double v : vals) omax = std::fmax(omax, v);
   for (double v : vals) osum += v;  // rank order, as the contract requires
-  std::vector<std::uint64_t> ooff(n);
-  std::uint64_t acc = 0;
-  for (int r = 0; r < n; ++r) ooff[r] = acc, acc += sizes[r];
 
   std::mutex mu;
   std::vector<double> got_max, got_sum;
-  std::vector<std::pair<int, std::uint64_t>> got_off;
   w.run_per_instance([&](Transport& t) {
     std::vector<double> dv;
-    std::vector<std::uint64_t> uv;
-    for (int r : t.local_ranks()) dv.push_back(vals[r]), uv.push_back(sizes[r]);
+    for (int r : t.local_ranks()) dv.push_back(vals[r]);
     const double m = t.allreduce_max(dv);
     const double s = t.allreduce_sum(dv);
-    const auto off = t.exscan(uv);
     std::lock_guard<std::mutex> lock(mu);
     got_max.push_back(m);
     got_sum.push_back(s);
-    for (std::size_t i = 0; i < off.size(); ++i)
-      got_off.emplace_back(t.local_ranks()[i], off[i]);
   });
 
   for (double m : got_max) EXPECT_EQ(m, omax);  // bitwise, not approx
   for (double s : got_sum) EXPECT_EQ(s, osum);
-  ASSERT_EQ(got_off.size(), static_cast<std::size_t>(n));
-  for (const auto& [r, off] : got_off) EXPECT_EQ(off, ooff[r]) << "rank " << r;
 }
 
 TEST_P(TransportConformance, RecvTimeoutThrowsNamingTheFlow) {

@@ -1,15 +1,18 @@
 // True multi-process transport tests: spawn tools/mpcf-run (one process per
 // rank over the shm transport) against tests/mpcf_rank_worker and verify the
-// two acceptance properties of the multi-process port:
+// acceptance properties of the multi-process port:
 //
 //   1. `mpcf-run -n 4 worker` writes a checkpoint bitwise identical to the
 //      same worker run single-process (all ranks in-memory) — the transport
 //      swap changes the execution substrate, not one bit of physics. This
 //      holds for the fused step graph and the staged oracle, and with two
 //      OpenMP threads per rank process.
-//   2. A rank dying mid-run surfaces as a diagnosed nonzero exit on every
-//      peer, never a hang (the launcher aborts the segment; peers convert it
-//      into TransportError within a poll slice).
+//   2. A checkpoint written by 4 rank processes restores to the same state
+//      under another topology of 4 processes and in one process at one rank,
+//      whose file is the node layer's file of that state.
+//   3. A rank dying mid-run, or a checkpoint one rank finds corrupt,
+//      surfaces as a diagnosed nonzero exit on every peer, never a hang and
+//      never a wait for the receive timeout.
 //
 // Binary locations come from the build system (MPCF_RUN_PATH /
 // MPCF_WORKER_PATH compile definitions).
@@ -19,8 +22,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <string>
 
+#include "io/checkpoint.h"
 #include "io/safe_file.h"
 
 namespace mpcf {
@@ -105,6 +111,120 @@ TEST(MultiProcess, DeadRankIsAnErrorNotAHang) {
   EXPECT_NE(rc, 0) << "a dead rank must fail the launch";
   EXPECT_LT(waited, 60.0) << "dead rank hung the run";
   std::remove((dir + "/mp_dead.ckpt").c_str());
+}
+
+/// The worker at `topo` over the 2x2x2 blocks of 8^3 of the other cases.
+std::string worker(const std::string& topo, const std::string& args) {
+  return std::string(MPCF_WORKER_PATH) + " --topo " + topo + " --blocks 2,2,2 --bs 8 " + args;
+}
+
+std::string launch4(const std::string& topo, const std::string& args) {
+  return std::string(MPCF_RUN_PATH) + " -n 4 " + worker(topo, args);
+}
+
+/// A checkpoint loaded at the node layer: its grid and clock.
+struct NodeState {
+  Grid grid{2, 2, 2, 8, 1e-3};
+  io::CheckpointClock clock;
+};
+
+NodeState load_node(const std::string& path) {
+  NodeState s;
+  s.clock = io::load_grid_checkpoint(path, s.grid);
+  return s;
+}
+
+void expect_same_state(const NodeState& a, const NodeState& b) {
+  EXPECT_EQ(a.clock.time, b.clock.time);
+  EXPECT_EQ(a.clock.steps, b.clock.steps);
+  for (int blk = 0; blk < a.grid.block_count(); ++blk)
+    ASSERT_EQ(std::memcmp(a.grid.block(blk).data(), b.grid.block(blk).data(),
+                          a.grid.block(blk).cells() * sizeof(Cell)),
+              0)
+        << "block " << blk;
+}
+
+TEST(MultiProcess, CheckpointRestoresAcrossTopologiesAndProcessCounts) {
+  const std::string dir = ::testing::TempDir();
+  const std::string a = dir + "/mp_topo_221.ckpt";
+  const std::string b = dir + "/mp_topo_122.ckpt";
+  const std::string c = dir + "/mp_topo_111.ckpt";
+  const std::string node = dir + "/mp_topo_node.ckpt";
+  ASSERT_EQ(run_cmd(launch4("2,2,1", "--steps 2 --out " + a)), 0);
+  ASSERT_EQ(run_cmd(launch4("1,2,2", "--load " + a + " --steps 0 --out " + b)), 0);
+  ASSERT_EQ(run_cmd(worker("1,1,1", "--load " + a + " --steps 0 --out " + c)), 0);
+  const NodeState sa = load_node(a);
+  EXPECT_EQ(sa.clock.steps, 2);
+  expect_same_state(load_node(b), sa);
+  expect_same_state(load_node(c), sa);
+  // The one-rank file is the node layer's file of the same state.
+  (void)io::save_grid_checkpoint(node, sa.grid, sa.clock.time, sa.clock.steps);
+  EXPECT_EQ(io::read_file(c), io::read_file(node));
+  for (const std::string& f : {a, b, c, node}) std::remove(f.c_str());
+}
+
+TEST(MultiProcess, CorruptCheckpointFailsEveryRankWithinTheTimeout) {
+  // One byte of rank 3's blob is broken: only rank 3 reads that blob, and
+  // every rank must still refuse the file, by the agreement after the check
+  // pass, long before a 60 s receive timeout would end a waiting peer.
+  const std::string dir = ::testing::TempDir();
+  const std::string good = dir + "/mp_corrupt_src.ckpt";
+  const std::string bad = dir + "/mp_corrupt.ckpt";
+  const std::string err = dir + "/mp_corrupt.err";
+  const std::string out = dir + "/mp_corrupt_out.ckpt";
+  ASSERT_EQ(run_cmd(launch4("2,2,1", "--steps 1 --out " + good)), 0);
+  auto bytes = io::read_file(good);
+  bytes[bytes.size() - 10] ^= 0x20;
+  {
+    io::SafeFile f(bad);
+    f.write(bytes.data(), bytes.size());
+    f.commit();
+  }
+  std::remove(out.c_str());
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = run_cmd(std::string(MPCF_RUN_PATH) + " -n 4 --timeout-ms 60000 " +
+                         worker("2,2,1", "--load " + bad + " --steps 1 --out " + out) +
+                         " 2>" + err);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_NE(rc, 0);
+  EXPECT_LT(waited, 20.0) << "a rank waited for the receive timeout";
+  const auto log_bytes = io::read_file(err);
+  const std::string log(log_bytes.begin(), log_bytes.end());
+  for (int r = 0; r < 4; ++r)
+    EXPECT_NE(log.find("(rank " + std::to_string(r) + "): load_checkpoint"), std::string::npos)
+        << "rank " << r << " did not refuse the file:\n" << log;
+  EXPECT_NE(log.find("blob 3 CRC mismatch"), std::string::npos) << log;
+  EXPECT_EQ(log.find("transport error"), std::string::npos) << log;
+  EXPECT_FALSE(std::filesystem::exists(out)) << "a rank went on to save";
+  for (const std::string& f : {good, bad, err}) std::remove(f.c_str());
+}
+
+TEST(MultiProcess, FailedSaveFailsEveryRankWithinTheTimeout) {
+  // The root's second write call fails (ENOSPC): every rank must fail the
+  // save, by the agreement after the write, and no file may appear.
+  const std::string dir = ::testing::TempDir();
+  const std::string err = dir + "/mp_enospc.err";
+  const std::string out = dir + "/mp_enospc.ckpt";
+  std::remove(out.c_str());
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = run_cmd("MPCF_IO_FAULT=enospc:1 " + std::string(MPCF_RUN_PATH) +
+                         " -n 4 --timeout-ms 60000 " +
+                         worker("2,2,1", "--steps 1 --out " + out) + " 2>" + err);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_NE(rc, 0);
+  EXPECT_LT(waited, 20.0) << "a rank waited for the receive timeout";
+  const auto log_bytes = io::read_file(err);
+  const std::string log(log_bytes.begin(), log_bytes.end());
+  EXPECT_NE(log.find("(rank 0): SafeFile: write failed"), std::string::npos) << log;
+  for (int r = 1; r < 4; ++r)
+    EXPECT_NE(log.find("(rank " + std::to_string(r) + "): save_checkpoint: failed on another"),
+              std::string::npos)
+        << log;
+  EXPECT_FALSE(std::filesystem::exists(out));
+  EXPECT_FALSE(std::filesystem::exists(out + ".tmp"));
+  std::remove(err.c_str());
 }
 
 }  // namespace
