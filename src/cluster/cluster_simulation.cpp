@@ -639,34 +639,37 @@ std::uint64_t ClusterSimulation::write_collective(
           if (!piece.empty()) comm_.send(me, 0, kTagBlobs, pack_bytes(piece));
       }
   } else {
-    // The root writes the header and every rank's directory entries, then
-    // the blobs in rank order.
+    // The root writes the blobs in rank order, then the header and every
+    // rank's directory entries.
     std::vector<io::BlobEntry> dir;
     for (const io::Blob& b : mine) dir.push_back(b.entry);
-    std::vector<std::vector<std::uint64_t>> size(static_cast<std::size_t>(topo_.size()));
-    std::vector<char> ok(size.size(), 0);  ///< ranks waiting for a word per blob
+    // Rank r's entries are dir[first[r], first[r + 1]).
+    std::vector<std::size_t> first(static_cast<std::size_t>(topo_.size()) + 1, dir.size());
+    std::vector<char> ok(first.size(), 0);  ///< ranks waiting for a word per blob
     bool all_ok = !error;
     for (int r = 1; r < topo_.size(); ++r) {
-      const std::size_t first = dir.size();
+      first[r] = dir.size();
       ok[r] = unpack_directory(comm_.recv(r, 0, kTagBlobs), dir) ? 1 : 0;
-      for (std::size_t k = first; k < dir.size(); ++k) size[r].push_back(dir[k].size);
       all_ok = all_ok && ok[r] != 0;
     }
+    first[topo_.size()] = dir.size();
+    std::uint64_t ids = 0;
+    for (const io::BlobEntry& e : dir) ids += e.ids.size();
     std::optional<io::ContainerWriter> out;
-    if (all_ok) attempt(error, [&] { out.emplace(path, header, std::move(dir)); });
+    if (all_ok) attempt(error, [&] { out.emplace(path, header, dir.size(), ids); });
     if (out)
       attempt(error, [&] {
-        for (const io::Blob& b : mine)
-          for (const auto& piece : b.pieces) out->write(piece.data(), piece.size());
+        for (const io::Blob& b : mine) out->append(b);
       });
     for (int r = 1; r < topo_.size(); ++r) {
       // Every rank that encoded its blobs waits for a word per blob: one,
       // or zero once the write has failed; a blob asked for is always taken.
-      for (std::size_t k = 0; ok[r] != 0 && k < size[r].size(); ++k) {
+      for (std::size_t k = first[r]; ok[r] != 0 && k < first[r + 1]; ++k) {
         const bool take = out && !error;
         comm_.send(0, r, kTagBlobs, {take ? 1.0f : 0.0f});
         if (!take) break;
-        for (std::uint64_t got = 0; got < size[r][k];) {
+        attempt(error, [&] { out->add(dir[k]); });
+        for (std::uint64_t got = 0; got < dir[k].size;) {
           const std::vector<float> msg = comm_.recv(r, 0, kTagBlobs);
           std::uint64_t n = 0;
           std::memcpy(&n, msg.data(), sizeof(n));  // pack_bytes: count, then the bytes

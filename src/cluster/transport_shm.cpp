@@ -421,26 +421,29 @@ void ShmTransport::pump_locked(int src) {
     if (!p.active) {
       p.tag = f.tag;
       p.seq = f.seq;
-      p.total = f.total_bytes;
-      p.bytes.clear();
-      p.bytes.reserve(f.total_bytes);
+      p.got = 0;
+      p.payload.resize(f.total_bytes / sizeof(float));  // empty: moved out at delivery
       p.active = true;
-    } else if (p.tag != f.tag || p.seq != f.seq || p.total != f.total_bytes) {
+    } else if (p.tag != f.tag || p.seq != f.seq ||
+               p.payload.size() * sizeof(float) != f.total_bytes) {
       throw TransportError("ShmTransport: interleaved chunks in ring " +
                            std::to_string(src) + "->" + std::to_string(rank_));
     }
-    const std::size_t old = p.bytes.size();
-    p.bytes.resize(old + f.chunk_bytes);
+    if (f.chunk_bytes > f.total_bytes - p.got)
+      throw TransportError("ShmTransport: chunks overrun their message in ring " +
+                           std::to_string(src) + "->" + std::to_string(rank_));
     if (f.chunk_bytes)
-      shm_detail::ring_copy_out(p.bytes.data() + old, ring, cap, tail + sizeof(Frame),
-                    f.chunk_bytes);
+      shm_detail::ring_copy_out(static_cast<std::uint8_t*>(static_cast<void*>(p.payload.data())) +
+                                    p.got,
+                                ring, cap, tail + sizeof(Frame), f.chunk_bytes);
+    p.got += f.chunk_bytes;
 
     rc.tail.store(tail + sizeof(Frame) + pad8(f.chunk_bytes),
                   std::memory_order_release);
     rc.tail_seq.fetch_add(1, std::memory_order_release);
     shm_detail::futex_wake_all(&rc.tail_seq);
 
-    if (p.bytes.size() == p.total) {
+    if (p.got == f.total_bytes) {
       const FlowKey key{src, static_cast<int>(p.tag)};
       const std::uint64_t expect = recv_seq_[key]++;
       if (p.seq != expect)
@@ -449,9 +452,8 @@ void ShmTransport::pump_locked(int src) {
             std::to_string(rank_) + ", tag " + std::to_string(key.tag) +
             ") delivered message #" + std::to_string(p.seq) + " but expected #" +
             std::to_string(expect));
-      std::vector<float> payload(p.total / sizeof(float));
-      if (p.total) std::memcpy(payload.data(), p.bytes.data(), p.total);
-      staged_[key].push_back(std::move(payload));
+      staged_[key].push_back(std::move(p.payload));
+      p.payload = {};  // the moved-from vector, left holding nothing
       p.active = false;
     }
   }

@@ -96,11 +96,14 @@ class ShmTransport final : public Transport {
       return src != o.src ? src < o.src : tag < o.tag;
     }
   };
-  struct Partial {  ///< chunked message being reassembled from one src ring
+  /// The message being copied out of one src ring, chunk by chunk, into
+  /// the vector that is staged once it is whole: one copy out of the ring,
+  /// and nothing retained after delivery.
+  struct Partial {
     std::int64_t tag = 0;
     std::uint64_t seq = 0;
-    std::uint64_t total = 0;
-    std::vector<std::uint8_t> bytes;
+    std::uint64_t got = 0;  ///< payload bytes copied so far
+    std::vector<float> payload;
     bool active = false;
   };
 

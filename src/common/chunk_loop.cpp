@@ -2,19 +2,52 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <thread>
 #include <vector>
 
+#include "common/thread_safety.h"
+
 namespace mpcf {
+
+namespace {
+
+/// Runs work(w) on workers - 1 new threads and on the calling thread as
+/// worker 0, then joins them. When a thread fails to start, or worker 0
+/// throws, stop() makes the running workers finish after their current
+/// chunk, and the call fails once they have joined.
+void run_workers(int workers, const std::function<void(int)>& work,
+                 const std::function<void()>& stop) {
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  try {
+    for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
+    work(0);
+  } catch (...) {
+    stop();
+    for (auto& t : pool) t.join();
+    throw;
+  }
+  for (auto& t : pool) t.join();
+}
+
+/// Rethrows the exception of the lowest chunk that has one.
+void rethrow_lowest(const std::vector<std::exception_ptr>& errors) {
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
+}  // namespace
 
 int chunk_workers(int chunks, int requested) {
   return std::max(1, std::min(requested, chunks));
 }
 
+int chunk_window(int workers) { return 2 * workers; }
+
 void for_each_chunk(int chunks, int requested, const std::function<void(int, int)>& body) {
   if (chunks <= 0) return;
-  const int workers = chunk_workers(chunks, requested);
   std::atomic<int> next{0};
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chunks));
   const auto work = [&](int w) {
@@ -30,23 +63,102 @@ void for_each_chunk(int chunks, int requested, const std::function<void(int, int
       }
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  try {
-    for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-  } catch (...) {
-    // A worker failed to start: the running ones stop after their current
-    // chunk, and the call fails once they have joined.
+  run_workers(chunk_workers(chunks, requested), work, [&] {
     // order: relaxed — only ends the id handout; join publishes the rest.
     next.store(chunks, std::memory_order_relaxed);
-    for (auto& t : pool) t.join();
-    throw;
+  });
+  rethrow_lowest(errors);
+}
+
+void for_each_chunk_ordered(int chunks, int requested,
+                            const std::function<void(int, int)>& encode,
+                            const std::function<void(int)>& consume) {
+  if (chunks <= 0) return;
+  const int workers = chunk_workers(chunks, requested);
+  const int window = chunk_window(workers);
+  struct State {
+    Mutex mu;
+    std::condition_variable room;  ///< the window moved on, or the loop stopped
+    int next MPCF_GUARDED_BY(mu) = 0;      ///< the next chunk to hand out
+    int consumed MPCF_GUARDED_BY(mu) = 0;  ///< chunks consumed, in order
+    /// The lowest failing chunk (chunks while none failed): nothing at or
+    /// above it is handed out or consumed.
+    int stop MPCF_GUARDED_BY(mu) = 0;
+    bool consuming MPCF_GUARDED_BY(mu) = false;  ///< a worker runs consume
+    std::vector<char> encoded MPCF_GUARDED_BY(mu);
+    std::vector<std::exception_ptr> errors MPCF_GUARDED_BY(mu);
+
+    /// Chunk c failed with `e`: keeps it, stops at c, wakes the waiters. A
+    /// worker that fails to start stops the loop at 0 with no exception.
+    void fail(int c, std::exception_ptr e) MPCF_EXCLUDES(mu) {
+      {
+        const LockGuard lock(mu);
+        if (e) errors[static_cast<std::size_t>(c)] = std::move(e);
+        stop = std::min(stop, c);
+      }
+      room.notify_all();
+    }
+  } s;
+  {
+    const LockGuard lock(s.mu);
+    s.stop = chunks;
+    s.encoded.assign(static_cast<std::size_t>(chunks), 0);
+    s.errors.resize(static_cast<std::size_t>(chunks));
   }
-  work(0);
-  for (auto& t : pool) t.join();
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+
+  const auto work = [&](int w) {
+    for (;;) {
+      int c = 0;
+      {
+        UniqueLock lock(s.mu);
+        while (s.next < s.stop && s.next >= s.consumed + window) s.room.wait(lock.std_lock());
+        if (s.next >= s.stop) return;
+        c = s.next++;
+      }
+      try {
+        encode(c, w);
+      } catch (...) {
+        s.fail(c, std::current_exception());
+        continue;
+      }
+      {
+        const LockGuard lock(s.mu);
+        s.encoded[static_cast<std::size_t>(c)] = 1;
+        if (s.consuming) continue;  // the consuming worker takes it in turn
+        s.consuming = true;
+      }
+      // This worker consumes every chunk that is ready, in order; it hands
+      // the role back under the same lock that shows the next one is not.
+      for (;;) {
+        int k = 0;
+        {
+          const LockGuard lock(s.mu);
+          if (s.consumed >= s.stop || s.encoded[static_cast<std::size_t>(s.consumed)] == 0) {
+            s.consuming = false;
+            break;
+          }
+          k = s.consumed;
+        }
+        try {
+          consume(k);
+        } catch (...) {
+          s.fail(k, std::current_exception());
+        }
+        {
+          const LockGuard lock(s.mu);
+          ++s.consumed;
+        }
+        s.room.notify_all();
+      }
+    }
+  };
+  run_workers(workers, work, [&] { s.fail(0, nullptr); });
+  std::vector<std::exception_ptr> errors;
+  {
+    const LockGuard lock(s.mu);
+    errors = std::move(s.errors);
+  }
+  rethrow_lowest(errors);
 }
 
 }  // namespace mpcf

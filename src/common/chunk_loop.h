@@ -1,9 +1,22 @@
-// The chunk-stealing worker loop shared by the parallel I/O paths: the
+// The chunk-stealing worker loops shared by the parallel I/O paths: the
 // pipelined dump (compression/pipeline.cpp, DESIGN.md §13) and the
 // checkpoint codec (io/checkpoint.cpp, DESIGN.md §8). Workers take chunk ids
 // off one shared counter, so load balances dynamically over content-
 // dependent chunk costs; the caller makes every chunk's output land in a
 // slot of its own, so results never depend on which worker ran which chunk.
+//
+// for_each_chunk runs every chunk and returns once all are done: loads, and
+// encodes whose results are all kept (a cluster rank's blobs, the in-memory
+// dump). for_each_chunk_ordered is the streamed save's loop: each chunk's
+// result is consumed (written to the file) in chunk order as soon as it and
+// every chunk before it are encoded, and a chunk is handed out only while
+// fewer than chunk_window(workers) = 2 x workers chunks are encoded or being
+// encoded and not yet consumed. A save thus holds at most that many encoded
+// chunks, however large its file. The window is a fixed rule, chosen by
+// measurement (DESIGN.md §8): on cloud_job's 12.3 MB checkpoint at 4
+// threads a save through it takes 81-87 ms and raises the peak RSS by
+// ~4 MiB, and encoding `workers` chunks, writing them and repeating
+// measured 10-15 % slower than the window.
 //
 // Workers are plain std::threads plus the calling thread, not an OpenMP
 // team: both callers run between the solver's parallel regions, and the
@@ -24,5 +37,26 @@ namespace mpcf {
 /// chunks still run, and once every worker has joined the one of the lowest
 /// failing chunk id is rethrown, so even the error is schedule-independent.
 void for_each_chunk(int chunks, int requested, const std::function<void(int, int)>& body);
+
+/// Chunks for_each_chunk_ordered lets be handed out and not yet consumed on
+/// `workers` workers: 2 x workers.
+[[nodiscard]] int chunk_window(int workers);
+
+/// Runs encode(chunk, worker) for every chunk in [0, chunks) on
+/// chunk_workers(chunks, requested) workers, as for_each_chunk does, and
+/// consume(chunk) once per chunk, in chunk order, one at a time, as soon as
+/// that chunk and every chunk before it are encoded; consume runs on
+/// whichever worker finds the next chunk ready. At most
+/// W = chunk_window(workers) chunks are handed out and not yet consumed, so
+/// chunk c's result may live in slot c % W of the caller's.
+///
+/// When an encode or a consume throws, no further chunk is handed out and
+/// every worker waiting for the window wakes; chunks below the failing one
+/// are still consumed, the ones above it are not. Once every worker has
+/// joined, the exception of the lowest failing chunk is rethrown, so the
+/// error is schedule-independent.
+void for_each_chunk_ordered(int chunks, int requested,
+                            const std::function<void(int, int)>& encode,
+                            const std::function<void(int)>& consume);
 
 }  // namespace mpcf

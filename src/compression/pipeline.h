@@ -2,8 +2,9 @@
 // block-range chunks off a shared queue, runs FWT + decimation over each
 // chunk's cubes and feeds the result straight into its own entropy-encode
 // stage (no barrier between chunks). Each chunk becomes one stream, each
-// stream one blob of the dump's container (io/compressed_file.h). Its
-// reference is the codec-free transform oracle of tests/test_pipeline.cpp.
+// stream one blob of the dump's container (io/compressed_file.h); a dump
+// writes each stream as soon as it and every stream before it are encoded.
+// Its reference is the codec-free transform oracle of tests/test_pipeline.cpp.
 //
 // Determinism: the chunk → block-range map is a pure function of
 // (block_count, worker count), and workers steal *which chunk to process
@@ -26,7 +27,7 @@ struct PipelineStats {
   int chunks = 0;   ///< streams emitted (= chunk count)
   /// Per-worker wall-clock split: dec = FWT+decimate, enc = entropy stage.
   std::vector<WorkerTimes> worker_times;
-  double write_seconds = 0;           ///< container write (dump only)
+  double write_seconds = 0;           ///< container writes and commit (dump only)
   std::uint64_t bytes_written = 0;    ///< file size (dump only)
   std::uint64_t uncompressed_bytes = 0;
   std::uint64_t compressed_bytes = 0;
@@ -44,8 +45,12 @@ struct PipelineStats {
 [[nodiscard]] CompressedQuantity compress_quantity_pipelined(
     const Grid& grid, const CompressionParams& params, PipelineStats* stats = nullptr);
 
-/// Full pipelined dump: stage graph, then the container writer. Returns the
-/// compression rate; fills write/byte accounting into `stats`.
+/// Full pipelined dump: the stage graph through the ordered chunk loop
+/// (common/chunk_loop.h), each stream appended to the container in chunk
+/// order as soon as it and every stream before it are encoded, so at most
+/// 2 x workers streams are held. The file is the one write_compressed
+/// makes of compress_quantity_pipelined's result. Returns the compression
+/// rate; fills write/byte accounting into `stats`.
 double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
                                const std::string& path, PipelineStats* stats = nullptr);
 

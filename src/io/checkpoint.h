@@ -11,7 +11,9 @@
 // byte k of every cell), one zlib stream with the Z_RLE strategy. The
 // record holds f64 time, f64 extent, i64 steps. Blobs are encoded and
 // decoded on the caller's omp_get_max_threads() workers
-// (common/chunk_loop.h); the bytes do not depend on the worker count.
+// (common/chunk_loop.h); the bytes do not depend on the worker count. A
+// save streams: each blob goes to the file as soon as it and every blob
+// before it are encoded, so it holds at most 2 x workers encoded blobs.
 //
 // A cluster checkpoint is every rank's runs in rank order; the node layer
 // is the one-rank case. The bytes thus depend on the topology, and any file
@@ -44,7 +46,8 @@ struct CheckpointClock {
 [[nodiscard]] ContainerHeader checkpoint_header(int bx, int by, int bz, int bs, double time,
                                                 double extent, long steps);
 
-/// g's blocks as checkpoint blobs, block i stored under global id ids[i].
+/// g's blocks as checkpoint blobs, block i stored under global id ids[i],
+/// all in memory (a cluster rank's share of a collective save).
 [[nodiscard]] std::vector<Blob> encode_checkpoint(const Grid& g,
                                                   const std::vector<std::uint32_t>& ids);
 
@@ -70,7 +73,8 @@ class CheckpointLoad {
   CheckpointClock clock_;
 };
 
-/// Serializes grid state + a clock; returns bytes written.
+/// Serializes grid state + a clock, streaming each blob to the file as it
+/// is encoded; returns bytes written.
 std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g, double time,
                                    long steps);
 /// Restores into a grid of identical shape and returns the stored clock;

@@ -22,28 +22,36 @@ ContainerHeader dump_header(const compression::CompressedQuantity& cq) {
   return h;
 }
 
+namespace {
+
+/// A stream's directory entry.
+BlobEntry stream_entry(const compression::CompressedQuantity::Stream& s) {
+  BlobEntry e;
+  e.size = s.data.size();
+  e.raw_size = s.raw_bytes;
+  e.crc = crc32_bytes(s.data.data(), s.data.size());
+  e.ids = s.block_ids;
+  return e;
+}
+
+}  // namespace
+
 Blob stream_blob(compression::CompressedQuantity::Stream&& stream) {
   Blob b;
-  b.entry.size = stream.data.size();
-  b.entry.raw_size = stream.raw_bytes;
-  b.entry.crc = crc32_bytes(stream.data.data(), stream.data.size());
-  b.entry.ids = std::move(stream.block_ids);
+  b.entry = stream_entry(stream);
   b.pieces.push_back(std::move(stream.data));
   return b;
 }
 
 std::uint64_t write_compressed(const std::string& path,
                                const compression::CompressedQuantity& cq) {
-  std::vector<BlobEntry> dir(cq.streams.size());
-  for (std::size_t k = 0; k < dir.size(); ++k) {
-    const auto& s = cq.streams[k];
-    dir[k].size = s.data.size();
-    dir[k].raw_size = s.raw_bytes;
-    dir[k].crc = crc32_bytes(s.data.data(), s.data.size());
-    dir[k].ids = s.block_ids;
+  std::uint64_t ids = 0;
+  for (const auto& s : cq.streams) ids += s.block_ids.size();
+  ContainerWriter w(path, dump_header(cq), cq.streams.size(), ids);
+  for (const auto& s : cq.streams) {
+    w.add(stream_entry(s));
+    w.write(s.data.data(), s.data.size());
   }
-  ContainerWriter w(path, dump_header(cq), dir);
-  for (const auto& s : cq.streams) w.write(s.data.data(), s.data.size());
   return w.commit();
 }
 

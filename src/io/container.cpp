@@ -29,6 +29,12 @@ constexpr std::size_t kEntryBytes = 32;  ///< an entry without its ids
 constexpr std::uint64_t kMaxZlibRatio = 1032;
 constexpr std::uint64_t kRatioSlack = 4096;
 
+/// Bytes of the header and a directory of `blobs` entries holding `ids`
+/// block ids in all: where the first blob starts.
+std::uint64_t head_bytes(std::size_t blobs, std::uint64_t ids) {
+  return kHeaderBytes + kEntryBytes * blobs + 4 * ids;
+}
+
 /// Bytes as text for error messages; non-printable bytes as '?'.
 std::string printable(const void* p, std::size_t n) {
   const auto* bytes = static_cast<const unsigned char*>(p);
@@ -63,40 +69,63 @@ BlobEntry get_entry(Cursor& cur) {
 }
 
 ContainerWriter::ContainerWriter(const std::string& path, const ContainerHeader& header,
-                                 std::vector<BlobEntry> directory)
-    : file_(path), header_(header), dir_(std::move(directory)) {
+                                 std::size_t blobs, std::uint64_t ids)
+    : file_(path),
+      header_(header),
+      blobs_(blobs),
+      ids_(ids),
+      head_(head_bytes(blobs, ids)),
+      end_(head_) {
   require(header.bs >= 1 && header.bs <= kMaxBlockSize,
           "ContainerWriter: block size " + std::to_string(header.bs) + " outside [1, " +
               std::to_string(kMaxBlockSize) + "]");
-  std::uint64_t offset = kHeaderBytes;
-  for (const BlobEntry& e : dir_) offset += kEntryBytes + 4 * e.ids.size();
-  const std::uint64_t dir_bytes = offset - kHeaderBytes;
+  dir_.reserve(blobs);
+  file_.skip(head_);
+}
+
+void ContainerWriter::add(BlobEntry entry) {
+  require(file_.bytes_written() == end_ && dir_.size() < blobs_ &&
+              entry.ids.size() <= ids_ - announced_ids_,
+          "ContainerWriter: " + file_.path() + ": blob " + std::to_string(dir_.size()) +
+              " announced before the previous one is written, or past the directory");
   // The blobs follow the directory back to back: each offset is the
   // exclusive scan of the sizes before it.
-  std::vector<std::uint8_t> head(sizeof(kMagic) + 4);  // magic, header CRC (set below)
-  std::memcpy(head.data(), kMagic, sizeof(kMagic));
-  head.reserve(offset);
-  put_bytes(head, static_cast<std::uint32_t>(header.kind));
-  for (const std::int32_t v : {header.bx, header.by, header.bz, header.bs}) put_bytes(head, v);
-  put_bytes(head, static_cast<std::uint32_t>(dir_.size()));
-  put_bytes(head, std::uint32_t{0});
-  put_bytes(head, dir_bytes);
-  head.insert(head.end(), header.record.begin(), header.record.end());
-  for (BlobEntry& e : dir_) {
-    e.offset = offset;
-    offset += e.size;
-    put_entry(head, e);
-  }
-  end_ = offset;
-  const std::uint32_t crc = crc32_bytes(head.data() + 12, head.size() - 12);
-  std::memcpy(head.data() + 8, &crc, sizeof(crc));
-  file_.write(head.data(), head.size());
+  entry.offset = end_;
+  end_ += entry.size;
+  announced_ids_ += entry.ids.size();
+  dir_.push_back(std::move(entry));
+}
+
+void ContainerWriter::write(const void* p, std::size_t n) {
+  require(n <= end_ - file_.bytes_written(),
+          "ContainerWriter: " + file_.path() + ": more bytes than the announced blobs hold");
+  file_.write(p, n);
+}
+
+void ContainerWriter::append(const Blob& blob) {
+  add(blob.entry);
+  for (const auto& piece : blob.pieces) write(piece.data(), piece.size());
 }
 
 std::uint64_t ContainerWriter::commit() {
-  require(file_.bytes_written() == end_,
-          "ContainerWriter: " + file_.path() + " got " + std::to_string(file_.bytes_written()) +
+  require(dir_.size() == blobs_ && announced_ids_ == ids_ && file_.bytes_written() == end_,
+          "ContainerWriter: " + file_.path() + " got " + std::to_string(dir_.size()) + " of " +
+              std::to_string(blobs_) + " blobs and " + std::to_string(file_.bytes_written()) +
               " bytes, its directory ends at " + std::to_string(end_));
+  std::vector<std::uint8_t> head(sizeof(kMagic) + 4);  // magic, header CRC (set below)
+  std::memcpy(head.data(), kMagic, sizeof(kMagic));
+  head.reserve(head_);
+  put_bytes(head, static_cast<std::uint32_t>(header_.kind));
+  for (const std::int32_t v : {header_.bx, header_.by, header_.bz, header_.bs})
+    put_bytes(head, v);
+  put_bytes(head, static_cast<std::uint32_t>(dir_.size()));
+  put_bytes(head, std::uint32_t{0});
+  put_bytes(head, head_ - kHeaderBytes);
+  head.insert(head.end(), header_.record.begin(), header_.record.end());
+  for (const BlobEntry& e : dir_) put_entry(head, e);
+  const std::uint32_t crc = crc32_bytes(head.data() + 12, head.size() - 12);
+  std::memcpy(head.data() + 8, &crc, sizeof(crc));
+  file_.write_at(0, head.data(), head.size());
   file_.commit();
 #if MPCF_CHECKED
   // Verify-after-write: the committed file must read back as written (rot
@@ -126,12 +155,10 @@ std::uint64_t ContainerWriter::commit() {
 
 std::uint64_t write_container(const std::string& path, const ContainerHeader& header,
                               const std::vector<Blob>& blobs) {
-  std::vector<BlobEntry> dir;
-  dir.reserve(blobs.size());
-  for (const Blob& b : blobs) dir.push_back(b.entry);
-  ContainerWriter w(path, header, std::move(dir));
-  for (const Blob& b : blobs)
-    for (const auto& piece : b.pieces) w.write(piece.data(), piece.size());
+  std::uint64_t ids = 0;
+  for (const Blob& b : blobs) ids += b.entry.ids.size();
+  ContainerWriter w(path, header, blobs.size(), ids);
+  for (const Blob& b : blobs) w.append(b);
   return w.commit();
 }
 

@@ -18,7 +18,10 @@
 //           then the blobs, back to back in directory order, to the end of
 //           the file
 //
-// Files are written atomically through io::SafeFile. The reader holds no
+// Files are written atomically through io::SafeFile, blobs first: the
+// writer reserves the header and directory, whose size the blob and id
+// counts fix, appends each blob as soon as it exists, and writes the header
+// and directory last in one positional write. The reader holds no
 // more of a file than its directory, reads blobs with pread on demand, and
 // validates everything below before a blob is read or caller state written:
 //   - magic: an older "MPCF..." magic is refused naming its version;
@@ -90,23 +93,38 @@ void put_entry(std::vector<std::uint8_t>& out, const BlobEntry& e);
 /// run past the cursor's bytes.
 [[nodiscard]] BlobEntry get_entry(Cursor& cur);
 
-/// Writes the header and the directory (setting each entry's offset) to
-/// `<path>.tmp`, then takes the blobs' bytes in directory order. commit()
-/// requires exactly the directory's blob bytes, publishes the file, returns
-/// its size, and in MPCF_CHECKED builds re-reads it through ContainerReader.
+/// Streams a container to `<path>.tmp`. The constructor reserves the header
+/// and the directory, whose size the blob and id counts fix; the blobs then
+/// follow in directory order, each announced by add() with its size, CRC
+/// and ids, its bytes written after it. So a blob goes to the file as soon
+/// as it exists, before any later blob's size is known. commit() requires
+/// every announced blob and exactly their bytes, writes the header and
+/// directory into the reserved region in one positional write, publishes the
+/// file, returns its size, and in MPCF_CHECKED builds re-reads it through
+/// ContainerReader.
 class ContainerWriter {
  public:
-  ContainerWriter(const std::string& path, const ContainerHeader& header,
-                  std::vector<BlobEntry> directory);
-  /// Throws IoError on failure (incl. injected faults).
-  void write(const void* p, std::size_t n) { file_.write(p, n); }
+  ContainerWriter(const std::string& path, const ContainerHeader& header, std::size_t blobs,
+                  std::uint64_t ids);
+  /// Announces the next blob once the previous one's bytes are written; its
+  /// offset is set here.
+  void add(BlobEntry entry);
+  /// The announced blob's next bytes. Throws IoError on failure (incl.
+  /// injected faults).
+  void write(const void* p, std::size_t n);
+  /// add() and write() of a whole blob.
+  void append(const Blob& blob);
   std::uint64_t commit();
 
  private:
   SafeFile file_;
   ContainerHeader header_;
-  std::vector<BlobEntry> dir_;
-  std::uint64_t end_ = 0;  ///< file size once every blob is written
+  std::size_t blobs_;   ///< blobs the directory holds
+  std::uint64_t ids_;   ///< ids the directory holds
+  std::uint64_t head_;  ///< header and directory bytes
+  std::uint64_t announced_ids_ = 0;
+  std::vector<BlobEntry> dir_;  ///< the blobs announced so far
+  std::uint64_t end_;           ///< where the announced blobs end
 };
 
 /// ContainerWriter over whole blobs; returns the file size.

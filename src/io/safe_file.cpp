@@ -52,6 +52,22 @@ SafeFile::~SafeFile() {
 }
 
 void SafeFile::write(const void* p, std::size_t n) {
+  pwrite_at(written_, p, n);
+  written_ += n;
+}
+
+void SafeFile::skip(std::uint64_t n) {
+  require(fd_ >= 0 && !committed_, "SafeFile: skip after commit");
+  written_ += n;
+}
+
+void SafeFile::write_at(std::uint64_t offset, const void* p, std::size_t n) {
+  require(offset <= written_ && n <= written_ - offset,
+          "SafeFile: write_at past the end of " + tmp_path_);
+  pwrite_at(offset, p, n);
+}
+
+void SafeFile::pwrite_at(std::uint64_t offset, const void* p, std::size_t n) {
   require(fd_ >= 0 && !committed_, "SafeFile: write after commit");
   std::size_t torn = 0;
   const fault::WriteFault injected = fault::on_write(n, &torn);
@@ -63,14 +79,13 @@ void SafeFile::write(const void* p, std::size_t n) {
   const auto* bytes = static_cast<const std::uint8_t*>(p);
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t got = ::write(fd_, bytes + done, n - done);
+    const ssize_t got = ::pwrite(fd_, bytes + done, n - done, static_cast<off_t>(offset + done));
     if (got < 0) {
       if (errno == EINTR) continue;
       throw_errno("SafeFile: write failed on " + tmp_path_);
     }
     done += static_cast<std::size_t>(got);
   }
-  written_ += done;
 
   if (injected == fault::WriteFault::kTorn) {
     // Simulate the process dying mid-write: the half-written temp file

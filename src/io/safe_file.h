@@ -38,6 +38,14 @@ class SafeFile {
   /// Appends n bytes; throws IoError on failure (incl. injected faults).
   void write(const void* p, std::size_t n);
 
+  /// Moves the end of the file n bytes on without writing them; write_at
+  /// fills the hole before the commit.
+  void skip(std::uint64_t n);
+
+  /// Writes n bytes at `offset`, below the end of the file, which stays
+  /// where it is; the same fault hooks as write() apply.
+  void write_at(std::uint64_t offset, const void* p, std::size_t n);
+
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -49,11 +57,15 @@ class SafeFile {
   /// step succeeded.
   void commit();
 
+  /// The end of the file: every byte appended or skipped.
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return written_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] const std::string& tmp_path() const noexcept { return tmp_path_; }
 
  private:
+  /// pwrite(2) of n bytes at `offset` through the fault hooks.
+  void pwrite_at(std::uint64_t offset, const void* p, std::size_t n);
+
   std::string path_;
   std::string tmp_path_;
   int fd_ = -1;

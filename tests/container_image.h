@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "io/container.h"
 #include "io/safe_file.h"
 
 namespace mpcf::test {
@@ -138,6 +139,31 @@ inline std::vector<std::uint8_t> build_image(const ContainerImage& img) {
   for (const auto& blob : img.blobs) f.insert(f.end(), blob.begin(), blob.end());
   reseal_header(f);
   return f;
+}
+
+/// The image of a container with `header` over `blobs` (their sizes,
+/// offsets and CRCs recomputed): what the library's writer must produce for
+/// the blobs its in-memory encoders return.
+inline std::vector<std::uint8_t> image_of(const io::ContainerHeader& header,
+                                          const std::vector<io::Blob>& blobs) {
+  ContainerImage img;
+  std::memcpy(img.magic.data(), "MPCFCNT1", 8);
+  img.kind = static_cast<std::uint32_t>(header.kind);
+  img.bx = header.bx;
+  img.by = header.by;
+  img.bz = header.bz;
+  img.bs = header.bs;
+  img.record = header.record;
+  for (const io::Blob& b : blobs) {
+    ImageEntry e;
+    e.raw = b.entry.raw_size;
+    e.ids = b.entry.ids;
+    img.entries.push_back(std::move(e));
+    std::vector<std::uint8_t> bytes;
+    for (const auto& piece : b.pieces) bytes.insert(bytes.end(), piece.begin(), piece.end());
+    img.blobs.push_back(std::move(bytes));
+  }
+  return build_image(img);
 }
 
 }  // namespace mpcf::test

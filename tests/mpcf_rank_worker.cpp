@@ -94,23 +94,10 @@ int main(int argc, char** argv) {
     who = "rank";
     for (const int r : cs.local_ranks()) who.append(1, ' ').append(std::to_string(r));
 
-    // A collective load or save that fails, fails on every rank: each names
-    // its reason, then they leave together, so the launcher's teardown of
-    // the rest once one rank exits cannot cut a report short.
-    const auto together = [&](const auto& io) {
-      try {
-        io();
-        return true;
-      } catch (const TransportError&) {
-        throw;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mpcf_rank_worker (%s): %s\n", who.c_str(), e.what());
-        cs.comm().barrier();
-        return false;
-      }
-    };
+    // A collective load or save that fails, fails on every rank: each
+    // names its reason below and exits 1.
     if (!load.empty()) {
-      if (!together([&] { cs.load_checkpoint(load); })) return 1;
+      cs.load_checkpoint(load);
     } else if (cs.is_local(0)) {
       // Deterministic two-bubble IC, staged on the root process and
       // scattered; the other processes only receive their boxes.
@@ -129,7 +116,7 @@ int main(int argc, char** argv) {
       if (die_here) ::_exit(3);  // simulated rank crash, mid-run
     }
 
-    if (!out.empty() && !together([&] { (void)cs.save_checkpoint(out); })) return 1;
+    if (!out.empty()) (void)cs.save_checkpoint(out);
   } catch (const TransportError& e) {
     std::fprintf(stderr, "mpcf_rank_worker (%s): transport error: %s\n", who.c_str(),
                  e.what());

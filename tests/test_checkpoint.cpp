@@ -232,24 +232,45 @@ TEST(Checkpoint, ChunkStreamsAreRleBytePlanesOfWholeBlocks) {
 
 TEST(Checkpoint, BytesAndLoadsDoNotDependOnTheWorkerCount) {
   // The chunk partition is a function of the grid shape only: one state
-  // saved on 1, 2 and 4 workers gives one file, and it loads to the same
-  // state on each.
+  // saved on 1, 2, 4 and 8 workers gives one file, and it loads to the same
+  // state on each. The streamed save writes exactly the image of the blobs
+  // the in-memory encoder returns, whatever the order chunks finish in.
   Grid a(2, 2, 1, 32, 1e-3);  // one block of 32^3 per chunk: 4 chunks
   set_ic_serially(a, {{0.4e-3, 0.5e-3, 0.2e-3, 0.3e-3}});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt7.bin";
+  const ContainerHeader header = checkpoint_header(2, 2, 1, 32, 0.5, a.h() * a.cells_x(), 2);
   std::vector<std::uint8_t> first;
-  for (const int workers : {1, 2, 4}) {
+  for (const int workers : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << workers << " workers");
     const Threads scope(workers);
     save_grid_checkpoint(path, a, 0.5, 2);
     const std::vector<std::uint8_t> bytes = read_file(path);
     if (first.empty()) first = bytes;
     EXPECT_TRUE(bytes == first);
+    EXPECT_TRUE(bytes == test::image_of(header, encode_checkpoint(a, global_block_ids(a, 2, 2, 1))));
     Grid b(2, 2, 1, 32, 1e-3);
     load_grid_checkpoint(path, b);
     EXPECT_TRUE(concat_blocks(b) == concat_blocks(a));
   }
   EXPECT_EQ(parse(first).chunks, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, AStreamedSaveOfManyChunksIsTheImageOfTheEncodedBlobs) {
+  // 24 chunks of 9 blocks of 16^3 on up to 8 workers: more chunks than the
+  // window holds, so chunks wait on it and finish out of order.
+  Grid a(6, 6, 6, 16, 1e-3);
+  set_ic_serially(a, {{0.5e-3, 0.5e-3, 0.5e-3, 0.3e-3}});
+  const std::string path = ::testing::TempDir() + "/mpcf_ckpt10.bin";
+  const ContainerHeader header = checkpoint_header(6, 6, 6, 16, 0.25, a.h() * a.cells_x(), 9);
+  for (const int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    const Threads scope(workers);
+    const std::vector<Blob> blobs = encode_checkpoint(a, global_block_ids(a, 6, 6, 6));
+    ASSERT_EQ(blobs.size(), 24u);
+    save_grid_checkpoint(path, a, 0.25, 9);
+    EXPECT_TRUE(read_file(path) == test::image_of(header, blobs));
+  }
   std::remove(path.c_str());
 }
 

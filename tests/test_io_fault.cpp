@@ -387,14 +387,18 @@ TEST_P(ContainerCorruption, OlderVersionsAndOtherKindsAreRefusedByName) {
 }
 
 TEST_P(ContainerCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
+  // A full disk at every write call in turn: each piece of every blob, then
+  // the header and directory, written last.
   FaultGuard guard;
   Simulation changed = make_chunked_sim(1);
   changed.restore_clock(5e-7, 5);
+  long calls = 0;  // write calls of one save
   for (long nth = 0;; ++nth) {
     io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
     try {
       save(changed);
       EXPECT_FALSE(io::fault::fired());
+      calls = nth;
       break;  // nth beyond the write-call count: healthy save, matrix done
     } catch (const IoError&) {
       EXPECT_TRUE(io::fault::fired());
@@ -402,9 +406,11 @@ TEST_P(ContainerCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
       expect_original();  // atomicity: the committed file is untouched
     }
   }
+  // At least one write per blob, and one for the header and directory.
+  EXPECT_GT(calls, static_cast<long>(image_.entries.size()));
   // A persistent fault (a disk that stays full) from every write call on.
   spit(path_, bytes_);
-  for (long nth = 0; nth < 4; ++nth) {
+  for (long nth = 0; nth < calls; ++nth) {
     io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0, /*sticky=*/true});
     EXPECT_THROW(save(changed), IoError) << "sticky ENOSPC from write " << nth;
     io::fault::disarm();
@@ -414,24 +420,42 @@ TEST_P(ContainerCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
 }
 
 TEST_P(ContainerCorruption, TornWriteLeavesTempBehindAndOldFileIntact) {
-  // A crash in every write call in turn: the header and directory, and each
-  // piece of every blob.
+  // A crash in every write call in turn: each piece of every blob, then the
+  // header and directory.
   FaultGuard guard;
   const Simulation changed = make_chunked_sim(1);
+  std::vector<std::uint8_t> last_temp;  // left by the crash in the last write call
+  long calls = 0;
   for (long nth = 0;; ++nth) {
     io::fault::arm({io::fault::Kind::kTornWrite, nth, 0, 0});
     try {
       save(changed);
       EXPECT_FALSE(io::fault::fired());
+      calls = nth;
       break;  // nth beyond the write-call count: healthy save, matrix done
     } catch (const IoError&) {
       EXPECT_TRUE(io::fault::fired());
       EXPECT_TRUE(fs::exists(path_ + ".tmp")) << "nth=" << nth << ": a crash leaves the temp file";
+      last_temp = slurp(path_ + ".tmp");
       expect_original();  // final path: still the old version
     }
   }
   // The healthy save simply overwrote the stale temp.
   EXPECT_FALSE(fs::exists(path_ + ".tmp"));
+  EXPECT_GT(calls, static_cast<long>(image_.entries.size()));
+  // The last write call is the header and directory, in one positional
+  // write after every blob: its crash leaves all blob bytes in place, half
+  // the head written, and the rest of the head a hole of zeros.
+  const std::vector<std::uint8_t> good = slurp(path_);
+  const std::size_t head = blob_area(good);
+  ASSERT_EQ(last_temp.size(), good.size());
+  EXPECT_TRUE(std::equal(good.begin() + static_cast<std::ptrdiff_t>(head), good.end(),
+                         last_temp.begin() + static_cast<std::ptrdiff_t>(head)));
+  EXPECT_TRUE(std::equal(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(head / 2),
+                         last_temp.begin()));
+  EXPECT_TRUE(std::all_of(last_temp.begin() + static_cast<std::ptrdiff_t>(head / 2),
+                          last_temp.begin() + static_cast<std::ptrdiff_t>(head),
+                          [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST_P(ContainerCorruption, InjectedPostCommitCorruptionIsDetected) {

@@ -196,6 +196,35 @@ TEST(PipelineDump, WritesTheContainerWithTheWaveletPayload) {
   std::remove(path.c_str());
 }
 
+TEST(PipelineDump, StreamedFileIsTheImageOfTheInMemoryStreams) {
+  // The streamed dump writes each stream once it and every stream before it
+  // are encoded, 4 chunks per worker through a window of 2 per worker: its
+  // bytes are the image of the streams compress_quantity_pipelined returns,
+  // at every worker count, and its stats account for what it wrote.
+  const Grid g = make_grid();
+  const std::string path = ::testing::TempDir() + "/mpcf_pipe_streamed.cq";
+  for (const int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    PipelineStats stats;
+    const double rate = dump_quantity_pipelined(g, make_params(workers), path, &stats);
+    CompressedQuantity cq = compress_quantity_pipelined(g, make_params(workers));
+    EXPECT_DOUBLE_EQ(rate, cq.compression_rate());
+    EXPECT_EQ(stats.chunks, static_cast<int>(cq.streams.size()));
+    EXPECT_EQ(stats.workers, workers);
+    EXPECT_EQ(stats.worker_times.size(), static_cast<std::size_t>(workers));
+    EXPECT_EQ(stats.compressed_bytes, cq.compressed_bytes());
+    EXPECT_EQ(stats.uncompressed_bytes, cq.uncompressed_bytes());
+    EXPECT_GT(stats.write_seconds, 0.0);
+    const io::ContainerHeader header = io::dump_header(cq);
+    std::vector<io::Blob> blobs;
+    for (auto& stream : cq.streams) blobs.push_back(io::stream_blob(std::move(stream)));
+    const std::vector<std::uint8_t> bytes = io::read_file(path);
+    EXPECT_EQ(bytes.size(), stats.bytes_written);
+    EXPECT_TRUE(bytes == test::image_of(header, blobs));
+  }
+  std::remove(path.c_str());
+}
+
 // --- Parameter validation -------------------------------------------------
 
 TEST(PipelineValidation, NegativeWorkerCountIsNamed) {

@@ -7,6 +7,7 @@
 // messages, atomic try_recv, bitwise-deterministic collectives, recv-timeout
 // errors that name the flow, and abort flags that break blocked waits.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -135,6 +136,21 @@ TEST_P(TransportConformance, LargeMessageSurvivesChunkingBitExactly) {
   receiver.join();
 }
 
+TEST_P(TransportConformance, MessageLargerThanTheRingThenAnEmptyOneOnTheSameFlow) {
+  // 256 KiB through 64 KiB rings, then a zero-length message on the same
+  // flow: the partial message of the first must not leak into the second.
+  World w(GetParam(), 2);
+  std::vector<float> big(std::size_t{1} << 16);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<float>(i) * 0.5f;
+  std::thread receiver([&w, &big] {
+    EXPECT_EQ(w.at(1).recv(0, 1, 9), big);
+    EXPECT_TRUE(w.at(1).recv(0, 1, 9).empty());
+  });
+  w.at(0).send(0, 1, 9, big);
+  w.at(0).send(0, 1, 9, {});
+  receiver.join();
+}
+
 TEST_P(TransportConformance, SelfSendDeliversWithoutDeadlock) {
   World w(GetParam(), 2);
   w.at(0).send(0, 0, 7, {42.0f});
@@ -260,6 +276,29 @@ TEST(ShmTransport, BarrierSequencesAllRanks) {
     }
   });
   EXPECT_FALSE(violated.load());
+}
+
+TEST(ShmTransport, ADeliveredMessageLeavesNoBufferBehind) {
+  // A 32 MiB message through 1 MiB rings, received and dropped: the heap in
+  // use (malloc'd bytes plus mmapped chunks) must come back to where it
+  // was, so no receive buffer outlives its message.
+  World w(Backend::kShm, 2, std::size_t{1} << 20);
+  const auto heap_in_use = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd);
+  };
+  const std::size_t floats = std::size_t{8} << 20;
+  const double before = heap_in_use();
+  {
+    std::thread sender([&w, floats] { w.at(0).send(0, 1, 4, std::vector<float>(floats, 1.5f)); });
+    const std::vector<float> m = w.at(1).recv(0, 1, 4);
+    sender.join();
+    ASSERT_EQ(m.size(), floats);
+    EXPECT_EQ(m.front(), 1.5f);
+    EXPECT_EQ(m.back(), 1.5f);
+  }
+  EXPECT_LT(heap_in_use() - before, 1048576.0)
+      << "heap in use " << before / 1048576.0 << " -> " << heap_in_use() / 1048576.0 << " MiB";
 }
 
 TEST(ShmTransport, AbortedSegmentBreaksBlockedRecvQuickly) {

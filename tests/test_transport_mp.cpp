@@ -227,5 +227,54 @@ TEST(MultiProcess, FailedSaveFailsEveryRankWithinTheTimeout) {
   std::remove(err.c_str());
 }
 
+TEST(MultiProcess, EveryRankFailingASaveReportsEveryReason) {
+  // The root cannot open the file, and the others learn of it through the
+  // agreement: every rank prints its reason and exits 1. The launcher flags
+  // the segment at the first exit, then lets the rest leave by themselves,
+  // so all four reasons appear and no rank is reported killed.
+  const std::string dir = ::testing::TempDir();
+  const std::string err = dir + "/mp_allfail.err";
+  const std::string out = dir + "/mp_no_such_dir/mp_allfail.ckpt";
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = run_cmd(std::string(MPCF_RUN_PATH) + " -n 4 --timeout-ms 60000 " +
+                         worker("2,2,1", "--steps 1 --out " + out) + " 2>" + err);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_NE(rc, 0);
+  EXPECT_LT(waited, 20.0) << "a rank waited for the receive timeout";
+  const auto log_bytes = io::read_file(err);
+  const std::string log(log_bytes.begin(), log_bytes.end());
+  EXPECT_NE(log.find("(rank 0): SafeFile: cannot open"), std::string::npos) << log;
+  for (int r = 1; r < 4; ++r)
+    EXPECT_NE(log.find("(rank " + std::to_string(r) + "): save_checkpoint: failed on another"),
+              std::string::npos)
+        << log;
+  for (int r = 0; r < 4; ++r)
+    EXPECT_NE(log.find("rank " + std::to_string(r) + " exited with status 1"), std::string::npos)
+        << log;
+  EXPECT_EQ(log.find("killed by signal"), std::string::npos) << log;
+  std::remove(err.c_str());
+}
+
+TEST(MultiProcess, APeerThatNeverCallsTheTransportIsEndedAfterTheGrace) {
+  // Rank 1 fails at once; rank 0 sleeps and never calls the transport, so
+  // no abort flag can reach it: the launcher ends it with SIGTERM once its
+  // grace is over, long before the sleep would.
+  const std::string err = ::testing::TempDir() + "/mp_sleeper.err";
+  const auto t0 = std::chrono::steady_clock::now();
+  const int rc = run_cmd(std::string(MPCF_RUN_PATH) +
+                         " -n 2 -- sh -c 'test \"$MPCF_RANK\" = 0 && exec sleep 60; exit 3' 2>" +
+                         err);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_NE(rc, 0);
+  EXPECT_LT(waited, 20.0) << "the launcher left a peer running";
+  const auto log_bytes = io::read_file(err);
+  const std::string log(log_bytes.begin(), log_bytes.end());
+  EXPECT_NE(log.find("rank 1 exited with status 3"), std::string::npos) << log;
+  EXPECT_NE(log.find("rank 0 killed by signal 15"), std::string::npos) << log;
+  std::remove(err.c_str());
+}
+
 }  // namespace
 }  // namespace mpcf

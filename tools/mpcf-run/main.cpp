@@ -2,9 +2,13 @@
 // the shm segment, forks one process per rank with the transport environment
 // (MPCF_TRANSPORT=shm, MPCF_SHM_NAME, MPCF_RANK, MPCF_NRANKS) exported, and
 // reaps them. If any rank exits nonzero or dies on a signal, the segment is
-// flagged aborted — every peer blocked in the transport converts that flag
-// into a TransportError within one poll slice — and the remaining ranks get
-// SIGTERM, so a dead rank surfaces as a diagnosed error, never a hang.
+// flagged aborted at once — every peer blocked in the transport converts that
+// flag into a TransportError within one poll slice — and the ranks get a
+// fixed grace to exit by themselves, so ranks that agreed on a failure finish
+// printing their reasons. Ranks still alive after it (a peer that never
+// calls the transport again) get SIGTERM, so a dead rank surfaces as a
+// diagnosed error, never a hang. Every child is reaped before the launcher
+// exits.
 //
 //   mpcf-run -n N [--ring-bytes B] [--timeout-ms T] [--] prog [args...]
 #include <signal.h>
@@ -12,15 +16,22 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/transport_shm.h"
 
 namespace {
+
+/// How long the ranks get to exit by themselves once one has failed. Ranks
+/// that agreed on a failure leave within milliseconds, and a peer blocked in
+/// the transport within one 20 ms poll slice.
+constexpr std::chrono::seconds kGrace{2};
 
 volatile sig_atomic_t g_interrupted = 0;
 void on_signal(int) { g_interrupted = 1; }
@@ -99,19 +110,31 @@ int main(int argc, char** argv) {
   }
 
   int failures = 0;
-  bool aborted = false;
+  bool aborted = false;      // the segment is flagged; the grace runs
+  bool terminated = false;   // the grace is over; the survivors got SIGTERM
+  std::chrono::steady_clock::time_point deadline;
   const auto abort_peers = [&] {
     if (aborted) return;
     aborted = true;
     mpcf::cluster::ShmTransport::mark_aborted(seg);
-    for (const pid_t pid : pids)
-      if (pid > 0 && ::kill(pid, 0) == 0) ::kill(pid, SIGTERM);
+    deadline = std::chrono::steady_clock::now() + kGrace;
   };
 
   int live = nranks;
   while (live > 0) {
     int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
+    // During the grace, poll, so the deadline is kept; otherwise block.
+    const pid_t pid = ::waitpid(-1, &status, aborted && !terminated ? WNOHANG : 0);
+    if (pid == 0) {
+      if (std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      terminated = true;
+      for (const pid_t p : pids)
+        if (p > 0) ::kill(p, SIGTERM);
+      continue;
+    }
     if (pid < 0) {
       if (errno == EINTR) {
         if (g_interrupted) abort_peers();
