@@ -6,13 +6,15 @@
 //
 // --json [path] switches to the I/O pipeline sweep: end-to-end dump
 // throughput (GB/s of solver data retired to disk) and compression ratio
-// versus pipeline worker count {1, 2, 4}, for both dumped quantities (p and
-// Gamma, at Simulation::dump's thresholds) through the one entropy stage,
-// written as one JSON document (BENCH_io.json by default) under the host
-// header BENCH_scaling.json carries. Worker counts
-// beyond the machine's cores are still measured but flagged — on an
-// undersubscribed box the scaling curve flattens for honest hardware
-// reasons, not pipeline ones.
+// versus the thread count {1, 2, 4} the pipeline runs on (set through
+// omp_set_num_threads), for both dumped quantities (p and Gamma, at
+// Simulation::dump's thresholds) through the one entropy stage, written as
+// one JSON document (BENCH_io.json by default) under the host header
+// BENCH_scaling.json carries. Worker counts beyond the machine's cores are
+// still measured but flagged — on an undersubscribed box the scaling curve
+// flattens for honest hardware reasons, not pipeline ones.
+#include <omp.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,8 +43,12 @@ struct Quantity {
   compression::CompressionParams params;
 };
 
-SweepPoint measure_dump(const Grid& grid, compression::CompressionParams p, int workers) {
-  p.workers = workers;
+/// One dump's sweep point on `workers` threads (the pipeline's width is the
+/// caller's omp_get_max_threads(); the previous width is restored).
+SweepPoint measure_dump(const Grid& grid, const compression::CompressionParams& p,
+                        int workers) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(workers);
   const std::string path = "/tmp/mpcf_bench_io.cq";
 
   SweepPoint pt;
@@ -56,6 +62,7 @@ SweepPoint measure_dump(const Grid& grid, compression::CompressionParams p, int 
              static_cast<double>(stats.compressed_bytes);
   pt.file_bytes = stats.bytes_written;
   std::remove(path.c_str());
+  omp_set_num_threads(saved);
   return pt;
 }
 

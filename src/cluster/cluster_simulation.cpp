@@ -452,14 +452,14 @@ void ClusterSimulation::advance_fused(double dt) {
     perf::TraceSpan membership(
         tracer_, halo ? perf::TracePhase::kHalo : perf::TracePhase::kInterior, r);
     perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
-    sims_[r]->rhs_tile(LsRk3::a[stage], tile, tid);
+    sims_[r]->rhs_stage(stage, tile, tid);
   };
   hooks.update = [this, dt](int stage, int plan, int tile, int) {
     const int r = local_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
-    sims_[r]->update_tile(LsRk3::b[stage] * dt, tile);
-    // The positivity guard, before the sos hook folds the tile's speed.
-    if (stage == LsRk3::kStages - 1) sims_[r]->guard_tile(tile);
+    // The final stage runs the positivity guard, before the sos hook folds
+    // the tile's speed.
+    sims_[r]->update_stage(stage, dt, tile);
   };
   hooks.sos = [this](int plan, int tile, double& acc) {
     sims_[local_[static_cast<std::size_t>(plan)]]->accumulate_tile_speed(tile, acc);
@@ -500,6 +500,7 @@ void ClusterSimulation::advance_fused(double dt) {
       prof.dt += wall * t.sos / total;
     }
     sim.end_fused_step(vmax[p]);
+    sim.advance_clock(dt);
   }
   time_ += dt;
   ++steps_;
@@ -516,16 +517,18 @@ void ClusterSimulation::advance(double dt) {
     exchange_halos();
     for (const int r : local_) {
       perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
-      sims_[r]->evaluate_rhs(LsRk3::a[s]);
+      sims_[r]->rhs_sweep(s);
     }
     for (const int r : local_) {
       perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
-      sims_[r]->update(LsRk3::b[s] * dt);
+      sims_[r]->update_sweep(s, dt);
     }
   }
-  for (const int r : local_)
+  for (const int r : local_) {
     if (sims_[r]->params().rho_floor > 0 || sims_[r]->params().p_floor > 0)
       sims_[r]->apply_positivity_guard();
+    sims_[r]->advance_clock(dt);
+  }
   time_ += dt;
   ++steps_;
 }
@@ -605,27 +608,23 @@ std::vector<std::uint32_t> ClusterSimulation::rank_block_ids(int r) const {
                               box.oz / bs_);
 }
 
-std::uint64_t ClusterSimulation::write_collective(
-    const std::string& path, const io::ContainerHeader& header, const std::string& what,
-    const std::function<std::vector<io::Blob>(int)>& encode) const {
-  // Each local rank encodes its own blocks under their global ids.
+std::uint64_t ClusterSimulation::write_collective(const std::string& path,
+                                                  const io::ContainerHeader& header,
+                                                  const std::string& what,
+                                                  const std::vector<io::BlobPlan>& plans) const {
   std::exception_ptr error;
-  std::vector<io::Blob> mine;  // this process's ranks, in rank order
-  attempt(error, [&] {
-    for (const int r : local_) {
-      std::vector<io::Blob> blobs = encode(r);
-      for (io::Blob& b : blobs) mine.push_back(std::move(b));
-    }
-  });
-
   std::uint64_t bytes = 0;
   if (static_cast<int>(local_.size()) == topo_.size()) {
-    // Every rank in this process, the node layer's one-rank case included.
-    attempt(error, [&] { bytes = io::write_container(path, header, mine); });
+    // Every rank in this process, the node layer's one-rank case included:
+    // the ranks' plans stream through the one save path in rank order.
+    attempt(error, [&] { bytes = io::save_container(path, header, plans); });
     agree(comm_, local_.size(), what, error);
     return bytes;
   }
   require(local_.size() == 1, what + ": a collective write drives one rank per process");
+  // Each process encodes its rank's blocks under their global ids.
+  std::vector<io::Blob> mine;
+  attempt(error, [&] { mine = io::encode_blobs(plans.front()); });
   const int me = local_.front();
   if (me != 0) {
     // Directory entries first, then one blob per word from the root, piece
@@ -689,10 +688,12 @@ std::uint64_t ClusterSimulation::write_collective(
 
 std::uint64_t ClusterSimulation::save_checkpoint(const std::string& path) const {
   const double extent = front_sim().grid().h() * (gbx_ * bs_);  // as the node layer has it
+  std::vector<io::BlobPlan> plans;
+  for (const int r : local_)
+    plans.push_back(io::checkpoint_plan(sims_[r]->grid(), rank_block_ids(r)));
   return write_collective(
       path, io::checkpoint_header(gbx_, gby_, gbz_, bs_, time_, extent, steps_),
-      "save_checkpoint",
-      [this](int r) { return io::encode_checkpoint(sims_[r]->grid(), rank_block_ids(r)); });
+      "save_checkpoint", plans);
 }
 
 void ClusterSimulation::load_checkpoint(const std::string& path) {
@@ -747,31 +748,20 @@ Diagnostics ClusterSimulation::diagnostics(double G_vapor, double G_liquid) cons
   per.reserve(local_.size());
   for (const int r : local_) per.push_back(sims_[r]->diagnostics(G_vapor, G_liquid));
 
+  // Component-wise collectives: sums in rank order from zero, so the totals
+  // do not depend on how the ranks are spread over processes.
+  const auto field = [&](double Diagnostics::* m) {
+    std::vector<double> v(per.size());
+    for (std::size_t i = 0; i < per.size(); ++i) v[i] = per[i].*m;
+    return v;
+  };
   Diagnostics total;
-  if (static_cast<int>(local_.size()) == topo_.size()) {
-    for (const Diagnostics& d : per) {
-      total.max_p_field = std::max(total.max_p_field, d.max_p_field);
-      total.max_p_wall = std::max(total.max_p_wall, d.max_p_wall);
-      total.kinetic_energy += d.kinetic_energy;
-      total.total_energy += d.total_energy;
-      total.mass += d.mass;
-      total.vapor_volume += d.vapor_volume;
-    }
-  } else {
-    // Multi-process: component-wise collectives; the rank-order sum keeps
-    // the result bitwise-identical to the in-process accumulation.
-    const auto field = [&](double Diagnostics::* m) {
-      std::vector<double> v(per.size());
-      for (std::size_t i = 0; i < per.size(); ++i) v[i] = per[i].*m;
-      return v;
-    };
-    total.max_p_field = comm_.allreduce_max(field(&Diagnostics::max_p_field));
-    total.max_p_wall = comm_.allreduce_max(field(&Diagnostics::max_p_wall));
-    total.kinetic_energy = comm_.allreduce_sum(field(&Diagnostics::kinetic_energy));
-    total.total_energy = comm_.allreduce_sum(field(&Diagnostics::total_energy));
-    total.mass = comm_.allreduce_sum(field(&Diagnostics::mass));
-    total.vapor_volume = comm_.allreduce_sum(field(&Diagnostics::vapor_volume));
-  }
+  total.max_p_field = comm_.allreduce_max(field(&Diagnostics::max_p_field));
+  total.max_p_wall = comm_.allreduce_max(field(&Diagnostics::max_p_wall));
+  total.kinetic_energy = comm_.allreduce_sum(field(&Diagnostics::kinetic_energy));
+  total.total_energy = comm_.allreduce_sum(field(&Diagnostics::total_energy));
+  total.mass = comm_.allreduce_sum(field(&Diagnostics::mass));
+  total.vapor_volume = comm_.allreduce_sum(field(&Diagnostics::vapor_volume));
   total.equivalent_radius = std::cbrt(3.0 * total.vapor_volume / (4.0 * M_PI));
   return total;
 }
@@ -782,20 +772,20 @@ std::uint64_t ClusterSimulation::dump_collective(const std::string& path,
       {.bx = gbx_, .by = gby_, .bz = gbz_, .block_size = bs_, .levels = wavelet::max_levels(bs_),
        .eps = params.eps, .derived_pressure = params.derive_pressure, .quantity = params.quantity,
        .streams = {}});
-  return write_collective(path, header, "dump_collective", [&](int r) {
-    perf::TraceSpan span(tracer_, perf::TracePhase::kDump, r);
-    // Each rank compresses through the pipelined stage graph; its streams
-    // keep block-id order and carry their blocks' global ids.
-    compression::CompressedQuantity cq =
-        compression::compress_quantity_pipelined(sims_[r]->grid(), params);
-    const std::vector<std::uint32_t> ids = rank_block_ids(r);
-    std::vector<io::Blob> blobs;
-    for (auto& stream : cq.streams) {
-      for (auto& id : stream.block_ids) id = ids[id];
-      blobs.push_back(io::stream_blob(std::move(stream)));
-    }
-    return blobs;
-  });
+  // Each rank's grid is one plan of pipelined streams under its blocks'
+  // global ids; the plans share one set of worker buffers.
+  compression::DumpWorkers workers;
+  std::vector<io::BlobPlan> plans;
+  for (const int r : local_) {
+    io::BlobPlan plan =
+        compression::dump_plan(sims_[r]->grid(), params, rank_block_ids(r), workers);
+    plan.encode = [this, r, encode = std::move(plan.encode)](int c, int w) {
+      perf::TraceSpan span(tracer_, perf::TracePhase::kDump, r);
+      return encode(c, w);
+    };
+    plans.push_back(std::move(plan));
+  }
+  return write_collective(path, header, "dump_collective", plans);
 }
 
 StepProfile ClusterSimulation::profile() const {

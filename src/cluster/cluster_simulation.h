@@ -20,7 +20,6 @@
 // touches a sibling rank's grid directly.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -177,12 +176,14 @@ class ClusterSimulation {
   [[nodiscard]] const Simulation& front_sim() const { return *sims_[local_.front()]; }
   /// Global block id of each block of local rank r's grid.
   [[nodiscard]] std::vector<std::uint32_t> rank_block_ids(int r) const;
-  /// The collective container write: each local rank r encodes its blobs
-  /// (`encode(r)`), the process holding rank 0 writes every rank's in rank
-  /// order, and a write that fails on any process throws on every process.
+  /// The collective container write of `plans`, one per local rank in rank
+  /// order. In-process, io::save_container streams them into the file;
+  /// across processes each process encodes its rank's plan and the process
+  /// holding rank 0 writes every rank's blobs in rank order. A write that
+  /// fails on any process throws on every process.
   std::uint64_t write_collective(const std::string& path, const io::ContainerHeader& header,
                                  const std::string& what,
-                                 const std::function<std::vector<io::Blob>(int)>& encode) const;
+                                 const std::vector<io::BlobPlan>& plans) const;
 
   CartTopology topo_;
   mutable SimComm comm_;  ///< mutable: const collectives (gather, save) send

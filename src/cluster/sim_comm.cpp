@@ -81,10 +81,6 @@ bool SimComm::try_recv(int src, int dst, int tag, std::vector<float>& out) {
   return got;
 }
 
-bool SimComm::probe(int src, int dst, int tag) const {
-  return transport_->probe(src, dst, tag);
-}
-
 double SimComm::allreduce_max(const std::vector<double>& contributions) const {
   {
     const LockGuard lock(mu_);

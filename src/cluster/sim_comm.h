@@ -46,12 +46,8 @@ class SimComm {
   [[nodiscard]] std::vector<float> recv(int src, int dst, int tag);
 
   /// Atomic non-blocking receive: pops into `out` iff a message is waiting.
-  /// Safe under concurrent drains of one flow, unlike probe()+recv().
+  /// Safe under concurrent drains of one flow.
   bool try_recv(int src, int dst, int tag, std::vector<float>& out);
-
-  /// True if a message from (src, tag) is waiting at dst (advisory under
-  /// concurrency — prefer try_recv).
-  [[nodiscard]] bool probe(int src, int dst, int tag) const;
 
   /// Max-allreduce over contributions of this process's local ranks, in
   /// local_ranks() order (the DT reduction).

@@ -9,10 +9,11 @@
 //                        launched by tools/mpcf-run.
 //
 // The contract mirrors non-blocking MPI point-to-point plus the two
-// collectives the solver needs (max-allreduce for DT, exclusive scan for the
-// collective dump offsets) and a barrier. Ranks are global; a transport
-// instance can act only for its local_ranks(): send requires a local src,
-// recv/try_recv/probe a local dst, and collectives take one contribution per
+// collectives the solver needs (max-allreduce for DT and the diagnostics
+// maxima, rank-order sum-allreduce for the diagnostics sums) and a barrier.
+// Ranks are global; a transport instance can act only for its
+// local_ranks(): send requires a local src, recv/try_recv a local dst, and
+// collectives take one contribution per
 // local rank (in local_ranks() order) and return results for exactly those
 // ranks. On the in-memory backend every rank is local, which makes the
 // all-rank vector collectives of the original SimComm a special case of the
@@ -108,13 +109,9 @@ class Transport {
   [[nodiscard]] virtual std::vector<float> recv(int src, int dst, int tag) = 0;
 
   /// Atomic non-blocking matched receive: pops into `out` iff a message is
-  /// waiting; never throws on an empty flow. Unlike probe()+recv(), this is
-  /// a single operation — safe under concurrent drains of the same flow.
+  /// waiting; never throws on an empty flow. A single operation, so safe
+  /// under concurrent drains of the same flow.
   virtual bool try_recv(int src, int dst, int tag, std::vector<float>& out) = 0;
-
-  /// True if a message of the flow is waiting (advisory: may be consumed by
-  /// a concurrent try_recv before a follow-up call — prefer try_recv).
-  [[nodiscard]] virtual bool probe(int src, int dst, int tag) = 0;
 
   /// Max-allreduce: one contribution per local rank (local_ranks() order);
   /// returns the global maximum (identical bit pattern on every rank).

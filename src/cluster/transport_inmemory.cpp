@@ -73,12 +73,6 @@ bool InMemoryTransport::try_recv(int src, int dst, int tag, std::vector<float>& 
   return true;
 }
 
-bool InMemoryTransport::probe(int src, int dst, int tag) {
-  const LockGuard lock(mu_);
-  const auto it = mailboxes_.find(Key{src, dst, tag});
-  return it != mailboxes_.end() && !it->second.empty();
-}
-
 double InMemoryTransport::allreduce_max(const std::vector<double>& contributions) {
   require(static_cast<int>(contributions.size()) == nranks_,
           "InMemoryTransport::allreduce_max: one contribution per rank required");

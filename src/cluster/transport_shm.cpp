@@ -514,15 +514,6 @@ bool ShmTransport::try_recv(int src, int dst, int tag, std::vector<float>& out) 
   return true;
 }
 
-bool ShmTransport::probe(int src, int dst, int tag) {
-  require(dst == rank_, "ShmTransport::probe: dst is not the local rank");
-  require(src >= 0 && src < seg_->nranks, "ShmTransport::probe: src out of range");
-  const LockGuard lock(stage_mu_);
-  pump_locked(src);
-  const auto it = staged_.find(FlowKey{src, tag});
-  return it != staged_.end() && !it->second.empty();
-}
-
 // --- collectives ----------------------------------------------------------
 
 void ShmTransport::barrier() {

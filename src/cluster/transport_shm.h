@@ -80,7 +80,6 @@ class ShmTransport final : public Transport {
   void send(int src, int dst, int tag, std::vector<float> data) override;
   [[nodiscard]] std::vector<float> recv(int src, int dst, int tag) override;
   bool try_recv(int src, int dst, int tag, std::vector<float>& out) override;
-  [[nodiscard]] bool probe(int src, int dst, int tag) override;
 
   [[nodiscard]] double allreduce_max(const std::vector<double>& contributions) override;
   [[nodiscard]] double allreduce_sum(const std::vector<double>& contributions) override;

@@ -1,26 +1,28 @@
 // The chunk-stealing worker loops shared by the parallel I/O paths: the
-// pipelined dump (compression/pipeline.cpp, DESIGN.md §13) and the
-// checkpoint codec (io/checkpoint.cpp, DESIGN.md §8). Workers take chunk ids
-// off one shared counter, so load balances dynamically over content-
-// dependent chunk costs; the caller makes every chunk's output land in a
-// slot of its own, so results never depend on which worker ran which chunk.
+// one save path (io::save_container, DESIGN.md §8), the pipelined dump
+// (compression/pipeline.cpp, DESIGN.md §13) and the checkpoint codec's
+// loads (io/checkpoint.cpp). Workers take chunk ids off one shared counter,
+// so load balances dynamically over content-dependent chunk costs; the
+// caller makes every chunk's output land in a slot of its own, so results
+// never depend on which worker ran which chunk.
 //
 // for_each_chunk runs every chunk and returns once all are done: loads, and
-// encodes whose results are all kept (a cluster rank's blobs, the in-memory
-// dump). for_each_chunk_ordered is the streamed save's loop: each chunk's
-// result is consumed (written to the file) in chunk order as soon as it and
-// every chunk before it are encoded, and a chunk is handed out only while
-// fewer than chunk_window(workers) = 2 x workers chunks are encoded or being
-// encoded and not yet consumed. A save thus holds at most that many encoded
-// chunks, however large its file. The window is a fixed rule, chosen by
+// encodes whose results are all kept (a multi-process rank's blobs, the
+// in-memory dump). for_each_chunk_ordered is the save's loop, run once, in
+// save_container: each chunk's result is consumed (written to the file) in
+// chunk order as soon as it and every chunk before it are encoded, and a
+// chunk is handed out only while fewer than chunk_window(workers) =
+// 2 x workers chunks are encoded or being encoded and not yet consumed. A
+// save thus holds at most that many encoded chunks, however large its file
+// and however many ranks' plans it streams. The window is a fixed rule, chosen by
 // measurement (DESIGN.md §8): on cloud_job's 12.3 MB checkpoint at 4
 // threads a save through it takes 81-87 ms and raises the peak RSS by
 // ~4 MiB, and encoding `workers` chunks, writing them and repeating
 // measured 10-15 % slower than the window.
 //
 // Workers are plain std::threads plus the calling thread, not an OpenMP
-// team: both callers run between the solver's parallel regions, and the
-// dump sizes its pool independently of the solver's team.
+// team: every caller runs between the solver's parallel regions. Callers
+// size the pool from omp_get_max_threads().
 #pragma once
 
 #include <functional>

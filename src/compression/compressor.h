@@ -5,8 +5,9 @@
 //   per chunk:   concatenation of the surviving coefficient cubes of a run
 //                of blocks, lossless encoding of the whole stream: sparse
 //                significance coder, then zlib (ENC)
-//   per rank:    the encoded streams, written collectively into one file
-//                (io/compressed_file.h, ClusterSimulation::dump_collective)
+//   per rank:    the chunks as one blob plan, every rank's plan streamed
+//                into one file (compression/pipeline.h, io/container.h,
+//                ClusterSimulation::dump_collective)
 //
 // The compressor is compression/pipeline.h (DESIGN.md §13). Dumps are
 // performed for one quantity at a time (pressure and Gamma in the production
@@ -23,8 +24,9 @@
 namespace mpcf::compression {
 
 /// The wavelet transform always runs to the coarsest level the block size
-/// allows, and the entropy stage is fixed (encode_stream), so the only
-/// choices are what to dump, how hard to decimate and how many workers.
+/// allows, the entropy stage is fixed (encode_stream), and a dump runs on
+/// the caller's omp_get_max_threads() workers, so the only choices are what
+/// to dump and how hard to decimate.
 struct CompressionParams {
   float eps = 1e-2f;  ///< decimation threshold
   wavelet::ThresholdMode mode = wavelet::ThresholdMode::kUniform;
@@ -32,9 +34,6 @@ struct CompressionParams {
   /// pressure; the paper dumps p and Gamma.
   bool derive_pressure = false;  ///< if true, `quantity` is ignored: dump p
   int quantity = Q_G;
-  /// Transform/encode worker threads (0 = one per available core; negative
-  /// counts are rejected).
-  int workers = 0;
 };
 
 /// Per-worker wall-clock split of one dump (paper Table 4 / Fig. 7-right).

@@ -14,61 +14,66 @@ namespace mpcf::compression {
 
 namespace {
 
-int resolve_workers(const CompressionParams& params) {
-  require(params.workers >= 0, "CompressionParams: negative worker count " +
-                                   std::to_string(params.workers));
-  return params.workers > 0 ? params.workers : omp_get_max_threads();
-}
-
 /// Inclusive-balanced contiguous split: chunk c covers
 /// [c*n/k, (c+1)*n/k) — deterministic, gap-free, sizes differ by at most 1.
 int chunk_begin(int blocks, int nchunks, int c) {
   return static_cast<int>(static_cast<std::int64_t>(blocks) * c / nchunks);
 }
 
-/// A dump's stage graph: the shape record, and chunk c as FWT + decimation
-/// of its blocks' cubes into the worker's scratch, then the entropy stage.
-/// Workers steal chunk *indices* (dynamic load balance: encode cost is
-/// content-dependent), but chunk c's stream always goes to slot c of the
-/// dump, so the file layout never depends on the schedule.
-struct ChunkPlan {
-  const Grid& grid;
-  const CompressionParams& params;
-  int requested;
-  int chunks;
-  int workers;
-  std::vector<std::vector<float>> scratch;  ///< one cube buffer per worker
-  std::vector<WorkerTimes> clocks;          ///< per worker
+/// A node grid's block ids: its own block order.
+std::vector<std::uint32_t> own_ids(const Grid& grid) {
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(grid.block_count()));
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
 
-  ChunkPlan(const Grid& g, const CompressionParams& p)
-      : grid(g),
-        params(p),
-        requested(resolve_workers(p)),
-        chunks(pipeline_chunk_count(g.block_count(), requested)),
-        workers(chunk_workers(chunks, requested)),
-        scratch(static_cast<std::size_t>(workers)),
-        clocks(static_cast<std::size_t>(workers)) {}
+/// The dump's fields; no streams.
+CompressedQuantity shape_of(const Grid& grid, const CompressionParams& params) {
+  CompressedQuantity cq;
+  cq.bx = grid.blocks_x();
+  cq.by = grid.blocks_y();
+  cq.bz = grid.blocks_z();
+  cq.block_size = grid.block_size();
+  cq.levels = wavelet::max_levels(grid.block_size());
+  cq.eps = params.eps;
+  cq.derived_pressure = params.derive_pressure;
+  cq.quantity = params.quantity;
+  return cq;
+}
 
-  /// The dump's fields; no streams.
-  [[nodiscard]] CompressedQuantity shape() const {
-    CompressedQuantity cq;
-    cq.bx = grid.blocks_x();
-    cq.by = grid.blocks_y();
-    cq.bz = grid.blocks_z();
-    cq.block_size = grid.block_size();
-    cq.levels = wavelet::max_levels(grid.block_size());
-    cq.eps = params.eps;
-    cq.derived_pressure = params.derive_pressure;
-    cq.quantity = params.quantity;
-    return cq;
-  }
+/// Worker and chunk counts and the per-worker clocks of a one-plan dump.
+void report(const io::BlobPlan& plan, DumpWorkers& workers, PipelineStats* stats) {
+  if (stats == nullptr) return;
+  stats->chunks = static_cast<int>(plan.blobs);
+  stats->workers = chunk_workers(stats->chunks, omp_get_max_threads());
+  workers.clocks.resize(static_cast<std::size_t>(stats->workers));
+  stats->worker_times = std::move(workers.clocks);
+}
 
-  /// Chunk c on worker w.
-  [[nodiscard]] CompressedQuantity::Stream encode(int c, int w) {
+}  // namespace
+
+DumpWorkers::DumpWorkers()
+    : scratch(static_cast<std::size_t>(omp_get_max_threads())),
+      clocks(scratch.size()),
+      stored(scratch.size(), 0) {}
+
+io::BlobPlan dump_plan(const Grid& grid, const CompressionParams& params,
+                       std::vector<std::uint32_t> ids, DumpWorkers& workers) {
+  require(ids.size() == static_cast<std::size_t>(grid.block_count()),
+          "dump_plan: one global id per block required");
+  const int chunks = pipeline_chunk_count(grid.block_count(), omp_get_max_threads());
+  io::BlobPlan plan;
+  plan.blobs = static_cast<std::size_t>(chunks);
+  plan.ids = ids.size();
+  plan.encode = [&grid, &params, &workers, ids = std::move(ids), chunks](int c, int w) {
     const int bs = grid.block_size();
     const int levels = wavelet::max_levels(bs);
     const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
-    std::vector<float>& cubes = scratch[static_cast<std::size_t>(w)];
+    const auto wi = static_cast<std::size_t>(w);
+    require(wi < workers.scratch.size(),
+            "dump_plan: worker " + std::to_string(w) + " of a save wider than its " +
+                std::to_string(workers.scratch.size()) + " DumpWorkers");
+    std::vector<float>& cubes = workers.scratch[wi];
     const int begin = chunk_begin(grid.block_count(), chunks, c);
     const int end = chunk_begin(grid.block_count(), chunks, c + 1);
     cubes.resize(static_cast<std::size_t>(end - begin) * cube_floats);
@@ -81,28 +86,18 @@ struct ChunkPlan {
       wavelet::forward_3d_simd(view, levels);
       wavelet::decimate(view, levels, params.eps, params.mode);
     }
-    clocks[static_cast<std::size_t>(w)].dec += t.seconds();
+    workers.clocks[wi].dec += t.seconds();
 
     t.restart();
     CompressedQuantity::Stream stream;
     encode_stream(cubes.data(), cubes.size(), stream);
-    stream.block_ids.resize(static_cast<std::size_t>(end - begin));
-    std::iota(stream.block_ids.begin(), stream.block_ids.end(),
-              static_cast<std::uint32_t>(begin));
-    clocks[static_cast<std::size_t>(w)].enc += t.seconds();
-    return stream;
-  }
-
-  /// Worker and chunk counts and the per-worker clocks into `stats`.
-  void report(PipelineStats* stats) {
-    if (stats == nullptr) return;
-    stats->workers = workers;
-    stats->chunks = chunks;
-    stats->worker_times = std::move(clocks);
-  }
-};
-
-}  // namespace
+    stream.block_ids.assign(ids.begin() + begin, ids.begin() + end);
+    workers.clocks[wi].enc += t.seconds();
+    workers.stored[wi] += stream.data.size();
+    return io::stream_blob(std::move(stream));
+  };
+  return plan;
+}
 
 int pipeline_chunk_count(int block_count, int workers) {
   if (block_count <= 0) return 0;
@@ -112,13 +107,16 @@ int pipeline_chunk_count(int block_count, int workers) {
 CompressedQuantity compress_quantity_pipelined(const Grid& grid,
                                                const CompressionParams& params,
                                                PipelineStats* stats) {
-  ChunkPlan plan(grid, params);
-  CompressedQuantity cq = plan.shape();
-  cq.streams.resize(static_cast<std::size_t>(plan.chunks));
-  for_each_chunk(plan.chunks, plan.requested, [&](int c, int w) {
-    cq.streams[static_cast<std::size_t>(c)] = plan.encode(c, w);
-  });
-  plan.report(stats);
+  DumpWorkers workers;
+  const io::BlobPlan plan = dump_plan(grid, params, own_ids(grid), workers);
+  CompressedQuantity cq = shape_of(grid, params);
+  for (io::Blob& blob : io::encode_blobs(plan)) {
+    CompressedQuantity::Stream& s = cq.streams.emplace_back();
+    s.block_ids = std::move(blob.entry.ids);
+    s.raw_bytes = blob.entry.raw_size;
+    s.data = std::move(blob.pieces.front());
+  }
+  report(plan, workers, stats);
   if (stats) {
     stats->uncompressed_bytes = cq.uncompressed_bytes();
     stats->compressed_bytes = cq.compressed_bytes();
@@ -128,38 +126,17 @@ CompressedQuantity compress_quantity_pipelined(const Grid& grid,
 
 double dump_quantity_pipelined(const Grid& grid, const CompressionParams& params,
                                const std::string& path, PipelineStats* stats) {
-  ChunkPlan plan(grid, params);
-  const CompressedQuantity cq = plan.shape();
+  DumpWorkers workers;
+  const std::vector<io::BlobPlan> plans{dump_plan(grid, params, own_ids(grid), workers)};
   double write_seconds = 0;
-  std::uint64_t compressed = 0;
-  Timer t;
-  io::ContainerWriter out(path, io::dump_header(cq), static_cast<std::size_t>(plan.chunks),
-                          static_cast<std::uint64_t>(grid.block_count()));
-  write_seconds += t.seconds();
-  // Each stream goes to the file once it and every stream before it are
-  // encoded; stream c waits in slot c % window until then.
-  std::vector<io::Blob> window(static_cast<std::size_t>(chunk_window(plan.workers)));
-  const auto slot = [&](int c) -> io::Blob& {
-    return window[static_cast<std::size_t>(c) % window.size()];
-  };
-  for_each_chunk_ordered(
-      plan.chunks, plan.requested,
-      [&](int c, int w) { slot(c) = io::stream_blob(plan.encode(c, w)); },
-      [&](int c) {
-        const io::Blob blob = std::exchange(slot(c), {});
-        compressed += blob.entry.size;
-        const Timer write;
-        out.append(blob);
-        write_seconds += write.seconds();
-      });
-  t.restart();
-  const std::uint64_t bytes = out.commit();
-  write_seconds += t.seconds();
-
+  const std::uint64_t bytes = io::save_container(path, io::dump_header(shape_of(grid, params)),
+                                                 plans, &write_seconds);
+  const std::uint64_t compressed =
+      std::accumulate(workers.stored.begin(), workers.stored.end(), std::uint64_t{0});
   const std::uint64_t uncompressed = static_cast<std::uint64_t>(grid.block_count()) *
                                      grid.block_size() * grid.block_size() *
                                      grid.block_size() * sizeof(float);
-  plan.report(stats);
+  report(plans.front(), workers, stats);
   if (stats) {
     stats->write_seconds = write_seconds;
     stats->bytes_written = bytes;

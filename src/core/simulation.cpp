@@ -97,7 +97,7 @@ double Simulation::compute_dt() {
   return params_.cfl * grid_.h() / vmax;
 }
 
-void Simulation::evaluate_rhs(double a_coeff) {
+void Simulation::rhs_sweep(int stage) {
   Timer timer;
   ensure_thread_workspaces();
 
@@ -114,10 +114,13 @@ void Simulation::evaluate_rhs(double a_coeff) {
       const double lab_s = lab_timer.seconds();
 #pragma omp atomic
       profile_.lab += lab_s;
-      rhs_from_lab(a_coeff, i, tid);
+      rhs_from_lab(LsRk3::a[stage], i, tid);
     }
   }
   profile_.rhs += timer.seconds();
+#if MPCF_CHECKED
+  verify_state("rhs", stage);
+#endif
 }
 
 void Simulation::assemble_lab(int block_id, int tid) {
@@ -189,8 +192,9 @@ void Simulation::update_tile(double b_dt, int tile) {
   for (const int b : tile_block_ids(tile)) update_one(b_dt, b);
 }
 
-void Simulation::update(double b_dt) {
+void Simulation::update_sweep(int stage, double dt) {
   Timer timer;
+  const double b_dt = LsRk3::b[stage] * dt;
 #pragma omp parallel
   {
     const simd::FlushSubnormals ftz;
@@ -198,6 +202,24 @@ void Simulation::update(double b_dt) {
     for (int i = 0; i < grid_.block_count(); ++i) update_one(b_dt, i);
   }
   profile_.up += timer.seconds();
+#if MPCF_CHECKED
+  verify_state("update", stage);
+#endif
+}
+
+void Simulation::rhs_stage(int stage, int tile, int tid) {
+  rhs_tile(LsRk3::a[stage], tile, tid);
+#if MPCF_CHECKED
+  for (const int b : tile_block_ids(tile)) verify_block("rhs", stage, b);
+#endif
+}
+
+void Simulation::update_stage(int stage, double dt, int tile) {
+  update_tile(LsRk3::b[stage] * dt, tile);
+#if MPCF_CHECKED
+  for (const int b : tile_block_ids(tile)) verify_block("update", stage, b);
+#endif
+  if (stage == LsRk3::kStages - 1) guard_tile(tile);
 }
 
 void Simulation::accumulate_block_speed(int block_id, double& acc) const {
@@ -234,18 +256,11 @@ void Simulation::advance(double dt) {
     return;
   }
   for (int s = 0; s < LsRk3::kStages; ++s) {
-    evaluate_rhs(LsRk3::a[s]);
-#if MPCF_CHECKED
-    verify_state("rhs", s);
-#endif
-    update(LsRk3::b[s] * dt);
-#if MPCF_CHECKED
-    verify_state("update", s);
-#endif
+    rhs_sweep(s);
+    update_sweep(s, dt);
   }
   if (guard_active()) apply_positivity_guard();
-  time_ += dt;
-  ++profile_.steps;
+  advance_clock(dt);
 }
 
 void Simulation::advance_fused(double dt) {
@@ -257,21 +272,8 @@ void Simulation::advance_fused(double dt) {
   // SOS hook then sees: its folded max speed is the post-guard one.
   StepScheduler::Hooks hooks;
   hooks.lab = [this](int, int, int tile, int tid) { assemble_tile(tile, tid); };
-  hooks.rhs = [this](int stage, int, int tile, int tid) {
-    rhs_tile(LsRk3::a[stage], tile, tid);
-#if MPCF_CHECKED
-    for (const int b : tile_block_ids(tile)) verify_block("rhs", stage, b);
-#else
-    (void)stage;
-#endif
-  };
-  hooks.update = [this, dt](int stage, int, int tile, int) {
-    update_tile(LsRk3::b[stage] * dt, tile);
-#if MPCF_CHECKED
-    for (const int b : tile_block_ids(tile)) verify_block("update", stage, b);
-#endif
-    if (stage == LsRk3::kStages - 1) guard_tile(tile);
-  };
+  hooks.rhs = [this](int stage, int, int tile, int tid) { rhs_stage(stage, tile, tid); };
+  hooks.update = [this, dt](int stage, int, int tile, int) { update_stage(stage, dt, tile); };
   hooks.sos = [this](int, int tile, double& acc) { accumulate_tile_speed(tile, acc); };
 
   std::vector<double> vmax;
@@ -293,8 +295,7 @@ void Simulation::advance_fused(double dt) {
   }
 
   end_fused_step(vmax.front());
-  time_ += dt;
-  ++profile_.steps;
+  advance_clock(dt);
 }
 
 long Simulation::clamp_block(Block& b) const {
@@ -390,9 +391,12 @@ void Simulation::verify_block(const char* phase, int stage, int b) const {
       const int ix = static_cast<int>(k) % bs;
       const int iy = (static_cast<int>(k) / bs) % bs;
       const int iz = static_cast<int>(k) / (bs * bs);
-      std::string repro = "mpcf_repro_step" + std::to_string(profile_.steps) +
-                          "_stage" + std::to_string(stage) + "_block" +
-                          std::to_string(b) + ".bin";
+      // A cluster rank's checks name the rank: its blocks are rank-local.
+      const std::string rank = halo_ != nullptr ? "rank " + std::to_string(halo_->rank) : "";
+      std::string repro = "mpcf_repro_" +
+                          (halo_ != nullptr ? "rank" + std::to_string(halo_->rank) + "_" : "") +
+                          "step" + std::to_string(profile_.steps) + "_stage" +
+                          std::to_string(stage) + "_block" + std::to_string(b) + ".bin";
       // Mini-state repro: enough to reload the offending block and re-run
       // the failing sweep in isolation (magic, provenance header, then the
       // block's conserved state and RK accumulator, raw).
@@ -411,7 +415,8 @@ void Simulation::verify_block(const char* phase, int stage, int b) const {
         repro = "<repro dump failed>";
       }
       check::fail(__FILE__, __LINE__, after_rhs ? "finite(tmp)" : "finite(u) && rho>0",
-                  "post-" + std::string(phase) + " state invalid: step " +
+                  "post-" + std::string(phase) + " state invalid: " +
+                      (rank.empty() ? "" : rank + ", ") + "step " +
                       std::to_string(profile_.steps) + ", RK stage " +
                       std::to_string(stage) + ", block " + std::to_string(b) +
                       ", cell (" + std::to_string(ix) + "," + std::to_string(iy) +

@@ -84,6 +84,12 @@ class Simulation {
     profile_.steps = steps;
     invalidate_speed_cache();
   }
+  /// Counts one step of size dt on the clock. The cluster layer ticks its
+  /// ranks' clocks with its own, so their state checks name the step.
+  void advance_clock(double dt) noexcept {
+    time_ += dt;
+    ++profile_.steps;
+  }
 
   /// DT kernel: global reduction of the maximum characteristic velocity.
   [[nodiscard]] double compute_dt();
@@ -99,20 +105,23 @@ class Simulation {
   /// every later lab assembly; null (the default) is the node layer.
   void set_halo_slabs(const HaloSlabs* halo) noexcept { halo_ = halo; }
 
-  /// Evaluates the RHS of every block (one staged sweep).
-  void evaluate_rhs(double a_coeff);
+  /// The staged sweeps of RK stage `stage` (the reference oracle of the
+  /// fused step, at both layers): the RHS of every block, then the update
+  /// of every block for a step of size dt. Each ends with the MPCF_CHECKED
+  /// scan of what it wrote (verify_state).
+  void rhs_sweep(int stage);
+  void update_sweep(int stage, double dt);
 
   /// Grows the per-thread lab/workspace arrays to omp_get_max_threads(),
   /// each holding one block — or, with `tiles`, one tile, the fused step's
   /// unit. Buffers only grow, so a tile-sized lab also serves block loads,
   /// and a simulation that never runs the fused step holds no tile-sized
-  /// buffers. Called automatically by evaluate_rhs and the fused step
+  /// buffers. Called automatically by rhs_sweep and the fused step
   /// (serial context), so raising the OpenMP thread count after
   /// construction is safe; exposed for callers that drive the per-block
   /// (or, with `tiles`, the per-tile) hooks below from their own parallel
   /// regions. Must not be called concurrently with block evaluations.
   void ensure_thread_workspaces(bool tiles = false);
-  void update(double b_dt);
   /// The staged step's positivity guard sweep: clamps every block to the
   /// floors (see Params) and adds the count to clamped_cells.
   void apply_positivity_guard();
@@ -162,6 +171,14 @@ class Simulation {
   void update_tile(double b_dt, int tile);
   /// Folds the max characteristic speed of every block of `tile` into `acc`.
   void accumulate_tile_speed(int tile, double& acc) const;
+  /// RK stage `stage` of one tile as both layers' step graphs run it: the
+  /// RHS from the tile lab thread `tid` assembled, then the MPCF_CHECKED
+  /// check of each block's accumulator.
+  void rhs_stage(int stage, int tile, int tid);
+  /// The update of `tile` in stage `stage` of a step of size dt, the
+  /// MPCF_CHECKED check of each block's state, and in the final stage the
+  /// positivity guard (guard_tile).
+  void update_stage(int stage, double dt, int tile);
   /// Positivity guard of one tile: clamps its blocks like
   /// apply_positivity_guard (nothing when the floors are off) and keeps the
   /// count for end_fused_step. The fused step runs it in each tile's
@@ -182,12 +199,6 @@ class Simulation {
   /// tile_blocks() == 1) under the BCs, built lazily (shared by the node
   /// step graph and the cluster layer's step graph).
   [[nodiscard]] const BlockTopology& step_topology();
-
-#if MPCF_CHECKED
-  /// Per-block slice of verify_state with identical provenance messages
-  /// (the fused path verifies each block as its sweep-equivalent completes).
-  void verify_block(const char* phase, int stage, int block_id) const;
-#endif
 
   /// Compressed data dump of pressure and Gamma (the paper's production
   /// dump set) to `<prefix>_p.cq` / `<prefix>_G.cq`; time is accounted to
@@ -233,9 +244,12 @@ class Simulation {
   /// state after an UPDATE sweep ("update") — for non-finite values and
   /// non-positive density. The first offending cell is dumped as a
   /// mini-state repro file (block data + tmp, raw) and reported via
-  /// CheckError with full provenance: phase, RK stage, step, block, cell,
-  /// quantity.
+  /// CheckError with full provenance: phase, the cluster rank (on a rank),
+  /// step, RK stage, block, cell, quantity.
   void verify_state(const char* phase, int stage) const;
+  /// Per-block slice of verify_state with identical provenance messages
+  /// (the fused step verifies each block as its sweep-equivalent completes).
+  void verify_block(const char* phase, int stage, int block_id) const;
 
   Grid grid_;
   Params params_;

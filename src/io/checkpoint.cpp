@@ -201,41 +201,6 @@ void inflate_blob(const ContainerReader& file, std::size_t k, const BlockRun<Blo
   }
 }
 
-/// A grid's checkpoint blobs: runs of blocks_per_blob blocks in block
-/// order, the last one short, block i under global id ids[i].
-struct BlobPlan {
-  const Grid& g;
-  const std::vector<std::uint32_t>& ids;
-  std::size_t block_cells;
-  int per_blob;  ///< about kChunkBytes of cells, at least one block
-  int blobs;
-
-  BlobPlan(const Grid& grid, const std::vector<std::uint32_t>& block_ids)
-      : g(grid),
-        ids(block_ids),
-        block_cells(static_cast<std::size_t>(grid.block_size()) * grid.block_size() *
-                    grid.block_size()),
-        per_blob(static_cast<int>(
-            std::max<std::size_t>(1, kChunkBytes / (block_cells * sizeof(Cell))))),
-        blobs((grid.block_count() + per_blob - 1) / per_blob) {
-    require(ids.size() == static_cast<std::size_t>(g.block_count()),
-            "save_checkpoint: one global id per block required");
-  }
-
-  /// Blob c, deflated.
-  [[nodiscard]] Blob encode(int c) const {
-    const int first = c * per_blob;
-    const int count = std::min(per_blob, g.block_count() - first);
-    BlockRun<const Block> run;
-    run.block_cells = block_cells;
-    for (int b = first; b < first + count; ++b) run.blocks.push_back(&g.block(b));
-    Blob blob;
-    blob.entry.ids.assign(ids.begin() + first, ids.begin() + first + count);
-    deflate_run(run, blob);
-    return blob;
-  }
-};
-
 }  // namespace
 
 std::vector<std::uint32_t> global_block_ids(const Grid& g, int bx, int by, int bz, int ox,
@@ -266,13 +231,30 @@ ContainerHeader checkpoint_header(int bx, int by, int bz, int bs, double time, d
   return h;
 }
 
-std::vector<Blob> encode_checkpoint(const Grid& g, const std::vector<std::uint32_t>& ids) {
-  const BlobPlan plan(g, ids);
-  std::vector<Blob> blobs(static_cast<std::size_t>(plan.blobs));
-  for_each_chunk(plan.blobs, omp_get_max_threads(), [&](int c, int /*worker*/) {
-    blobs[static_cast<std::size_t>(c)] = plan.encode(c);
-  });
-  return blobs;
+BlobPlan checkpoint_plan(const Grid& g, std::vector<std::uint32_t> ids) {
+  require(ids.size() == static_cast<std::size_t>(g.block_count()),
+          "save_checkpoint: one global id per block required");
+  // Runs of per_blob blocks in block order, about kChunkBytes of cells and
+  // at least one block each, the last one short.
+  const std::size_t block_cells =
+      static_cast<std::size_t>(g.block_size()) * g.block_size() * g.block_size();
+  const int per_blob =
+      static_cast<int>(std::max<std::size_t>(1, kChunkBytes / (block_cells * sizeof(Cell))));
+  BlobPlan plan;
+  plan.blobs = static_cast<std::size_t>((g.block_count() + per_blob - 1) / per_blob);
+  plan.ids = ids.size();
+  plan.encode = [&g, ids = std::move(ids), block_cells, per_blob](int c, int /*worker*/) {
+    const int first = c * per_blob;
+    const int count = std::min(per_blob, g.block_count() - first);
+    BlockRun<const Block> run;
+    run.block_cells = block_cells;
+    for (int b = first; b < first + count; ++b) run.blocks.push_back(&g.block(b));
+    Blob blob;
+    blob.entry.ids.assign(ids.begin() + first, ids.begin() + first + count);
+    deflate_run(run, blob);
+    return blob;
+  };
+  return plan;
 }
 
 CheckpointLoad::CheckpointLoad(const std::string& path, int bx, int by, int bz, int bs,
@@ -331,21 +313,9 @@ void CheckpointLoad::restore() const {
 std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g, double time,
                                    long steps) {
   const int bx = g.blocks_x(), by = g.blocks_y(), bz = g.blocks_z();
-  const std::vector<std::uint32_t> ids = global_block_ids(g, bx, by, bz);
-  const BlobPlan plan(g, ids);
-  ContainerWriter out(
+  return save_container(
       path, checkpoint_header(bx, by, bz, g.block_size(), time, g.h() * g.cells_x(), steps),
-      static_cast<std::size_t>(plan.blobs), ids.size());
-  // Each blob goes to the file once it and every blob before it are
-  // encoded; blob c waits in slot c % window until then.
-  const int requested = omp_get_max_threads();
-  std::vector<Blob> window(
-      static_cast<std::size_t>(chunk_window(chunk_workers(plan.blobs, requested))));
-  const auto slot = [&](int c) -> Blob& { return window[static_cast<std::size_t>(c) % window.size()]; };
-  for_each_chunk_ordered(
-      plan.blobs, requested, [&](int c, int /*worker*/) { slot(c) = plan.encode(c); },
-      [&](int c) { out.append(std::exchange(slot(c), Blob{})); });
-  return out.commit();
+      {checkpoint_plan(g, global_block_ids(g, bx, by, bz))});
 }
 
 CheckpointClock load_grid_checkpoint(const std::string& path, Grid& g) {

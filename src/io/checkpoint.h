@@ -12,10 +12,12 @@
 // record holds f64 time, f64 extent, i64 steps. Blobs are encoded and
 // decoded on the caller's omp_get_max_threads() workers
 // (common/chunk_loop.h); the bytes do not depend on the worker count. A
-// save streams: each blob goes to the file as soon as it and every blob
-// before it are encoded, so it holds at most 2 x workers encoded blobs.
+// grid's runs are its blob plan (checkpoint_plan), saved through the one
+// save path, io::save_container: each blob goes to the file as soon as it
+// and every blob before it are encoded, so a save holds at most
+// 2 x workers encoded blobs.
 //
-// A cluster checkpoint is every rank's runs in rank order; the node layer
+// A cluster checkpoint is every rank's plan in rank order; the node layer
 // is the one-rank case. The bytes thus depend on the topology, and any file
 // restores into any topology of the same global shape: a load reads only
 // the blobs that hold its blocks.
@@ -46,10 +48,10 @@ struct CheckpointClock {
 [[nodiscard]] ContainerHeader checkpoint_header(int bx, int by, int bz, int bs, double time,
                                                 double extent, long steps);
 
-/// g's blocks as checkpoint blobs, block i stored under global id ids[i],
-/// all in memory (a cluster rank's share of a collective save).
-[[nodiscard]] std::vector<Blob> encode_checkpoint(const Grid& g,
-                                                  const std::vector<std::uint32_t>& ids);
+/// g's blocks as a save's blob plan (io/container.h), block i stored under
+/// global id ids[i]: a cluster rank's share of a collective save, or a node
+/// save's one plan. The plan reads g's cells as it encodes.
+[[nodiscard]] BlobPlan checkpoint_plan(const Grid& g, std::vector<std::uint32_t> ids);
 
 /// A checkpoint opened for a load into a global grid of bx*by*bz blocks of
 /// bs^3 over `extent`, where `targets[id]` is the block global block `id`
@@ -73,8 +75,8 @@ class CheckpointLoad {
   CheckpointClock clock_;
 };
 
-/// Serializes grid state + a clock, streaming each blob to the file as it
-/// is encoded; returns bytes written.
+/// Serializes grid state + a clock, the grid's one plan through
+/// save_container; returns bytes written.
 std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g, double time,
                                    long steps);
 /// Restores into a grid of identical shape and returns the stored clock;

@@ -1,6 +1,7 @@
 #include "io/container.h"
 
 #include <fcntl.h>
+#include <omp.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -9,9 +10,12 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
+#include "common/chunk_loop.h"
 #include "common/error.h"
+#include "core/profile.h"
 
 namespace mpcf::io {
 
@@ -153,13 +157,52 @@ std::uint64_t ContainerWriter::commit() {
   return end_;
 }
 
-std::uint64_t write_container(const std::string& path, const ContainerHeader& header,
-                              const std::vector<Blob>& blobs) {
+std::uint64_t save_container(const std::string& path, const ContainerHeader& header,
+                             const std::vector<BlobPlan>& plans, double* write_seconds) {
+  // Blob c of the save is blob c - first[p] of plan p.
+  std::vector<std::size_t> first{0};
   std::uint64_t ids = 0;
-  for (const Blob& b : blobs) ids += b.entry.ids.size();
-  ContainerWriter w(path, header, blobs.size(), ids);
-  for (const Blob& b : blobs) w.append(b);
-  return w.commit();
+  for (const BlobPlan& plan : plans) {
+    first.push_back(first.back() + plan.blobs);
+    ids += plan.ids;
+  }
+  const int blobs = static_cast<int>(first.back());
+  Timer t;
+  ContainerWriter out(path, header, first.back(), ids);
+  double writing = t.seconds();
+  // Each blob goes to the file once it and every blob before it are
+  // encoded; blob c waits in slot c % window until then.
+  const int requested = omp_get_max_threads();
+  std::vector<Blob> window(
+      static_cast<std::size_t>(chunk_window(chunk_workers(blobs, requested))));
+  const auto slot = [&](int c) -> Blob& {
+    return window[static_cast<std::size_t>(c) % window.size()];
+  };
+  for_each_chunk_ordered(
+      blobs, requested,
+      [&](int c, int w) {
+        const auto p = static_cast<std::size_t>(
+            std::upper_bound(first.begin(), first.end(), static_cast<std::size_t>(c)) -
+            first.begin() - 1);
+        slot(c) = plans[p].encode(c - static_cast<int>(first[p]), w);
+      },
+      [&](int c) {
+        const Blob blob = std::exchange(slot(c), Blob{});
+        const Timer write;
+        out.append(blob);
+        writing += write.seconds();
+      });
+  t.restart();
+  const std::uint64_t bytes = out.commit();
+  if (write_seconds != nullptr) *write_seconds = writing + t.seconds();
+  return bytes;
+}
+
+std::vector<Blob> encode_blobs(const BlobPlan& plan) {
+  std::vector<Blob> blobs(plan.blobs);
+  for_each_chunk(static_cast<int>(plan.blobs), omp_get_max_threads(),
+                 [&](int c, int w) { blobs[static_cast<std::size_t>(c)] = plan.encode(c, w); });
+  return blobs;
 }
 
 ContainerReader::Descriptor::~Descriptor() {

@@ -21,7 +21,10 @@
 // Files are written atomically through io::SafeFile, blobs first: the
 // writer reserves the header and directory, whose size the blob and id
 // counts fix, appends each blob as soon as it exists, and writes the header
-// and directory last in one positional write. The reader holds no
+// and directory last in one positional write. Every save of either payload
+// at either layer goes through save_container: each codec gives one blob
+// plan per rank, and the plans stream through one ordered window of
+// encoded blobs into the writer. The reader holds no
 // more of a file than its directory, reads blobs with pread on demand, and
 // validates everything below before a blob is read or caller state written:
 //   - magic: an older "MPCF..." magic is refused naming its version;
@@ -37,6 +40,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -127,9 +131,31 @@ class ContainerWriter {
   std::uint64_t end_;           ///< where the announced blobs end
 };
 
-/// ContainerWriter over whole blobs; returns the file size.
-std::uint64_t write_container(const std::string& path, const ContainerHeader& header,
-                              const std::vector<Blob>& blobs);
+/// One rank's share of a save: its blob and block-id counts, both known
+/// before anything is encoded, and encode(blob, worker), which returns blob
+/// `blob` of [0, blobs) under the caller's global block ids. A save calls
+/// encode for distinct blobs at once, each call on its own worker id in
+/// [0, omp_get_max_threads()).
+struct BlobPlan {
+  std::size_t blobs = 0;
+  std::uint64_t ids = 0;
+  std::function<Blob(int blob, int worker)> encode;
+};
+
+/// The one save path of both payloads at both layers: streams the blobs of
+/// `plans` (plan after plan, each plan's blobs in order) through
+/// for_each_chunk_ordered on omp_get_max_threads() workers into one
+/// ContainerWriter, so at most 2 x workers encoded blobs are held, counted
+/// over the whole list, whatever the file size or the number of plans.
+/// Returns the file size; `write_seconds`, when given, receives the time
+/// spent in the writer (reserve, appends, commit).
+std::uint64_t save_container(const std::string& path, const ContainerHeader& header,
+                             const std::vector<BlobPlan>& plans, double* write_seconds = nullptr);
+
+/// Every blob of `plan`, encoded into memory on omp_get_max_threads()
+/// workers: a multi-process rank's share of a collective save, which it
+/// holds until the root asks for it.
+[[nodiscard]] std::vector<Blob> encode_blobs(const BlobPlan& plan);
 
 /// A container open for reading, header and directory validated. Error
 /// messages start with `what`. Blobs may be read from several threads.

@@ -5,9 +5,8 @@
 #include "scenario/scenario.h"
 
 namespace mpcf::scenario {
-namespace {
 
-ScenarioInstance build(const Config& cfg) {
+ScenarioInstance build_cloud_collapse(const Config& cfg) {
   Simulation::Params defaults;
   defaults.extent = 2e-3;
   defaults.bc.face[2][0] = BCType::kWall;  // solid wall at z = 0
@@ -32,10 +31,4 @@ ScenarioInstance build(const Config& cfg) {
   return inst;
 }
 
-}  // namespace
 }  // namespace mpcf::scenario
-
-MPCF_REGISTER_SCENARIO(cloud_collapse, "cloud_collapse",
-                       "lognormal bubble cloud collapsing in pressurized liquid over a "
-                       "solid wall (paper Section 7)",
-                       mpcf::scenario::build)

@@ -13,9 +13,8 @@
 #include "scenario/scenario.h"
 
 namespace mpcf::scenario {
-namespace {
 
-ScenarioInstance build(const Config& cfg) {
+ScenarioInstance build_rayleigh_collapse(const Config& cfg) {
   const int ppr = cfg.get_int("rayleigh", "ppr", 8);
   const double R0 = cfg.get_double("rayleigh", "R0", 0.2e-3);
   if (ppr <= 0 || R0 <= 0)
@@ -85,10 +84,4 @@ ScenarioInstance build(const Config& cfg) {
   return inst;
 }
 
-}  // namespace
 }  // namespace mpcf::scenario
-
-MPCF_REGISTER_SCENARIO(rayleigh_collapse, "rayleigh_collapse",
-                       "single vapor bubble collapsing on the Rayleigh time, validated "
-                       "against Rayleigh-Plesset / Keller-Miksis ODE baselines",
-                       mpcf::scenario::build)

@@ -1,90 +1,81 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <map>
-
-// Anchors defined next to each built-in scenario's registrar: referencing
-// them forces those translation units into any static-library link, so the
-// registry is populated before main() in every binary that uses it.
-extern int mpcf_scenario_anchor_cloud_collapse;
-extern int mpcf_scenario_anchor_rayleigh_collapse;
-extern int mpcf_scenario_anchor_shock_bubble;
-extern int mpcf_scenario_anchor_wall_erosion;
-extern int mpcf_scenario_anchor_shock_tube;
+#include <iterator>
+#include <string_view>
 
 namespace mpcf::scenario {
 
 namespace {
 
-void anchor_builtins() {
-  // The value is irrelevant; naming the symbols keeps the linker from
-  // discarding the scenario objects (each holds a registrar). The sink must
-  // be volatile: a plain unused sum is dead code, the optimizer deletes the
-  // loads, and with them the undefined references that pull the archive
-  // members in.
-  volatile int sink =
-      mpcf_scenario_anchor_cloud_collapse + mpcf_scenario_anchor_rayleigh_collapse +
-      mpcf_scenario_anchor_shock_bubble + mpcf_scenario_anchor_wall_erosion +
-      mpcf_scenario_anchor_shock_tube;
-  (void)sink;
-}
-
-struct Registered {
-  ScenarioInfo info;
-  Factory factory;
+struct Entry {
+  const char* name;
+  const char* description;
+  ScenarioInstance (*factory)(const Config&);
 };
 
-std::map<std::string, Registered>& registry() {
-  static std::map<std::string, Registered> r;
-  return r;
+/// Every scenario, sorted by name.
+constexpr Entry kScenarios[] = {
+    {"cloud_collapse",
+     "lognormal bubble cloud collapsing in pressurized liquid over a solid wall (paper "
+     "Section 7)",
+     build_cloud_collapse},
+    {"rayleigh_collapse",
+     "single vapor bubble collapsing on the Rayleigh time, validated against "
+     "Rayleigh-Plesset / Keller-Miksis ODE baselines",
+     build_rayleigh_collapse},
+    {"shock_bubble",
+     "planar shock in liquid collapsing a single gas bubble (re-entrant jet validation "
+     "flow, paper refs [33, 34])",
+     build_shock_bubble},
+    {"shock_tube", "1-D shock tube (Sod et al.) validated against the exact Riemann solution",
+     build_shock_tube},
+    {"wall_erosion",
+     "bubble cluster collapsing above a solid wall; accumulates the pressure-impulse damage "
+     "footprint on the surface",
+     build_wall_erosion},
+};
+
+constexpr bool by_name(const Entry& a, const Entry& b) {
+  return std::string_view(a.name) < std::string_view(b.name);
+}
+static_assert(std::is_sorted(std::begin(kScenarios), std::end(kScenarios), by_name),
+              "kScenarios must stay sorted by name");
+
+const Entry* find(const std::string& name) {
+  for (const Entry& e : kScenarios)
+    if (name == e.name) return &e;
+  return nullptr;
 }
 
 }  // namespace
 
-void register_scenario(const ScenarioInfo& info, Factory factory) {
-  require(!info.name.empty(), "register_scenario: empty scenario name");
-  require(static_cast<bool>(factory), "register_scenario: null factory");
-  const auto [it, inserted] = registry().emplace(info.name, Registered{info, std::move(factory)});
-  (void)it;
-  require(inserted, "register_scenario: duplicate scenario '" + info.name + "'");
-}
-
-bool is_registered(const std::string& name) {
-  anchor_builtins();
-  return registry().count(name) > 0;
-}
+bool is_registered(const std::string& name) { return find(name) != nullptr; }
 
 std::vector<ScenarioInfo> registered() {
-  anchor_builtins();
   std::vector<ScenarioInfo> out;
-  out.reserve(registry().size());
-  for (const auto& [name, reg] : registry()) out.push_back(reg.info);
-  return out;  // map order == sorted by name
+  for (const Entry& e : kScenarios) out.push_back(ScenarioInfo{e.name, e.description});
+  return out;
 }
 
 ScenarioInstance make_scenario(const Config& cfg) {
-  anchor_builtins();
   const std::string name = cfg.get_string("scenario", "name", "");
   if (name.empty())
     throw ConfigError(cfg.name() + ": missing required key [scenario] name");
-  const auto it = registry().find(name);
-  if (it == registry().end()) {
+  const Entry* entry = find(name);
+  if (entry == nullptr) {
     std::string avail;
-    for (const auto& [n, reg] : registry()) {
+    for (const Entry& e : kScenarios) {
       if (!avail.empty()) avail += ", ";
-      avail += n;
+      avail += e.name;
     }
     throw ConfigError(cfg.name() + ": unknown scenario '" + name + "' (available: " + avail +
                       ")");
   }
-  ScenarioInstance inst = it->second.factory(cfg);
+  ScenarioInstance inst = entry->factory(cfg);
   inst.name = name;
   require(inst.sim != nullptr, "scenario '" + name + "' produced no simulation");
   return inst;
-}
-
-Registrar::Registrar(const char* name, const char* description, Factory factory) {
-  register_scenario(ScenarioInfo{name, description}, std::move(factory));
 }
 
 GridShape read_grid(const Config& cfg, GridShape defaults) {

@@ -6,10 +6,9 @@
 // runner (scenario/runner.h), the `mpcf-sim` driver and the `mpcf-serve`
 // job service are scenario-agnostic: they only ever see this interface.
 //
-// Scenarios self-register into a static registry at load time via the
-// MPCF_REGISTER_SCENARIO macro. Built-in scenario translation units are
-// anchored from scenario.cpp so a static-library link can never silently
-// drop their registrars.
+// The scenarios are one name-sorted table in scenario.cpp of {name,
+// description, factory}; it names each factory below by symbol, so any
+// binary that reads the table links every scenario it lists.
 #pragma once
 
 #include <functional>
@@ -63,25 +62,23 @@ struct ScenarioInfo {
   std::string description;
 };
 
-using Factory = std::function<ScenarioInstance(const Config&)>;
-
-/// Registers a scenario; throws PreconditionError on duplicate names.
-void register_scenario(const ScenarioInfo& info, Factory factory);
-
 [[nodiscard]] bool is_registered(const std::string& name);
 
-/// All registered scenarios, sorted by name.
+/// All scenarios of the table, sorted by name.
 [[nodiscard]] std::vector<ScenarioInfo> registered();
 
 /// Builds the scenario the config names ([scenario] name = ...); throws
 /// ConfigError on a missing or unknown name, listing what is available.
 [[nodiscard]] ScenarioInstance make_scenario(const Config& cfg);
 
-/// Self-registration helper: construct one at namespace scope.
-class Registrar {
- public:
-  Registrar(const char* name, const char* description, Factory factory);
-};
+// --- The built-in scenarios' factories, one per source file, listed in
+// --- scenario.cpp's table.
+
+[[nodiscard]] ScenarioInstance build_cloud_collapse(const Config& cfg);
+[[nodiscard]] ScenarioInstance build_rayleigh_collapse(const Config& cfg);
+[[nodiscard]] ScenarioInstance build_shock_bubble(const Config& cfg);
+[[nodiscard]] ScenarioInstance build_shock_tube(const Config& cfg);
+[[nodiscard]] ScenarioInstance build_wall_erosion(const Config& cfg);
 
 // --- Shared config readers used by scenario implementations. Each reads
 // --- one section with scenario-supplied defaults; every supported key is
@@ -113,13 +110,3 @@ struct GridShape {
 [[nodiscard]] double shock_tube_l1_error(const Config& cfg, const Simulation& sim);
 
 }  // namespace mpcf::scenario
-
-/// Registers scenario `ident` (also the anchor symbol suffix) under the
-/// string name `name`. Place at namespace scope in the scenario's .cpp and
-/// list the ident in scenario.cpp's anchor table.
-#define MPCF_REGISTER_SCENARIO(ident, name, description, factory)            \
-  int mpcf_scenario_anchor_##ident = 0;                                      \
-  namespace {                                                                \
-  const ::mpcf::scenario::Registrar mpcf_scenario_registrar_##ident(         \
-      name, description, factory);                                           \
-  }

@@ -12,9 +12,8 @@
 #include "scenario/scenario.h"
 
 namespace mpcf::scenario {
-namespace {
 
-ScenarioInstance build(const Config& cfg) {
+ScenarioInstance build_shock_bubble(const Config& cfg) {
   Simulation::Params defaults;
   defaults.extent = 1e-3;
   const Simulation::Params params = read_sim_params(cfg, defaults);
@@ -66,10 +65,4 @@ ScenarioInstance build(const Config& cfg) {
   return inst;
 }
 
-}  // namespace
 }  // namespace mpcf::scenario
-
-MPCF_REGISTER_SCENARIO(shock_bubble, "shock_bubble",
-                       "planar shock in liquid collapsing a single gas bubble "
-                       "(re-entrant jet validation flow, paper refs [33, 34])",
-                       mpcf::scenario::build)

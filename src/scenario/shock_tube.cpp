@@ -75,7 +75,9 @@ double l1_density_error(const Grid& grid, const TubeSetup& t, double extent, dou
   return err / grid.cells_x();
 }
 
-ScenarioInstance build(const Config& cfg) {
+}  // namespace
+
+ScenarioInstance build_shock_tube(const Config& cfg) {
   const TubeSetup tube = read_tube(cfg);
 
   Simulation::Params defaults;
@@ -110,8 +112,6 @@ ScenarioInstance build(const Config& cfg) {
   return inst;
 }
 
-}  // namespace
-
 double shock_tube_l1_error(const Config& cfg, const Simulation& sim) {
   const TubeSetup tube = read_tube(cfg);
   const double extent = cfg.get_double("simulation", "extent", 1.0);
@@ -119,8 +119,3 @@ double shock_tube_l1_error(const Config& cfg, const Simulation& sim) {
 }
 
 }  // namespace mpcf::scenario
-
-MPCF_REGISTER_SCENARIO(shock_tube, "shock_tube",
-                       "1-D shock tube (Sod et al.) validated against the exact Riemann "
-                       "solution",
-                       mpcf::scenario::build)

@@ -12,9 +12,8 @@
 #include "scenario/scenario.h"
 
 namespace mpcf::scenario {
-namespace {
 
-ScenarioInstance build(const Config& cfg) {
+ScenarioInstance build_wall_erosion(const Config& cfg) {
   Simulation::Params defaults;
   defaults.extent = 1.5e-3;
   defaults.bc.face[2][0] = BCType::kWall;
@@ -64,10 +63,4 @@ ScenarioInstance build(const Config& cfg) {
   return inst;
 }
 
-}  // namespace
 }  // namespace mpcf::scenario
-
-MPCF_REGISTER_SCENARIO(wall_erosion, "wall_erosion",
-                       "bubble cluster collapsing above a solid wall; accumulates the "
-                       "pressure-impulse damage footprint on the surface",
-                       mpcf::scenario::build)

@@ -12,9 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "cluster/cluster_simulation.h"
 #include "cluster/sim_comm.h"
 #include "common/check.h"
 #include "core/simulation.h"
@@ -99,70 +102,112 @@ TEST(CheckedMode, GridOutOfBoundsTraps) {
   EXPECT_NO_THROW((void)g.cell(15, 15, 15));
 }
 
-TEST(CheckedMode, SeededNaNTrapsWithProvenanceAndRepro) {
-  Simulation sim = make_uniform_sim();
-  sim.grid().cell(3, 4, 5).E = std::numeric_limits<Real>::quiet_NaN();
-  try {
-    sim.advance(1e-9);
-    FAIL() << "NaN state did not trap";
-  } catch (const CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("post-rhs"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("step 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("RK stage 0"), std::string::npos) << msg;
-    int b = -1, cx = -1, cy = -1, cz = -1, q = -1;
-    ASSERT_TRUE(parse_provenance(msg, &b, &cx, &cy, &cz, &q)) << msg;
-    EXPECT_EQ(b, 0);
-    // The NaN smears only along directional sweeps, so the first offender
-    // must lie within the WENO5 stencil radius of the seed.
-    EXPECT_LE(std::abs(cx - 3), 3);
-    EXPECT_LE(std::abs(cy - 4), 3);
-    EXPECT_LE(std::abs(cz - 5), 3);
-    // Provenance must be self-consistent: the named quantity of the named
-    // cell in the named array really is non-finite.
-    ASSERT_GE(q, 0);
-    ASSERT_LT(q, kNumQuantities);
-    EXPECT_FALSE(std::isfinite(sim.grid().block(b).tmp(cx, cy, cz).q(q))) << msg;
+/// Where a seeded state runs: a node simulation, or rank 1 of a 2-rank
+/// in-process cluster, whose ranks run the node layer's checks.
+struct Seeded {
+  const char* name;
+  std::unique_ptr<Simulation> node;
+  std::unique_ptr<cluster::ClusterSimulation> cluster;
 
-    // The mini-state repro landed and carries the same provenance header.
-    const std::size_t rp = msg.find("repro ");
-    ASSERT_NE(rp, std::string::npos) << msg;
-    const std::string repro = msg.substr(rp + 6);
-    const auto bytes = io::read_file(repro);
-    ASSERT_GE(bytes.size(), 8u + 5 * 4 + 8 + 8);
-    EXPECT_EQ(std::memcmp(bytes.data(), "MPCFRPR1", 8), 0);
-    io::Cursor cur(bytes);
-    cur.skip(8);
-    EXPECT_EQ(cur.get<std::int32_t>(), b);      // block
-    EXPECT_EQ(cur.get<std::int32_t>(), 8);      // bs
-    EXPECT_EQ(cur.get<std::int32_t>(), 0);      // stage
-    EXPECT_EQ(cur.get<std::int32_t>(), 0);      // phase: 0 = rhs
-    EXPECT_EQ(cur.get<std::int32_t>(), q);      // quantity
-    EXPECT_EQ(cur.get<std::int64_t>(), 0);      // step
-    std::remove(repro.c_str());
+  /// The simulation that holds the seed.
+  Simulation& sim() { return node ? *node : cluster->rank_sim(1); }
+  void advance(double dt) { node ? node->advance(dt) : cluster->advance(dt); }
+};
+
+/// The uniform state at the node layer, and on 2x1x1 ranks of one block
+/// each (fused step, floors off).
+std::vector<Seeded> seeded_inputs() {
+  std::vector<Seeded> in;
+  in.push_back({"node", std::make_unique<Simulation>(make_uniform_sim()), nullptr});
+  Simulation::Params prm;
+  prm.rho_floor = 0;
+  prm.p_floor = 0;
+  auto cs = std::make_unique<cluster::ClusterSimulation>(2, 1, 1, 8,
+                                                         cluster::CartTopology(2, 1, 1), prm);
+  for (int r = 0; r < 2; ++r)
+    for (int iz = 0; iz < 8; ++iz)
+      for (int iy = 0; iy < 8; ++iy)
+        for (int ix = 0; ix < 8; ++ix) cs->rank_sim(r).grid().cell(ix, iy, iz) = liquid_cell();
+  in.push_back({"2 ranks, seed in rank 1", nullptr, std::move(cs)});
+  return in;
+}
+
+TEST(CheckedMode, SeededNaNTrapsWithProvenanceAndRepro) {
+  for (Seeded& in : seeded_inputs()) {
+    SCOPED_TRACE(in.name);
+    Simulation& sim = in.sim();
+    sim.grid().cell(3, 4, 5).E = std::numeric_limits<Real>::quiet_NaN();
+    try {
+      in.advance(1e-9);
+      ADD_FAILURE() << "NaN state did not trap";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("post-rhs"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("step 0"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("RK stage 0"), std::string::npos) << msg;
+      if (in.cluster) {
+        EXPECT_NE(msg.find("rank 1, "), std::string::npos) << msg;
+      }
+      int b = -1, cx = -1, cy = -1, cz = -1, q = -1;
+      ASSERT_TRUE(parse_provenance(msg, &b, &cx, &cy, &cz, &q)) << msg;
+      EXPECT_EQ(b, 0);
+      // The NaN smears only along directional sweeps, so the first offender
+      // must lie within the WENO5 stencil radius of the seed.
+      EXPECT_LE(std::abs(cx - 3), 3);
+      EXPECT_LE(std::abs(cy - 4), 3);
+      EXPECT_LE(std::abs(cz - 5), 3);
+      // Provenance must be self-consistent: the named quantity of the named
+      // cell in the named array really is non-finite.
+      ASSERT_GE(q, 0);
+      ASSERT_LT(q, kNumQuantities);
+      EXPECT_FALSE(std::isfinite(sim.grid().block(b).tmp(cx, cy, cz).q(q))) << msg;
+
+      // The mini-state repro landed and carries the same provenance header.
+      const std::size_t rp = msg.find("repro ");
+      ASSERT_NE(rp, std::string::npos) << msg;
+      const std::string repro = msg.substr(rp + 6);
+      const auto bytes = io::read_file(repro);
+      ASSERT_GE(bytes.size(), 8u + 5 * 4 + 8 + 8);
+      EXPECT_EQ(std::memcmp(bytes.data(), "MPCFRPR1", 8), 0);
+      io::Cursor cur(bytes);
+      cur.skip(8);
+      EXPECT_EQ(cur.get<std::int32_t>(), b);      // block
+      EXPECT_EQ(cur.get<std::int32_t>(), 8);      // bs
+      EXPECT_EQ(cur.get<std::int32_t>(), 0);      // stage
+      EXPECT_EQ(cur.get<std::int32_t>(), 0);      // phase: 0 = rhs
+      EXPECT_EQ(cur.get<std::int32_t>(), q);      // quantity
+      EXPECT_EQ(cur.get<std::int64_t>(), 0);      // step
+      std::remove(repro.c_str());
+    }
   }
 }
 
 TEST(CheckedMode, SeededNegativeDensityTrapsAtExactCell) {
-  Simulation sim = make_uniform_sim();
-  sim.grid().cell(2, 6, 1).rho = -1000;  // finite, so RHS stays finite and
-                                         // the post-update rho>0 guard fires
-  try {
-    sim.advance(1e-9);
-    FAIL() << "negative density did not trap";
-  } catch (const CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("post-update"), std::string::npos) << msg;
-    int b = -1, cx = -1, cy = -1, cz = -1, q = -1;
-    ASSERT_TRUE(parse_provenance(msg, &b, &cx, &cy, &cz, &q)) << msg;
-    EXPECT_EQ(b, 0);
-    EXPECT_EQ(cx, 2);
-    EXPECT_EQ(cy, 6);
-    EXPECT_EQ(cz, 1);
-    EXPECT_EQ(q, Q_RHO);
-    const std::size_t rp = msg.find("repro ");
-    ASSERT_NE(rp, std::string::npos);
-    std::remove(msg.substr(rp + 6).c_str());
+  for (Seeded& in : seeded_inputs()) {
+    SCOPED_TRACE(in.name);
+    in.sim().grid().cell(2, 6, 1).rho = -1000;  // finite, so RHS stays finite
+                                                // and the post-update rho>0
+                                                // guard fires
+    try {
+      in.advance(1e-9);
+      ADD_FAILURE() << "negative density did not trap";
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("post-update"), std::string::npos) << msg;
+      if (in.cluster) {
+        EXPECT_NE(msg.find("rank 1, "), std::string::npos) << msg;
+      }
+      int b = -1, cx = -1, cy = -1, cz = -1, q = -1;
+      ASSERT_TRUE(parse_provenance(msg, &b, &cx, &cy, &cz, &q)) << msg;
+      EXPECT_EQ(b, 0);
+      EXPECT_EQ(cx, 2);
+      EXPECT_EQ(cy, 6);
+      EXPECT_EQ(cz, 1);
+      EXPECT_EQ(q, Q_RHO);
+      const std::size_t rp = msg.find("repro ");
+      ASSERT_NE(rp, std::string::npos);
+      std::remove(msg.substr(rp + 6).c_str());
+    }
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests of the bitwise-exact checkpoint/restart path.
 #include <gtest/gtest.h>
 
-#include <omp.h>
 #include <zlib.h>
 
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include "container_image.h"
 #include "io/checkpoint.h"
 #include "io/safe_file.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf::io {
@@ -159,14 +159,7 @@ void fill_noise(Grid& g) {
   }
 }
 
-/// Sets the OpenMP thread budget for one scope, restoring it on exit.
-struct Threads {
-  explicit Threads(int n) : saved(omp_get_max_threads()) { omp_set_num_threads(n); }
-  ~Threads() { omp_set_num_threads(saved); }
-  Threads(const Threads&) = delete;
-  Threads& operator=(const Threads&) = delete;
-  int saved;
-};
+using test::Threads;
 
 /// set_cloud_ic on the calling thread alone. ThreadSanitizer cannot see
 /// libgomp's barriers, so cells an OpenMP team wrote turn every read by the
@@ -247,7 +240,8 @@ TEST(Checkpoint, BytesAndLoadsDoNotDependOnTheWorkerCount) {
     const std::vector<std::uint8_t> bytes = read_file(path);
     if (first.empty()) first = bytes;
     EXPECT_TRUE(bytes == first);
-    EXPECT_TRUE(bytes == test::image_of(header, encode_checkpoint(a, global_block_ids(a, 2, 2, 1))));
+    const std::vector<Blob> blobs = encode_blobs(checkpoint_plan(a, global_block_ids(a, 2, 2, 1)));
+    EXPECT_TRUE(bytes == test::image_of(header, blobs));
     Grid b(2, 2, 1, 32, 1e-3);
     load_grid_checkpoint(path, b);
     EXPECT_TRUE(concat_blocks(b) == concat_blocks(a));
@@ -266,7 +260,7 @@ TEST(Checkpoint, AStreamedSaveOfManyChunksIsTheImageOfTheEncodedBlobs) {
   for (const int workers : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << workers << " workers");
     const Threads scope(workers);
-    const std::vector<Blob> blobs = encode_checkpoint(a, global_block_ids(a, 6, 6, 6));
+    const std::vector<Blob> blobs = encode_blobs(checkpoint_plan(a, global_block_ids(a, 6, 6, 6)));
     ASSERT_EQ(blobs.size(), 24u);
     save_grid_checkpoint(path, a, 0.25, 9);
     EXPECT_TRUE(read_file(path) == test::image_of(header, blobs));

@@ -14,10 +14,12 @@
 
 #include "cluster/cluster_simulation.h"
 #include "compression/pipeline.h"
+#include "container_image.h"
 #include "eos/stiffened_gas.h"
 #include "io/checkpoint.h"
 #include "io/compressed_file.h"
 #include "io/safe_file.h"
+#include "omp_threads.h"
 #include "rank_cases.h"
 #include "workload/cloud.h"
 
@@ -55,9 +57,9 @@ TEST(SimComm, SendRecvFifoPerTag) {
   comm.send(0, 1, 7, {1.0f, 2.0f});
   comm.send(0, 1, 7, {3.0f});
   comm.send(1, 0, 7, {9.0f});
-  EXPECT_TRUE(comm.probe(0, 1, 7));
-  EXPECT_FALSE(comm.probe(0, 1, 8));
-  const auto a = comm.recv(0, 1, 7);
+  std::vector<float> a;
+  EXPECT_FALSE(comm.try_recv(0, 1, 8, a));  // another tag's flow holds nothing
+  ASSERT_TRUE(comm.try_recv(0, 1, 7, a));
   ASSERT_EQ(a.size(), 2u);
   EXPECT_EQ(a[0], 1.0f);
   const auto b = comm.recv(0, 1, 7);
@@ -97,8 +99,9 @@ TEST(SimComm, RecvUnblocksWhenMessageArrivesLate) {
 }
 
 TEST(SimComm, TryRecvIsAtomicUnderConcurrentDrains) {
-  // probe()+recv() is a check-then-act race: two drains can both see the
-  // same message and the loser dies on an empty mailbox. try_recv pops
+  // A check for a waiting message followed by recv() is a check-then-act
+  // race: two drains can both see the same message and the loser dies on
+  // an empty mailbox. try_recv pops
   // atomically — N messages split across two concurrent drains must arrive
   // exactly once each (regression for the halo drain loop).
   SimComm comm(2);
@@ -157,15 +160,21 @@ TEST(SimComm, ManyMessagesStayFifoPerKey) {
     for (const auto& k : keys)
       comm.send(k.src, k.dst, k.tag,
                 {static_cast<float>(i), static_cast<float>(k.tag)});
-  for (const auto& k : keys) EXPECT_TRUE(comm.probe(k.src, k.dst, k.tag));
+  // Every queued message is waiting: a non-blocking receive finds it as
+  // surely as a blocking one.
   for (int i = 0; i < kMessages; ++i)
     for (const auto& k : keys) {
-      const auto msg = comm.recv(k.src, k.dst, k.tag);
+      std::vector<float> msg;
+      if (i % 2 == 0)
+        ASSERT_TRUE(comm.try_recv(k.src, k.dst, k.tag, msg));
+      else
+        msg = comm.recv(k.src, k.dst, k.tag);
       ASSERT_EQ(msg.size(), 2u);
       EXPECT_EQ(msg[0], static_cast<float>(i)) << "key " << k.src << "," << k.tag;
       EXPECT_EQ(msg[1], static_cast<float>(k.tag));
     }
-  for (const auto& k : keys) EXPECT_FALSE(comm.probe(k.src, k.dst, k.tag));
+  std::vector<float> none;
+  for (const auto& k : keys) EXPECT_FALSE(comm.try_recv(k.src, k.dst, k.tag, none));
   EXPECT_EQ(comm.stats().messages, 4u * kMessages);
   EXPECT_EQ(comm.stats().bytes, 4u * kMessages * 2 * sizeof(float));
   EXPECT_GT(comm.stats().recv_seconds, 0.0);
@@ -400,38 +409,67 @@ TEST(Cluster, DiagnosticsReduceAcrossRanks) {
   EXPECT_DOUBLE_EQ(dc.max_p_field, ds.max_p_field);
 }
 
+/// Global ids of local rank r's blocks in a gbx*gby*gbz-block cluster.
+std::vector<std::uint32_t> rank_ids(const ClusterSimulation& cs, int r, int gbx, int gby,
+                                    int gbz) {
+  int cx, cy, cz;
+  cs.topology().coords(r, cx, cy, cz);
+  const Grid& g = cs.rank_sim(r).grid();
+  return io::global_block_ids(g, gbx, gby, gbz, cx * g.blocks_x(), cy * g.blocks_y(),
+                              cz * g.blocks_z());
+}
+
 TEST(Cluster, CollectiveDumpMatchesSingleRankField) {
   // The collective dump, read back from its file: every rank's streams under
   // global ids decode to the single-rank field, in every topology, and the
-  // one-rank dump is the node layer's file of the same state.
+  // one-rank dump is the node layer's file of the same state. Its bytes are
+  // the image of the ranks' in-memory blobs in rank order at every thread
+  // count: the ranks' plans stream through one window, which straddles
+  // ranks (at 2x2x2 and 8 threads each rank has 8 streams, the window 16).
   Simulation::Params params = cloud_params(BCType::kAbsorbing);
   Simulation single(4, 4, 4, 8, params);
   init_cloud(single.grid());
   compression::CompressionParams cp;
   cp.eps = 0.0f;  // lossless so fields must match to transform round-off
   cp.quantity = Q_G;
-  cp.workers = 2;
+  const io::ContainerHeader header =
+      io::dump_header({.bx = 4, .by = 4, .bz = 4, .block_size = 8,
+                       .levels = wavelet::max_levels(8), .eps = cp.eps,
+                       .derived_pressure = false, .quantity = Q_G, .streams = {}});
   const std::string path = ::testing::TempDir() + "/mpcf_cluster_dump.cq";
   const std::string node = ::testing::TempDir() + "/mpcf_node_dump.cq";
-  compression::dump_quantity_pipelined(single.grid(), cp, node);
-  const Field3D<float> reference = compression::decompress_to_field(io::read_compressed(node));
-  for (const CartTopology topo : {CartTopology(1, 1, 1), CartTopology(2, 2, 1),
-                                  CartTopology(1, 2, 2), CartTopology(2, 2, 2)}) {
-    SCOPED_TRACE(testing::Message() << topo.rx << "x" << topo.ry << "x" << topo.rz);
-    ClusterSimulation cs(4, 4, 4, 8, topo, params);
-    copy_into_cluster(single.grid(), cs);
-    const std::uint64_t bytes = cs.dump_collective(path, cp);
-    const auto rt = io::read_compressed(path);
-    EXPECT_EQ(bytes, io::read_file(path).size());
-    EXPECT_EQ(rt.bx, 4);
-    const auto field = compression::decompress_to_field(rt);
-    EXPECT_EQ(std::memcmp(field.data(), reference.data(), field.size() * sizeof(float)), 0);
-    for (int iz = 0; iz < single.grid().cells_z(); ++iz)
-      for (int iy = 0; iy < single.grid().cells_y(); ++iy)
-        for (int ix = 0; ix < single.grid().cells_x(); ++ix)
-          ASSERT_NEAR(field(ix, iy, iz), single.grid().cell(ix, iy, iz).G, 2e-5f);
-    if (topo.size() == 1) {
-      EXPECT_EQ(io::read_file(path), io::read_file(node));
+  for (const int threads : {1, 2, 4, 8}) {
+    const test::Threads scope(threads);
+    compression::dump_quantity_pipelined(single.grid(), cp, node);
+    const Field3D<float> reference = compression::decompress_to_field(io::read_compressed(node));
+    for (const CartTopology topo : {CartTopology(1, 1, 1), CartTopology(2, 2, 1),
+                                    CartTopology(1, 2, 2), CartTopology(2, 2, 2)}) {
+      SCOPED_TRACE(testing::Message() << topo.rx << "x" << topo.ry << "x" << topo.rz << ", "
+                                      << threads << " threads");
+      ClusterSimulation cs(4, 4, 4, 8, topo, params);
+      copy_into_cluster(single.grid(), cs);
+      const std::uint64_t bytes = cs.dump_collective(path, cp);
+      const auto rt = io::read_compressed(path);
+      const std::vector<std::uint8_t> file = io::read_file(path);
+      EXPECT_EQ(bytes, file.size());
+      EXPECT_EQ(rt.bx, 4);
+      const auto field = compression::decompress_to_field(rt);
+      EXPECT_EQ(std::memcmp(field.data(), reference.data(), field.size() * sizeof(float)), 0);
+      for (int iz = 0; iz < single.grid().cells_z(); ++iz)
+        for (int iy = 0; iy < single.grid().cells_y(); ++iy)
+          for (int ix = 0; ix < single.grid().cells_x(); ++ix)
+            ASSERT_NEAR(field(ix, iy, iz), single.grid().cell(ix, iy, iz).G, 2e-5f);
+      compression::DumpWorkers workers;
+      std::vector<io::Blob> blobs;
+      for (int r = 0; r < topo.size(); ++r) {
+        const io::BlobPlan plan =
+            compression::dump_plan(cs.rank_sim(r).grid(), cp, rank_ids(cs, r, 4, 4, 4), workers);
+        for (io::Blob& b : io::encode_blobs(plan)) blobs.push_back(std::move(b));
+      }
+      EXPECT_TRUE(file == test::image_of(header, blobs));
+      if (topo.size() == 1) {
+        EXPECT_EQ(file, io::read_file(node));
+      }
     }
   }
   std::remove(path.c_str());
@@ -485,6 +523,33 @@ TEST(ClusterCheckpoint, EveryTopologyRestoresEveryOtherBitwise) {
                               got.block(b).cells() * sizeof(Cell)),
                   0)
             << "block " << b;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ClusterCheckpoint, InProcessFileIsTheImageOfTheRanksBlobsAtEveryThreadCount) {
+  // The ranks' plans stream through one window in rank order: the file is
+  // the image of every rank's in-memory blobs, whatever the thread count.
+  // Each rank's 8 (2x2x1) or 4 (2x2x2) blocks of 16^3 are one run, fewer
+  // blobs than any window, so the window always straddles ranks.
+  for (const CartTopology topo : {CartTopology(2, 2, 1), CartTopology(2, 2, 2)}) {
+    const auto cs = cloud_cluster(topo);
+    const std::string path = ::testing::TempDir() + "/mpcf_cluster_image.ckp";
+    const io::ContainerHeader header = io::checkpoint_header(
+        4, 4, 2, 16, 3e-7, cs->rank_sim(0).grid().h() * (4 * 16), 4);
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << topo.rx << "x" << topo.ry << "x" << topo.rz << ", "
+                                      << threads << " threads");
+      const test::Threads scope(threads);
+      std::vector<io::Blob> blobs;
+      for (int r = 0; r < topo.size(); ++r)
+        for (io::Blob& b : io::encode_blobs(
+                 io::checkpoint_plan(cs->rank_sim(r).grid(), rank_ids(*cs, r, 4, 4, 2))))
+          blobs.push_back(std::move(b));
+      ASSERT_EQ(blobs.size(), static_cast<std::size_t>(topo.size()));
+      EXPECT_EQ(cs->save_checkpoint(path), test::image_of(header, blobs).size());
+      EXPECT_TRUE(io::read_file(path) == test::image_of(header, blobs));
     }
     std::remove(path.c_str());
   }

@@ -8,6 +8,7 @@
 #include "compression/pipeline.h"
 #include "eos/stiffened_gas.h"
 #include "io/compressed_file.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf::compression {
@@ -129,7 +130,7 @@ TEST(Compressor, NoEmptyStreamsLeaveThePipeline) {
   set_cloud_ic(g, one, TwoPhaseIC{});
   CompressionParams p;
   p.quantity = Q_G;
-  p.workers = 8;
+  const test::Threads eight(8);
   const auto cq = compress_quantity_pipelined(g, p);
   ASSERT_EQ(cq.streams.size(), 1u);
   EXPECT_EQ(cq.streams[0].block_ids.size(), 1u);

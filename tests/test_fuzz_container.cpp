@@ -27,6 +27,7 @@
 #include "io/checkpoint.h"
 #include "io/compressed_file.h"
 #include "io/safe_file.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf {
@@ -59,15 +60,19 @@ std::vector<std::vector<std::uint8_t>> make_corpus() {
   compression::CompressionParams pg;
   pg.quantity = Q_G;
   pg.eps = 2.3e-3f;
-  pg.workers = 2;
   compression::CompressionParams pp;
   pp.derive_pressure = true;
   pp.eps = 1e5f;
-  pp.workers = 1;
-  compression::dump_quantity_pipelined(g, pg, path);
-  keep();
-  compression::dump_quantity_pipelined(g, pp, path);
-  keep();
+  {
+    const test::Threads two(2);
+    compression::dump_quantity_pipelined(g, pg, path);
+    keep();
+  }
+  {
+    const test::Threads one(1);
+    compression::dump_quantity_pipelined(g, pp, path);
+    keep();
+  }
   Simulation::Params params;
   params.extent = fuzz::kExtent;
   for (const cluster::CartTopology topo :

@@ -30,6 +30,7 @@
 #include "io/fault_injection.h"
 #include "io/retention.h"
 #include "io/safe_file.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf {
@@ -156,7 +157,6 @@ compression::CompressionParams dump_params() {
   compression::CompressionParams p;
   p.eps = 1e-3f;
   p.quantity = Q_G;
-  p.workers = 2;
   return p;
 }
 
@@ -185,10 +185,35 @@ class ContainerCorruption : public ::testing::TestWithParam<Payload> {
 
   /// Writes `sim`'s file of this kind at path_.
   void save(const Simulation& sim) const {
-    if (checkpoint())
+    if (checkpoint()) {
       io::save_checkpoint(path_, sim);
-    else
+    } else {
+      const test::Threads two(2);  // eight streams
       compression::dump_quantity_pipelined(sim.grid(), dump_params(), path_);
+    }
+  }
+
+  /// `sim`'s state on an in-process 2x2x1 cluster (one blob or three
+  /// streams per rank, fewer than the window).
+  [[nodiscard]] static std::unique_ptr<cluster::ClusterSimulation> as_cluster(
+      const Simulation& sim) {
+    Simulation::Params p;
+    p.extent = 1e-3;
+    auto cs = std::make_unique<cluster::ClusterSimulation>(2, 2, 3, 16,
+                                                           cluster::CartTopology(2, 2, 1), p);
+    cs->scatter(sim.grid());
+    return cs;
+  }
+
+  /// Writes `cs`'s file of this kind at path_: every rank's plan through
+  /// the one save path.
+  void save(cluster::ClusterSimulation& cs) const {
+    if (checkpoint()) {
+      (void)cs.save_checkpoint(path_);
+    } else {
+      const test::Threads two(2);
+      (void)cs.dump_collective(path_, dump_params());
+    }
   }
 
   /// Reads path_ through the kind's reader and decoder.
@@ -388,74 +413,89 @@ TEST_P(ContainerCorruption, OlderVersionsAndOtherKindsAreRefusedByName) {
 
 TEST_P(ContainerCorruption, EnospcAtEveryWriteCallLeavesOldFileIntact) {
   // A full disk at every write call in turn: each piece of every blob, then
-  // the header and directory, written last.
+  // the header and directory, written last — of a node save, and of an
+  // in-process multi-rank save whose ranks' blobs share one window.
   FaultGuard guard;
   Simulation changed = make_chunked_sim(1);
   changed.restore_clock(5e-7, 5);
-  long calls = 0;  // write calls of one save
-  for (long nth = 0;; ++nth) {
-    io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
-    try {
-      save(changed);
-      EXPECT_FALSE(io::fault::fired());
-      calls = nth;
-      break;  // nth beyond the write-call count: healthy save, matrix done
-    } catch (const IoError&) {
-      EXPECT_TRUE(io::fault::fired());
-      EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "nth=" << nth;
-      expect_original();  // atomicity: the committed file is untouched
+  const auto cs = as_cluster(changed);
+  for (const bool ranks : {false, true}) {
+    SCOPED_TRACE(ranks ? "2x2x1 ranks" : "node");
+    const auto save_changed = [&] { ranks ? save(*cs) : save(changed); };
+    spit(path_, bytes_);
+    long calls = 0;  // write calls of one save
+    for (long nth = 0;; ++nth) {
+      io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0});
+      try {
+        save_changed();
+        EXPECT_FALSE(io::fault::fired());
+        calls = nth;
+        break;  // nth beyond the write-call count: healthy save, matrix done
+      } catch (const IoError&) {
+        EXPECT_TRUE(io::fault::fired());
+        EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "nth=" << nth;
+        expect_original();  // atomicity: the committed file is untouched
+      }
     }
-  }
-  // At least one write per blob, and one for the header and directory.
-  EXPECT_GT(calls, static_cast<long>(image_.entries.size()));
-  // A persistent fault (a disk that stays full) from every write call on.
-  spit(path_, bytes_);
-  for (long nth = 0; nth < calls; ++nth) {
-    io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0, /*sticky=*/true});
-    EXPECT_THROW(save(changed), IoError) << "sticky ENOSPC from write " << nth;
-    io::fault::disarm();
-    EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "temp left behind, nth=" << nth;
-    expect_original();
+    // At least one write per blob, and one for the header and directory.
+    EXPECT_GT(calls, static_cast<long>(test::parse_image(slurp(path_)).entries.size()));
+    // A persistent fault (a disk that stays full) from every write call on.
+    spit(path_, bytes_);
+    for (long nth = 0; nth < calls; ++nth) {
+      io::fault::arm({io::fault::Kind::kEnospc, nth, 0, 0, /*sticky=*/true});
+      EXPECT_THROW(save_changed(), IoError) << "sticky ENOSPC from write " << nth;
+      io::fault::disarm();
+      EXPECT_FALSE(fs::exists(path_ + ".tmp")) << "temp left behind, nth=" << nth;
+      expect_original();
+    }
   }
 }
 
 TEST_P(ContainerCorruption, TornWriteLeavesTempBehindAndOldFileIntact) {
   // A crash in every write call in turn: each piece of every blob, then the
-  // header and directory.
+  // header and directory — of a node save and of an in-process multi-rank
+  // save.
   FaultGuard guard;
   const Simulation changed = make_chunked_sim(1);
-  std::vector<std::uint8_t> last_temp;  // left by the crash in the last write call
-  long calls = 0;
-  for (long nth = 0;; ++nth) {
-    io::fault::arm({io::fault::Kind::kTornWrite, nth, 0, 0});
-    try {
-      save(changed);
-      EXPECT_FALSE(io::fault::fired());
-      calls = nth;
-      break;  // nth beyond the write-call count: healthy save, matrix done
-    } catch (const IoError&) {
-      EXPECT_TRUE(io::fault::fired());
-      EXPECT_TRUE(fs::exists(path_ + ".tmp")) << "nth=" << nth << ": a crash leaves the temp file";
-      last_temp = slurp(path_ + ".tmp");
-      expect_original();  // final path: still the old version
+  const auto cs = as_cluster(changed);
+  for (const bool ranks : {false, true}) {
+    SCOPED_TRACE(ranks ? "2x2x1 ranks" : "node");
+    const auto save_changed = [&] { ranks ? save(*cs) : save(changed); };
+    spit(path_, bytes_);
+    std::vector<std::uint8_t> last_temp;  // left by the crash in the last write call
+    long calls = 0;
+    for (long nth = 0;; ++nth) {
+      io::fault::arm({io::fault::Kind::kTornWrite, nth, 0, 0});
+      try {
+        save_changed();
+        EXPECT_FALSE(io::fault::fired());
+        calls = nth;
+        break;  // nth beyond the write-call count: healthy save, matrix done
+      } catch (const IoError&) {
+        EXPECT_TRUE(io::fault::fired());
+        EXPECT_TRUE(fs::exists(path_ + ".tmp"))
+            << "nth=" << nth << ": a crash leaves the temp file";
+        last_temp = slurp(path_ + ".tmp");
+        expect_original();  // final path: still the old version
+      }
     }
+    // The healthy save simply overwrote the stale temp.
+    EXPECT_FALSE(fs::exists(path_ + ".tmp"));
+    const std::vector<std::uint8_t> good = slurp(path_);
+    EXPECT_GT(calls, static_cast<long>(test::parse_image(good).entries.size()));
+    // The last write call is the header and directory, in one positional
+    // write after every blob: its crash leaves all blob bytes in place, half
+    // the head written, and the rest of the head a hole of zeros.
+    const std::size_t head = blob_area(good);
+    ASSERT_EQ(last_temp.size(), good.size());
+    EXPECT_TRUE(std::equal(good.begin() + static_cast<std::ptrdiff_t>(head), good.end(),
+                           last_temp.begin() + static_cast<std::ptrdiff_t>(head)));
+    EXPECT_TRUE(std::equal(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(head / 2),
+                           last_temp.begin()));
+    EXPECT_TRUE(std::all_of(last_temp.begin() + static_cast<std::ptrdiff_t>(head / 2),
+                            last_temp.begin() + static_cast<std::ptrdiff_t>(head),
+                            [](std::uint8_t b) { return b == 0; }));
   }
-  // The healthy save simply overwrote the stale temp.
-  EXPECT_FALSE(fs::exists(path_ + ".tmp"));
-  EXPECT_GT(calls, static_cast<long>(image_.entries.size()));
-  // The last write call is the header and directory, in one positional
-  // write after every blob: its crash leaves all blob bytes in place, half
-  // the head written, and the rest of the head a hole of zeros.
-  const std::vector<std::uint8_t> good = slurp(path_);
-  const std::size_t head = blob_area(good);
-  ASSERT_EQ(last_temp.size(), good.size());
-  EXPECT_TRUE(std::equal(good.begin() + static_cast<std::ptrdiff_t>(head), good.end(),
-                         last_temp.begin() + static_cast<std::ptrdiff_t>(head)));
-  EXPECT_TRUE(std::equal(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(head / 2),
-                         last_temp.begin()));
-  EXPECT_TRUE(std::all_of(last_temp.begin() + static_cast<std::ptrdiff_t>(head / 2),
-                          last_temp.begin() + static_cast<std::ptrdiff_t>(head),
-                          [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST_P(ContainerCorruption, InjectedPostCommitCorruptionIsDetected) {

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <bit>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "io/compressed_file.h"
 #include "io/fault_injection.h"
 #include "io/safe_file.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf::compression {
@@ -33,11 +35,10 @@ Grid make_grid() {
   return g;
 }
 
-CompressionParams make_params(int workers) {
+CompressionParams make_params() {
   CompressionParams p;
   p.eps = 1e-3f;
   p.quantity = Q_G;
-  p.workers = workers;
   return p;
 }
 
@@ -84,10 +85,11 @@ TEST(PipelineConformance, MatchesSynchronousPathForEveryWorkerCount) {
   // per-block FWT + decimation decoded through the entropy stage, bit for
   // bit, whatever the stream partition.
   const Grid g = make_grid();
-  const auto oracle = transform_oracle(g, make_params(0));
+  const auto oracle = transform_oracle(g, make_params());
   for (const int workers : {1, 2, 8}) {
+    const test::Threads scope(workers);
     PipelineStats stats;
-    const auto cq = compress_quantity_pipelined(g, make_params(workers), &stats);
+    const auto cq = compress_quantity_pipelined(g, make_params(), &stats);
     EXPECT_EQ(stats.chunks, pipeline_chunk_count(g.block_count(), workers));
     EXPECT_EQ(static_cast<int>(cq.streams.size()), stats.chunks);
     expect_fields_bitwise_equal(decompress_to_field(cq), oracle);
@@ -107,12 +109,13 @@ TEST(PipelineConformance, DecodedDumpEqualsCodecFreeTransformOracle) {
     g.block(b)(0, 0, 0).ru = -0.0f;
     g.block(b)(2, 4, 6).ru = -0.0f;
   }
-  CompressionParams pg = make_params(2);
+  const test::Threads two(2);
+  CompressionParams pg = make_params();
   pg.eps = 2.3e-3f;
-  CompressionParams pp = make_params(2);
+  CompressionParams pp = make_params();
   pp.derive_pressure = true;
   pp.eps = 1e5f;
-  CompressionParams pru = make_params(2);
+  CompressionParams pru = make_params();
   pru.quantity = Q_RU;
   pru.eps = 0.0f;
   const std::string path = ::testing::TempDir() + "/mpcf_pipe_oracle.cq";
@@ -131,7 +134,8 @@ TEST(PipelineConformance, StreamsAreOrderedByBlockId) {
   // Stream order is fixed by block id — chunk c always lands at streams[c]
   // regardless of which worker finished it first.
   const Grid g = make_grid();
-  const auto cq = compress_quantity_pipelined(g, make_params(8));
+  const test::Threads eight(8);
+  const auto cq = compress_quantity_pipelined(g, make_params());
   std::vector<std::uint32_t> ids;
   for (const auto& s : cq.streams) {
     ASSERT_FALSE(s.block_ids.empty());
@@ -148,7 +152,8 @@ TEST(PipelineConformance, EmittedFileIsBitwiseStableRunToRun) {
   const Grid g = make_grid();
   const std::string a = ::testing::TempDir() + "/mpcf_pipe_det_a.cq";
   const std::string b = ::testing::TempDir() + "/mpcf_pipe_det_b.cq";
-  const auto params = make_params(8);
+  const test::Threads eight(8);
+  const auto params = make_params();
   dump_quantity_pipelined(g, params, a);
   dump_quantity_pipelined(g, params, b);
   EXPECT_EQ(io::read_file(a), io::read_file(b));
@@ -169,8 +174,9 @@ TEST(PipelineConformance, ChunkCountIsAPureFunctionOfShapeAndWorkers) {
 TEST(PipelineDump, WritesTheContainerWithTheWaveletPayload) {
   const Grid g = make_grid();
   const std::string path = ::testing::TempDir() + "/mpcf_pipe_container.cq";
+  const test::Threads two(2);
   PipelineStats stats;
-  const double rate = dump_quantity_pipelined(g, make_params(2), path, &stats);
+  const double rate = dump_quantity_pipelined(g, make_params(), path, &stats);
   EXPECT_GT(rate, 1.0);
   EXPECT_EQ(stats.bytes_written, fs::file_size(path));
   EXPECT_GT(stats.workers, 0);
@@ -192,7 +198,7 @@ TEST(PipelineDump, WritesTheContainerWithTheWaveletPayload) {
   }
   EXPECT_EQ(at, bytes.size());
   expect_fields_bitwise_equal(decompress_to_field(io::read_compressed(path)),
-                              transform_oracle(g, make_params(2)));
+                              transform_oracle(g, make_params()));
   std::remove(path.c_str());
 }
 
@@ -205,9 +211,10 @@ TEST(PipelineDump, StreamedFileIsTheImageOfTheInMemoryStreams) {
   const std::string path = ::testing::TempDir() + "/mpcf_pipe_streamed.cq";
   for (const int workers : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << workers << " workers");
+    const test::Threads scope(workers);
     PipelineStats stats;
-    const double rate = dump_quantity_pipelined(g, make_params(workers), path, &stats);
-    CompressedQuantity cq = compress_quantity_pipelined(g, make_params(workers));
+    const double rate = dump_quantity_pipelined(g, make_params(), path, &stats);
+    CompressedQuantity cq = compress_quantity_pipelined(g, make_params());
     EXPECT_DOUBLE_EQ(rate, cq.compression_rate());
     EXPECT_EQ(stats.chunks, static_cast<int>(cq.streams.size()));
     EXPECT_EQ(stats.workers, workers);
@@ -225,15 +232,26 @@ TEST(PipelineDump, StreamedFileIsTheImageOfTheInMemoryStreams) {
   std::remove(path.c_str());
 }
 
-// --- Parameter validation -------------------------------------------------
+// --- The dump's blob plan ---------------------------------------------------
 
-TEST(PipelineValidation, NegativeWorkerCountIsNamed) {
+TEST(DumpPlan, AWorkerBeyondItsDumpWorkersIsNamed) {
+  // DumpWorkers holds one buffer per worker of the width it was made at; a
+  // save run wider than that must fail by name, not index past it.
   const Grid g = make_grid();
+  const CompressionParams p = make_params();
+  std::unique_ptr<DumpWorkers> workers;
+  {
+    const test::Threads one(1);
+    workers = std::make_unique<DumpWorkers>();
+  }
+  const test::Threads four(4);
+  const io::BlobPlan plan = dump_plan(g, p, std::vector<std::uint32_t>(64, 0), *workers);
+  EXPECT_NO_THROW((void)plan.encode(0, 0));
   try {
-    (void)compress_quantity_pipelined(g, make_params(-3));
-    FAIL() << "negative worker count accepted";
+    (void)plan.encode(1, 3);
+    FAIL() << "worker 3 of 1 accepted";
   } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("worker 3"), std::string::npos) << e.what();
   }
 }
 
@@ -246,8 +264,9 @@ TEST(PipelineFault, InjectedWriteFailureWithTwoWorkersFailsCleanly) {
   const Grid g = make_grid();
   const std::string path = ::testing::TempDir() + "/mpcf_pipe_fault.cq";
   std::remove(path.c_str());
+  const test::Threads two(2);
   io::fault::arm({io::fault::Kind::kEnospc, 0, 0, 0});
-  EXPECT_THROW(dump_quantity_pipelined(g, make_params(2), path),
+  EXPECT_THROW(dump_quantity_pipelined(g, make_params(), path),
                IoError);
   EXPECT_TRUE(io::fault::fired());
   EXPECT_FALSE(fs::exists(path)) << "failed pipelined dump published a file";
@@ -267,14 +286,15 @@ TEST(PipelineFault, EnvInjectedFaultPassesWithTwoWorkers) {
   const Grid g = make_grid();
   const std::string path = ::testing::TempDir() + "/mpcf_pipe_envfault.cq";
   std::remove(path.c_str());
-  EXPECT_THROW(dump_quantity_pipelined(g, make_params(2), path),
+  const test::Threads two(2);
+  EXPECT_THROW(dump_quantity_pipelined(g, make_params(), path),
                IoError);
   EXPECT_TRUE(io::fault::fired());
   EXPECT_FALSE(fs::exists(path));
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   // Disarmed again: the same dump goes through and verifies.
   io::fault::disarm();
-  const double rate = dump_quantity_pipelined(g, make_params(2), path);
+  const double rate = dump_quantity_pipelined(g, make_params(), path);
   EXPECT_GT(rate, 1.0);
   EXPECT_NO_THROW((void)io::read_compressed(path));
   std::remove(path.c_str());

@@ -154,8 +154,11 @@ TEST_P(TransportConformance, MessageLargerThanTheRingThenAnEmptyOneOnTheSameFlow
 TEST_P(TransportConformance, SelfSendDeliversWithoutDeadlock) {
   World w(GetParam(), 2);
   w.at(0).send(0, 0, 7, {42.0f});
-  EXPECT_TRUE(w.at(0).probe(0, 0, 7));
-  EXPECT_EQ(w.at(0).recv(0, 0, 7), std::vector<float>{42.0f});
+  w.at(0).send(0, 0, 7, {43.0f});
+  std::vector<float> got;
+  EXPECT_TRUE(w.at(0).try_recv(0, 0, 7, got));
+  EXPECT_EQ(got, std::vector<float>{42.0f});
+  EXPECT_EQ(w.at(0).recv(0, 0, 7), std::vector<float>{43.0f});
 }
 
 TEST_P(TransportConformance, TryRecvIsAtomicAndExactlyOnce) {
