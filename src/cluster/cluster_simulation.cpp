@@ -1,7 +1,5 @@
 #include "cluster/cluster_simulation.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -476,7 +474,7 @@ void ClusterSimulation::advance_fused(double dt) {
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
+  sched_->run(hooks, &vmax, &times);
   const double wall = region.seconds();
 
   // The step loop never blocked on comm (comm_time_ untouched): the

@@ -1,5 +1,5 @@
 // POSIX shared-memory inter-process transport: N ranks run as N processes
-// (OpenMP inside each), exchanging messages through one shm_open segment
+// (worker threads inside each), exchanging messages through one shm_open segment
 // created by the launcher (tools/mpcf-run) or a test harness.
 //
 // Segment layout (offsets computed from nranks and ring_bytes, 64-aligned):

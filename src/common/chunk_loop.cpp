@@ -1,5 +1,7 @@
 #include "common/chunk_loop.h"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -13,10 +15,16 @@ namespace mpcf {
 
 namespace {
 
-/// Runs work(w) on workers - 1 new threads and on the calling thread as
-/// worker 0, then joins them. When a thread fails to start, or worker 0
-/// throws, stop() makes the running workers finish after their current
-/// chunk, and the call fails once they have joined.
+/// Rethrows the exception of the lowest chunk that has one.
+void rethrow_lowest(const std::vector<std::exception_ptr>& errors) {
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
+}  // namespace
+
+int thread_count() { return omp_get_max_threads(); }
+
 void run_workers(int workers, const std::function<void(int)>& work,
                  const std::function<void()>& stop) {
   std::vector<std::thread> pool;
@@ -32,21 +40,11 @@ void run_workers(int workers, const std::function<void(int)>& work,
   for (auto& t : pool) t.join();
 }
 
-/// Rethrows the exception of the lowest chunk that has one.
-void rethrow_lowest(const std::vector<std::exception_ptr>& errors) {
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
-}
-
-}  // namespace
-
-int chunk_workers(int chunks, int requested) {
-  return std::max(1, std::min(requested, chunks));
-}
+int chunk_workers(int chunks) { return std::max(1, std::min(thread_count(), chunks)); }
 
 int chunk_window(int workers) { return 2 * workers; }
 
-void for_each_chunk(int chunks, int requested, const std::function<void(int, int)>& body) {
+void for_each_chunk(int chunks, const std::function<void(int, int)>& body) {
   if (chunks <= 0) return;
   std::atomic<int> next{0};
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chunks));
@@ -63,18 +61,17 @@ void for_each_chunk(int chunks, int requested, const std::function<void(int, int
       }
     }
   };
-  run_workers(chunk_workers(chunks, requested), work, [&] {
+  run_workers(chunk_workers(chunks), work, [&] {
     // order: relaxed — only ends the id handout; join publishes the rest.
     next.store(chunks, std::memory_order_relaxed);
   });
   rethrow_lowest(errors);
 }
 
-void for_each_chunk_ordered(int chunks, int requested,
-                            const std::function<void(int, int)>& encode,
+void for_each_chunk_ordered(int chunks, const std::function<void(int, int)>& encode,
                             const std::function<void(int)>& consume) {
   if (chunks <= 0) return;
-  const int workers = chunk_workers(chunks, requested);
+  const int workers = chunk_workers(chunks);
   const int window = chunk_window(workers);
   struct State {
     Mutex mu;

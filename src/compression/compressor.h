@@ -25,7 +25,7 @@ namespace mpcf::compression {
 
 /// The wavelet transform always runs to the coarsest level the block size
 /// allows, the entropy stage is fixed (encode_stream), and a dump runs on
-/// the caller's omp_get_max_threads() workers, so the only choices are what
+/// the caller's thread_count() workers, so the only choices are what
 /// to dump and how hard to decimate.
 struct CompressionParams {
   float eps = 1e-2f;  ///< decimation threshold

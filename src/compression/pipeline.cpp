@@ -1,7 +1,5 @@
 #include "compression/pipeline.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <numeric>
 #include <utility>
@@ -45,7 +43,7 @@ CompressedQuantity shape_of(const Grid& grid, const CompressionParams& params) {
 void report(const io::BlobPlan& plan, DumpWorkers& workers, PipelineStats* stats) {
   if (stats == nullptr) return;
   stats->chunks = static_cast<int>(plan.blobs);
-  stats->workers = chunk_workers(stats->chunks, omp_get_max_threads());
+  stats->workers = chunk_workers(stats->chunks);
   workers.clocks.resize(static_cast<std::size_t>(stats->workers));
   stats->worker_times = std::move(workers.clocks);
 }
@@ -53,7 +51,7 @@ void report(const io::BlobPlan& plan, DumpWorkers& workers, PipelineStats* stats
 }  // namespace
 
 DumpWorkers::DumpWorkers()
-    : scratch(static_cast<std::size_t>(omp_get_max_threads())),
+    : scratch(static_cast<std::size_t>(thread_count())),
       clocks(scratch.size()),
       stored(scratch.size(), 0) {}
 
@@ -61,7 +59,7 @@ io::BlobPlan dump_plan(const Grid& grid, const CompressionParams& params,
                        std::vector<std::uint32_t> ids, DumpWorkers& workers) {
   require(ids.size() == static_cast<std::size_t>(grid.block_count()),
           "dump_plan: one global id per block required");
-  const int chunks = pipeline_chunk_count(grid.block_count(), omp_get_max_threads());
+  const int chunks = pipeline_chunk_count(grid.block_count(), thread_count());
   io::BlobPlan plan;
   plan.blobs = static_cast<std::size_t>(chunks);
   plan.ids = ids.size();

@@ -13,8 +13,7 @@
 // next* but never *where its output lands* — so for a fixed worker count
 // the emitted file is bitwise-stable run-to-run regardless of scheduling.
 // Workers run the chunk loops of common/chunk_loop.h: plain std::threads,
-// as many as the caller's omp_get_max_threads(), the checkpoint codec's
-// width too.
+// as many as the caller's thread_count(), the checkpoint codec's width too.
 #pragma once
 
 #include <string>
@@ -44,7 +43,7 @@ struct PipelineStats {
 [[nodiscard]] int pipeline_chunk_count(int block_count, int workers);
 
 /// Per-worker state of the dump plans of one save, indexed by the save
-/// loop's worker id, for omp_get_max_threads() workers: a cube buffer,
+/// loop's worker id, for thread_count() workers: a cube buffer,
 /// allocated on the worker's first chunk, its clocks and the stream bytes
 /// it encoded. The plans of several ranks share one, so a collective save
 /// holds one buffer per worker, not per rank.
@@ -56,7 +55,7 @@ struct DumpWorkers {
 };
 
 /// One grid's dump as a save's blob plan (io/container.h):
-/// pipeline_chunk_count(blocks, omp_get_max_threads()) chunks of
+/// pipeline_chunk_count(blocks, thread_count()) chunks of
 /// consecutive blocks, each one stream under its blocks' global ids (block i
 /// under ids[i]): FWT + decimation of its cubes into the save worker's
 /// buffer, then the entropy stage. The grid, params and workers must
@@ -65,7 +64,7 @@ struct DumpWorkers {
                                      std::vector<std::uint32_t> ids, DumpWorkers& workers);
 
 /// Compresses one quantity of the grid through the stage graph on
-/// omp_get_max_threads() workers. The stream partition depends on the
+/// thread_count() workers. The stream partition depends on the
 /// worker count, the decoded field does not.
 [[nodiscard]] CompressedQuantity compress_quantity_pipelined(
     const Grid& grid, const CompressionParams& params, PipelineStats* stats = nullptr);

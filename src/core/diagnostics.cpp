@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/chunk_loop.h"
+
 namespace mpcf {
 
 namespace {
@@ -28,19 +30,17 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
   // same at every thread count and schedule. The maxima start at 0 and
   // never take a NaN, so their combination order does not matter.
   struct Sums {
-    double ke = 0, E = 0, mass = 0, vap = 0;
+    double ke = 0, E = 0, mass = 0, vap = 0, max_p = 0, max_pw = 0;
   };
   std::vector<Sums> planes(static_cast<std::size_t>(nz));
-  double max_p = 0, max_pw = 0;
 
-#pragma omp parallel for schedule(static) reduction(max : max_p, max_pw)
-  for (int iz = 0; iz < nz; ++iz) {
+  for_each_chunk(nz, [&](int iz, int) {
     Sums s;
     for (int iy = 0; iy < ny; ++iy)
       for (int ix = 0; ix < nx; ++ix) {
         const Cell& c = grid.cell(ix, iy, iz);
         const double p = cell_pressure(c);
-        max_p = std::max(max_p, p);
+        s.max_p = std::max(s.max_p, p);
         const double cke =
             0.5 * (double(c.ru) * c.ru + double(c.rv) * c.rv + double(c.rw) * c.rw) / c.rho;
         s.ke += cke * dV;
@@ -57,10 +57,10 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
             (iy == ny - 1 && bc.face[1][1] == BCType::kWall) ||
             (iz == 0 && bc.face[2][0] == BCType::kWall) ||
             (iz == nz - 1 && bc.face[2][1] == BCType::kWall);
-        if (on_wall) max_pw = std::max(max_pw, p);
+        if (on_wall) s.max_pw = std::max(s.max_pw, p);
       }
     planes[static_cast<std::size_t>(iz)] = s;
-  }
+  });
 
   Sums total;
   for (const Sums& s : planes) {
@@ -68,9 +68,11 @@ Diagnostics compute_diagnostics(const Grid& grid, const BoundaryConditions& bc,
     total.E += s.E;
     total.mass += s.mass;
     total.vap += s.vap;
+    total.max_p = std::max(total.max_p, s.max_p);
+    total.max_pw = std::max(total.max_pw, s.max_pw);
   }
-  d.max_p_field = max_p;
-  d.max_p_wall = max_pw;
+  d.max_p_field = total.max_p;
+  d.max_p_wall = total.max_pw;
   d.kinetic_energy = total.ke;
   d.total_energy = total.E;
   d.mass = total.mass;

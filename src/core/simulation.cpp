@@ -1,7 +1,5 @@
 #include "core/simulation.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -9,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/chunk_loop.h"
 #include "compression/pipeline.h"
 #include "eos/stiffened_gas.h"
 #include "io/compressed_file.h"
@@ -51,11 +50,11 @@ Simulation::Simulation(int bx, int by, int bz, int bs, Params params)
 }
 
 void Simulation::ensure_thread_workspaces(bool tiles) {
-  // Sized lazily (not once at construction) so a thread count raised via
-  // omp_set_num_threads() after construction still gets dedicated buffers,
-  // and tile-sized only once the fused step runs.
+  // Sized lazily (not once at construction) so a thread count raised
+  // after construction still gets dedicated buffers, and tile-sized only
+  // once the fused step runs.
   const int edge = std::max(ws_edge_, (tiles ? tile_k_ : 1) * grid_.block_size());
-  const int nthreads = std::max(omp_get_max_threads(), static_cast<int>(labs_.size()));
+  const int nthreads = std::max(thread_count(), static_cast<int>(labs_.size()));
   const int have = edge > ws_edge_ ? 0 : static_cast<int>(labs_.size());
   if (nthreads <= have) return;
   labs_.resize(nthreads);
@@ -79,17 +78,17 @@ double Simulation::compute_dt() {
     folded_vmax_valid_ = false;
   } else {
     const bool use_simd = params_.impl != kernels::KernelImpl::kScalar;
-#pragma omp parallel reduction(max : vmax)
-    {
+    // One maximum per block, folded in block order (max is order-independent
+    // anyway: it starts at 0 and std::max never takes a NaN).
+    std::vector<double> speed(static_cast<std::size_t>(grid_.block_count()));
+    for_each_chunk(grid_.block_count(), [&](int i, int) {
       const simd::FlushSubnormals ftz;
-#pragma omp for schedule(static)
-      for (int i = 0; i < grid_.block_count(); ++i) {
-        const Block& b = grid_.block(i);
-        const double v = use_simd ? kernels::block_max_speed_simd(b, params_.width)
-                                  : kernels::block_max_speed(b);
-        vmax = std::max(vmax, v);
-      }
-    }
+      const Block& b = grid_.block(i);
+      speed[static_cast<std::size_t>(i)] = use_simd
+                                               ? kernels::block_max_speed_simd(b, params_.width)
+                                               : kernels::block_max_speed(b);
+    });
+    for (const double v : speed) vmax = std::max(vmax, v);
     ++profile_.sos_sweeps;
   }
   profile_.dt += timer.seconds();
@@ -102,21 +101,16 @@ void Simulation::rhs_sweep(int stage) {
   ensure_thread_workspaces();
 
   // Dynamic scheduling with a parallel granularity of one block (Section 6,
-  // "Enhancing TLP"); each thread reuses its dedicated lab + workspace.
-#pragma omp parallel
-  {
-    const simd::FlushSubnormals ftz;
-    const int tid = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-    for (int i = 0; i < grid_.block_count(); ++i) {
-      Timer lab_timer;
-      assemble_lab(i, tid);
-      const double lab_s = lab_timer.seconds();
-#pragma omp atomic
-      profile_.lab += lab_s;
-      rhs_from_lab(LsRk3::a[stage], i, tid);
-    }
-  }
+  // "Enhancing TLP"); each worker reuses its dedicated lab + workspace.
+  const int nb = grid_.block_count();
+  std::vector<double> lab_s(static_cast<std::size_t>(chunk_workers(nb)), 0.0);
+  for_each_chunk(nb, [&](int i, int tid) {
+    Timer lab_timer;
+    assemble_lab(i, tid);
+    lab_s[static_cast<std::size_t>(tid)] += lab_timer.seconds();
+    rhs_from_lab(LsRk3::a[stage], i, tid);
+  });
+  for (const double s : lab_s) profile_.lab += s;
   profile_.rhs += timer.seconds();
 #if MPCF_CHECKED
   verify_state("rhs", stage);
@@ -195,12 +189,7 @@ void Simulation::update_tile(double b_dt, int tile) {
 void Simulation::update_sweep(int stage, double dt) {
   Timer timer;
   const double b_dt = LsRk3::b[stage] * dt;
-#pragma omp parallel
-  {
-    const simd::FlushSubnormals ftz;
-#pragma omp for schedule(static)
-    for (int i = 0; i < grid_.block_count(); ++i) update_one(b_dt, i);
-  }
+  for_each_chunk(grid_.block_count(), [&](int i, int) { update_one(b_dt, i); });
   profile_.up += timer.seconds();
 #if MPCF_CHECKED
   verify_state("update", stage);
@@ -279,7 +268,7 @@ void Simulation::advance_fused(double dt) {
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
+  sched_->run(hooks, &vmax, &times);
   const double wall = region.seconds();
 
   // profile().lab keeps its thread-seconds meaning; the region wall clock is
@@ -336,14 +325,13 @@ long Simulation::clamp_block(Block& b) const {
 }
 
 void Simulation::apply_positivity_guard() {
-  long clamped = 0;
-#pragma omp parallel reduction(+ : clamped)
-  {
+  const int nb = grid_.block_count();
+  std::vector<long> clamped(static_cast<std::size_t>(chunk_workers(nb)), 0);
+  for_each_chunk(nb, [&](int i, int w) {
     const simd::FlushSubnormals ftz;
-#pragma omp for schedule(static)
-    for (int i = 0; i < grid_.block_count(); ++i) clamped += clamp_block(grid_.block(i));
-  }
-  params_.clamped_cells += clamped;
+    clamped[static_cast<std::size_t>(w)] += clamp_block(grid_.block(i));
+  });
+  for (const long n : clamped) params_.clamped_cells += n;
   // The clamp may have changed the state a folded vmax was computed from.
   invalidate_speed_cache();
 }

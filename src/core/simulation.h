@@ -1,9 +1,10 @@
 // Node-layer simulation driver (paper Section 6): owns one rank's grid,
-// schedules block work across OpenMP threads (dynamic scheduling, parallel
-// granularity of one block — or of one 16^3 tile of small blocks in the
-// fused step — with per-thread ghost buffers) and advances the solution
-// with the third-order low-storage TVD Runge-Kutta scheme (Williamson,
-// ref [80]) at CFL 0.3.
+// schedules block work across thread_count() worker threads (dynamic
+// scheduling, parallel granularity of one block — or of one 16^3 tile of
+// small blocks in the fused step — with per-thread ghost buffers) and
+// advances the solution with the third-order low-storage TVD Runge-Kutta
+// scheme (Williamson, ref [80]) at CFL 0.3. The workers are those of
+// common/chunk_loop.h.
 #pragma once
 
 #include <memory>
@@ -112,12 +113,12 @@ class Simulation {
   void rhs_sweep(int stage);
   void update_sweep(int stage, double dt);
 
-  /// Grows the per-thread lab/workspace arrays to omp_get_max_threads(),
-  /// each holding one block — or, with `tiles`, one tile, the fused step's
+  /// Grows the per-thread lab/workspace arrays to thread_count(), each
+  /// holding one block — or, with `tiles`, one tile, the fused step's
   /// unit. Buffers only grow, so a tile-sized lab also serves block loads,
   /// and a simulation that never runs the fused step holds no tile-sized
   /// buffers. Called automatically by rhs_sweep and the fused step
-  /// (serial context), so raising the OpenMP thread count after
+  /// (serial context), so raising the thread count after
   /// construction is safe; exposed for callers that drive the per-block
   /// (or, with `tiles`, the per-tile) hooks below from their own parallel
   /// regions. Must not be called concurrently with block evaluations.
@@ -128,7 +129,7 @@ class Simulation {
 
   // --- Fused-step building blocks (StepScheduler hooks; also driven by the
   // --- cluster layer's step graph). Callers use at most
-  // --- omp_get_max_threads() distinct threads, not accounted in profile(),
+  // --- thread_count() distinct threads, not accounted in profile(),
   // --- and call ensure_thread_workspaces() from serial context first. Each
   // --- runs under simd::FlushSubnormals, so a caller on its own threads
   // --- computes in the mode of the step graph and the staged sweeps.

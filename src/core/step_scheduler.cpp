@@ -1,12 +1,11 @@
 #include "core/step_scheduler.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <deque>
 #include <thread>
 
 #include "common/check.h"
+#include "common/chunk_loop.h"
 #include "common/thread_safety.h"
 #include "core/profile.h"
 #include "simd/fp_mode.h"
@@ -142,12 +141,11 @@ void StepScheduler::finalize(std::vector<std::vector<int>>& mid,
   pending_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
 }
 
-void StepScheduler::run(const Hooks& hooks, int nthreads,
-                        std::vector<double>* vmax_per_plan,
+void StepScheduler::run(const Hooks& hooks, std::vector<double>* vmax_per_plan,
                         std::vector<PlanTimes>* times) {
   const int n = task_count();
   require(n > 0, "StepScheduler::run: no graph built");
-  require(nthreads >= 1, "StepScheduler::run: thread count must be positive");
+  const int nthreads = thread_count();
   const int np = plan_count_;
 
   for (int i = 0; i < n; ++i)
@@ -236,8 +234,8 @@ void StepScheduler::run(const Hooks& hooks, int nthreads,
   const auto worker = [&](int tid) {
     // Every task runs in the kernels' floating-point mode (simd/fp_mode.h).
     const simd::FlushSubnormals ftz;
-    // Exceptions must not escape the parallel region: the first one aborts
-    // the run and is rethrown below (CheckError provenance survives).
+    // Exceptions must not escape a worker thread: the first one aborts the
+    // run and is rethrown below (CheckError provenance survives).
     try {
       // order: relaxed — abort_ is a quit flag, not a data handoff; the
       // error itself travels through error_mu.
@@ -277,16 +275,19 @@ void StepScheduler::run(const Hooks& hooks, int nthreads,
     }
   };
 
-#pragma omp parallel num_threads(nthreads)
-  worker(omp_get_thread_num());
+  run_workers(nthreads, worker, [&] {
+    // order: relaxed — a worker failed to start; the quit flag ends the
+    // others, and the join publishes everything they wrote.
+    abort_.store(true, std::memory_order_relaxed);
+  });
 
   if (first_error) std::rethrow_exception(first_error);
 #if MPCF_CHECKED
   // Counter seeding must exactly match the graph's in-edges: after a clean
   // run every counter has been driven to precisely zero.
   for (int i = 0; i < n; ++i)
-    // order: relaxed — workers are joined (omp barrier); this is a
-    // single-threaded post-mortem read.
+    // order: relaxed — workers are joined; this is a single-threaded
+    // post-mortem read.
     MPCF_CHECK(pending_[i].load(std::memory_order_relaxed) == 0,
                "StepScheduler: dependency counter nonzero after completed run");
 #endif

@@ -81,13 +81,14 @@ class StepScheduler {
   [[nodiscard]] int task_count() const noexcept { return static_cast<int>(tasks_.size()); }
   [[nodiscard]] int plan_count() const noexcept { return plan_count_; }
 
-  /// Executes the current graph on `nthreads` workers (an OpenMP parallel
-  /// region; per-thread work deques with chunked block->thread affinity,
-  /// work-stealing from the front of a victim's deque). `vmax_per_plan`
-  /// (may be null) receives the per-plan maxima the sos hook folded.
-  /// `times` (may be null) receives per-plan thread-seconds. The first hook
-  /// exception aborts the run and is rethrown here after the region drains.
-  void run(const Hooks& hooks, int nthreads, std::vector<double>* vmax_per_plan,
+  /// Executes the current graph on thread_count() workers started for this
+  /// run (run_workers, common/chunk_loop.h; the calling thread is worker 0):
+  /// per-thread work deques with chunked block->thread affinity,
+  /// work-stealing from the front of a victim's deque. `vmax_per_plan` (may
+  /// be null) receives the per-plan maxima the sos hook folded. `times`
+  /// (may be null) receives per-plan thread-seconds. The first hook
+  /// exception aborts the run and is rethrown here once the workers joined.
+  void run(const Hooks& hooks, std::vector<double>* vmax_per_plan,
            std::vector<PlanTimes>* times);
 
  private:

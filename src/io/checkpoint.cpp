@@ -1,6 +1,5 @@
 #include "io/checkpoint.h"
 
-#include <omp.h>
 #include <zlib.h>
 
 #include <algorithm>
@@ -291,23 +290,20 @@ CheckpointLoad::CheckpointLoad(const std::string& path, int bx, int by, int bz, 
   // stream without writing anywhere, so a throwing load leaves the blocks
   // untouched. Checkpoints are published by rename, never written in place,
   // so restore() reads the bytes this pass proved.
-  for_each_chunk(static_cast<int>(needed_.size()), omp_get_max_threads(),
-                 [&](int i, int /*worker*/) {
-                   inflate_blob(file_, needed_[static_cast<std::size_t>(i)], nullptr);
-                 });
+  for_each_chunk(static_cast<int>(needed_.size()), [&](int i, int /*worker*/) {
+    inflate_blob(file_, needed_[static_cast<std::size_t>(i)], nullptr);
+  });
 }
 
 void CheckpointLoad::restore() const {
   const int bs = file_.header().bs;
-  for_each_chunk(static_cast<int>(needed_.size()), omp_get_max_threads(),
-                 [&](int i, int /*worker*/) {
-                   const std::size_t k = needed_[static_cast<std::size_t>(i)];
-                   BlockRun<Block> run;
-                   run.block_cells = static_cast<std::size_t>(bs) * bs * bs;
-                   for (const std::uint32_t id : file_.blobs()[k].ids)
-                     run.blocks.push_back(targets_[id]);
-                   inflate_blob(file_, k, &run);
-                 });
+  for_each_chunk(static_cast<int>(needed_.size()), [&](int i, int /*worker*/) {
+    const std::size_t k = needed_[static_cast<std::size_t>(i)];
+    BlockRun<Block> run;
+    run.block_cells = static_cast<std::size_t>(bs) * bs * bs;
+    for (const std::uint32_t id : file_.blobs()[k].ids) run.blocks.push_back(targets_[id]);
+    inflate_blob(file_, k, &run);
+  });
 }
 
 std::uint64_t save_grid_checkpoint(const std::string& path, const Grid& g, double time,

@@ -10,7 +10,7 @@
 // its blocks' global ids: the run's cells as 28 byte planes (plane k holds
 // byte k of every cell), one zlib stream with the Z_RLE strategy. The
 // record holds f64 time, f64 extent, i64 steps. Blobs are encoded and
-// decoded on the caller's omp_get_max_threads() workers
+// decoded on the caller's thread_count() workers
 // (common/chunk_loop.h); the bytes do not depend on the worker count. A
 // grid's runs are its blob plan (checkpoint_plan), saved through the one
 // save path, io::save_container: each blob goes to the file as soon as it

@@ -1,7 +1,6 @@
 #include "io/container.h"
 
 #include <fcntl.h>
-#include <omp.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -172,14 +171,12 @@ std::uint64_t save_container(const std::string& path, const ContainerHeader& hea
   double writing = t.seconds();
   // Each blob goes to the file once it and every blob before it are
   // encoded; blob c waits in slot c % window until then.
-  const int requested = omp_get_max_threads();
-  std::vector<Blob> window(
-      static_cast<std::size_t>(chunk_window(chunk_workers(blobs, requested))));
+  std::vector<Blob> window(static_cast<std::size_t>(chunk_window(chunk_workers(blobs))));
   const auto slot = [&](int c) -> Blob& {
     return window[static_cast<std::size_t>(c) % window.size()];
   };
   for_each_chunk_ordered(
-      blobs, requested,
+      blobs,
       [&](int c, int w) {
         const auto p = static_cast<std::size_t>(
             std::upper_bound(first.begin(), first.end(), static_cast<std::size_t>(c)) -
@@ -200,7 +197,7 @@ std::uint64_t save_container(const std::string& path, const ContainerHeader& hea
 
 std::vector<Blob> encode_blobs(const BlobPlan& plan) {
   std::vector<Blob> blobs(plan.blobs);
-  for_each_chunk(static_cast<int>(plan.blobs), omp_get_max_threads(),
+  for_each_chunk(static_cast<int>(plan.blobs),
                  [&](int c, int w) { blobs[static_cast<std::size_t>(c)] = plan.encode(c, w); });
   return blobs;
 }

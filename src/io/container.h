@@ -135,7 +135,7 @@ class ContainerWriter {
 /// before anything is encoded, and encode(blob, worker), which returns blob
 /// `blob` of [0, blobs) under the caller's global block ids. A save calls
 /// encode for distinct blobs at once, each call on its own worker id in
-/// [0, omp_get_max_threads()).
+/// [0, thread_count()) (common/chunk_loop.h).
 struct BlobPlan {
   std::size_t blobs = 0;
   std::uint64_t ids = 0;
@@ -144,7 +144,7 @@ struct BlobPlan {
 
 /// The one save path of both payloads at both layers: streams the blobs of
 /// `plans` (plan after plan, each plan's blobs in order) through
-/// for_each_chunk_ordered on omp_get_max_threads() workers into one
+/// for_each_chunk_ordered on thread_count() workers into one
 /// ContainerWriter, so at most 2 x workers encoded blobs are held, counted
 /// over the whole list, whatever the file size or the number of plans.
 /// Returns the file size; `write_seconds`, when given, receives the time
@@ -152,9 +152,9 @@ struct BlobPlan {
 std::uint64_t save_container(const std::string& path, const ContainerHeader& header,
                              const std::vector<BlobPlan>& plans, double* write_seconds = nullptr);
 
-/// Every blob of `plan`, encoded into memory on omp_get_max_threads()
-/// workers: a multi-process rank's share of a collective save, which it
-/// holds until the root asks for it.
+/// Every blob of `plan`, encoded into memory on thread_count() workers: a
+/// multi-process rank's share of a collective save, which it holds until
+/// the root asks for it.
 [[nodiscard]] std::vector<Blob> encode_blobs(const BlobPlan& plan);
 
 /// A container open for reading, header and directory validated. Error

@@ -1,6 +1,9 @@
 #include "perf/microbench.h"
 
+#include <algorithm>
+
 #include "common/aligned_buffer.h"
+#include "common/chunk_loop.h"
 #include "core/profile.h"
 #include "simd/dispatch.h"
 #include "simd/vec4.h"
@@ -56,13 +59,17 @@ double measure_bandwidth_gbs(double seconds_budget) {
     c[i] = 1.0f;
     a[i] = 0.0f;
   }
+  const std::size_t chunk = 1 << 16;
   double best = 0;
   Timer total;
   while (total.seconds() < seconds_budget) {
     Timer t;
     const float s = 0.5f;
-#pragma omp parallel for schedule(static)
-    for (long i = 0; i < static_cast<long>(n); ++i) a[i] = b[i] + s * c[i];
+    for_each_chunk(static_cast<int>(n / chunk), [&](int k, int) {
+      const std::size_t i = k * chunk;
+      std::transform(b.data() + i, b.data() + i + chunk, c.data() + i, a.data() + i,
+                     [s](float x, float y) { return x + s * y; });
+    });
     const double sec = t.seconds();
     // 2 reads + 1 write (+1 write-allocate read, not counted: STREAM rules).
     const double gbs = 3.0 * n * sizeof(float) / sec / 1e9;

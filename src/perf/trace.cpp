@@ -1,7 +1,9 @@
 #include "perf/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
 #include "common/error.h"
 
@@ -9,14 +11,31 @@ namespace mpcf::perf {
 
 namespace {
 
-/// Dense thread ids for the chrome "tid" field: threads get small integers
-/// in first-record order (std::thread::id is not JSON-friendly).
+Mutex tid_mu;
+/// held[id] != 0 while a live thread holds chrome tid `id`.
+std::vector<char> held MPCF_GUARDED_BY(tid_mu);
+
+void give_back_tid(const int* tid) {
+  const LockGuard lock(tid_mu);
+  held[static_cast<std::size_t>(*tid)] = 0;
+  delete tid;
+}
+
+/// Dense thread ids for the chrome "tid" field (std::thread::id is not
+/// JSON-friendly): a thread takes the lowest id no live thread holds at its
+/// first record and gives it back when it exits, so workers started per
+/// step reuse the lanes of the workers before them.
 int current_tid() {
-  static std::atomic<int> next{0};
-  // order: relaxed — ids only need to be distinct, not ordered with any
-  // other memory.
-  thread_local int tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
+  thread_local const std::unique_ptr<const int, void (*)(const int*)> tid(
+      [] {
+        const LockGuard lock(tid_mu);
+        auto slot = std::find(held.begin(), held.end(), 0);
+        if (slot == held.end()) slot = held.insert(held.end(), 0);
+        *slot = 1;
+        return new int(static_cast<int>(slot - held.begin()));
+      }(),
+      give_back_tid);
+  return *tid;
 }
 
 }  // namespace

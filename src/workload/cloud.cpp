@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 
+#include "common/chunk_loop.h"
 #include "common/error.h"
 
 namespace mpcf {
@@ -103,15 +104,14 @@ std::vector<Bubble> bubbles_near_block(const Grid& grid, int bx, int by, int bz,
 }
 
 /// Sets every cell of `grid` to cell_at(alpha, x), alpha = vapor_fraction
-/// of `bubbles` at the cell centre, in one parallel loop over blocks; a
+/// of `bubbles` at the cell centre, one chunk per block (for_each_chunk); a
 /// block that culls every bubble gets alpha = 0 without evaluating it.
 template <class CellAt>
 void set_bubble_ic(Grid& grid, const std::vector<Bubble>& bubbles, double delta,
                    const CellAt& cell_at) {
   const int bs = grid.block_size();
   // Dynamic: blocks near a bubble cost far more than the liquid far field.
-#pragma omp parallel for schedule(dynamic, 1)
-  for (int b = 0; b < grid.block_count(); ++b) {
+  for_each_chunk(grid.block_count(), [&](int b, int) {
     int bx = 0, by = 0, bz = 0;
     grid.indexer().coords(b, bx, by, bz);
     const std::vector<Bubble> near = bubbles_near_block(grid, bx, by, bz, bubbles, delta);
@@ -127,7 +127,7 @@ void set_bubble_ic(Grid& grid, const std::vector<Bubble>& bubbles, double delta,
         }
       }
     }
-  }
+  });
 }
 
 }  // namespace

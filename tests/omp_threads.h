@@ -1,5 +1,7 @@
-// The OpenMP thread budget of one scope. The save path, the dump pipeline
-// and the checkpoint codec take their worker count from
+// The thread budget of one scope. Every parallel loop of the library (the
+// step graph, the staged sweeps, DT, the guard, diagnostics, the initial
+// conditions, the save path, the dump pipeline and the checkpoint codec)
+// reads it through thread_count() (common/chunk_loop.h), which returns
 // omp_get_max_threads(), so tests sweep the width through this.
 #pragma once
 

@@ -161,22 +161,13 @@ void fill_noise(Grid& g) {
 
 using test::Threads;
 
-/// set_cloud_ic on the calling thread alone. ThreadSanitizer cannot see
-/// libgomp's barriers, so cells an OpenMP team wrote turn every read by the
-/// codec's std::thread workers into a suppressed race report: a save of a
-/// few chunks then takes minutes under TSan instead of milliseconds.
-void set_ic_serially(Grid& g, const std::vector<Bubble>& bubbles) {
-  const Threads one(1);
-  set_cloud_ic(g, bubbles, TwoPhaseIC{});
-}
-
 TEST(Checkpoint, ChunkStreamsAreRleBytePlanesOfWholeBlocks) {
   // The format, decoded independently: blobs of whole blocks in SFC order,
   // floor(1 MiB / block bytes) blocks each (the last one short), each an own
   // zlib stream of the blob's 28 byte planes under its blocks' ids, tiled
   // back to back after the directory, each with its CRC32.
   Grid g(2, 2, 3, 16, 1e-3);  // 9 blocks of 112 KiB per chunk: chunks of 9 and 3
-  set_ic_serially(g, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}});
+  set_cloud_ic(g, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}}, TwoPhaseIC{});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt6.bin";
   save_grid_checkpoint(path, g, 0.25, 7);
   const std::vector<std::uint8_t> file = read_file(path);
@@ -229,7 +220,7 @@ TEST(Checkpoint, BytesAndLoadsDoNotDependOnTheWorkerCount) {
   // state on each. The streamed save writes exactly the image of the blobs
   // the in-memory encoder returns, whatever the order chunks finish in.
   Grid a(2, 2, 1, 32, 1e-3);  // one block of 32^3 per chunk: 4 chunks
-  set_ic_serially(a, {{0.4e-3, 0.5e-3, 0.2e-3, 0.3e-3}});
+  set_cloud_ic(a, {{0.4e-3, 0.5e-3, 0.2e-3, 0.3e-3}}, TwoPhaseIC{});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt7.bin";
   const ContainerHeader header = checkpoint_header(2, 2, 1, 32, 0.5, a.h() * a.cells_x(), 2);
   std::vector<std::uint8_t> first;
@@ -254,7 +245,7 @@ TEST(Checkpoint, AStreamedSaveOfManyChunksIsTheImageOfTheEncodedBlobs) {
   // 24 chunks of 9 blocks of 16^3 on up to 8 workers: more chunks than the
   // window holds, so chunks wait on it and finish out of order.
   Grid a(6, 6, 6, 16, 1e-3);
-  set_ic_serially(a, {{0.5e-3, 0.5e-3, 0.5e-3, 0.3e-3}});
+  set_cloud_ic(a, {{0.5e-3, 0.5e-3, 0.5e-3, 0.3e-3}}, TwoPhaseIC{});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt10.bin";
   const ContainerHeader header = checkpoint_header(6, 6, 6, 16, 0.25, a.h() * a.cells_x(), 9);
   for (const int workers : {1, 2, 4, 8}) {
@@ -277,7 +268,7 @@ TEST(Checkpoint, BrokenChunkStreamUnderValidCrcsLeavesGridUntouched) {
   Simulation::Params p;
   p.extent = 1e-3;
   Grid a(2, 2, 3, 16, p.extent);  // chunks of 9 and 3 blocks
-  set_ic_serially(a, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}});
+  set_cloud_ic(a, {{0.5e-3, 0.5e-3, 0.7e-3, 0.3e-3}}, TwoPhaseIC{});
   const std::string path = ::testing::TempDir() + "/mpcf_ckpt8.bin";
   save_grid_checkpoint(path, a, 1e-6, 5);
   const std::vector<std::uint8_t> good = read_file(path);
@@ -285,7 +276,7 @@ TEST(Checkpoint, BrokenChunkStreamUnderValidCrcsLeavesGridUntouched) {
   ASSERT_EQ(f.chunks, 2u);
 
   Simulation b(2, 2, 3, 16, p);  // same shape, different state
-  set_ic_serially(b.grid(), {});
+  set_cloud_ic(b.grid(), {}, TwoPhaseIC{});
   const std::vector<std::uint8_t> before = concat_blocks(b.grid());
   for (const std::uint32_t c : {0u, f.chunks - 1})
     for (const std::uint64_t at : {f.size[c] / 2, f.size[c] - 2}) {

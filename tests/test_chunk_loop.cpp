@@ -1,5 +1,6 @@
-// Tests of the ordered chunk loop (common/chunk_loop.h), the loop every
-// streamed save runs: results are consumed in chunk order, one consume at a
+// Tests of the chunk loops (common/chunk_loop.h): for_each_chunk runs every
+// chunk once on thread_count() workers, and in the ordered loop every
+// streamed save runs, results are consumed in chunk order, one consume at a
 // time, never more than the window of results is alive, and a failing
 // encode or consume at any chunk position ends the call with the lowest
 // failing chunk's exception instead of a hang.
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/chunk_loop.h"
+#include "omp_threads.h"
 
 namespace mpcf {
 namespace {
@@ -43,11 +45,39 @@ void busy(int c) {
   std::this_thread::sleep_for(std::chrono::microseconds(50 * ((c * 37) % 7)));
 }
 
+TEST(Chunks, EveryChunkRunsOnceOnThreadCountWorkers) {
+  // The loop's width is the thread budget, capped at the chunk count; the
+  // calling thread is worker 0.
+  for (const int threads : {1, 3, 8})
+    for (const int chunks : {0, 2, 100}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, " << chunks << " chunks");
+      const test::Threads scope(threads);
+      EXPECT_EQ(thread_count(), threads);
+      const int workers = chunk_workers(chunks);
+      EXPECT_EQ(workers, std::max(1, std::min(threads, chunks)));
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(chunks));
+      std::vector<std::atomic<int>> by(static_cast<std::size_t>(workers));
+      const std::thread::id caller = std::this_thread::get_id();
+      std::atomic<bool> worker0_elsewhere{false};
+      for_each_chunk(chunks, [&](int c, int w) {
+        runs[static_cast<std::size_t>(c)].fetch_add(1);
+        by[static_cast<std::size_t>(w)].fetch_add(1);
+        if (w == 0 && std::this_thread::get_id() != caller) worker0_elsewhere = true;
+      });
+      for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+      int total = 0;
+      for (const auto& n : by) total += n.load();
+      EXPECT_EQ(total, chunks);
+      EXPECT_FALSE(worker0_elsewhere.load());
+    }
+}
+
 TEST(OrderedChunks, ConsumesInChunkOrderWithinTheWindow) {
   for (const int workers : {1, 2, 3, 8})
     for (const int chunks : {0, 1, 5, 37, 100}) {
       SCOPED_TRACE(testing::Message() << workers << " workers, " << chunks << " chunks");
-      const int window = chunk_window(chunk_workers(chunks, workers));
+      const test::Threads scope(workers);
+      const int window = chunk_window(chunk_workers(chunks));
       EXPECT_EQ(window, 2 * std::max(1, std::min(workers, chunks)));
       Live::most = 0;
       std::vector<std::unique_ptr<Live>> slots(static_cast<std::size_t>(window));
@@ -55,7 +85,7 @@ TEST(OrderedChunks, ConsumesInChunkOrderWithinTheWindow) {
       std::atomic<int> consuming{0};
       bool overlapped = false;
       for_each_chunk_ordered(
-          chunks, workers,
+          chunks,
           [&](int c, int /*worker*/) {
             auto result = std::make_unique<Live>(c);
             busy(c);
@@ -82,11 +112,12 @@ TEST(OrderedChunks, TheWindowHoldsBackEncodesUntilTheFirstChunkIsConsumed) {
   // Chunk 0 is slow: the other workers may run ahead by the window, never
   // further, until it is consumed.
   const int workers = 4;
+  const test::Threads scope(workers);
   const int window = chunk_window(workers);
   std::atomic<int> started{0};
   int started_before_first = 0;
   for_each_chunk_ordered(
-      64, workers,
+      64,
       [&](int c, int /*worker*/) {
         started.fetch_add(1);
         if (c == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -109,9 +140,10 @@ enum class Step { kEncode, kConsume };
 std::string run_failing(int workers, int a, Step sa, int b, Step sb, std::vector<int>& consumed) {
   const auto fails = [&](int c, Step s) { return (c == a && s == sa) || (c == b && s == sb); };
   consumed.clear();
+  const test::Threads scope(workers);
   try {
     for_each_chunk_ordered(
-        40, workers,
+        40,
         [&](int c, int /*worker*/) {
           if (c == a) std::this_thread::sleep_for(std::chrono::milliseconds(2));
           if (fails(c, Step::kEncode)) throw std::runtime_error("encode " + std::to_string(c));

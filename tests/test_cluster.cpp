@@ -1,7 +1,6 @@
 // Tests of the cluster layer: topology, transport, and — the critical
 // property — multi-rank runs reproducing the single-rank solution exactly.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <chrono>
 #include <cmath>
@@ -9,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -319,21 +319,31 @@ TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {
   EXPECT_TRUE(cs.tracer().events().empty());
 }
 
+TEST(Cluster, TraceDrawsOneLanePerWorkerAcrossSteps) {
+  // Each step starts its workers afresh, and an exited worker's chrome tid
+  // goes back for the next one to take: ten steps at 4 threads record on
+  // at most 4 lanes, not one new lane per started thread.
+  const test::Threads four(4);
+  ClusterSimulation cs(8, 4, 4, 8, CartTopology(2, 1, 1), cloud_params(BCType::kAbsorbing));
+  for (int r = 0; r < cs.rank_count(); ++r) init_cloud(cs.rank_sim(r).grid());
+  cs.tracer().enable(true);
+  for (int s = 0; s < 10; ++s) cs.step();
+  std::set<int> tids;
+  for (const auto& e : cs.tracer().events()) tids.insert(e.tid);
+  EXPECT_FALSE(tids.empty());
+  EXPECT_LE(tids.size(), 4u);
+}
+
 TEST(Cluster, StallAccountingSurfacesInCommStats) {
   Simulation::Params params = cloud_params(BCType::kPeriodic);
 
   // Staged oracle: the step loop blocks on the full exchange, and the stall
-  // surfaces identically through SimComm stats and comm_time(). One thread:
-  // the accounting does not depend on it, and the oracle's omp-for sweeps
-  // (libgomp barriers TSan cannot see) are the slowest path under TSan.
+  // surfaces identically through SimComm stats and comm_time().
   Simulation::Params staged_params = params;
   staged_params.fused_step = false;
   ClusterSimulation seq(4, 4, 4, 8, CartTopology(2, 1, 1), staged_params);
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
   for (int r = 0; r < seq.rank_count(); ++r) init_cloud(seq.rank_sim(r).grid());
   seq.step();
-  omp_set_num_threads(saved_threads);
   const auto seq_stats = seq.comm().stats();
   EXPECT_GT(seq_stats.stall_seconds, 0.0);
   EXPECT_GT(seq_stats.recv_seconds, 0.0);
@@ -477,16 +487,11 @@ TEST(Cluster, CollectiveDumpMatchesSingleRankField) {
 }
 
 /// A cloud state on `topo` at time 3e-7 and step 4, restored from a
-/// node-layer checkpoint. Its cells are set on one thread (see
-/// test_io_fault's make_chunked_sim: codec threads reading cells an OpenMP
-/// team wrote are slow under TSan).
+/// node-layer checkpoint.
 std::unique_ptr<ClusterSimulation> cloud_cluster(const CartTopology& topo) {
   const Simulation::Params params = cloud_params(BCType::kAbsorbing);
   Grid global(4, 4, 2, 16, params.extent);
-  const int threads = omp_get_max_threads();
-  omp_set_num_threads(1);
   init_cloud(global);
-  omp_set_num_threads(threads);
   const std::string path = ::testing::TempDir() + "/mpcf_cloud_cluster.ckp";
   (void)io::save_grid_checkpoint(path, global, 3e-7, 4);
   auto cs = std::make_unique<ClusterSimulation>(4, 4, 2, 16, topo, params);

@@ -10,7 +10,6 @@
 // field checks and the decoders. Every mutant must be rejected with a
 // PreconditionError or decode; the budget is constant and runs in seconds.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <array>
 #include <cstdio>
@@ -41,10 +40,7 @@ Grid corpus_grid() {
   Grid g(fuzz::kBlocks[0], fuzz::kBlocks[1], fuzz::kBlocks[2], fuzz::kBlockSize, fuzz::kExtent);
   const std::vector<Bubble> bubbles{{0.4e-3, 0.5e-3, 0.5e-3, 0.15e-3},
                                     {0.65e-3, 0.55e-3, 0.45e-3, 0.1e-3}};
-  const int threads = omp_get_max_threads();
-  omp_set_num_threads(1);
   set_cloud_ic(g, bubbles, TwoPhaseIC{});
-  omp_set_num_threads(threads);
   return g;
 }
 

@@ -8,7 +8,6 @@
 // and rotating retention with auto-recovery (crash-then-restart resumes
 // bitwise equal to an uninterrupted run).
 #include <gtest/gtest.h>
-#include <omp.h>
 #include <zlib.h>
 
 #include <algorithm>
@@ -135,10 +134,7 @@ enum class Payload { kCheckpoint, kDump };
 
 /// A state whose files have several blobs: its checkpoint two (9 and 3
 /// blocks of 16^3), its 2-worker dump eight streams. `bubbles` bubbles of
-/// the cloud are set (0: all liquid). The cells are set on the calling
-/// thread alone: ThreadSanitizer cannot see libgomp's barriers, so cells an
-/// OpenMP team wrote would turn every read by the codec's std::thread
-/// workers into a suppressed race report, and a save would take minutes.
+/// the cloud are set (0: all liquid).
 Simulation make_chunked_sim(std::size_t bubbles = 2) {
   Simulation::Params p;
   p.extent = 1e-3;
@@ -146,10 +142,7 @@ Simulation make_chunked_sim(std::size_t bubbles = 2) {
   std::vector<Bubble> cloud{{0.4e-3, 0.5e-3, 0.7e-3, 0.2e-3},
                             {0.65e-3, 0.55e-3, 0.9e-3, 0.15e-3}};
   cloud.resize(std::min(bubbles, cloud.size()));
-  const int threads = omp_get_max_threads();
-  omp_set_num_threads(1);
   set_cloud_ic(sim.grid(), cloud, TwoPhaseIC{});
-  omp_set_num_threads(threads);
   return sim;
 }
 

@@ -4,6 +4,7 @@
 // suppression contract (justification mandatory).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,55 @@ TEST(LintRawIo, StringAndCommentContentsNeverMatch) {
 TEST(LintRawIo, IncludeLinesAreIgnored) {
   EXPECT_TRUE(
       of_rule(lint_file("src/core/foo.cpp", "#include <fstream>\n"), "raw-io").empty());
+}
+
+TEST(LintOpenmpInSrc, FlagsPragmaIncludeAndCallsInSrcCore) {
+  const std::string src =
+      "#include <omp.h>\n"
+      "void f(int n) {\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < n; ++i) g(omp_get_thread_num());\n"
+      "  #  pragma   omp barrier\n"
+      "}\n"
+      "#include \"omp.h\"\n";
+  std::vector<int> lines;
+  for (const auto& d : of_rule(lint_file("src/core/foo.cpp", src), "openmp-in-src")) {
+    lines.push_back(d.line);
+    if (d.line == 4) {
+      EXPECT_NE(d.message.find("omp_get_thread_num"), std::string::npos);
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines, (std::vector<int>{1, 3, 4, 5, 7}));
+}
+
+TEST(LintOpenmpInSrc, TheFileThatDefinesThreadCountIsExempt) {
+  const std::string src =
+      "#include <omp.h>\n"
+      "int thread_count() { return omp_get_max_threads(); }\n";
+  EXPECT_TRUE(of_rule(lint_file("src/common/chunk_loop.cpp", src), "openmp-in-src").empty());
+  EXPECT_EQ(of_rule(lint_file("src/common/chunk_loop.h", src), "openmp-in-src").size(), 2u);
+}
+
+TEST(LintOpenmpInSrc, TestsAndBenchesAreNotInScope) {
+  const std::string src =
+      "#include <omp.h>\n"
+      "void f() {\n"
+      "#pragma omp parallel\n"
+      "  omp_set_num_threads(2);\n"
+      "}\n";
+  EXPECT_TRUE(of_rule(lint_file("tests/test_x.cpp", src), "openmp-in-src").empty());
+  EXPECT_TRUE(of_rule(lint_file("bench/bench_x.cpp", src), "openmp-in-src").empty());
+}
+
+TEST(LintOpenmpInSrc, CommentsStringsAndLookalikesNeverMatch) {
+  const std::string src =
+      "// #pragma omp parallel, omp_get_max_threads() in a comment is fine\n"
+      "const char* s = \"omp_set_num_threads\";\n"
+      "#pragma once\n"
+      "#pragma ompx\n"
+      "int comp_x = 0, omp = 1;\n";
+  EXPECT_TRUE(of_rule(lint_file("src/core/foo.cpp", src), "openmp-in-src").empty());
 }
 
 TEST(LintHotAssert, FlagsAssertInSrcOnly) {
@@ -206,7 +256,7 @@ TEST(LintSuppression, AllowOfOtherRuleDoesNotSuppress) {
 
 TEST(LintEngine, RuleNamesNonEmptyAndUnique) {
   const auto& rules = mpcf::lint::rule_names();
-  EXPECT_GE(rules.size(), 12u);  // 7 core + 4 concurrency + bad-suppression
+  EXPECT_GE(rules.size(), 13u);  // 8 core + 4 concurrency + bad-suppression
   for (std::size_t i = 0; i < rules.size(); ++i)
     for (std::size_t j = i + 1; j < rules.size(); ++j) EXPECT_NE(rules[i], rules[j]);
 }

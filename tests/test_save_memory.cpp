@@ -7,7 +7,6 @@
 // encodes the whole file first would raise it by ~the file (an
 // incompressible state's file is larger than the state).
 #include <gtest/gtest.h>
-#include <omp.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -20,6 +19,7 @@
 
 #include "cluster/cluster_simulation.h"
 #include "io/checkpoint.h"
+#include "omp_threads.h"
 
 namespace mpcf::io {
 namespace {
@@ -103,7 +103,7 @@ Report measure_in_child(Build build, Save save) {
     Report mine;
     try {
       auto state = build();
-      omp_set_num_threads(4);
+      const test::Threads four(4);
       mine.before_kib = peak_rss_kib();
       mine.bytes = save(*state);
       mine.after_kib = peak_rss_kib();

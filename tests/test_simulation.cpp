@@ -2,13 +2,13 @@
 // conservation over many steps, free-stream stability, acoustic propagation
 // speed and symmetry preservation.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <cmath>
 #include <cstring>
 
 #include "core/simulation.h"
 #include "eos/stiffened_gas.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf {
@@ -205,19 +205,19 @@ TEST(Simulation, DiagnosticsAreBitwiseEqualAtEveryThreadCount) {
   set_cloud_ic(sim.grid(), bubbles, TwoPhaseIC{});
   for (int s = 0; s < 3; ++s) sim.step();
   const double Gv = materials::kVapor.Gamma(), Gl = materials::kLiquid.Gamma();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const Diagnostics ref = sim.diagnostics(Gv, Gl);
+  const Diagnostics ref = [&] {
+    const test::Threads one(1);  // the one-thread reference
+    return sim.diagnostics(Gv, Gl);
+  }();
   ASSERT_GT(ref.kinetic_energy, 0);
   ASSERT_GT(ref.max_p_wall, 0);
   for (const int threads : {2, 3, 4}) {
-    omp_set_num_threads(threads);
+    const test::Threads scope(threads);
     const Diagnostics d = sim.diagnostics(Gv, Gl);
     EXPECT_EQ(std::memcmp(&d, &ref, sizeof(Diagnostics)), 0)
         << threads << " threads: kinetic " << d.kinetic_energy << " vs " << ref.kinetic_energy
         << ", vapor " << d.vapor_volume << " vs " << ref.vapor_volume;
   }
-  omp_set_num_threads(saved);
 }
 
 TEST(Simulation, ProfileAccumulatesKernelTimes) {

@@ -8,7 +8,6 @@
 // runs additionally exercise the scheduler's counter invariants and the lab
 // readset cross-validation.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <algorithm>
 #include <cmath>
@@ -22,6 +21,7 @@
 #include "kernels/rhs.h"
 #include "kernels/sos.h"
 #include "kernels/update.h"
+#include "omp_threads.h"
 #include "simd/dispatch.h"
 #include "workload/cloud.h"
 
@@ -86,11 +86,6 @@ std::vector<simd::Width> executable_widths() {
     if (simd::width_compiled(w) && simd::host_executes(w)) ws.push_back(w);
   return ws;
 }
-
-struct ThreadCountGuard {
-  int saved = omp_get_max_threads();
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-};
 
 // --- BlockTopology --------------------------------------------------------
 
@@ -239,7 +234,6 @@ TEST(FusedStep, TilesBitwiseMatchStagedAcrossBcsWidthsThreadsAndFloors) {
   // agree bit for bit for every BC fold, width, thread count, and with the
   // floors on and off (the guard runs in the final-stage tile updates, and
   // the SOS folds after it).
-  ThreadCountGuard tg;
   BoundaryConditions mixed;
   mixed.face[0] = {BCType::kAbsorbing, BCType::kWall};
   mixed.face[1] = {BCType::kWall, BCType::kWall};
@@ -262,16 +256,15 @@ TEST(FusedStep, TilesBitwiseMatchStagedAcrossBcsWidthsThreadsAndFloors) {
           for (int s = 0; s < 3; ++s) dts.push_back(sim->step());
           return sim;
         };
-        // The oracle does not depend on the thread count (one thread keeps
-        // its omp-for sweeps fast under TSan).
-        omp_set_num_threads(1);
+        // The oracle, at the ambient thread count: its result does not
+        // depend on it.
         std::vector<double> staged_dts;
         const auto staged = run(false, staged_dts);
         for (const int nt : {1, 2, 4}) {
           SCOPED_TRACE(testing::Message() << "bc set " << ib << ", floors " << floors
                                           << ", width " << static_cast<int>(w)
                                           << ", threads " << nt);
-          omp_set_num_threads(nt);
+          const test::Threads scope(nt);
           std::vector<double> fused_dts;
           const auto fused = run(true, fused_dts);
           ASSERT_EQ(fused->tile_blocks(), 2);
@@ -284,10 +277,9 @@ TEST(FusedStep, TilesBitwiseMatchStagedAcrossBcsWidthsThreadsAndFloors) {
 // --- Fused vs staged: node layer ------------------------------------------
 
 TEST(FusedStep, BitwiseMatchesStagedAcrossWidthsAndThreads) {
-  ThreadCountGuard tg;
   for (const simd::Width w : executable_widths()) {
     for (const int nt : {1, 2, 8}) {
-      omp_set_num_threads(nt);
+      const test::Threads scope(nt);
       Simulation staged(2, 2, 2, 8, cloud_params(BCType::kAbsorbing, false, w));
       Simulation fused(2, 2, 2, 8, cloud_params(BCType::kAbsorbing, true, w));
       init_cloud(staged.grid());
@@ -308,8 +300,7 @@ TEST(FusedStep, BitwiseMatchesStagedAcrossWidthsAndThreads) {
 TEST(FusedStep, BitwiseMatchesStagedWithoutPositivityGuard) {
   // Floors off => the final-stage update tasks fold the SOS reduction with
   // no guard before it; the pulse IC never needs clamping.
-  ThreadCountGuard tg;
-  omp_set_num_threads(4);
+  const test::Threads four(4);
   Simulation::Params ps = cloud_params(BCType::kPeriodic, false);
   Simulation::Params pf = cloud_params(BCType::kPeriodic, true);
   ps.rho_floor = ps.p_floor = -1.0;
@@ -327,7 +318,6 @@ TEST(FusedStep, FoldedGuardClampsWhatTheStagedSweepClamps) {
   // tile (or block) in its final-stage update: same cells, same bits, same
   // count, and the next dt folds the post-clamp speeds without a standalone
   // SOS sweep.
-  ThreadCountGuard tg;
   struct Shape {
     int bx, by, bz;
   };
@@ -340,14 +330,16 @@ TEST(FusedStep, FoldedGuardClampsWhatTheStagedSweepClamps) {
       for (int s = 0; s < 3; ++s) dts.push_back(sim->step());
       return sim;
     };
-    omp_set_num_threads(1);
     std::vector<double> staged_dts;
-    const auto staged = run(false, staged_dts);
+    const auto staged = [&] {
+      const test::Threads one(1);  // the one-thread reference
+      return run(false, staged_dts);
+    }();
     ASSERT_GT(staged->params().clamped_cells, 0);
     for (const int nt : {1, 2, 4}) {
       SCOPED_TRACE(testing::Message() << sh.bx << "x" << sh.by << "x" << sh.bz
                                       << " blocks, threads " << nt);
-      omp_set_num_threads(nt);
+      const test::Threads scope(nt);
       std::vector<double> fused_dts;
       const auto fused = run(true, fused_dts);
       EXPECT_EQ(fused->tile_blocks(), sh.bx == 4 ? 2 : 1);
@@ -403,7 +395,6 @@ TEST(ClusterFused, BitwiseMatchesStagedOracle) {
   // bit-identical states and dt sequences on a periodic 2x2x2 topology,
   // with the floors on (guard in the final-stage updates) and off (the
   // pulse IC never needs clamping).
-  ThreadCountGuard tg;
   const auto run = [](bool fused, bool floors, std::vector<double>& dts) {
     Simulation::Params params = cloud_params(BCType::kPeriodic, fused);
     if (!floors) params.rho_floor = params.p_floor = -1.0;
@@ -420,14 +411,12 @@ TEST(ClusterFused, BitwiseMatchesStagedOracle) {
     return global;
   };
   for (const bool floors : {true, false}) {
-    // The oracle's result does not depend on the thread count; one thread
-    // keeps its omp-for sweeps (libgomp barriers TSan cannot see, so every
-    // cross-region read goes through suppression matching) fast under TSan.
-    omp_set_num_threads(1);
+    // The oracle, at the ambient thread count: its result does not depend
+    // on it.
     std::vector<double> staged_dts;
     const Grid staged = run(false, floors, staged_dts);
     for (const int nt : {1, 2, 8}) {
-      omp_set_num_threads(nt);
+      const test::Threads scope(nt);
       std::vector<double> fused_dts;
       const Grid fused = run(true, floors, fused_dts);
       ASSERT_EQ(fused_dts, staged_dts) << "dt sequence, floors=" << floors << " threads=" << nt;
@@ -439,7 +428,6 @@ TEST(ClusterFused, BitwiseMatchesStagedOracle) {
 TEST(ClusterFused, FoldedGuardClampsWhatTheStagedSweepClamps) {
   // Each rank clamps its tiles in their final-stage updates; the next
   // step's packs then send the clamped state, as after the staged sweep.
-  ThreadCountGuard tg;
   const auto run = [](bool fused, std::vector<double>& dts, long& clamped) {
     Simulation::Params params = cloud_params(BCType::kPeriodic, fused);
     params.p_floor = 1e6;
@@ -453,13 +441,15 @@ TEST(ClusterFused, FoldedGuardClampsWhatTheStagedSweepClamps) {
     cs.gather(global);
     return global;
   };
-  omp_set_num_threads(1);
   std::vector<double> staged_dts;
   long staged_clamped = 0;
-  const Grid staged = run(false, staged_dts, staged_clamped);
+  const Grid staged = [&] {
+    const test::Threads one(1);  // the one-thread reference
+    return run(false, staged_dts, staged_clamped);
+  }();
   ASSERT_GT(staged_clamped, 0);
   for (const int nt : {1, 4}) {
-    omp_set_num_threads(nt);
+    const test::Threads scope(nt);
     std::vector<double> fused_dts;
     long fused_clamped = 0;
     const Grid fused = run(true, fused_dts, fused_clamped);

@@ -1,12 +1,11 @@
 // Unit tests for the bubble-cloud workload generator and initial conditions.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <cmath>
 
 #include "grid/grid.h"
 #include "ic_oracle.h"
+#include "omp_threads.h"
 #include "workload/cloud.h"
 
 namespace mpcf {
@@ -178,19 +177,17 @@ TEST(CloudIC, CulledBlocksEqualThePerCellOracle) {
 
 TEST(CloudIC, CulledBlocksEqualTheOracleAtEveryThreadCount) {
   // The block loop is dynamically scheduled; cells must not depend on it.
-  const int saved = omp_get_max_threads();
   Grid oracle(4, 4, 4, 8, 2e-3);
   CloudParams cp;
   cp.count = 12;
   const std::vector<Bubble> bubbles = generate_cloud(cp, 2e-3);
   ic_oracle::set_cloud_ic_per_cell(oracle, bubbles, TwoPhaseIC{});
   for (const int nt : {1, 3, 4}) {
-    omp_set_num_threads(nt);
+    const test::Threads scope(nt);
     Grid culled(4, 4, 4, 8, 2e-3);
     set_cloud_ic(culled, bubbles, TwoPhaseIC{});
     EXPECT_TRUE(ic_oracle::blocks_bitwise_equal(culled, oracle)) << nt << " threads";
   }
-  omp_set_num_threads(saved);
 }
 
 TEST(ShockBubbleIC, CulledBlocksEqualThePerCellOracle) {

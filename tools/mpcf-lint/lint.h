@@ -11,6 +11,8 @@
 //
 // core pack (rules/core_rules.cpp):
 //   raw-io           file writes outside src/io must go through io::SafeFile
+//   openmp-in-src    no OpenMP in src/ outside common/chunk_loop.cpp, the
+//                    file whose thread_count() reads the thread budget
 //   kernel-alloc     no allocation/container growth inside kernel loops
 //   hot-assert       no assert() in src/ — use MPCF_CHECK (common/check.h)
 //   reinterpret-cast reinterpret_cast only in the SIMD/io whitelist

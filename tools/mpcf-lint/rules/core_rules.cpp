@@ -34,6 +34,40 @@ void rule_raw_io(const RuleContext& ctx, std::vector<Diagnostic>* out) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: openmp-in-src — src/ runs one thread runtime: every parallel loop
+// runs on the chunk loop's workers (DESIGN.md §5), and thread_count(), in
+// the one exempt file, is the only OpenMP call. Flags #pragma omp, an
+// omp.h include and any omp_ identifier.
+// ---------------------------------------------------------------------------
+
+void rule_openmp_in_src(const RuleContext& ctx, std::vector<Diagnostic>* out) {
+  if (!path_contains(ctx.path, "src/") || path_contains(ctx.path, "src/common/chunk_loop.cpp"))
+    return;
+  const auto flag = [&](int line, const std::string& what) {
+    out->push_back({ctx.path, line, "openmp-in-src",
+                    "OpenMP (" + what +
+                        ") in src/; run the loop on for_each_chunk or run_workers "
+                        "(common/chunk_loop.h), whose thread_count() is the one OpenMP call"});
+  };
+  for (std::size_t li = 0; li < ctx.img.code.size(); ++li) {
+    const std::string t = trimmed(ctx.img.code[li]);
+    if (!t.starts_with("#")) continue;
+    const std::size_t d = skip_ws(t, 1);
+    if (t.compare(d, 6, "pragma") == 0 && find_word(t, "omp", d + 6) == skip_ws(t, d + 6))
+      flag(static_cast<int>(li) + 1, "#pragma omp");
+    else if (t.compare(d, 7, "include") == 0 && (t.find("<omp.h>") != std::string::npos ||
+                                                 t.find("\"omp.h\"") != std::string::npos))
+      flag(static_cast<int>(li) + 1, "omp.h");
+  }
+  int last = 0;  // one diagnostic per line
+  for (const Token& tok : ctx.toks)
+    if (tok.line != last && is_ident(tok) && tok.text.starts_with("omp_")) {
+      flag(tok.line, "'" + tok.text + "'");
+      last = tok.line;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: hot-assert — assert() is compiled out by NDEBUG and its failure mode
 // (abort, no provenance) is useless at scale; src/ uses MPCF_CHECK.
 // ---------------------------------------------------------------------------
@@ -269,6 +303,7 @@ void rule_include_hygiene(const RuleContext& ctx, std::vector<Diagnostic>* out) 
 
 void detail::register_core_rules(std::vector<Rule>& rules) {
   rules.push_back({"raw-io", &rule_raw_io});
+  rules.push_back({"openmp-in-src", &rule_openmp_in_src});
   rules.push_back({"kernel-alloc", &rule_kernel_alloc});
   rules.push_back({"hot-assert", &rule_hot_assert});
   rules.push_back({"reinterpret-cast", &rule_reinterpret_cast});
