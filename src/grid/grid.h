@@ -22,8 +22,11 @@ class Grid {
   /// order defaults to Morton for power-of-two cubes (row-major otherwise);
   /// pass a curve explicitly to override (e.g. Hilbert, for the SFC
   /// ablation). Every block's cells and RK accumulator live in one
-  /// anonymous mapping owned by the grid, zero-filled (all +0.0) and
-  /// faulted in at construction; blocks are views into it.
+  /// anonymous mapping owned by the grid, on a 2 MiB boundary and advised
+  /// for transparent huge pages, zero-filled (all +0.0) and faulted in at
+  /// construction by the chunk loop's workers; blocks are views into it.
+  /// Throws std::bad_alloc naming the bytes when the host has no memory
+  /// for them.
   Grid(int bx, int by, int bz, int bs, double extent_x = 1.0);
   Grid(int bx, int by, int bz, int bs, double extent_x, BlockIndexer::Curve curve);
 
@@ -104,7 +107,7 @@ class Grid {
     void operator()(std::byte* p) const noexcept;
   };
 
-  /// Maps the storage and lays the block views over it.
+  /// Maps and populates the storage and lays the block views over it.
   void map_blocks();
 
   BlockIndexer indexer_;

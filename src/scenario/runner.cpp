@@ -56,6 +56,7 @@ RunSettings read_run_settings(const Config& cfg, const StopCriteria& defaults) {
 RunResult run_scenario(const Config& cfg, const RunOptions& opt) {
   Timer wall;
   ScenarioInstance inst = make_scenario(cfg);
+  const double build_s = wall.seconds();
   const RunSettings run = read_run_settings(cfg, inst.stop);
   cfg.reject_unknown();
 
@@ -75,9 +76,12 @@ RunResult run_scenario(const Config& cfg, const RunOptions& opt) {
 
   RunResult result;
   result.scenario = inst.name;
+  double resume_s = 0;
   if (opt.resume && rotator) {
     std::vector<std::string> skipped;
+    const Timer resume;
     if (rotator->load_latest_valid(sim, &skipped)) result.resumed_from = sim.step_count();
+    resume_s = resume.seconds();
     if (progress)
       for (const auto& path : skipped)
         progress->write(io::JsonObject()
@@ -93,7 +97,9 @@ RunResult run_scenario(const Config& cfg, const RunOptions& opt) {
                         .add("steps_target", run.stop.max_steps)
                         .add("max_time_s", run.stop.max_time)
                         .add("resumed", result.resumed_from >= 0)
-                        .add("resume_step", result.resumed_from));
+                        .add("resume_step", result.resumed_from)
+                        .add("build_s", build_s)
+                        .add("resume_s", resume_s));
   if (!opt.quiet) {
     std::printf("scenario %s: %d x %d x %d cells, h = %.3e m%s\n", inst.name.c_str(),
                 sim.grid().cells_x(), sim.grid().cells_y(), sim.grid().cells_z(),

@@ -1,14 +1,27 @@
 // Unit tests for blocks, grid addressing, boundary folding and the BlockLab.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/utsname.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "grid/grid.h"
 #include "grid/lab.h"
 #include "lab_oracle.h"
+#include "omp_threads.h"
+
+// Linux 5.14's populate advice, for headers older than that kernel.
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23
+#endif
 
 namespace mpcf {
 namespace {
@@ -114,6 +127,70 @@ TEST(Grid, BlockViewsStayValidAcrossMoves) {
     for (int iy = 0; iy < 16; ++iy)
       for (int ix = 0; ix < 16; ++ix)
         ASSERT_EQ(assigned.cell(ix, iy, iz).E, tagged_cell(ix, iy, iz).E);
+}
+
+/// Whether this kernel populates a range on request (Linux 5.14 and
+/// later), tried on one page of a scratch mapping.
+bool kernel_populates() {
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* p = mmap(nullptr, page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) return false;
+  const bool ok = madvise(p, page, MADV_POPULATE_WRITE) == 0;
+  (void)munmap(p, page);
+  return ok;
+}
+
+TEST(Grid, StorageIsResidentZeroAndHugePageAlignedWhenConstructed) {
+  if (!kernel_populates()) {
+    utsname u{};
+    (void)uname(&u);
+    GTEST_SKIP() << "kernel " << u.sysname << " " << u.release
+                 << " refuses MADV_POPULATE_WRITE: grid pages fault at first touch";
+  }
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  struct Shape {
+    int bx, by, bz, bs;
+  };
+  // One 8^3 block (28 KiB, one chunk); cloud_job's 12^3 blocks of 8^3
+  // (47.25 MiB: 23.6 chunks, the last one partial); 2^3 blocks of 32^3
+  // (exactly seven 2 MiB chunks, more than the workers).
+  for (const int threads : {1, 4})
+    for (const Shape& s : {Shape{1, 1, 1, 8}, Shape{12, 12, 12, 8}, Shape{2, 2, 2, 32}}) {
+      SCOPED_TRACE(testing::Message() << threads << " workers, " << s.bx << "x" << s.by
+                                      << "x" << s.bz << " blocks of " << s.bs);
+      const test::Threads scope(threads);
+      Grid g(s.bx, s.by, s.bz, s.bs);
+      Block& last = g.block(g.block_count() - 1);
+      auto* const first = static_cast<unsigned char*>(static_cast<void*>(g.block(0).data()));
+      auto* const end =
+          static_cast<unsigned char*>(static_cast<void*>(last.tmp_data() + last.cells()));
+      const auto bytes = static_cast<std::size_t>(end - first);
+      // Residency first: reading a page would fault it in.
+      std::vector<unsigned char> resident((bytes + page - 1) / page);
+      ASSERT_EQ(mincore(first, bytes, resident.data()), 0);
+      const auto missing = std::count_if(resident.begin(), resident.end(),
+                                         [](unsigned char r) { return (r & 1) == 0; });
+      EXPECT_EQ(missing, 0) << "of " << resident.size() << " pages";
+      if (bytes >= kHugePage) {
+        EXPECT_EQ(std::bit_cast<std::uintptr_t>(first) % kHugePage, 0u);
+      }
+      EXPECT_TRUE(std::all_of(first, end, [](unsigned char b) { return b == 0; }));
+    }
+}
+
+TEST(Grid, StorageBeyondTheAddressSpaceThrowsBadAllocNamingItsBytes) {
+  // One block of (2^19)^3 cells: 2^58 * sizeof(Cell) bytes, more than any
+  // address space, so the mapping is refused without touching memory.
+  const int bs = 1 << 19;
+  const std::size_t bytes = (std::size_t{2} << 57) * sizeof(Cell);
+  try {
+    const Grid g(1, 1, 1, bs);
+    FAIL() << "a grid of " << bytes << " bytes was built";
+  } catch (const std::bad_alloc& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(bytes) + " bytes"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Boundary, PeriodicFold) {

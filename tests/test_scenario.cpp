@@ -1,8 +1,8 @@
 // Scenario engine tests (DESIGN.md §15): registry contents, the exact
 // Riemann reference solver, bitwise equivalence between config-driven
 // scenario builds and the retired hard-coded example setups, the Sod L1
-// validation bound, checkpoint-resume determinism of the runner, and the
-// checked-in example configs.
+// validation bound, checkpoint-resume determinism of the runner and the
+// set-up times on its start rows, and the checked-in example configs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "core/simulation.h"
 #include "eos/stiffened_gas.h"
 #include "ic_oracle.h"
+#include "io/jsonl.h"
 #include "io/safe_file.h"
 #include "physics/riemann_exact.h"
 #include "scenario/runner.h"
@@ -275,6 +276,14 @@ TEST(ScenarioRunner, MissingStopCriterionIsAConfigError) {
                ConfigError);
 }
 
+/// The last `start` row of a run directory's progress.jsonl.
+std::string last_start_row(const std::string& outdir) {
+  std::string row;
+  for (const std::string& line : io::read_jsonl(outdir + "/progress.jsonl"))
+    if (io::json_find_string(line, "event").value_or("") == "start") row = line;
+  return row;
+}
+
 TEST(ScenarioRunner, ResumeFromCheckpointIsBitwiseIdentical) {
   const std::string base = ::testing::TempDir() + "/mpcf_resume_test";
   std::filesystem::remove_all(base);
@@ -314,6 +323,20 @@ TEST(ScenarioRunner, ResumeFromCheckpointIsBitwiseIdentical) {
   const auto a = io::read_file(base + "/full/checkpoints/ckp_00000008.ckp");
   const auto b = io::read_file(base + "/split/checkpoints/ckp_00000008.ckp");
   EXPECT_TRUE(a == b) << "resumed run diverged from the uninterrupted run";
+
+  // Each start row carries the run's set-up cost; resume_s is 0 when the
+  // run did not resume.
+  const std::string fresh = last_start_row(base + "/full");
+  const std::string resumed_row = last_start_row(base + "/split");
+  ASSERT_NE(resumed_row.find("\"resumed\":true"), std::string::npos) << resumed_row;
+  for (const std::string& row : {fresh, resumed_row})
+    for (const char* key : {"build_s", "resume_s"}) {
+      const auto seconds = io::json_find_number(row, key);
+      ASSERT_TRUE(seconds.has_value()) << key << " missing from " << row;
+      EXPECT_TRUE(std::isfinite(*seconds)) << key << " in " << row;
+      EXPECT_GE(*seconds, 0.0) << key << " in " << row;
+    }
+  EXPECT_EQ(io::json_find_number(fresh, "resume_s").value_or(-1), 0.0);
 }
 
 }  // namespace
